@@ -1,16 +1,27 @@
-"""Classical forecasters: constant velocity / constant scale, and a linear
-Kalman filter with grid-tuned noise parameters.
+"""Classical forecasters as linear operators on (N, p, 4) window arrays:
+constant velocity / constant scale (CV-CS), and a linear Kalman filter (LKF)
+with grid-tuned noise parameters. Both return (N, q, 4) forecasts.
 
-The CV-CS baseline estimates per-frame centroid velocity from the last five
-observed frames and extrapolates it linearly while freezing the box size at
-the anchor frame (constant scale beats linear size extrapolation). The LKF
-runs a standard constant-velocity filter over an 8-dimensional state
-(position + size and their velocities, unit time step) and rolls the final
-posterior forward for forecasting.
+CV-CS estimates per-frame centroid velocity from the last five observed
+frames and extrapolates it linearly while freezing the box size at the
+anchor frame (constant scale beats linear size extrapolation).
+
+The LKF is a constant-velocity filter over an 8-dimensional state (position
++ size and their velocities, unit time step), started at the first
+observation with zero velocity, updated once per observed frame and rolled
+forward without updates. Its matrices F, H, Q, R and P0 come from
+:class:`KalmanParams` alone and the covariance recursion never reads an
+observation, so every window gets the same gain sequence and the posterior
+mean is a fixed linear function of the observations. None of the matrices
+couples the four box channels, so the filter is four identical 2-state
+(position, velocity) filters. One (q x p) matrix, built once per parameter
+set from a scalar 2x2 recursion, thus forecasts every channel of every
+window with one matmul, followed by the 1-px size clamp.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -20,37 +31,41 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FUTURE_LEN, Forecast, ObservationWindow, WindowSource, array_to_boxes
-from .metrics import aggregate, evaluate_window
+from .core import FUTURE_LEN, Forecast, ObservationWindow, array_to_boxes
+from .data.windows import WindowBatch
+# aggregate and evaluate_window stay in this namespace: benchmarks/tracing.py wraps them here
+from .metrics import aggregate, centroid_displacements, evaluate_window  # noqa: F401
 
 CV_CS_MODEL_ID = "cv_cs"
 LKF_MODEL_ID = "lkf"
 
-_STATE_DIM = 8
-_OBS_DIM = 4
-
 
 def cv_velocity(observed: np.ndarray) -> np.ndarray:
-    """Per-frame centroid velocity from the last 5 observed frames: (c_t - c_{t-4}) / 4."""
-    return (observed[-1, :2] - observed[-5, :2]) / 4.0
+    """Per-frame centroid velocity from the last 5 observed frames: (c_t - c_{t-4}) / 4.
+
+    ``observed`` is (p, 4) or a (N, p, 4) batch.
+    """
+    return (observed[..., -1, :2] - observed[..., -5, :2]) / 4.0
 
 
-def cv_cs_extrapolate(window: ObservationWindow, horizon: int | None = None) -> np.ndarray:
-    """Constant-velocity, constant-scale roll-out as a (horizon, 4) array.
+def cv_cs_batch(observed: np.ndarray, horizon: int = FUTURE_LEN) -> np.ndarray:
+    """Constant-velocity, constant-scale roll-out of (N, p, 4) windows as (N, horizon, 4).
 
     Row k holds the box at step k+1: centroid(anchor) + (k+1) * velocity,
     size frozen at the anchor frame. This is both the CV-CS forecast and the
     reference the learned model's residuals are added to.
     """
-    if horizon is None:
-        horizon = window.horizon
-    observed = window.observed_array()
     vel = cv_velocity(observed)
     steps = np.arange(1, horizon + 1, dtype=np.float64)
-    out = np.empty((horizon, 4), dtype=np.float64)
-    out[:, :2] = observed[-1, :2] + steps[:, None] * vel
-    out[:, 2:] = observed[-1, 2:]
+    out = np.empty((observed.shape[0], horizon, 4), dtype=np.float64)
+    out[:, :, :2] = observed[:, -1, None, :2] + steps[None, :, None] * vel[:, None, :]
+    out[:, :, 2:] = observed[:, -1, None, 2:]
     return out
+
+
+def cv_cs_extrapolate(window: ObservationWindow, horizon: int | None = None) -> np.ndarray:
+    """:func:`cv_cs_batch` of one window, as a (horizon, 4) array."""
+    return cv_cs_batch(window.observed_array()[None], window.horizon if horizon is None else horizon)[0]
 
 
 def cv_cs_forecast(window: ObservationWindow) -> Forecast:
@@ -81,75 +96,56 @@ class KalmanParams:
         return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    """Gaussian posterior over (cx, cy, w, h, v_cx, v_cy, v_w, v_h)."""
+@functools.lru_cache(maxsize=256)
+def lkf_operator(params: KalmanParams, p: int, q: int) -> np.ndarray:
+    """The (q, p) matrix taking one channel's p observations to its q forecast steps.
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    source: WindowSource
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=np.float64))
-        if self.mean.shape != (_STATE_DIM,) or self.covariance.shape != (_STATE_DIM, _STATE_DIM):
-            raise ValueError("Kalman state must be 8-dimensional with an 8x8 covariance")
-
-
-def _transition_matrix() -> np.ndarray:
-    f = np.eye(_STATE_DIM)
-    f[:_OBS_DIM, _OBS_DIM:] = np.eye(_OBS_DIM)
-    return f
-
-
-def lkf_filter(window: ObservationWindow, params: KalmanParams) -> KalmanState:
-    """Run one predict/update cycle per observed frame and return the posterior.
-
-    The state is initialized from the first observation with zero velocity
-    (``initial_velocity_variance`` on the velocity terms), then filtered
-    through all observed boxes with a constant-velocity transition and direct
-    observation of (cx, cy, w, h). Covariance updates use the Joseph form,
-    which keeps the posterior symmetric PSD.
+    Runs the 2-state (position, velocity) filter of one channel with the
+    data-free covariance recursion (Joseph-form update), while
+    carrying the posterior mean as a (2, p) matrix of weights on the
+    observations instead of as numbers. Step k of the forecast is then
+    position + k * velocity of that posterior.
     """
-    observed = window.observed_array()
-    f = _transition_matrix()
-    h = np.zeros((_OBS_DIM, _STATE_DIM))
-    h[:, :_OBS_DIM] = np.eye(_OBS_DIM)
-    q = np.diag([params.process_noise_pos] * _OBS_DIM + [params.process_noise_vel] * _OBS_DIM)
-    r = params.observation_noise * np.eye(_OBS_DIM)
+    r = params.observation_noise
+    qp, qv = params.process_noise_pos, params.process_noise_vel
+    # covariance [[a, b], [b, c]] of (position, velocity)
+    a, b, c = r, 0.0, params.initial_velocity_variance
+    weights = np.zeros((2, p))
+    weights[0, 0] = 1.0  # the state starts at the first observation, velocity 0
+    for t in range(p):
+        # predict: F = [[1, 1], [0, 1]]
+        weights[0] += weights[1]
+        a, b, c = a + 2.0 * b + c + qp, b + c, c + qv
+        # update with observation t: gain k = P H^T / (H P H^T + R)
+        s = a + r
+        k0, k1 = a / s, b / s
+        innovation = -weights[0]
+        innovation[t] += 1.0
+        weights[0] += k0 * innovation
+        weights[1] += k1 * innovation
+        # Joseph form (I - kH) P (I - kH)^T + k r k^T with H = [1, 0]
+        a, b, c = (
+            (1.0 - k0) ** 2 * a + k0 * k0 * r,
+            (1.0 - k0) * (b - k1 * a) + k0 * k1 * r,
+            c - 2.0 * k1 * b + k1 * k1 * a + k1 * k1 * r,
+        )
+    steps = np.arange(1, q + 1, dtype=np.float64)
+    operator = weights[0][None, :] + steps[:, None] * weights[1][None, :]
+    operator.setflags(write=False)
+    return operator
 
-    x = np.concatenate([observed[0], np.zeros(_OBS_DIM)])
-    p = np.diag([params.observation_noise] * _OBS_DIM + [params.initial_velocity_variance] * _OBS_DIM)
 
-    identity = np.eye(_STATE_DIM)
-    for z in observed:
-        x = f @ x
-        p = f @ p @ f.T + q
-        innovation = z - h @ x
-        s = h @ p @ h.T + r
-        gain = np.linalg.solve(s.T, (p @ h.T).T).T
-        x = x + gain @ innovation
-        ikh = identity - gain @ h
-        p = ikh @ p @ ikh.T + gain @ r @ gain.T
-        p = (p + p.T) / 2.0
-    return KalmanState(mean=x, covariance=p, source=window.source)
-
-
-def lkf_forecast(state: KalmanState, horizon: int = FUTURE_LEN) -> Forecast:
-    """Roll the posterior mean forward with no updates; sizes clamped to 1 px."""
-    f = _transition_matrix()
-    x = state.mean.copy()
-    rows = np.empty((horizon, 4), dtype=np.float64)
-    for k in range(horizon):
-        x = f @ x
-        rows[k] = x[:_OBS_DIM]
-    rows[:, 2:] = np.maximum(rows[:, 2:], 1.0)
-    return Forecast(source=state.source, boxes=array_to_boxes(rows), model_id=LKF_MODEL_ID)
+def lkf_batch(observed: np.ndarray, params: KalmanParams, horizon: int = FUTURE_LEN) -> np.ndarray:
+    """Kalman forecasts of (N, p, 4) windows as (N, horizon, 4); sizes clamped to 1 px."""
+    pred = lkf_operator(params, observed.shape[1], horizon) @ observed
+    pred[..., 2:] = np.maximum(pred[..., 2:], 1.0)
+    return pred
 
 
 def lkf_forecast_window(window: ObservationWindow, params: KalmanParams) -> Forecast:
-    """Filter then forecast, matching the window's own horizon."""
-    return lkf_forecast(lkf_filter(window, params), horizon=window.horizon)
+    """:func:`lkf_batch` of one window, matching its own horizon."""
+    rows = lkf_batch(window.observed_array()[None], params, window.horizon)[0]
+    return Forecast(source=window.source, boxes=array_to_boxes(rows), model_id=LKF_MODEL_ID)
 
 
 class TuneResult(NamedTuple):
@@ -157,24 +153,25 @@ class TuneResult(NamedTuple):
     table: list[tuple[KalmanParams, float]]
 
 
-def lkf_tune(val_windows: Sequence[ObservationWindow], grid: Sequence[KalmanParams]) -> TuneResult:
+def lkf_tune(val: WindowBatch, grid: Sequence[KalmanParams]) -> TuneResult:
     """Pick the grid element with the lowest validation ADE.
 
     Ties break toward the earlier grid entry. The full (params, ADE) table is
-    returned alongside the winner.
+    returned alongside the winner. ADE reads only centroids, which the size
+    clamp never touches, so each grid point forecasts just the two centroid
+    channels, with one matmul.
     """
     if not grid:
         raise ValueError("parameter grid is empty")
-    if not val_windows:
+    if not len(val):
         raise ValueError("validation set is empty")
+    centroids = val.observed[..., :2]
     table = []
     best = None
     best_ade = math.inf
     for params in grid:
-        evals = [
-            evaluate_window(lkf_forecast_window(w, params), w.future) for w in val_windows
-        ]
-        ade = aggregate(evals).ade
+        pred = lkf_operator(params, val.observed.shape[1], val.horizon) @ centroids
+        ade = float(centroid_displacements(pred, val.future).mean(axis=0).mean())  # as aggregate() computes it
         table.append((params, ade))
         if ade < best_ade:
             best, best_ade = params, ade
@@ -183,17 +180,11 @@ def lkf_tune(val_windows: Sequence[ObservationWindow], grid: Sequence[KalmanPara
 
 def default_param_grid() -> list[KalmanParams]:
     """The stock tuning grid: 3 x 3 x 3 noise combinations, fixed initial velocity variance."""
-    grid = []
-    for pos, vel, obs in itertools.product((1e-4, 1e-2, 1.0), (1e-4, 1e-2, 1.0), (0.1, 1.0, 10.0)):
-        grid.append(
-            KalmanParams(
-                process_noise_pos=pos,
-                process_noise_vel=vel,
-                observation_noise=obs,
-                initial_velocity_variance=100.0,
-            )
-        )
-    return grid
+    return [
+        KalmanParams(process_noise_pos=pos, process_noise_vel=vel, observation_noise=obs,
+                     initial_velocity_variance=100.0)
+        for pos, vel, obs in itertools.product((1e-4, 1e-2, 1.0), (1e-4, 1e-2, 1.0), (0.1, 1.0, 10.0))
+    ]
 
 
 def save_param_grid(grid: Sequence[KalmanParams], path: str | Path) -> None:

@@ -15,12 +15,17 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
-from .baselines import KalmanParams, cv_cs_forecast, lkf_forecast_window
-from .core import ObservationWindow
+from .baselines import KalmanParams, cv_cs_batch, lkf_batch
+from .core import Forecast, Track, array_to_boxes
 from .data import (
     KINDS,
+    MIN_TRACK_FRAMES,
     SplitConfig,
+    WindowBatch,
+    cut_windows,
     extract_windows,
     filter_short_tracks,
     load_flow_magnitudes,
@@ -34,7 +39,7 @@ from .encdec import (
     GradSample,
     TrainConfig,
     assemble_arrays,
-    forecast_windows,
+    forecast_array,
     grad_check_detailed,
     init_params,
     load_checkpoint,
@@ -47,7 +52,7 @@ from .harness import (
     run_all_folds,
     run_fold,
 )
-from .metrics import MetricReport, aggregate, evaluate_window, write_curve_csv, write_summary_csv
+from .metrics import MetricReport, aggregate, evaluate_batch, write_curve_csv, write_summary_csv
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +81,12 @@ def _add_split_flags(p: argparse.ArgumentParser, required: bool = True):
 
 def _add_window_flags(p: argparse.ArgumentParser):
     p.add_argument("--stride", type=int, default=1, help="window stride (default: 1)")
-    p.add_argument("--min-frames", type=int, default=90, help="minimum track length (default: 90)")
+    p.add_argument(
+        "--min-frames",
+        type=int,
+        default=MIN_TRACK_FRAMES,
+        help=f"minimum track length (default: {MIN_TRACK_FRAMES})",
+    )
 
 
 def _add_flow_flags(p: argparse.ArgumentParser):
@@ -187,30 +197,29 @@ def _print_report(report: MetricReport, label: str) -> None:
     )
 
 
-def _all_windows(args) -> list[ObservationWindow]:
+def _eval_tracks(args) -> list[Track]:
+    """The tracks to evaluate: long enough, and only the fold's test split when --splits is given."""
     tracks = filter_short_tracks(load_tracks(args.tracks), args.min_frames)
     if getattr(args, "splits", None):
         config = SplitConfig.from_file(args.splits)
         tracks = list(make_splits(tracks, config, args.fold).test)
-    windows = []
-    for track in sorted(tracks, key=lambda t: t.key):
-        windows.extend(extract_windows(track, stride=args.stride))
-    if not windows:
+    return tracks
+
+
+def _model_predictions(args, tracks: list[Track]) -> tuple[WindowBatch, np.ndarray]:
+    """The tracks' windows and the requested model's (N, q, 4) forecasts of them."""
+    batch = cut_windows(tracks, stride=args.stride)
+    if not len(batch):
         raise MofcastError(f"{args.tracks}: no windows after filtering")
-    return windows
-
-
-def _model_forecasts(args, windows):
-    """Forecast the windows with the requested model; returns (windows, forecasts)."""
     if args.model == "cv_cs":
-        return windows, [cv_cs_forecast(w) for w in windows]
+        return batch, cv_cs_batch(batch.observed, batch.horizon)
     if args.model == "lkf":
         if not args.params:
             raise MofcastError("--model lkf needs --params (run tune-lkf first)")
-        params = KalmanParams.from_file(args.params)
-        return windows, [lkf_forecast_window(w, params) for w in windows]
+        return batch, lkf_batch(batch.observed, KalmanParams.from_file(args.params), batch.horizon)
     if not args.checkpoint:
         raise MofcastError("--model encdec needs --checkpoint")
+    windows = [w for t in sorted(tracks, key=lambda t: t.key) for w in extract_windows(t, stride=args.stride)]
     model = load_checkpoint(args.checkpoint)
     if model.config.uses_flow:
         from .data import FlowFeatureStore
@@ -222,7 +231,7 @@ def _model_forecasts(args, windows):
                 f"checkpoint variant {model.config.variant!r} needs --flow-features or --synthetic-flow"
             )
         windows = attach_flow_features(windows, store, args.synthetic_flow, model.config.flow_dim)
-    return windows, forecast_windows(model, windows)
+    return batch, forecast_array(model, windows)
 
 
 def _cmd_synth(args) -> int:
@@ -327,9 +336,8 @@ def _run_spec(args, model: str) -> int:
 
 
 def _cmd_eval(args) -> int:
-    windows, forecasts = _model_forecasts(args, _all_windows(args))
-    evals = [evaluate_window(f, w.future, metadata=w.metadata) for f, w in zip(forecasts, windows)]
-    report = aggregate(evals)
+    batch, pred = _model_predictions(args, _eval_tracks(args))
+    report = aggregate(evaluate_batch(pred, batch))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv([report], out / "summary.csv", model_id=args.model)
@@ -353,7 +361,11 @@ def _cmd_cross_eval(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    _, forecasts = _model_forecasts(args, _all_windows(args))
+    batch, pred = _model_predictions(args, _eval_tracks(args))
+    forecasts = [
+        Forecast(source=source, boxes=array_to_boxes(rows), model_id=args.model)
+        for source, rows in zip(batch.sources, pred)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "forecasts.csv"

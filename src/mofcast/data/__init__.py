@@ -14,6 +14,8 @@ from .windows import (
     FLOW_MAGNITUDE_THRESHOLD,
     MIN_TRACK_FRAMES,
     ClipInterval,
+    WindowBatch,
+    cut_windows,
     extract_windows,
     filter_short_tracks,
     motion_filter_clips,
@@ -29,6 +31,8 @@ __all__ = [
     "N_FOLDS",
     "SplitConfig",
     "SplitResult",
+    "WindowBatch",
+    "cut_windows",
     "default_synth_split_config",
     "extract_windows",
     "filter_short_tracks",

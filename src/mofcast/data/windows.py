@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ..core import FUTURE_LEN, OBSERVED_LEN, ObservationWindow, Track, WindowSource
+from ..core import FUTURE_LEN, OBSERVED_LEN, ObservationWindow, Track, WindowSource, boxes_to_array
 
 # 3 seconds at 30 Hz: shorter tracks cannot yield a single window.
 MIN_TRACK_FRAMES = 90
@@ -52,6 +53,69 @@ def extract_windows(
             )
         )
     return windows
+
+
+@dataclass(frozen=True)
+class WindowBatch:
+    """Many windows as arrays: row i of ``observed``/``future`` is window i.
+
+    ``observed`` is (N, p, 4) and ``future`` (N, q, 4), both [cx, cy, w, h]
+    float64; ``sources`` and ``metadata`` carry each window's identity and
+    track annotations, as :class:`ObservationWindow` does for one window.
+    """
+
+    observed: np.ndarray
+    future: np.ndarray
+    sources: tuple[WindowSource, ...]
+    metadata: tuple[Mapping[str, str] | None, ...]
+
+    def __post_init__(self):
+        n = self.observed.shape[0]
+        if self.observed.ndim != 3 or self.future.ndim != 3 or self.future.shape[0] != n:
+            raise ValueError(f"expected (N, p, 4) and (N, q, 4), got {self.observed.shape} and {self.future.shape}")
+        if len(self.sources) != n or len(self.metadata) != n:
+            raise ValueError(f"{n} windows but {len(self.sources)} sources and {len(self.metadata)} metadata")
+
+    def __len__(self) -> int:
+        return self.observed.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        return self.future.shape[1]
+
+
+def cut_windows(
+    tracks: Sequence[Track],
+    p: int = OBSERVED_LEN,
+    q: int = FUTURE_LEN,
+    stride: int = 1,
+) -> WindowBatch:
+    """The windows of :func:`extract_windows` over many tracks, as one batch.
+
+    Tracks are taken in key order and anchors ascend within a track. Each
+    track is converted to an array once; its windows are strided views of
+    that array, copied into the batch.
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    observed, future, sources, metadata = [], [], [], []
+    for track in sorted(tracks, key=lambda t: t.key):
+        n = len(track)
+        if n < p + q:
+            continue
+        # (n-p-q+1, 4, p+q) -> every stride-th start, frames before channels
+        view = sliding_window_view(boxes_to_array(track.boxes), p + q, axis=0)[::stride].transpose(0, 2, 1)
+        observed.append(view[:, :p])
+        future.append(view[:, p:])
+        sources.extend(WindowSource(track.video_id, track.track_id, track.frame_of(t))
+                       for t in range(p - 1, n - q, stride))
+        metadata.extend([track.metadata] * view.shape[0])
+    return WindowBatch(
+        observed=np.concatenate(observed) if observed else np.empty((0, p, 4)),
+        future=np.concatenate(future) if future else np.empty((0, q, 4)),
+        sources=tuple(sources),
+        metadata=tuple(metadata),
+    )
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ def box_features(window: ObservationWindow) -> np.ndarray:
 
 
 def box_features_from_array(observed: np.ndarray) -> np.ndarray:
-    p = observed.shape[0]
+    """Feature rows of a (p, 4) window or a (N, p, 4) batch: (p, 8) or (N, p, 8)."""
+    p = observed.shape[-2]
     refs = np.maximum(np.arange(p) - VELOCITY_LAG, 0)
-    return np.concatenate([observed, observed - observed[refs]], axis=1)
+    return np.concatenate([observed, observed - observed[..., refs, :]], axis=-1)
 
 
 @dataclass(frozen=True)

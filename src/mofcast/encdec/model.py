@@ -22,10 +22,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ..baselines import cv_cs_extrapolate
+from ..baselines import cv_cs_batch
 from ..core import FUTURE_LEN, Forecast, ObservationWindow, array_to_boxes
 from ..errors import FlowFeatureError, GradientError
-from .features import FEATURE_DIM, FeatureStats, box_features, standardize
+from .features import FEATURE_DIM, FeatureStats, box_features, box_features_from_array, standardize
 from .gru import GRUCache, GRUParams, gru_backward, gru_forward
 from .loss import smooth_l1, smooth_l1_grad
 
@@ -314,12 +314,47 @@ def decode(code: np.ndarray, params: ModelParams, horizon: int = FUTURE_LEN) -> 
     return np.cumsum(deltas, axis=0)
 
 
+def _add_to_cv_cs(observed: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """(N, q, 4) CV-CS extrapolation of (N, p, 4) windows plus residuals; sizes clamped to 1 px."""
+    pred = cv_cs_batch(observed, residuals.shape[1]) + residuals
+    pred[..., 2:] = np.maximum(pred[..., 2:], 1.0)
+    return pred
+
+
 def residuals_to_boxes(window: ObservationWindow, residuals: np.ndarray) -> Forecast:
     """Add residuals to the CV-CS extrapolation; sizes clamped to 1 px."""
     residuals = np.asarray(residuals, dtype=np.float64)
-    pred = cv_cs_extrapolate(window, horizon=residuals.shape[0]) + residuals
-    pred[:, 2:] = np.maximum(pred[:, 2:], 1.0)
+    pred = _add_to_cv_cs(window.observed_array()[None], residuals[None])[0]
     return Forecast(source=window.source, boxes=array_to_boxes(pred), model_id=ENCDEC_MODEL_ID)
+
+
+def forecast_array(
+    model: Model,
+    windows: Sequence[ObservationWindow],
+    batch_size: int = 512,
+) -> np.ndarray:
+    """(N, q, 4) forecasts of many windows, as :func:`residuals_to_boxes` makes them.
+
+    Forward passes run ``batch_size`` windows at a time.
+    """
+    cfg = model.config
+    if not windows:
+        return np.empty((0, FUTURE_LEN, OUTPUT_DIM))
+    horizon = windows[0].horizon
+    if any(w.horizon != horizon for w in windows):
+        raise ValueError("all windows in one forecast batch must share a horizon")
+    if cfg.uses_flow:
+        missing = [w.source for w in windows if w.flow_feature is None]
+        if missing:
+            raise FlowFeatureError(f"windows lack flow features (variant {cfg.variant!r}): {missing[0]}")
+    observed = np.stack([w.observed_array() for w in windows])
+    residuals = []
+    for lo in range(0, len(windows), batch_size):
+        sl = slice(lo, lo + batch_size)
+        features = box_features_from_array(observed[sl]) if cfg.uses_boxes else None
+        flow = np.stack([w.flow_feature for w in windows[sl]]) if cfg.uses_flow else None
+        residuals.append(forward_batch(model.params, model.stats, features, flow, horizon=horizon).residuals)
+    return _add_to_cv_cs(observed, np.concatenate(residuals))
 
 
 def forecast_windows(
@@ -327,23 +362,9 @@ def forecast_windows(
     windows: Sequence[ObservationWindow],
     batch_size: int = 512,
 ) -> list[Forecast]:
-    """Forecast many windows, batching the forward passes."""
-    cfg = model.config
-    out: list[Forecast] = []
-    for lo in range(0, len(windows), batch_size):
-        chunk = windows[lo : lo + batch_size]
-        horizon = chunk[0].horizon
-        for w in chunk:
-            if w.horizon != horizon:
-                raise ValueError("all windows in one forecast batch must share a horizon")
-        features = np.stack([box_features(w) for w in chunk]) if cfg.uses_boxes else None
-        flow = None
-        if cfg.uses_flow:
-            missing = [w.source for w in chunk if w.flow_feature is None]
-            if missing:
-                raise FlowFeatureError(f"windows lack flow features (variant {cfg.variant!r}): {missing[0]}")
-            flow = np.stack([w.flow_feature for w in chunk])
-        cache = forward_batch(model.params, model.stats, features, flow, horizon=horizon)
-        for w, res in zip(chunk, cache.residuals):
-            out.append(residuals_to_boxes(w, res))
-    return out
+    """:func:`forecast_array` as one :class:`Forecast` per window."""
+    pred = forecast_array(model, windows, batch_size)
+    return [
+        Forecast(source=w.source, boxes=array_to_boxes(rows), model_id=ENCDEC_MODEL_ID)
+        for w, rows in zip(windows, pred)
+    ]

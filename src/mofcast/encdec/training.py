@@ -12,6 +12,7 @@ if it beats that.
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,6 +24,8 @@ from ..core import ObservationWindow
 from ..errors import FlowFeatureError, TrainingDivergedError
 from .features import FeatureStats, box_features, compute_feature_stats
 from .model import Model, ModelConfig, ModelParams, forward_batch, init_params, loss_and_gradients
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class TrainLog:
 class TrainResult:
     model: Model
     log: TrainLog
+    blas_pinned: bool = False  # whether BLAS ran single-threaded during training
+    blas_pin_reason: str = ""
 
 
 class Adam:
@@ -165,15 +170,28 @@ def _validation_ade(params: ModelParams, stats: FeatureStats, arrays: WindowArra
     return err_sum / (n * arrays.base.shape[1])
 
 
+_pin_warning_logged = False
+
+
 @contextlib.contextmanager
 def _single_threaded_blas():
+    """Limit BLAS to one thread inside the block; yields (pinned, reason).
+
+    Without ``threadpoolctl`` nothing is pinned: that is logged as a warning
+    once per process and reported through the yielded reason.
+    """
+    global _pin_warning_logged
     try:
         from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield
+    except ImportError as exc:
+        reason = f"threadpoolctl is not importable ({exc}); BLAS keeps its default thread count"
+        if not _pin_warning_logged:
+            logger.warning("deterministic training requested but BLAS is not pinned: %s", reason)
+            _pin_warning_logged = True
+        yield False, reason
         return
     with threadpool_limits(limits=1):
-        yield
+        yield True, "threadpoolctl limited BLAS to 1 thread"
 
 
 def train(
@@ -186,6 +204,8 @@ def train(
     Deterministic for a fixed config and seed: parameter init and batch order
     come from independent seeded streams, and the deterministic flag pins
     BLAS to one thread so repeated runs produce bit-identical checkpoints.
+    Whether the pin took effect, and why not, is in the result's
+    ``blas_pinned`` / ``blas_pin_reason``.
     """
     if not train_windows:
         raise ValueError("training set is empty")
@@ -205,8 +225,12 @@ def train(
     )
     targets = train_arrays.targets
 
-    ctx = _single_threaded_blas() if config.deterministic else contextlib.nullcontext()
-    with ctx:
+    ctx = (
+        _single_threaded_blas()
+        if config.deterministic
+        else contextlib.nullcontext((False, "TrainConfig.deterministic is off"))
+    )
+    with ctx as (blas_pinned, blas_pin_reason):
         params = init_params(model_config, init_rng)
         optimizer = Adam()
 
@@ -242,4 +266,9 @@ def train(
                 best_params = params.copy()
                 log.best_epoch = epoch
 
-    return TrainResult(model=Model(params=best_params, stats=stats), log=log)
+    return TrainResult(
+        model=Model(params=best_params, stats=stats),
+        log=log,
+        blas_pinned=blas_pinned,
+        blas_pin_reason=blas_pin_reason,
+    )

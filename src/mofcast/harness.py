@@ -27,17 +27,20 @@ import numpy as np
 from ._version import __version__
 from .baselines import (
     KalmanParams,
-    cv_cs_forecast,
+    cv_cs_batch,
     default_param_grid,
-    lkf_forecast_window,
+    lkf_batch,
     lkf_tune,
     load_param_grid,
     save_param_grid,
 )
 from .core import Forecast, METADATA_FIELDS, ObservationWindow, Track
 from .data import (
+    MIN_TRACK_FRAMES,
+    N_FOLDS,
     FlowFeatureStore,
     SplitConfig,
+    cut_windows,
     extract_windows,
     filter_short_tracks,
     load_tracks,
@@ -47,7 +50,7 @@ from .encdec import (
     Model,
     TrainConfig,
     TrainLog,
-    forecast_windows,
+    forecast_array,
     load_checkpoint,
     save_checkpoint,
     synthetic_flow_feature,
@@ -59,15 +62,20 @@ from .metrics import (
     WindowEvaluation,
     aggregate,
     breakdown,
-    evaluate_window,
+    evaluate_batch,
     write_curve_csv,
     write_summary_csv,
 )
 
+# Not called here: the per-window forms of what this module runs in batches,
+# kept in its namespace because benchmarks/tracing.py wraps them by this name.
+from .baselines import cv_cs_forecast, lkf_forecast_window  # noqa: F401
+from .encdec import forecast_windows  # noqa: F401
+from .metrics import evaluate_window  # noqa: F401
+
 logger = logging.getLogger(__name__)
 
 MODEL_KINDS = ("cv_cs", "lkf", "encdec")
-N_FOLDS = 3
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,7 @@ class ExperimentSpec:
     synthetic_flow: bool = False
     lkf_grid: str | None = None
     stride: int = 1
-    min_track_frames: int = 90
+    min_track_frames: int = MIN_TRACK_FRAMES
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -127,7 +135,7 @@ def _make_run_dir(base: Path, spec_hash: str) -> Path:
     return candidate
 
 
-def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float) -> None:
+def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float, extra: dict) -> None:
     manifest = {
         "spec_hash": spec.hash(),
         "seed": spec.train.seed,
@@ -135,6 +143,7 @@ def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float) -> N
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "wall_clock_seconds": round(wall_clock, 3),
+        **extra,
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
@@ -208,11 +217,28 @@ def weights_checksum(model: Model) -> str:
     return digest.hexdigest()
 
 
+def _write_lkf_table(path: Path, table: Sequence[tuple[KalmanParams, float]]) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["process_noise_pos", "process_noise_vel", "observation_noise",
+                         "initial_velocity_variance", "val_ade"])
+        for params, ade in table:
+            writer.writerow([params.process_noise_pos, params.process_noise_vel,
+                             params.observation_noise, params.initial_velocity_variance,
+                             f"{ade:.6f}"])
+
+
 def run_fold(spec: ExperimentSpec) -> FoldResult:
-    """Train/tune on one fold's train+val cities, evaluate on the held-out test windows."""
+    """Train/tune on one fold's train+val cities, evaluate on the held-out test windows.
+
+    Every model is scored the same way: its (N, q, 4) predictions of the
+    test batch go through one call of :func:`evaluate_batch`. The baselines
+    cut only the splits they use (test, and val for the LKF).
+    """
     started = time.perf_counter()
     run_dir = _make_run_dir(Path(spec.out_dir), spec.hash())
     spec.to_file(run_dir / "spec.json")
+    manifest_extra: dict = {}
 
     try:
         tracks = filter_short_tracks(load_tracks(spec.tracks), spec.min_track_frames)
@@ -220,40 +246,33 @@ def run_fold(spec: ExperimentSpec) -> FoldResult:
         split = make_splits(tracks, split_config, spec.fold)
         _audit_cities(split, spec.fold)
 
-        train_windows = _windows_for(split.train, spec.stride)
-        val_windows = _windows_for(split.val, spec.stride)
-        test_windows = _windows_for(split.test, spec.stride)
-        logger.info(
-            "fold %d windows: train=%d val=%d test=%d",
-            spec.fold, len(train_windows), len(val_windows), len(test_windows),
-        )
-        if not test_windows:
-            raise MofcastError(f"fold {spec.fold}: no test windows after filtering")
-
         checkpoint_path = None
         train_log = None
         lkf_params = None
 
+        test = cut_windows(split.test, stride=spec.stride)
+        logger.info("fold %d test windows: %d", spec.fold, len(test))
+        if not len(test):
+            raise MofcastError(f"fold {spec.fold}: no test windows after filtering")
+
         if spec.model == "cv_cs":
-            forecasts = [cv_cs_forecast(w) for w in test_windows]
+            pred = cv_cs_batch(test.observed, test.horizon)
         elif spec.model == "lkf":
             grid = load_param_grid(spec.lkf_grid) if spec.lkf_grid else default_param_grid()
             save_param_grid(grid, run_dir / "lkf_grid.json")
-            if not val_windows:
+            val = cut_windows(split.val, stride=spec.stride)
+            if not len(val):
                 raise MofcastError(f"fold {spec.fold}: no validation windows to tune the LKF on")
-            tuned = lkf_tune(val_windows, grid)
+            tuned = lkf_tune(val, grid)
             tuned.params.to_file(run_dir / "lkf_params.json")
-            with (run_dir / "lkf_grid_table.csv").open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["process_noise_pos", "process_noise_vel", "observation_noise",
-                                 "initial_velocity_variance", "val_ade"])
-                for params, ade in tuned.table:
-                    writer.writerow([params.process_noise_pos, params.process_noise_vel,
-                                     params.observation_noise, params.initial_velocity_variance,
-                                     f"{ade:.6f}"])
+            _write_lkf_table(run_dir / "lkf_grid_table.csv", tuned.table)
             lkf_params = tuned.params
-            forecasts = [lkf_forecast_window(w, tuned.params) for w in test_windows]
+            pred = lkf_batch(test.observed, lkf_params, test.horizon)
         else:  # encdec
+            train_windows = _windows_for(split.train, spec.stride)
+            val_windows = _windows_for(split.val, spec.stride)
+            test_windows = _windows_for(split.test, spec.stride)
+            logger.info("fold %d windows: train=%d val=%d", spec.fold, len(train_windows), len(val_windows))
             model_config = spec.train.model_config()
             store = FlowFeatureStore.open(spec.flow_features) if spec.flow_features else None
             if model_config.uses_flow:
@@ -265,16 +284,15 @@ def run_fold(spec: ExperimentSpec) -> FoldResult:
                 val_windows = attach_flow_features(val_windows, store, spec.synthetic_flow, model_config.flow_dim)
                 test_windows = attach_flow_features(test_windows, store, spec.synthetic_flow, model_config.flow_dim)
             trained = train(train_windows, val_windows, spec.train)
+            manifest_extra["blas_pinned"] = trained.blas_pinned
+            manifest_extra["blas_pin_reason"] = trained.blas_pin_reason
             train_log = trained.log
             _write_train_log(trained.log, run_dir / "train_log.csv")
             checkpoint_path = run_dir / "checkpoint.mofc"
             save_checkpoint(trained.model, checkpoint_path)
-            forecasts = forecast_windows(trained.model, test_windows)
+            pred = forecast_array(trained.model, test_windows)
 
-        evals = [
-            evaluate_window(f, w.future, metadata=w.metadata)
-            for f, w in zip(forecasts, test_windows)
-        ]
+        evals = evaluate_batch(pred, test)
         report = aggregate(evals)
         _write_reports(run_dir, spec.model, report, evals)
         return FoldResult(
@@ -287,7 +305,7 @@ def run_fold(spec: ExperimentSpec) -> FoldResult:
             evaluations=evals,
         )
     finally:
-        _write_manifest(run_dir, spec, time.perf_counter() - started)
+        _write_manifest(run_dir, spec, time.perf_counter() - started, manifest_extra)
 
 
 @dataclass
@@ -334,7 +352,7 @@ def cross_eval(
     tracks_path: str | Path,
     out_dir: str | Path | None = None,
     stride: int = 1,
-    min_track_frames: int = 90,
+    min_track_frames: int = MIN_TRACK_FRAMES,
     flow_features: str | Path | None = None,
     synthetic_flow: bool = False,
     batch_size: int = 512,
@@ -348,9 +366,10 @@ def cross_eval(
     checksum_before = weights_checksum(model)
 
     tracks = filter_short_tracks(load_tracks(tracks_path), min_track_frames)
-    windows = _windows_for(tracks, stride)
-    if not windows:
+    batch = cut_windows(tracks, stride=stride)
+    if not len(batch):
         raise MofcastError(f"{tracks_path}: no windows after filtering")
+    windows = _windows_for(tracks, stride)
     if model.config.uses_flow:
         store = FlowFeatureStore.open(flow_features) if flow_features else None
         if store is None and not synthetic_flow:
@@ -360,8 +379,8 @@ def cross_eval(
             )
         windows = attach_flow_features(windows, store, synthetic_flow, model.config.flow_dim)
 
-    forecasts = forecast_windows(model, windows, batch_size=batch_size)
-    evals = [evaluate_window(f, w.future, metadata=w.metadata) for f, w in zip(forecasts, windows)]
+    pred = forecast_array(model, windows, batch_size=batch_size)
+    evals = evaluate_batch(pred, batch)
     report = aggregate(evals)
 
     checksum_after = weights_checksum(model)

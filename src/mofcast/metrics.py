@@ -5,6 +5,11 @@ final step only); AIOU/FIOU are the analogous intersection-over-union
 aggregates. Averages weight every (window, step) pair equally, which makes
 the scalar metrics exactly the means of the per-step curves. All values are
 raw pixels at native resolution; nothing is normalized.
+
+Scoring works on box arrays: :func:`box_errors` computes both per-step
+errors for a whole (N, q, 4) batch with the corner arithmetic of
+:func:`mofcast.core.iou`, and :func:`evaluate_batch` splits the result into
+per-window evaluations.
 """
 
 from __future__ import annotations
@@ -12,11 +17,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BBox, Forecast, WindowSource, centroid_distance, iou
+from .core import BBox, Forecast, WindowSource, boxes_to_array
+
+if TYPE_CHECKING:
+    from .data.windows import WindowBatch
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,42 @@ class MetricReport:
     group_key: str | None = None
 
 
+def centroid_displacements(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Element for element :func:`mofcast.core.centroid_distance` of (..., 4) boxes or (..., 2) centroids."""
+    return np.hypot(pred[..., 0] - gt[..., 0], pred[..., 1] - gt[..., 1])
+
+
+def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid distances and IOUs of two equally shaped (..., 4) box arrays.
+
+    Element for element this is :func:`mofcast.core.centroid_distance` and
+    :func:`mofcast.core.iou`: the same corners, no overlap when the
+    intersection width or height is <= 0, and areas from the corners, so
+    identical boxes score exactly 1.0.
+    """
+    if pred.shape != gt.shape or pred.shape[-1] != 4:
+        raise ValueError(f"box arrays disagree: {pred.shape} predicted vs {gt.shape} ground truth")
+    pcx, pcy, pw, ph = np.moveaxis(pred, -1, 0)
+    gcx, gcy, gw, gh = np.moveaxis(gt, -1, 0)
+    px0, px1, py0, py1 = pcx - pw / 2.0, pcx + pw / 2.0, pcy - ph / 2.0, pcy + ph / 2.0
+    gx0, gx1, gy0, gy1 = gcx - gw / 2.0, gcx + gw / 2.0, gcy - gh / 2.0, gcy + gh / 2.0
+    iw = np.minimum(px1, gx1) - np.maximum(px0, gx0)
+    ih = np.minimum(py1, gy1) - np.maximum(py0, gy0)
+    inter = iw * ih
+    union = (px1 - px0) * (py1 - py0) + (gx1 - gx0) * (gy1 - gy0) - inter
+    ious = np.divide(inter, union, out=np.zeros_like(inter), where=(iw > 0.0) & (ih > 0.0))
+    return centroid_displacements(pred, gt), ious
+
+
+def evaluate_batch(pred: np.ndarray, batch: "WindowBatch") -> list[WindowEvaluation]:
+    """Score (N, q, 4) predictions against a batch's future boxes, one evaluation per window."""
+    disp, ious = box_errors(np.asarray(pred, dtype=np.float64), batch.future)
+    return [
+        WindowEvaluation(displacements=d, ious=i, source=src, metadata=meta)
+        for d, i, src, meta in zip(disp, ious, batch.sources, batch.metadata)
+    ]
+
+
 def evaluate_window(
     pred: Forecast,
     gt: Sequence[BBox],
@@ -61,8 +105,7 @@ def evaluate_window(
     """Per-timestep centroid distances and IOUs of a forecast against truth."""
     if len(pred.boxes) != len(gt):
         raise ValueError(f"length mismatch: {len(pred.boxes)} predicted vs {len(gt)} ground-truth boxes")
-    disp = np.array([centroid_distance(p, g) for p, g in zip(pred.boxes, gt)])
-    ious = np.array([iou(p, g) for p, g in zip(pred.boxes, gt)])
+    disp, ious = box_errors(boxes_to_array(pred.boxes), boxes_to_array(gt))
     return WindowEvaluation(displacements=disp, ious=ious, source=pred.source, metadata=metadata)
 
 

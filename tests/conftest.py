@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mofcast.core import BBox, ObservationWindow, Track, WindowSource
+from mofcast.data import WindowBatch
 
 
 def linear_track(
@@ -34,6 +35,16 @@ def window_of(track: Track, anchor_offset: int = 29, p: int = 30, q: int = 60) -
         observed=track.boxes[t - p + 1 : t + 1],
         future=track.boxes[t + 1 : t + q + 1],
         metadata=track.metadata,
+    )
+
+
+def batch_of(windows) -> WindowBatch:
+    """Stack a non-empty window list into a batch, one window at a time, order preserved."""
+    return WindowBatch(
+        observed=np.stack([w.observed_array() for w in windows]),
+        future=np.stack([w.future_array() for w in windows]),
+        sources=tuple(w.source for w in windows),
+        metadata=tuple(w.metadata for w in windows),
     )
 
 

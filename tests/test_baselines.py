@@ -1,24 +1,29 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mofcast.baselines import (
     KalmanParams,
-    KalmanState,
+    cv_cs_batch,
+    cv_cs_extrapolate,
     cv_cs_forecast,
     cv_velocity,
     default_param_grid,
-    lkf_filter,
-    lkf_forecast,
+    lkf_batch,
     lkf_forecast_window,
+    lkf_operator,
     lkf_tune,
     load_param_grid,
     save_param_grid,
 )
 from mofcast.core import BBox, ObservationWindow, WindowSource, boxes_to_array
-from mofcast.data import extract_windows, synth_generate
-from mofcast.metrics import aggregate, evaluate_window
+from mofcast.data import cut_windows, extract_windows, synth_generate
+from mofcast.metrics import aggregate, evaluate_batch, evaluate_window
 
-from conftest import linear_track, window_of
+from conftest import batch_of, linear_track, window_of
+from lkf_oracle import KalmanState, lkf_filter, lkf_forecast, lkf_roll_out
 
 
 def make_window(observed_boxes, future_boxes):
@@ -164,8 +169,7 @@ class TestLkfForecast:
 
 class TestLkfTune:
     def windows(self):
-        tracks = synth_generate("constant_velocity", 3, 2.0, seed=5)
-        return [w for t in tracks for w in extract_windows(t, stride=10)]
+        return cut_windows(synth_generate("constant_velocity", 3, 2.0, seed=5), stride=10)
 
     def test_single_element_grid(self):
         grid = [KalmanParams(1e-2, 1e-2, 1.0)]
@@ -189,22 +193,86 @@ class TestLkfTune:
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            lkf_tune([], default_param_grid())
+            lkf_tune(cut_windows([]), default_param_grid())
         with pytest.raises(ValueError):
             lkf_tune(self.windows(), [])
 
 
 def test_tuned_lkf_beats_cv_on_noisy_constant_velocity():
     tracks = synth_generate("constant_velocity", 24, 2.0, seed=13)
-    val_windows, test_windows = [], []
-    for i, track in enumerate(tracks):
-        windows = extract_windows(track, stride=15)
-        (val_windows if i % 2 == 0 else test_windows).extend(windows)
-    tuned = lkf_tune(val_windows, default_param_grid())
-    lkf_report = aggregate(
-        [evaluate_window(lkf_forecast_window(w, tuned.params), w.future) for w in test_windows]
-    )
-    cv_report = aggregate(
-        [evaluate_window(cv_cs_forecast(w), w.future) for w in test_windows]
-    )
+    val = cut_windows(tracks[0::2], stride=15)
+    test = cut_windows(tracks[1::2], stride=15)
+    tuned = lkf_tune(val, default_param_grid())
+    lkf_report = aggregate(evaluate_batch(lkf_batch(test.observed, tuned.params, test.horizon), test))
+    cv_report = aggregate(evaluate_batch(cv_cs_batch(test.observed, test.horizon), test))
     assert lkf_report.ade <= cv_report.ade
+
+
+def _random_windows(seed: int, n: int = 4, p: int = 30, q: int = 60) -> list[ObservationWindow]:
+    """Noisy linear motion; every size shrinks, window 0 fast enough that its forecast hits the 1-px clamp."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    t = np.arange(p + q, dtype=np.float64)
+    for i in range(n):
+        w0, h0 = rng.uniform(5.0, 100.0), rng.uniform(10.0, 200.0)
+        shrink = 0.9 if i == 0 else rng.uniform(0.0, 0.9)
+        rows = np.stack(
+            [
+                rng.uniform(200.0, 1000.0) + rng.uniform(-2.0, 2.0) * t,
+                rng.uniform(200.0, 800.0) + rng.uniform(-2.0, 2.0) * t,
+                w0 - shrink * (w0 - 1.0) / p * t,
+                h0 - shrink * (h0 - 1.0) / p * t,
+            ],
+            axis=1,
+        )
+        rows[:, :2] += rng.normal(0.0, rng.uniform(0.0, 2.0), (p + q, 2))
+        rows[:, 2:] = np.maximum(rows[:, 2:], 0.5)  # the truth stays a valid box
+        boxes = [BBox(*r) for r in rows]
+        windows.append(make_window(boxes[:p], boxes[p:]))
+    return windows
+
+
+class TestBatchedBaselines:
+    def test_cv_cs_batch_equals_per_window_extrapolation(self):
+        tracks = synth_generate("accelerating", 3, 1.5, seed=2)
+        windows = [w for t in tracks for w in extract_windows(t, stride=4)]
+        pred = cv_cs_batch(batch_of(windows).observed, 60)
+        for row, w in zip(pred, windows):
+            assert np.array_equal(row, cv_cs_extrapolate(w))
+            assert np.array_equal(row, boxes_to_array(cv_cs_forecast(w).boxes))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_lkf_batch_matches_the_filter_loop_on_every_stock_grid_point(self, seed):
+        windows = _random_windows(seed)
+        observed = batch_of(windows).observed
+        for params in default_param_grid():
+            want = np.stack([lkf_roll_out(lkf_filter(w, params), w.horizon) for w in windows])
+            assert np.any(want[0, :, 2:] == 1.0)  # the size clamp is exercised
+            np.testing.assert_allclose(lkf_batch(observed, params, 60), want, rtol=1e-9, atol=0.0)
+
+    def test_single_window_forecast_matches_the_loop(self, cv_window):
+        params = KalmanParams(1e-2, 1e-4, 1.0)
+        got = boxes_to_array(lkf_forecast_window(cv_window, params).boxes)
+        want = boxes_to_array(lkf_forecast(lkf_filter(cv_window, params)).boxes)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_operator_is_cached_and_read_only(self):
+        params = KalmanParams(1e-2, 1e-2, 1.0)
+        op = lkf_operator(params, 30, 60)
+        assert op.shape == (60, 30)
+        assert lkf_operator(KalmanParams(1e-2, 1e-2, 1.0), 30, 60) is op
+        assert not op.flags.writeable
+        # a constant input stays constant: every forecast row's weights sum to 1
+        np.testing.assert_allclose(op.sum(axis=1), 1.0, rtol=1e-12)
+
+    def test_tune_table_matches_the_filter_loop(self):
+        windows = _random_windows(7, n=6)
+        val = batch_of(windows)
+        result = lkf_tune(val, default_param_grid())
+        want = [
+            aggregate([evaluate_window(lkf_forecast(lkf_filter(w, p)), w.future) for w in windows]).ade
+            for p in default_param_grid()
+        ]
+        np.testing.assert_allclose([ade for _, ade in result.table], want, rtol=1e-9)
+        assert result.params == default_param_grid()[int(np.argmin(want))]

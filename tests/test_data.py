@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from mofcast.data import (
     ClipInterval,
     FlowFeatureStore,
     SplitConfig,
+    WindowBatch,
+    cut_windows,
     default_synth_split_config,
     extract_windows,
     filter_short_tracks,
@@ -14,13 +18,14 @@ from mofcast.data import (
     make_splits,
     motion_filter_clips,
     synth_generate,
+    synth_generate_mixed,
     write_flow_features,
     write_tracks,
 )
 from mofcast.core import WindowSource
 from mofcast.errors import FlowFeatureError, SplitError, TrackFormatError
 
-from conftest import linear_track
+from conftest import batch_of, linear_track
 
 HEADER = "video_id,city,weather,time_of_day,frame,track_id,cx,cy,w,h\n"
 
@@ -111,6 +116,38 @@ class TestExtractWindows:
             assert w.observed == track.boxes[t - 29 : t + 1]
             assert w.future == track.boxes[t + 1 : t + 61]
             assert w.metadata == track.metadata
+
+
+class TestCutWindows:
+    @pytest.mark.parametrize("stride", (1, 7, 60))
+    @pytest.mark.parametrize("length", (89, 90, 150))
+    def test_equals_extract_windows(self, stride, length):
+        tracks = synth_generate_mixed(("turning", "accelerating"), 2, 1.0, seed=4, n_frames=150)
+        tracks = [dataclasses.replace(t, boxes=t.boxes[:length]) for t in reversed(tracks)]  # key order is cut_windows' job
+        windows = [w for t in sorted(tracks, key=lambda t: t.key) for w in extract_windows(t, stride=stride)]
+        batch = cut_windows(tracks, stride=stride)
+        assert len(batch) == len(windows)
+        assert batch.observed.shape == (len(windows), 30, 4)
+        assert batch.future.shape == (len(windows), 60, 4)
+        assert batch.sources == tuple(w.source for w in windows)
+        assert batch.metadata == tuple(w.metadata for w in windows)
+        if windows:
+            expected = batch_of(windows)
+            assert batch.observed.tobytes() == expected.observed.tobytes()
+            assert batch.future.tobytes() == expected.future.tobytes()
+
+    def test_empty_input_gives_empty_batch(self):
+        batch = cut_windows([linear_track(length=89)])
+        assert len(batch) == 0
+        assert batch.observed.shape == (0, 30, 4) and batch.future.shape == (0, 60, 4)
+
+    def test_rejects_bad_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            cut_windows([linear_track()], stride=0)
+
+    def test_mismatched_fields_rejected(self):
+        with pytest.raises(ValueError, match="sources"):
+            WindowBatch(observed=np.zeros((2, 30, 4)), future=np.zeros((2, 60, 4)), sources=(), metadata=())
 
 
 class TestMotionFilterClips:

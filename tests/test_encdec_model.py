@@ -15,7 +15,9 @@ from mofcast.encdec import (
     decode,
     destandardize,
     encode,
+    forecast_array,
     forecast_windows,
+    forward_batch,
     gru_cell,
     init_params,
     residuals_to_boxes,
@@ -193,6 +195,28 @@ class TestUntrainedModelEqualsCvCs:
             reference = cv_cs_forecast(window)
             diff = boxes_to_array(forecast.boxes) - boxes_to_array(reference.boxes)
             assert np.max(np.abs(diff)) <= 1e-9
+
+
+class TestForecastArray:
+    def test_equals_per_window_residuals_to_boxes(self):
+        from mofcast.data import extract_windows, synth_generate_mixed
+
+        tracks = synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 3, n_frames=95)
+        windows = [w for t in tracks for w in extract_windows(t, stride=2)]
+        features = np.stack([box_features(w) for w in windows])
+        config = ModelConfig(variant="bb_only", hidden=8)
+        model = Model(params=init_params(config, 3, zero_output=False), stats=compute_feature_stats(features))
+        pred = forecast_array(model, windows, batch_size=7)
+        assert pred.shape == (len(windows), 60, 4)
+        residuals = np.concatenate(  # same 7-window forward passes as forecast_array
+            [forward_batch(model.params, model.stats, features[lo : lo + 7], None).residuals
+             for lo in range(0, len(windows), 7)]
+        )
+        for row, window, res in zip(pred, windows, residuals):
+            assert np.array_equal(row, boxes_to_array(residuals_to_boxes(window, res).boxes))
+        forecasts = forecast_windows(model, windows, batch_size=7)
+        assert [f.source for f in forecasts] == [w.source for w in windows]
+        assert all(np.array_equal(boxes_to_array(f.boxes), row) for f, row in zip(forecasts, pred))
 
 
 class TestSmoothL1:

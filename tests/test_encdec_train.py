@@ -1,3 +1,6 @@
+import logging
+import sys
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,30 @@ class TestDeterminism:
         a = train(train_w, val_w, TrainConfig(**{**SMALL, "seed": 1}))
         b = train(train_w, val_w, TrainConfig(**{**SMALL, "seed": 2}))
         assert not np.array_equal(a.model.params.decoder.w_z, b.model.params.decoder.w_z)
+
+
+class TestBlasPinReport:
+    def test_unpinnable_blas_is_warned_once_and_reported(self, monkeypatch, caplog):
+        from mofcast.encdec import training
+
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # the import now fails
+        monkeypatch.setattr(training, "_pin_warning_logged", False)
+        train_w, val_w = cv_windows()
+        config = TrainConfig(**{**SMALL, "epochs": 1}, deterministic=True)
+        with caplog.at_level(logging.WARNING, logger="mofcast.encdec.training"):
+            first = train(train_w, val_w, config)
+            second = train(train_w, val_w, config)
+        assert (first.blas_pinned, second.blas_pinned) == (False, False)
+        assert "threadpoolctl" in first.blas_pin_reason
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "not pinned" in warnings[0].getMessage()
+
+    def test_non_deterministic_run_reports_why(self):
+        train_w, val_w = cv_windows()
+        result = train(train_w, val_w, TrainConfig(**{**SMALL, "epochs": 1}, deterministic=False))
+        assert result.blas_pinned is False
+        assert "deterministic is off" in result.blas_pin_reason
 
 
 class TestTrainValidation:

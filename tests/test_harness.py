@@ -4,7 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from mofcast.data import default_synth_split_config, synth_generate, synth_generate_mixed, write_tracks
+from mofcast.cli import build_parser
+from mofcast.data import (
+    MIN_TRACK_FRAMES,
+    default_synth_split_config,
+    extract_windows,
+    load_tracks,
+    make_splits,
+    SplitConfig,
+    synth_generate,
+    synth_generate_mixed,
+    write_tracks,
+)
 from mofcast.encdec import TrainConfig, load_checkpoint
 from mofcast.errors import MofcastError, SplitError
 from mofcast.harness import (
@@ -90,6 +101,16 @@ class TestRunFold:
         spec = make_spec((tracks_path, bad_splits, out_dir), model="encdec")
         with pytest.raises(SplitError):
             run_fold(spec)
+
+    @pytest.mark.parametrize("model", ("cv_cs", "lkf", "encdec"))
+    def test_evaluations_keep_window_source_and_metadata(self, synth_setup, model):
+        tracks_path, splits_path, _ = synth_setup
+        result = run_fold(make_spec(synth_setup, model=model))
+        split = make_splits(load_tracks(tracks_path), SplitConfig.from_file(splits_path), fold=0)
+        windows = [w for t in sorted(split.test, key=lambda t: t.key) for w in extract_windows(t, stride=5)]
+        assert [ev.source for ev in result.evaluations] == [w.source for w in windows]
+        assert [ev.metadata for ev in result.evaluations] == [w.metadata for w in windows]
+        assert all(ev.horizon == 60 for ev in result.evaluations)
 
     def test_spec_file_round_trip(self, synth_setup, tmp_path):
         spec = make_spec(synth_setup, model="encdec")
@@ -206,3 +227,19 @@ def test_manifest_contents(synth_setup):
     result = run_fold(make_spec(synth_setup))
     manifest = json.loads((result.run_dir / "manifest.json").read_text())
     assert set(manifest) >= {"spec_hash", "seed", "package_version", "numpy_version", "wall_clock_seconds"}
+
+
+def test_encdec_manifest_reports_the_blas_pin(synth_setup):
+    result = run_fold(make_spec(synth_setup, model="encdec"))
+    manifest = json.loads((result.run_dir / "manifest.json").read_text())
+    assert isinstance(manifest["blas_pinned"], bool)
+    assert manifest["blas_pin_reason"]
+
+
+def test_min_track_frames_default_is_defined_once(synth_setup):
+    assert make_spec(synth_setup).min_track_frames == MIN_TRACK_FRAMES
+    for command in (["eval", "--model", "cv_cs"], ["cross-eval", "--checkpoint", "c"], ["prepare"]):
+        args = build_parser().parse_args([*command, "--tracks", "t.csv"])
+        assert args.min_frames == MIN_TRACK_FRAMES
+    args = build_parser().parse_args(["train", "--tracks", "t.csv", "--splits", "s.json"])
+    assert args.min_frames == MIN_TRACK_FRAMES

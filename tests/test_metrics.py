@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mofcast.core import BBox, Forecast, WindowSource
+from mofcast.core import BBox, Forecast, WindowSource, boxes_to_array, centroid_distance, iou
+from mofcast.data import WindowBatch
 from mofcast.metrics import (
     MetricReport,
     WindowEvaluation,
     aggregate,
+    box_errors,
     breakdown,
+    evaluate_batch,
     evaluate_window,
     write_curve_csv,
     write_summary_csv,
@@ -47,6 +50,74 @@ class TestEvaluateWindow:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             evaluate_window(forecast_of(gt_boxes(59)), gt_boxes(60))
+
+
+def assert_within_one_ulp(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= np.spacing(np.maximum(np.abs(got), np.abs(want))))
+
+
+BOX_PAIRS = {
+    "disjoint": (BBox(10.0, 10.0, 4.0, 4.0), BBox(100.0, 10.0, 4.0, 4.0)),
+    "edge_touching": (BBox(10.0, 10.0, 4.0, 4.0), BBox(14.0, 11.0, 4.0, 6.0)),  # iw == 0
+    "corner_touching": (BBox(10.0, 10.0, 4.0, 4.0), BBox(14.0, 14.0, 4.0, 4.0)),
+    "contained": (BBox(10.0, 10.0, 20.0, 20.0), BBox(12.0, 11.0, 4.0, 6.0)),
+    "identical": (BBox(10.3, 7.1, 3.7, 9.9), BBox(10.3, 7.1, 3.7, 9.9)),
+    "partial": (BBox(10.0, 10.0, 4.0, 4.0), BBox(11.5, 9.25, 3.0, 5.0)),
+}
+
+
+class TestBoxErrors:
+    @pytest.mark.parametrize("case", sorted(BOX_PAIRS))
+    def test_matches_per_box_functions(self, case):
+        a, b = BOX_PAIRS[case]
+        disp, ious = box_errors(boxes_to_array([a])[None], boxes_to_array([b])[None])
+        assert disp.shape == ious.shape == (1, 1)
+        assert_within_one_ulp(disp[0, 0], centroid_distance(a, b))
+        assert_within_one_ulp(ious[0, 0], iou(a, b))
+
+    def test_special_cases_are_exact(self):
+        pairs = [BOX_PAIRS[k] for k in ("disjoint", "edge_touching", "corner_touching", "identical")]
+        _, ious = box_errors(boxes_to_array([a for a, _ in pairs]), boxes_to_array([b for _, b in pairs]))
+        assert ious.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-50, 50)] * 2, *[st.floats(0.5, 30)] * 2,
+                      *[st.floats(-50, 50)] * 2, *[st.floats(0.5, 30)] * 2),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=50)
+    def test_random_boxes_match_per_box_functions(self, rows):
+        pred = [BBox(*r[:4]) for r in rows]
+        gt = [BBox(*r[4:]) for r in rows]
+        disp, ious = box_errors(boxes_to_array(pred), boxes_to_array(gt))
+        assert_within_one_ulp(disp, [centroid_distance(a, b) for a, b in zip(pred, gt)])
+        assert_within_one_ulp(ious, [iou(a, b) for a, b in zip(pred, gt)])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="disagree"):
+            box_errors(np.zeros((2, 60, 4)), np.zeros((2, 59, 4)))
+
+
+class TestEvaluateBatch:
+    def test_one_evaluation_per_window_with_source_and_metadata(self, rng):
+        gt = boxes_to_array(gt_boxes())
+        future = np.stack([gt, gt + [1.0, 0.0, 0.0, 0.0]])
+        sources = (WindowSource("a", 0, 29), WindowSource("b", 3, 40))
+        metadata = ({"city": "arden"}, None)
+        batch = WindowBatch(observed=np.ones((2, 30, 4)), future=future, sources=sources, metadata=metadata)
+        pred = np.stack([gt, gt])
+        evals = evaluate_batch(pred, batch)
+        assert [ev.source for ev in evals] == list(sources)
+        assert [ev.metadata for ev in evals] == list(metadata)
+        assert np.all(evals[0].displacements == 0.0) and np.all(evals[0].ious == 1.0)
+        assert np.allclose(evals[1].displacements, 1.0)
+        single = evaluate_window(forecast_of(gt_boxes()), [BBox(*r) for r in future[1]])
+        assert np.array_equal(single.displacements, evals[1].displacements)
+        assert np.array_equal(single.ious, evals[1].ious)
 
 
 def eval_with(disps, ious, metadata=None):
