@@ -9,7 +9,6 @@ directory, a short human summary goes to stdout. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -23,10 +22,10 @@ from .core import Forecast, Track, array_to_boxes
 from .data import (
     KINDS,
     MIN_TRACK_FRAMES,
+    N_FOLDS,
     SplitConfig,
     WindowBatch,
     cut_windows,
-    extract_windows,
     filter_short_tracks,
     load_flow_magnitudes,
     load_tracks,
@@ -36,6 +35,7 @@ from .data import (
     write_tracks,
 )
 from .encdec import (
+    VARIANTS,
     GradSample,
     TrainConfig,
     assemble_arrays,
@@ -47,8 +47,10 @@ from .encdec import (
 from .errors import MofcastError
 from .harness import (
     ExperimentSpec,
+    attach_flow_features,
     cross_eval,
     forecasts_to_tracks,
+    open_flow_store,
     run_all_folds,
     run_fold,
 )
@@ -73,17 +75,26 @@ def _add_io_flags(p: argparse.ArgumentParser, *, tracks: bool = True, out: bool 
         p.add_argument("--out", default="runs", help="output directory (default: runs)")
 
 
-def _add_split_flags(p: argparse.ArgumentParser, required: bool = True):
-    p.add_argument("--splits", required=required, help="split config JSON file")
-    p.add_argument("--fold", type=int, default=0, help="fold index in 0..2 (default: 0)")
-    p.add_argument("--all-folds", action="store_true", help="run folds 0..2 and average")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_split_flags(p: argparse.ArgumentParser, help: str, required: bool = False, all_folds: bool = False):
+    p.add_argument("--splits", required=required, help=help)
+    p.add_argument("--fold", type=int, default=0, choices=range(N_FOLDS),
+                   help=f"fold index in 0..{N_FOLDS - 1} (default: 0)")
+    if all_folds:
+        p.add_argument("--all-folds", action="store_true", help=f"run folds 0..{N_FOLDS - 1} and average")
 
 
 def _add_window_flags(p: argparse.ArgumentParser):
-    p.add_argument("--stride", type=int, default=1, help="window stride (default: 1)")
+    p.add_argument("--stride", type=_positive_int, default=1, help="window stride (default: 1)")
     p.add_argument(
         "--min-frames",
-        type=int,
+        type=_positive_int,
         default=MIN_TRACK_FRAMES,
         help=f"minimum track length (default: {MIN_TRACK_FRAMES})",
     )
@@ -98,21 +109,30 @@ def _add_flow_flags(p: argparse.ArgumentParser):
     )
 
 
+# The train subcommand's flags: (flag, the TrainConfig field it sets, help).
+# Defaults come from TrainConfig itself.
+_TRAIN_FLAGS = (
+    ("--variant", "variant", "model variant"),
+    ("--hidden", "hidden", "GRU hidden units"),
+    ("--epochs", "epochs", "training epochs"),
+    ("--batch", "batch_size", "mini-batch size"),
+    ("--lr", "learning_rate", "initial learning rate"),
+    ("--beta", "beta", "smooth-L1 seam in px"),
+    ("--flow-dim", "flow_dim", "flow feature dimension"),
+    ("--seed", "seed", "seed of initialization and batch order"),
+    ("--deterministic", "deterministic", "bit-reproducible training"),
+)
+
+
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--variant", default="bb_only", choices=("bb_only", "of_only", "both"))
-    p.add_argument("--hidden", type=int, default=512, help="GRU hidden units (default: 512)")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=1024)
-    p.add_argument("--lr", type=float, default=1e-3, help="initial learning rate (default: 1e-3)")
-    p.add_argument("--beta", type=float, default=1.0, help="smooth-L1 seam in px (default: 1.0)")
-    p.add_argument("--flow-dim", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="bit-reproducible training (default: on)",
-    )
+    defaults = TrainConfig()
+    for flag, name, help_text in _TRAIN_FLAGS:
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            kwargs = {"action": argparse.BooleanOptionalAction}
+        else:
+            kwargs = {"type": type(default), "choices": VARIANTS if name == "variant" else None}
+        p.add_argument(flag, dest=name, default=default, help=f"{help_text} (default: {default})", **kwargs)
 
 
 def build_parser() -> _Parser:
@@ -132,8 +152,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prepare", help="filter tracks, build windows, emit stats")
     _add_io_flags(p)
     _add_window_flags(p)
-    p.add_argument("--splits", help="optional split config for per-split window counts")
-    p.add_argument("--fold", type=int, default=0)
+    _add_split_flags(p, "optional split config for per-split window counts")
 
     p = sub.add_parser("clip-filter", help="select low-motion clips from a flow-magnitude file")
     p.add_argument("--flow-magnitudes", required=True)
@@ -143,14 +162,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the encoder-decoder model on one fold")
     _add_io_flags(p)
-    _add_split_flags(p)
+    _add_split_flags(p, "split config JSON file", required=True, all_folds=True)
     _add_window_flags(p)
     _add_flow_flags(p)
     _add_train_flags(p)
 
     p = sub.add_parser("tune-lkf", help="grid-tune the Kalman filter on one fold")
     _add_io_flags(p)
-    _add_split_flags(p)
+    _add_split_flags(p, "split config JSON file", required=True, all_folds=True)
     _add_window_flags(p)
     p.add_argument("--grid", help="JSON grid of KalmanParams (default: stock 27-point grid)")
 
@@ -159,8 +178,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, choices=("cv_cs", "lkf", "encdec"))
     p.add_argument("--checkpoint", help="encdec checkpoint file")
     p.add_argument("--params", help="tuned KalmanParams JSON (for --model lkf)")
-    p.add_argument("--splits", help="optional: restrict to the fold's test split")
-    p.add_argument("--fold", type=int, default=0)
+    _add_split_flags(p, "optional: restrict to the fold's test split")
     _add_window_flags(p)
     _add_flow_flags(p)
 
@@ -181,7 +199,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", default="bb_only", choices=("bb_only", "of_only", "both"))
+    p.add_argument("--variant", default="bb_only", choices=VARIANTS)
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--coords", type=int, default=50, help="sampled coordinates per group")
     p.add_argument("--samples", type=int, default=3, help="number of seeded samples")
@@ -219,19 +237,10 @@ def _model_predictions(args, tracks: list[Track]) -> tuple[WindowBatch, np.ndarr
         return batch, lkf_batch(batch.observed, KalmanParams.from_file(args.params), batch.horizon)
     if not args.checkpoint:
         raise MofcastError("--model encdec needs --checkpoint")
-    windows = [w for t in sorted(tracks, key=lambda t: t.key) for w in extract_windows(t, stride=args.stride)]
     model = load_checkpoint(args.checkpoint)
-    if model.config.uses_flow:
-        from .data import FlowFeatureStore
-        from .harness import attach_flow_features
-
-        store = FlowFeatureStore.open(args.flow_features) if args.flow_features else None
-        if store is None and not args.synthetic_flow:
-            raise MofcastError(
-                f"checkpoint variant {model.config.variant!r} needs --flow-features or --synthetic-flow"
-            )
-        windows = attach_flow_features(windows, store, args.synthetic_flow, model.config.flow_dim)
-    return batch, forecast_array(model, windows)
+    store = open_flow_store(args.flow_features, model.config)
+    batch = attach_flow_features(batch, model.config, store, args.synthetic_flow)
+    return batch, forecast_array(model, batch)
 
 
 def _cmd_synth(args) -> int:
@@ -247,14 +256,11 @@ def _cmd_synth(args) -> int:
 def _cmd_prepare(args) -> int:
     all_tracks = load_tracks(args.tracks)
     kept = filter_short_tracks(all_tracks, args.min_frames)
-    windows = []
-    for track in sorted(kept, key=lambda t: t.key):
-        windows.extend(extract_windows(track, stride=args.stride))
     stats = {
         "tracks_in": len(all_tracks),
         "tracks_kept": len(kept),
         "tracks_dropped": len(all_tracks) - len(kept),
-        "windows": len(windows),
+        "windows": len(cut_windows(kept, stride=args.stride)),
         "stride": args.stride,
         "min_frames": args.min_frames,
     }
@@ -262,8 +268,7 @@ def _cmd_prepare(args) -> int:
         config = SplitConfig.from_file(args.splits)
         split = make_splits(kept, config, args.fold)
         for side, tracks in (("train", split.train), ("val", split.val), ("test", split.test)):
-            n = sum(len(extract_windows(t, stride=args.stride)) for t in tracks)
-            stats[f"windows_{side}"] = n
+            stats[f"windows_{side}"] = len(cut_windows(tracks, stride=args.stride))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_tracks(kept, out / "filtered_tracks.csv")
@@ -291,17 +296,10 @@ def _cmd_clip_filter(args) -> int:
 
 
 def _spec_from_args(args, model: str) -> ExperimentSpec:
-    train_config = TrainConfig(
-        learning_rate=getattr(args, "lr", 1e-3),
-        batch_size=getattr(args, "batch", 1024),
-        epochs=getattr(args, "epochs", 20),
-        beta=getattr(args, "beta", 1.0),
-        seed=getattr(args, "seed", 0),
-        hidden=getattr(args, "hidden", 512),
-        variant=getattr(args, "variant", "bb_only"),
-        flow_dim=getattr(args, "flow_dim", 2048),
-        deterministic=getattr(args, "deterministic", True),
-    )
+    if args.command == "train":
+        train_config = TrainConfig(**{name: getattr(args, name) for _, name, _ in _TRAIN_FLAGS})
+    else:
+        train_config = TrainConfig()
     return ExperimentSpec(
         tracks=args.tracks,
         splits=args.splits,
@@ -382,15 +380,8 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     for i in range(args.samples):
         tracks = synth_generate_mixed(("turning", "accelerating"), 2, 1.0, args.seed + i, n_frames=91)
-        windows = [w for t in tracks for w in extract_windows(t)]
-        if config.uses_flow:
-            from .encdec import synthetic_flow_feature
-
-            windows = [
-                dataclasses.replace(w, flow_feature=synthetic_flow_feature(w, config.flow_dim))
-                for w in windows
-            ]
-        arrays = assemble_arrays(windows, config)
+        batch = attach_flow_features(cut_windows(tracks), config, None, synthetic=True)
+        arrays = assemble_arrays(batch, config)
         stats = (
             compute_feature_stats(arrays.features) if config.uses_boxes else FeatureStats.identity()
         )

@@ -125,14 +125,12 @@ class ObservationWindow:
     """The sample unit: observed boxes up to an anchor, future boxes after it.
 
     ``observed`` covers frames anchor-(p-1) .. anchor, ``future`` covers
-    anchor+1 .. anchor+q. The canonical protocol is p=30, q=60. An optional
-    precomputed flow feature vector may be attached for flow-aware models.
+    anchor+1 .. anchor+q. The canonical protocol is p=30, q=60.
     """
 
     source: WindowSource
     observed: tuple[BBox, ...]
     future: tuple[BBox, ...]
-    flow_feature: np.ndarray | None = None
     metadata: Mapping[str, str] | None = None
 
     def __post_init__(self):
@@ -144,14 +142,6 @@ class ObservationWindow:
             )
         if not self.future:
             raise ValueError("window has no future boxes")
-        if self.flow_feature is not None:
-            flow = np.asarray(self.flow_feature, dtype=np.float64)
-            if flow.ndim != 1:
-                raise ValueError(f"flow feature must be 1-D, got shape {flow.shape}")
-            if not np.all(np.isfinite(flow)):
-                raise ValueError(f"flow feature for {self.source} has non-finite entries")
-            flow.setflags(write=False)
-            object.__setattr__(self, "flow_feature", flow)
 
     @property
     def horizon(self) -> int:

@@ -62,12 +62,16 @@ class WindowBatch:
     ``observed`` is (N, p, 4) and ``future`` (N, q, 4), both [cx, cy, w, h]
     float64; ``sources`` and ``metadata`` carry each window's identity and
     track annotations, as :class:`ObservationWindow` does for one window.
+    ``flow``, when present, is the (N, F) flow-feature matrix the
+    flow-reading model variants consume: row i belongs to window i, every
+    entry is finite, and the array is read-only.
     """
 
     observed: np.ndarray
     future: np.ndarray
     sources: tuple[WindowSource, ...]
     metadata: tuple[Mapping[str, str] | None, ...]
+    flow: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.observed.shape[0]
@@ -75,6 +79,15 @@ class WindowBatch:
             raise ValueError(f"expected (N, p, 4) and (N, q, 4), got {self.observed.shape} and {self.future.shape}")
         if len(self.sources) != n or len(self.metadata) != n:
             raise ValueError(f"{n} windows but {len(self.sources)} sources and {len(self.metadata)} metadata")
+        if self.flow is not None:
+            flow = np.asarray(self.flow, dtype=np.float64)
+            if flow.ndim != 2 or flow.shape[0] != n:
+                raise ValueError(f"flow must be ({n}, F) for {n} windows, got shape {flow.shape}")
+            finite = np.isfinite(flow).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"flow feature for {self.sources[int(np.argmin(finite))]} has non-finite entries")
+            flow.setflags(write=False)
+            object.__setattr__(self, "flow", flow)
 
     def __len__(self) -> int:
         return self.observed.shape[0]

@@ -6,12 +6,12 @@ from .features import (
     FeatureStats,
     box_features,
     compute_feature_stats,
-    destandardize,
     standardize,
+    synthetic_flow_batch,
     synthetic_flow_feature,
 )
 from .gradcheck import GradSample, grad_check, grad_check_detailed
-from .gru import GRUParams, gru_backward, gru_cell, gru_forward
+from .gru import GRUParams, gru_backward, gru_forward
 from .loss import smooth_l1, smooth_l1_grad
 from .model import (
     BOX_CODE_DIM,
@@ -21,8 +21,6 @@ from .model import (
     ModelParams,
     VARIANTS,
     backward_batch,
-    decode,
-    encode,
     forecast_array,
     forecast_windows,
     forward_batch,
@@ -52,16 +50,12 @@ __all__ = [
     "backward_batch",
     "box_features",
     "compute_feature_stats",
-    "decode",
-    "destandardize",
-    "encode",
     "forecast_array",
     "forecast_windows",
     "forward_batch",
     "grad_check",
     "grad_check_detailed",
     "gru_backward",
-    "gru_cell",
     "gru_forward",
     "init_params",
     "load_checkpoint",
@@ -71,6 +65,7 @@ __all__ = [
     "smooth_l1",
     "smooth_l1_grad",
     "standardize",
+    "synthetic_flow_batch",
     "synthetic_flow_feature",
     "train",
 ]

@@ -66,19 +66,19 @@ def standardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
     return (np.asarray(features, dtype=np.float64) - stats.mean) / stats.std
 
 
-def destandardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    """Inverse of :func:`standardize` (round-trip identity up to float error)."""
-    return np.asarray(features, dtype=np.float64) * stats.std + stats.mean
-
-
 def synthetic_flow_feature(window: ObservationWindow, dim: int = 2048) -> np.ndarray:
-    """Stand-in flow feature built from the window itself.
+    """:func:`synthetic_flow_batch` of one window, as a (dim,) vector."""
+    return synthetic_flow_batch(window.observed_array()[None], dim)[0]
 
-    The mean per-step displacement of the observed boxes (4 values) tiled to
-    ``dim`` entries. Deterministic and translation-invariant, which makes the
-    flow-consuming variants testable without any real flow pipeline.
+
+def synthetic_flow_batch(observed: np.ndarray, dim: int = 2048) -> np.ndarray:
+    """Stand-in flow features of (N, p, 4) windows, built from the windows themselves.
+
+    Row i is the mean per-step displacement of window i's observed boxes (4
+    values) tiled to ``dim`` entries. Deterministic and translation-invariant,
+    which makes the flow-consuming variants testable without any real flow
+    pipeline.
     """
-    observed = window.observed_array()
-    step_mean = np.diff(observed, axis=0).mean(axis=0)
-    reps = -(-dim // step_mean.size)
-    return np.tile(step_mean, reps)[:dim]
+    step_mean = np.diff(observed, axis=1).mean(axis=1)
+    reps = -(-dim // step_mean.shape[1])
+    return np.tile(step_mean, reps)[:, :dim]

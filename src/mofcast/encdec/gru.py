@@ -91,14 +91,6 @@ class GRUParams:
         )
 
 
-def gru_cell(x: np.ndarray, h: np.ndarray, params: GRUParams) -> np.ndarray:
-    """Single gated update; x (..., I), h (..., H) -> h' (..., H)."""
-    z = sigmoid(x @ params.w_z.T + h @ params.u_z.T + params.b_z)
-    r = sigmoid(x @ params.w_r.T + h @ params.u_r.T + params.b_r)
-    htil = np.tanh(x @ params.w_h.T + (r * h) @ params.u_h.T + params.b_h)
-    return (1.0 - z) * htil + z * h
-
-
 class GRUCache(NamedTuple):
     x: np.ndarray       # (B, T, I)
     hs: np.ndarray      # (B, T+1, H), hs[:, 0] is h0

@@ -18,16 +18,21 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from ..baselines import cv_cs_batch
 from ..core import FUTURE_LEN, Forecast, ObservationWindow, array_to_boxes
+from ..data.windows import WindowBatch
 from ..errors import FlowFeatureError, GradientError
-from .features import FEATURE_DIM, FeatureStats, box_features, box_features_from_array, standardize
+from .features import FEATURE_DIM, FeatureStats, box_features_from_array, standardize
 from .gru import GRUCache, GRUParams, gru_backward, gru_forward
 from .loss import smooth_l1, smooth_l1_grad
+
+# Not called here: the one-window form of the features this module builds in
+# batches, kept in its namespace because benchmarks/tracing.py wraps it by this name.
+from .features import box_features  # noqa: F401
 
 ENCDEC_MODEL_ID = "encdec"
 
@@ -173,13 +178,14 @@ class ForwardCache:
     residuals: np.ndarray
 
 
-def _encode_batch(
+def forward_batch(
     params: ModelParams,
     stats: FeatureStats,
     features: np.ndarray | None,
     flow: np.ndarray | None,
-):
-    """Shared encoder path: (code, std_features, enc_cache, enc_last, fc_pre)."""
+    horizon: int = FUTURE_LEN,
+) -> ForwardCache:
+    """Batched forward pass from raw (B, p, 8) features / (B, F) flow to (B, horizon, 4) residuals."""
     cfg = params.config
     parts = []
     std_features = enc_cache = enc_last = fc_pre = None
@@ -200,18 +206,6 @@ def _encode_batch(
             raise FlowFeatureError(f"flow feature dim {flow.shape[-1]} != configured {cfg.flow_dim}")
         parts.append(flow)
     code = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return code, std_features, enc_cache, enc_last, fc_pre
-
-
-def forward_batch(
-    params: ModelParams,
-    stats: FeatureStats,
-    features: np.ndarray | None,
-    flow: np.ndarray | None,
-    horizon: int = FUTURE_LEN,
-) -> ForwardCache:
-    """Batched forward pass from raw (B, p, 8) features / (B, F) flow to (B, horizon, 4) residuals."""
-    code, std_features, enc_cache, enc_last, fc_pre = _encode_batch(params, stats, features, flow)
     b = code.shape[0]
     dec_in = np.broadcast_to(code[:, None, :], (b, horizon, code.shape[1]))
     dec_hs, dec_cache = gru_forward(params.decoder, np.ascontiguousarray(dec_in))
@@ -285,35 +279,6 @@ def loss_and_gradients(
     return loss, backward_batch(params, cache, dres)
 
 
-def encode(window: ObservationWindow, model: Model) -> np.ndarray:
-    """Decoder input code for one window (box code, flow feature, or both)."""
-    cfg = model.config
-    features = box_features(window)[None] if cfg.uses_boxes else None
-    flow = None
-    if cfg.uses_flow:
-        if window.flow_feature is None:
-            raise FlowFeatureError(f"window {window.source} has no flow feature (variant {cfg.variant!r})")
-        flow = window.flow_feature[None]
-    code, *_ = _encode_batch(model.params, model.stats, features, flow)
-    return code[0]
-
-
-def decode(code: np.ndarray, params: ModelParams, horizon: int = FUTURE_LEN) -> np.ndarray:
-    """Unroll the decoder from one code vector into (horizon, 4) residuals.
-
-    The code is re-fed at every step; the per-step output-layer emissions are
-    accumulated into residuals relative to the CV-CS extrapolation.
-    """
-    cfg = params.config
-    code = np.asarray(code, dtype=np.float64)
-    if code.shape != (cfg.code_dim,):
-        raise ValueError(f"code has shape {code.shape}, expected ({cfg.code_dim},)")
-    dec_in = np.ascontiguousarray(np.broadcast_to(code[None, None, :], (1, horizon, code.size)))
-    dec_hs, _ = gru_forward(params.decoder, dec_in)
-    deltas = dec_hs[0] @ params.out_w.T + params.out_b
-    return np.cumsum(deltas, axis=0)
-
-
 def _add_to_cv_cs(observed: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """(N, q, 4) CV-CS extrapolation of (N, p, 4) windows plus residuals; sizes clamped to 1 px."""
     pred = cv_cs_batch(observed, residuals.shape[1]) + residuals
@@ -328,43 +293,28 @@ def residuals_to_boxes(window: ObservationWindow, residuals: np.ndarray) -> Fore
     return Forecast(source=window.source, boxes=array_to_boxes(pred), model_id=ENCDEC_MODEL_ID)
 
 
-def forecast_array(
-    model: Model,
-    windows: Sequence[ObservationWindow],
-    batch_size: int = 512,
-) -> np.ndarray:
-    """(N, q, 4) forecasts of many windows, as :func:`residuals_to_boxes` makes them.
+def forecast_array(model: Model, batch: WindowBatch, batch_size: int = 512) -> np.ndarray:
+    """(N, q, 4) forecasts of a batch, as :func:`residuals_to_boxes` makes them.
 
-    Forward passes run ``batch_size`` windows at a time.
+    Forward passes run ``batch_size`` windows at a time. Flow-reading
+    variants take their flow from ``batch.flow``.
     """
     cfg = model.config
-    if not windows:
-        return np.empty((0, FUTURE_LEN, OUTPUT_DIM))
-    horizon = windows[0].horizon
-    if any(w.horizon != horizon for w in windows):
-        raise ValueError("all windows in one forecast batch must share a horizon")
-    if cfg.uses_flow:
-        missing = [w.source for w in windows if w.flow_feature is None]
-        if missing:
-            raise FlowFeatureError(f"windows lack flow features (variant {cfg.variant!r}): {missing[0]}")
-    observed = np.stack([w.observed_array() for w in windows])
-    residuals = []
-    for lo in range(0, len(windows), batch_size):
+    if cfg.uses_flow and batch.flow is None:
+        raise FlowFeatureError(f"variant {cfg.variant!r} needs flow features, and the batch has none")
+    residuals = [np.empty((0, batch.horizon, OUTPUT_DIM))]
+    for lo in range(0, len(batch), batch_size):
         sl = slice(lo, lo + batch_size)
-        features = box_features_from_array(observed[sl]) if cfg.uses_boxes else None
-        flow = np.stack([w.flow_feature for w in windows[sl]]) if cfg.uses_flow else None
-        residuals.append(forward_batch(model.params, model.stats, features, flow, horizon=horizon).residuals)
-    return _add_to_cv_cs(observed, np.concatenate(residuals))
+        features = box_features_from_array(batch.observed[sl]) if cfg.uses_boxes else None
+        flow = batch.flow[sl] if cfg.uses_flow else None
+        residuals.append(forward_batch(model.params, model.stats, features, flow, horizon=batch.horizon).residuals)
+    return _add_to_cv_cs(batch.observed, np.concatenate(residuals))
 
 
-def forecast_windows(
-    model: Model,
-    windows: Sequence[ObservationWindow],
-    batch_size: int = 512,
-) -> list[Forecast]:
-    """:func:`forecast_array` as one :class:`Forecast` per window."""
-    pred = forecast_array(model, windows, batch_size)
+def forecast_windows(model: Model, batch: WindowBatch, batch_size: int = 512) -> list[Forecast]:
+    """:func:`forecast_array` as one :class:`Forecast` per window of the batch."""
+    pred = forecast_array(model, batch, batch_size)
     return [
-        Forecast(source=w.source, boxes=array_to_boxes(rows), model_id=ENCDEC_MODEL_ID)
-        for w, rows in zip(windows, pred)
+        Forecast(source=source, boxes=array_to_boxes(rows), model_id=ENCDEC_MODEL_ID)
+        for source, rows in zip(batch.sources, pred)
     ]

@@ -1,12 +1,14 @@
 """Mini-batch training with an adaptive-moment optimizer and a halving
 learning-rate schedule.
 
-Targets are the residuals of the ground-truth boxes relative to the CV-CS
-extrapolation, in raw pixels; encoder inputs are standardized with stats
-computed on the training windows only. Because the output layer starts at
-zero, epoch 0 (the untrained model) scores exactly like the CV-CS baseline,
-and it participates in best-epoch selection: training can only be accepted
-if it beats that.
+The training and validation sets are window batches; the flow-reading
+variants take their (N, F) flow features from each batch's ``flow`` field,
+which the caller attaches. Targets are the residuals of the ground-truth
+boxes relative to the CV-CS extrapolation, in raw pixels; encoder inputs are
+standardized with stats computed on the training windows only. Because the
+output layer starts at zero, epoch 0 (the untrained model) scores exactly
+like the CV-CS baseline, and it participates in best-epoch selection:
+training can only be accepted if it beats that.
 """
 
 from __future__ import annotations
@@ -15,15 +17,18 @@ import contextlib
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from ..baselines import cv_cs_extrapolate
-from ..core import ObservationWindow
+from ..baselines import cv_cs_batch
+from ..data.windows import WindowBatch
 from ..errors import FlowFeatureError, TrainingDivergedError
-from .features import FeatureStats, box_features, compute_feature_stats
+from .features import FeatureStats, box_features_from_array, compute_feature_stats
 from .model import Model, ModelConfig, ModelParams, forward_batch, init_params, loss_and_gradients
+
+# Not called here: the one-window form of the features this module builds in
+# batches, kept in its namespace because benchmarks/tracing.py wraps it by this name.
+from .features import box_features  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -120,7 +125,7 @@ class Adam:
 
 @dataclass
 class WindowArrays:
-    """Vectorized view of a window list: features, flow, CV base, targets, truth."""
+    """Model inputs of a window batch: features, flow, CV base, targets, truth."""
 
     features: np.ndarray | None  # (N, p, 8)
     flow: np.ndarray | None      # (N, F)
@@ -135,25 +140,17 @@ class WindowArrays:
         return self.base.shape[0]
 
 
-def assemble_arrays(windows: Sequence[ObservationWindow], config: ModelConfig) -> WindowArrays:
-    if not windows:
-        raise ValueError("window list is empty")
-    horizon = windows[0].horizon
-    for w in windows:
-        if w.horizon != horizon:
-            raise ValueError("all windows must share one horizon")
-    features = np.stack([box_features(w) for w in windows]) if config.uses_boxes else None
-    flow = None
-    if config.uses_flow:
-        missing = [w.source for w in windows if w.flow_feature is None]
-        if missing:
-            raise FlowFeatureError(
-                f"{len(missing)} windows lack flow features (variant {config.variant!r}), e.g. {missing[0]}"
-            )
-        flow = np.stack([w.flow_feature for w in windows])
-    base = np.stack([cv_cs_extrapolate(w) for w in windows])
-    gt = np.stack([w.future_array() for w in windows])
-    return WindowArrays(features=features, flow=flow, base=base, gt=gt)
+def assemble_arrays(batch: WindowBatch, config: ModelConfig) -> WindowArrays:
+    if not len(batch):
+        raise ValueError("window batch is empty")
+    if config.uses_flow and batch.flow is None:
+        raise FlowFeatureError(f"{len(batch)} windows lack flow features (variant {config.variant!r})")
+    return WindowArrays(
+        features=box_features_from_array(batch.observed) if config.uses_boxes else None,
+        flow=batch.flow if config.uses_flow else None,
+        base=cv_cs_batch(batch.observed, batch.horizon),
+        gt=batch.future,
+    )
 
 
 def _validation_ade(params: ModelParams, stats: FeatureStats, arrays: WindowArrays, batch_size: int) -> float:
@@ -194,11 +191,7 @@ def _single_threaded_blas():
         yield True, "threadpoolctl limited BLAS to 1 thread"
 
 
-def train(
-    train_windows: Sequence[ObservationWindow],
-    val_windows: Sequence[ObservationWindow],
-    config: TrainConfig,
-) -> TrainResult:
+def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig) -> TrainResult:
     """Train end to end; returns the parameters of the best-validation epoch.
 
     Deterministic for a fixed config and seed: parameter init and batch order
@@ -207,17 +200,17 @@ def train(
     Whether the pin took effect, and why not, is in the result's
     ``blas_pinned`` / ``blas_pin_reason``.
     """
-    if not train_windows:
+    if not len(train_batch):
         raise ValueError("training set is empty")
-    if not val_windows:
+    if not len(val_batch):
         raise ValueError("validation set is empty")
 
     model_config = config.model_config()
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
-    train_arrays = assemble_arrays(train_windows, model_config)
-    val_arrays = assemble_arrays(val_windows, model_config)
+    train_arrays = assemble_arrays(train_batch, model_config)
+    val_arrays = assemble_arrays(val_batch, model_config)
     stats = (
         compute_feature_stats(train_arrays.features)
         if model_config.uses_boxes

@@ -34,26 +34,27 @@ from .baselines import (
     load_param_grid,
     save_param_grid,
 )
-from .core import Forecast, METADATA_FIELDS, ObservationWindow, Track
+from .core import Forecast, METADATA_FIELDS, Track
 from .data import (
     MIN_TRACK_FRAMES,
     N_FOLDS,
     FlowFeatureStore,
     SplitConfig,
+    WindowBatch,
     cut_windows,
-    extract_windows,
     filter_short_tracks,
     load_tracks,
     make_splits,
 )
 from .encdec import (
     Model,
+    ModelConfig,
     TrainConfig,
     TrainLog,
     forecast_array,
     load_checkpoint,
     save_checkpoint,
-    synthetic_flow_feature,
+    synthetic_flow_batch,
     train,
 )
 from .errors import FlowFeatureError, MofcastError
@@ -70,6 +71,7 @@ from .metrics import (
 # Not called here: the per-window forms of what this module runs in batches,
 # kept in its namespace because benchmarks/tracing.py wraps them by this name.
 from .baselines import cv_cs_forecast, lkf_forecast_window  # noqa: F401
+from .data import extract_windows  # noqa: F401
 from .encdec import forecast_windows  # noqa: F401
 from .metrics import evaluate_window  # noqa: F401
 
@@ -148,29 +150,35 @@ def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float, extr
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def open_flow_store(path: str | Path | None, config: ModelConfig) -> FlowFeatureStore | None:
+    """The flow-feature sidecar at ``path``, opened only when ``config``'s variant reads flow."""
+    return FlowFeatureStore.open(path) if path and config.uses_flow else None
+
+
 def attach_flow_features(
-    windows: list[ObservationWindow],
+    batch: WindowBatch,
+    config: ModelConfig,
     store: FlowFeatureStore | None,
     synthetic: bool,
-    flow_dim: int,
-) -> list[ObservationWindow]:
-    if store is None and not synthetic:
-        return windows
-    out = []
-    for w in windows:
-        if store is not None:
-            vec = store.get(w.source)
-        else:
-            vec = synthetic_flow_feature(w, dim=flow_dim)
-        out.append(dataclasses.replace(w, flow_feature=vec))
-    return out
+) -> WindowBatch:
+    """``batch`` with the flow features ``config``'s variant reads.
 
-
-def _windows_for(tracks: Sequence[Track], stride: int) -> list[ObservationWindow]:
-    windows: list[ObservationWindow] = []
-    for track in sorted(tracks, key=lambda t: t.key):
-        windows.extend(extract_windows(track, stride=stride))
-    return windows
+    They come from ``store`` when one is given, else from the windows
+    themselves when ``synthetic`` is set. A variant that reads no flow gets
+    the batch back unchanged; one that does, with neither source, is an error.
+    """
+    if not config.uses_flow:
+        return batch
+    if store is not None:
+        flow = np.stack([store.get(source) for source in batch.sources])
+    elif synthetic:
+        flow = synthetic_flow_batch(batch.observed, config.flow_dim)
+    else:
+        raise FlowFeatureError(
+            f"variant {config.variant!r} reads flow features: provide --flow-features or "
+            "--synthetic-flow, or use a bb_only model"
+        )
+    return dataclasses.replace(batch, flow=flow)
 
 
 def _audit_cities(split, fold: int) -> None:
@@ -269,28 +277,22 @@ def run_fold(spec: ExperimentSpec) -> FoldResult:
             lkf_params = tuned.params
             pred = lkf_batch(test.observed, lkf_params, test.horizon)
         else:  # encdec
-            train_windows = _windows_for(split.train, spec.stride)
-            val_windows = _windows_for(split.val, spec.stride)
-            test_windows = _windows_for(split.test, spec.stride)
-            logger.info("fold %d windows: train=%d val=%d", spec.fold, len(train_windows), len(val_windows))
             model_config = spec.train.model_config()
-            store = FlowFeatureStore.open(spec.flow_features) if spec.flow_features else None
-            if model_config.uses_flow:
-                if store is None and not spec.synthetic_flow:
-                    raise FlowFeatureError(
-                        f"variant {model_config.variant!r} needs --flow-features or synthetic flow"
-                    )
-                train_windows = attach_flow_features(train_windows, store, spec.synthetic_flow, model_config.flow_dim)
-                val_windows = attach_flow_features(val_windows, store, spec.synthetic_flow, model_config.flow_dim)
-                test_windows = attach_flow_features(test_windows, store, spec.synthetic_flow, model_config.flow_dim)
-            trained = train(train_windows, val_windows, spec.train)
+            store = open_flow_store(spec.flow_features, model_config)
+            train_batch, val_batch, test = (
+                attach_flow_features(batch, model_config, store, spec.synthetic_flow)
+                for batch in (cut_windows(split.train, stride=spec.stride),
+                              cut_windows(split.val, stride=spec.stride), test)
+            )
+            logger.info("fold %d windows: train=%d val=%d", spec.fold, len(train_batch), len(val_batch))
+            trained = train(train_batch, val_batch, spec.train)
             manifest_extra["blas_pinned"] = trained.blas_pinned
             manifest_extra["blas_pin_reason"] = trained.blas_pin_reason
             train_log = trained.log
             _write_train_log(trained.log, run_dir / "train_log.csv")
             checkpoint_path = run_dir / "checkpoint.mofc"
             save_checkpoint(trained.model, checkpoint_path)
-            pred = forecast_array(trained.model, test_windows)
+            pred = forecast_array(trained.model, test)
 
         evals = evaluate_batch(pred, test)
         report = aggregate(evals)
@@ -369,17 +371,8 @@ def cross_eval(
     batch = cut_windows(tracks, stride=stride)
     if not len(batch):
         raise MofcastError(f"{tracks_path}: no windows after filtering")
-    windows = _windows_for(tracks, stride)
-    if model.config.uses_flow:
-        store = FlowFeatureStore.open(flow_features) if flow_features else None
-        if store is None and not synthetic_flow:
-            raise FlowFeatureError(
-                f"checkpoint variant {model.config.variant!r} needs flow features absent in the "
-                "external data; re-evaluate with a bb_only checkpoint or provide --flow-features"
-            )
-        windows = attach_flow_features(windows, store, synthetic_flow, model.config.flow_dim)
-
-    pred = forecast_array(model, windows, batch_size=batch_size)
+    batch = attach_flow_features(batch, model.config, open_flow_store(flow_features, model.config), synthetic_flow)
+    pred = forecast_array(model, batch, batch_size=batch_size)
     evals = evaluate_batch(pred, batch)
     report = aggregate(evals)
 

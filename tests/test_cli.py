@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mofcast.cli import main
+from mofcast.cli import _spec_from_args, build_parser, main
 from mofcast.data import default_synth_split_config, load_tracks
+from mofcast.encdec import TrainConfig
 
 
 @pytest.fixture
@@ -44,6 +46,47 @@ class TestExitCodes:
 
     def test_help_is_exit_0(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["tune-lkf", "--tracks", "t.csv", "--splits", "s.json", "--fold", "3"],
+            ["train", "--tracks", "t.csv", "--splits", "s.json", "--fold", "-1"],
+            ["eval", "--model", "cv_cs", "--tracks", "t.csv", "--splits", "s.json", "--fold", "5"],
+            ["prepare", "--tracks", "t.csv", "--fold", "3"],
+            ["eval", "--model", "cv_cs", "--tracks", "t.csv", "--stride", "0"],
+            ["cross-eval", "--checkpoint", "c", "--tracks", "t.csv", "--stride", "-2"],
+            ["prepare", "--tracks", "t.csv", "--min-frames", "0"],
+            ["forecast", "--model", "cv_cs", "--tracks", "t.csv", "--stride", "x"],
+        ),
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error" in capsys.readouterr().err
+
+
+class TestSpecFromArgs:
+    def test_train_defaults_are_train_config(self):
+        args = build_parser().parse_args(["train", "--tracks", "t.csv", "--splits", "s.json"])
+        assert dataclasses.asdict(_spec_from_args(args, "encdec").train) == dataclasses.asdict(TrainConfig())
+
+    def test_train_flags_reach_the_config(self):
+        args = build_parser().parse_args(
+            ["train", "--tracks", "t.csv", "--splits", "s.json", "--variant", "both", "--hidden", "8",
+             "--epochs", "3", "--batch", "16", "--lr", "0.01", "--beta", "2.5", "--flow-dim", "32",
+             "--seed", "9", "--no-deterministic"]
+        )
+        assert _spec_from_args(args, "encdec").train == TrainConfig(
+            variant="both", hidden=8, epochs=3, batch_size=16, learning_rate=0.01, beta=2.5, flow_dim=32,
+            seed=9, deterministic=False,
+        )
+
+    def test_tune_lkf_spec_hash_is_stable(self):
+        # The hash names the run directories; it must not move when defaults are refactored.
+        args = build_parser().parse_args(["tune-lkf", "--tracks", "t.csv", "--splits", "s.json"])
+        spec = _spec_from_args(args, "lkf")
+        assert spec.train == TrainConfig()
+        assert spec.hash() == "fa3bc0cf467a1f521709f3b40723db152627627a7bb35d6cd66ea97e4114f9d7"
 
 
 class TestSynth:

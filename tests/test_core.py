@@ -154,13 +154,6 @@ class TestWindowAndForecast:
         with pytest.raises(ValueError, match="future"):
             ObservationWindow(WindowSource("v", 1, 29), boxes[:30], ())
 
-    def test_flow_feature_validation(self):
-        boxes = tuple(BBox(i, 0, 1, 1) for i in range(40))
-        with pytest.raises(ValueError, match="finite"):
-            ObservationWindow(
-                WindowSource("v", 1, 29), boxes[:30], boxes[30:], flow_feature=np.array([1.0, np.nan])
-            )
-
     def test_forecast_non_empty(self):
         with pytest.raises(ValueError):
             Forecast(WindowSource("v", 1, 29), boxes=())

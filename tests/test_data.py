@@ -150,6 +150,31 @@ class TestCutWindows:
             WindowBatch(observed=np.zeros((2, 30, 4)), future=np.zeros((2, 60, 4)), sources=(), metadata=())
 
 
+class TestWindowBatch:
+    def batch(self, n_tracks=2):
+        return cut_windows([linear_track(track_id=i) for i in range(n_tracks)])
+
+    def test_flow_validation(self):
+        batch = self.batch()
+        flow = np.ones((2, 3))
+        flow[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite") as excinfo:
+            dataclasses.replace(batch, flow=flow)
+        assert str(batch.sources[1]) in str(excinfo.value)
+
+    @pytest.mark.parametrize("shape", ((2,), (3, 4), (2, 1, 4)))
+    def test_flow_needs_one_row_per_window(self, shape):
+        with pytest.raises(ValueError, match="flow must be"):
+            dataclasses.replace(self.batch(), flow=np.zeros(shape))
+
+    def test_flow_is_read_only_float64(self):
+        batch = dataclasses.replace(self.batch(), flow=np.arange(8, dtype=np.float32).reshape(2, 4))
+        assert batch.flow.dtype == np.float64 and not batch.flow.flags.writeable
+        assert self.batch().flow is None
+        with pytest.raises(ValueError, match="read-only"):
+            batch.flow[0, 0] = 1.0
+
+
 class TestMotionFilterClips:
     def test_all_below_threshold(self):
         clips = motion_filter_clips([1.0] * 600)

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mofcast.data import extract_windows, synth_generate_mixed
+from mofcast.data import cut_windows, synth_generate_mixed
 from mofcast.encdec import (
     FeatureStats,
     GradSample,
@@ -22,10 +22,12 @@ from mofcast.encdec import (
     init_params,
     loss_and_gradients,
     smooth_l1,
-    synthetic_flow_feature,
+    synthetic_flow_batch,
 )
 from mofcast.encdec.model import forward_batch
 from mofcast.errors import GradientError
+
+from conftest import batch_of
 
 EPS = 1e-5
 
@@ -33,12 +35,10 @@ EPS = 1e-5
 def build_sample(variant: str, flow_dim: int, seed: int, n_tracks: int = 2):
     config = ModelConfig(variant=variant, hidden=12, flow_dim=flow_dim)
     tracks = synth_generate_mixed(("turning", "accelerating"), n_tracks, 1.0, seed, n_frames=91)
-    windows = [w for t in tracks for w in extract_windows(t)]
+    batch = cut_windows(tracks)
     if config.uses_flow:
-        windows = [
-            dataclasses.replace(w, flow_feature=synthetic_flow_feature(w, flow_dim)) for w in windows
-        ]
-    arrays = assemble_arrays(windows, config)
+        batch = dataclasses.replace(batch, flow=synthetic_flow_batch(batch.observed, flow_dim))
+    arrays = assemble_arrays(batch, config)
     stats = compute_feature_stats(arrays.features) if config.uses_boxes else FeatureStats.identity()
     params = init_params(config, seed, zero_output=False)
     sample = GradSample(features=arrays.features, flow=arrays.flow, targets=arrays.targets)
@@ -80,8 +80,7 @@ def test_gradient_zero_at_loss_minimum(cv_window):
     # zero output layer and zero targets: the model already sits at the optimum
     config = ModelConfig(variant="bb_only", hidden=12)
     params = init_params(config, 0)  # zero output layer
-    windows = [cv_window]
-    arrays = assemble_arrays(windows, config)
+    arrays = assemble_arrays(batch_of([cv_window]), config)
     stats = compute_feature_stats(arrays.features)
     targets = np.zeros_like(arrays.targets)
     loss, grads = loss_and_gradients(params, stats, arrays.features, None, targets)

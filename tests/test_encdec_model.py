@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mofcast.baselines import cv_cs_forecast
+from mofcast.baselines import cv_cs_batch, cv_cs_forecast
 from mofcast.core import BBox, ObservationWindow, WindowSource, boxes_to_array
+from mofcast.data import cut_windows, extract_windows, synth_generate, synth_generate_mixed
 from mofcast.encdec import (
     FeatureStats,
     GRUParams,
@@ -12,23 +13,23 @@ from mofcast.encdec import (
     ModelConfig,
     box_features,
     compute_feature_stats,
-    decode,
-    destandardize,
-    encode,
     forecast_array,
     forecast_windows,
     forward_batch,
-    gru_cell,
+    gru_forward,
     init_params,
     residuals_to_boxes,
     smooth_l1,
     smooth_l1_grad,
     standardize,
+    synthetic_flow_batch,
     synthetic_flow_feature,
 )
+from mofcast.encdec.features import box_features_from_array
 from mofcast.errors import FlowFeatureError
 
-from conftest import linear_track, window_of
+from conftest import batch_of, linear_track, window_of
+from encdec_oracle import decode, destandardize, encode, gru_cell
 
 
 class TestBoxFeatures:
@@ -110,24 +111,43 @@ class TestGruCell:
         out = gru_cell(rng.normal(size=4), h, params)
         assert np.all(np.abs(out) <= np.maximum(np.abs(h), 1.0) + 1e-12)
 
+    def test_gru_forward_steps_the_cell(self, rng):
+        params = GRUParams.init(rng, 4, 6)
+        x = rng.normal(size=(3, 7, 4))
+        hs, _ = gru_forward(params, x)
+        h = np.zeros((3, 6))
+        for k in range(7):
+            h = gru_cell(x[:, k], h, params)
+            assert np.allclose(hs[:, k], h, atol=1e-14)
+
 
 class TestEncodeDecode:
+    """The step-by-step oracle, and the batched forward pass against it."""
+
     def test_bb_only_code_dim(self, cv_window):
         config = ModelConfig(variant="bb_only", hidden=16)
         model = Model(params=init_params(config, 0), stats=FeatureStats.identity())
-        assert encode(cv_window, model).shape == (256,)
+        code = encode(cv_window, model)
+        assert code.shape == (256,)
+        batched = forward_batch(model.params, model.stats, box_features(cv_window)[None], None).code[0]
+        assert np.allclose(batched, code, atol=1e-12)
 
     def test_both_code_dim_is_sum(self, cv_window):
         config = ModelConfig(variant="both", hidden=16, flow_dim=2048)
-        window = dataclasses.replace(cv_window, flow_feature=synthetic_flow_feature(cv_window, 2048))
+        flow = synthetic_flow_feature(cv_window, 2048)
         model = Model(params=init_params(config, 0), stats=FeatureStats.identity())
-        assert encode(window, model).shape == (256 + 2048,)
+        code = encode(cv_window, model, flow)
+        assert code.shape == (256 + 2048,)
+        batched = forward_batch(model.params, model.stats, box_features(cv_window)[None], flow[None]).code[0]
+        assert np.allclose(batched, code, atol=1e-12)
 
     def test_missing_flow_feature_raises(self, cv_window):
         config = ModelConfig(variant="of_only", hidden=16, flow_dim=32)
         model = Model(params=init_params(config, 0), stats=FeatureStats.identity())
         with pytest.raises(FlowFeatureError):
-            encode(cv_window, model)
+            forward_batch(model.params, model.stats, None, None)
+        with pytest.raises(FlowFeatureError, match="of_only"):
+            forecast_array(model, batch_of([cv_window]))
 
     def test_encode_deterministic(self, cv_window):
         config = ModelConfig(variant="bb_only", hidden=16)
@@ -136,12 +156,14 @@ class TestEncodeDecode:
         b = encode(cv_window, model)
         assert np.array_equal(a, b)
 
-    def test_decode_zero_output_layer_gives_zero_residuals(self, rng):
+    def test_decode_zero_output_layer_gives_zero_residuals(self, rng, cv_window):
         config = ModelConfig(variant="bb_only", hidden=16)
         params = init_params(config, 0)  # output layer zeros by default
         residuals = decode(rng.normal(size=256), params)
         assert residuals.shape == (60, 4)
         assert np.all(residuals == 0.0)
+        cache = forward_batch(params, FeatureStats.identity(), box_features(cv_window)[None], None)
+        assert np.all(cache.residuals == 0.0)
 
     def test_decode_deterministic_and_sized(self, rng):
         config = ModelConfig(variant="bb_only", hidden=16)
@@ -152,10 +174,26 @@ class TestEncodeDecode:
         assert a.shape == (60, 4)
         assert np.array_equal(a, b)
 
-    def test_decode_horizon_override(self, rng):
+    def test_decode_horizon_override(self, rng, cv_window):
         config = ModelConfig(variant="bb_only", hidden=16)
         params = init_params(config, 0, zero_output=False)
         assert decode(rng.normal(size=256), params, horizon=17).shape == (17, 4)
+        cache = forward_batch(params, FeatureStats.identity(), box_features(cv_window)[None], None, horizon=17)
+        assert cache.residuals.shape == (1, 17, 4)
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_forward_batch_matches_the_oracle(self, variant):
+        tracks = synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 5, n_frames=95)
+        windows = [w for t in tracks for w in extract_windows(t, stride=20)]
+        flow = np.stack([synthetic_flow_feature(w, 12) for w in windows])
+        features = np.stack([box_features(w) for w in windows])
+        config = ModelConfig(variant=variant, hidden=8, flow_dim=12)
+        model = Model(params=init_params(config, 4, zero_output=False), stats=compute_feature_stats(features))
+        cache = forward_batch(model.params, model.stats, features, flow)
+        for i, window in enumerate(windows):
+            code = encode(window, model, flow[i])
+            assert np.allclose(cache.code[i], code, atol=1e-12)
+            assert np.allclose(cache.residuals[i], decode(code, model.params), atol=1e-12)
 
 
 class TestResidualsToBoxes:
@@ -183,14 +221,12 @@ class TestResidualsToBoxes:
 class TestUntrainedModelEqualsCvCs:
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_forecasts_agree_exactly(self, seed):
-        from mofcast.data import extract_windows, synth_generate_mixed
-
         tracks = synth_generate_mixed(("turning", "stop_and_go"), 3, 1.0, seed, n_frames=95)
         windows = [w for t in tracks for w in extract_windows(t, stride=3)]
         features = np.stack([box_features(w) for w in windows])
         config = ModelConfig(variant="bb_only", hidden=16)
         model = Model(params=init_params(config, seed), stats=compute_feature_stats(features))
-        forecasts = forecast_windows(model, windows)
+        forecasts = forecast_windows(model, batch_of(windows))
         for window, forecast in zip(windows, forecasts):
             reference = cv_cs_forecast(window)
             diff = boxes_to_array(forecast.boxes) - boxes_to_array(reference.boxes)
@@ -199,14 +235,13 @@ class TestUntrainedModelEqualsCvCs:
 
 class TestForecastArray:
     def test_equals_per_window_residuals_to_boxes(self):
-        from mofcast.data import extract_windows, synth_generate_mixed
-
         tracks = synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 3, n_frames=95)
         windows = [w for t in tracks for w in extract_windows(t, stride=2)]
         features = np.stack([box_features(w) for w in windows])
         config = ModelConfig(variant="bb_only", hidden=8)
         model = Model(params=init_params(config, 3, zero_output=False), stats=compute_feature_stats(features))
-        pred = forecast_array(model, windows, batch_size=7)
+        batch = batch_of(windows)
+        pred = forecast_array(model, batch, batch_size=7)
         assert pred.shape == (len(windows), 60, 4)
         residuals = np.concatenate(  # same 7-window forward passes as forecast_array
             [forward_batch(model.params, model.stats, features[lo : lo + 7], None).residuals
@@ -214,9 +249,27 @@ class TestForecastArray:
         )
         for row, window, res in zip(pred, windows, residuals):
             assert np.array_equal(row, boxes_to_array(residuals_to_boxes(window, res).boxes))
-        forecasts = forecast_windows(model, windows, batch_size=7)
+        forecasts = forecast_windows(model, batch, batch_size=7)
         assert [f.source for f in forecasts] == [w.source for w in windows]
         assert all(np.array_equal(boxes_to_array(f.boxes), row) for f, row in zip(forecasts, pred))
+
+    def test_flow_comes_from_the_batch(self):
+        tracks = synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 3, n_frames=95)
+        batch = cut_windows(tracks, stride=9)
+        flow = synthetic_flow_batch(batch.observed, 16)
+        config = ModelConfig(variant="both", hidden=8, flow_dim=16)
+        model = Model(params=init_params(config, 3, zero_output=False), stats=FeatureStats.identity())
+        pred = forecast_array(model, dataclasses.replace(batch, flow=flow), batch_size=5)
+        features = box_features_from_array(batch.observed)
+        expected = cv_cs_batch(batch.observed, 60) + forward_batch(model.params, model.stats, features, flow).residuals
+        expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
+        assert np.allclose(pred, expected, atol=1e-9)
+
+    def test_empty_batch(self):
+        model = Model(params=init_params(ModelConfig(hidden=8), 0))
+        empty = cut_windows([linear_track(length=89)])
+        assert forecast_array(model, empty).shape == (0, 60, 4)
+        assert forecast_windows(model, empty) == []
 
 
 class TestSmoothL1:
@@ -257,8 +310,6 @@ class TestSmoothL1:
 
 class TestTranslationEquivariance:
     def test_pipeline_translates_with_recomputed_stats(self):
-        from mofcast.data import extract_windows, synth_generate
-
         tracks = synth_generate("turning", 2, 0.0, seed=4, n_frames=95)
         windows = [w for t in tracks for w in extract_windows(t, stride=6)]
         dx, dy = 210.0, -35.0
@@ -276,8 +327,8 @@ class TestTranslationEquivariance:
 
         stats = compute_feature_stats(np.stack([box_features(w) for w in windows]))
         stats_shifted = compute_feature_stats(np.stack([box_features(w) for w in shifted]))
-        base = forecast_windows(Model(params=params, stats=stats), windows)
-        moved = forecast_windows(Model(params=params, stats=stats_shifted), shifted)
+        base = forecast_windows(Model(params=params, stats=stats), batch_of(windows))
+        moved = forecast_windows(Model(params=params, stats=stats_shifted), batch_of(shifted))
         for f0, f1 in zip(base, moved):
             a, b = boxes_to_array(f0.boxes), boxes_to_array(f1.boxes)
             assert np.allclose(b[:, 0], a[:, 0] + dx, atol=1e-6)

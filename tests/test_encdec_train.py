@@ -1,31 +1,64 @@
+import dataclasses
 import logging
 import sys
 
 import numpy as np
 import pytest
 
-from mofcast.data import default_synth_split_config, extract_windows, make_splits, synth_generate
+from mofcast.baselines import cv_cs_extrapolate
+from mofcast.core import boxes_to_array
+from mofcast.data import (
+    KINDS,
+    cut_windows,
+    default_synth_split_config,
+    extract_windows,
+    make_splits,
+    synth_generate,
+    synth_generate_mixed,
+)
 from mofcast.encdec import (
+    ModelConfig,
     TrainConfig,
+    assemble_arrays,
+    box_features,
+    forecast_windows,
     load_checkpoint,
     save_checkpoint,
+    synthetic_flow_batch,
+    synthetic_flow_feature,
     train,
 )
-from mofcast.errors import CheckpointError
+from mofcast.errors import CheckpointError, FlowFeatureError
 
 
 def cv_windows(n_tracks=6, noise=0.0, seed=21, stride=10):
     tracks = synth_generate("constant_velocity", n_tracks, noise, seed)
     split = make_splits(tracks, default_synth_split_config(), fold=0)
-    def wo(ts):
-        out = []
-        for t in sorted(ts, key=lambda t: t.key):
-            out.extend(extract_windows(t, stride=stride))
-        return out
-    return wo(split.train), wo((*split.val, *split.test))
+    return cut_windows(split.train, stride=stride), cut_windows((*split.val, *split.test), stride=stride)
 
 
 SMALL = dict(hidden=8, variant="bb_only", epochs=3, batch_size=16, seed=5)
+
+
+class TestAssembleArrays:
+    def test_equals_the_per_window_forms_bit_for_bit(self):
+        tracks = synth_generate_mixed(KINDS, 3, 1.0, seed=3, n_frames=150)
+        windows = [w for t in sorted(tracks, key=lambda t: t.key) for w in extract_windows(t, stride=7)]
+        batch = cut_windows(tracks, stride=7)
+        flow = synthetic_flow_batch(batch.observed, 64)
+        assert flow.tobytes() == np.stack([synthetic_flow_feature(w, 64) for w in windows]).tobytes()
+        arrays = assemble_arrays(dataclasses.replace(batch, flow=flow), ModelConfig(variant="both", flow_dim=64))
+        assert len(arrays) == len(windows)
+        assert arrays.features.tobytes() == np.stack([box_features(w) for w in windows]).tobytes()
+        assert arrays.base.tobytes() == np.stack([cv_cs_extrapolate(w) for w in windows]).tobytes()
+        assert arrays.gt.tobytes() == np.stack([w.future_array() for w in windows]).tobytes()
+        assert arrays.flow.tobytes() == flow.tobytes()
+
+    def test_flow_variant_needs_batch_flow(self):
+        batch, _ = cv_windows()
+        with pytest.raises(FlowFeatureError, match="of_only"):
+            assemble_arrays(batch, ModelConfig(variant="of_only"))
+        assert assemble_arrays(batch, ModelConfig()).flow is None
 
 
 class TestLrSchedule:
@@ -106,10 +139,11 @@ class TestBlasPinReport:
 class TestTrainValidation:
     def test_empty_sets_rejected(self):
         train_w, val_w = cv_windows()
+        empty = cut_windows([])
         with pytest.raises(ValueError, match="training set"):
-            train([], val_w, TrainConfig(**SMALL))
+            train(empty, val_w, TrainConfig(**SMALL))
         with pytest.raises(ValueError, match="validation set"):
-            train(train_w, [], TrainConfig(**SMALL))
+            train(train_w, empty, TrainConfig(**SMALL))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -122,18 +156,8 @@ class TestCheckpoint:
     def make_model(self, variant="bb_only", flow_dim=16):
         train_w, val_w = cv_windows(noise=0.5)
         if variant != "bb_only":
-            import dataclasses
-
-            from mofcast.encdec import synthetic_flow_feature
-
-            train_w = [
-                dataclasses.replace(w, flow_feature=synthetic_flow_feature(w, flow_dim))
-                for w in train_w
-            ]
-            val_w = [
-                dataclasses.replace(w, flow_feature=synthetic_flow_feature(w, flow_dim))
-                for w in val_w
-            ]
+            train_w, val_w = (dataclasses.replace(b, flow=synthetic_flow_batch(b.observed, flow_dim))
+                              for b in (train_w, val_w))
         config = TrainConfig(
             hidden=8, variant=variant, flow_dim=flow_dim, epochs=1, batch_size=32, seed=3
         )
@@ -152,15 +176,12 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params.tensors()[name], tensor), name
 
     def test_round_trip_forecasts_identical(self, tmp_path):
-        from mofcast.core import boxes_to_array
-        from mofcast.encdec import forecast_windows
-
         model, (train_w, _) = self.make_model()
         path = tmp_path / "model.mofc"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        before = forecast_windows(model, train_w[:3])
-        after = forecast_windows(loaded, train_w[:3])
+        before = forecast_windows(model, train_w)
+        after = forecast_windows(loaded, train_w)
         for f0, f1 in zip(before, after):
             assert np.array_equal(boxes_to_array(f0.boxes), boxes_to_array(f1.boxes))
 
@@ -198,12 +219,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_bb_only_checkpoint_runs_without_flow_features(self, tmp_path):
-        from mofcast.encdec import forecast_windows
-
         model, (train_w, _) = self.make_model("bb_only")
         path = tmp_path / "model.mofc"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        assert all(w.flow_feature is None for w in train_w[:2])
-        forecasts = forecast_windows(loaded, train_w[:2])
-        assert len(forecasts) == 2
+        assert train_w.flow is None
+        forecasts = forecast_windows(loaded, train_w)
+        assert len(forecasts) == len(train_w) > 0

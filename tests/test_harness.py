@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from mofcast import cli
 from mofcast.cli import build_parser
 from mofcast.data import (
     MIN_TRACK_FRAMES,
+    cut_windows,
     default_synth_split_config,
     extract_windows,
     load_tracks,
@@ -14,10 +17,11 @@ from mofcast.data import (
     SplitConfig,
     synth_generate,
     synth_generate_mixed,
+    write_flow_features,
     write_tracks,
 )
-from mofcast.encdec import TrainConfig, load_checkpoint
-from mofcast.errors import MofcastError, SplitError
+from mofcast.encdec import Model, TrainConfig, init_params, load_checkpoint, save_checkpoint, synthetic_flow_batch
+from mofcast.errors import FlowFeatureError, MofcastError, SplitError
 from mofcast.harness import (
     ExperimentSpec,
     cross_eval,
@@ -27,7 +31,7 @@ from mofcast.harness import (
     run_fold,
     weights_checksum,
 )
-from mofcast.metrics import MetricReport
+from mofcast.metrics import MetricReport, aggregate
 
 
 @pytest.fixture
@@ -200,6 +204,69 @@ class TestCrossEval:
             cross_eval(result.checkpoint_path, tracks_path)
         # synthetic flow makes it work
         report = cross_eval(result.checkpoint_path, tracks_path, synthetic_flow=True, stride=5)
+        assert report.n_windows > 0
+
+
+FLOW_DIM = 16
+BOTH = TrainConfig(hidden=8, variant="both", flow_dim=FLOW_DIM, epochs=1, batch_size=32, seed=5)
+
+
+def write_sidecar(tracks_path, index_path, skip: int | None = None):
+    """A flow sidecar for every stride-5 window of the track file, but window ``skip``; returns its sources."""
+    batch = cut_windows(load_tracks(tracks_path), stride=5)
+    flow = synthetic_flow_batch(batch.observed, FLOW_DIM) + 0.25  # not what --synthetic-flow derives
+    write_flow_features(
+        ((source, row) for i, (source, row) in enumerate(zip(batch.sources, flow)) if i != skip), index_path
+    )
+    return batch.sources
+
+
+class TestFlowSidecar:
+    def test_fold_cross_eval_and_cli_eval_read_it(self, synth_setup, tmp_path, monkeypatch):
+        tracks_path = synth_setup[0]
+        index = tmp_path / "flow.csv"
+        write_sidecar(tracks_path, index)
+        result = run_fold(make_spec(synth_setup, model="encdec", flow_features=str(index), train=BOTH))
+        assert result.report.n_windows > 0 and np.isfinite(result.report.ade)
+
+        # a random output layer, so that forecasts depend on the flow they read
+        ckpt = tmp_path / "both.mofc"
+        save_checkpoint(Model(params=init_params(BOTH.model_config(), 7, zero_output=False)), ckpt)
+        report = cross_eval(ckpt, tracks_path, stride=5, flow_features=index, out_dir=tmp_path / "xeval")
+        synthetic = cross_eval(ckpt, tracks_path, stride=5, synthetic_flow=True)
+        assert report.ade != synthetic.ade  # the sidecar's features were read, not derived
+
+        seen = []
+        monkeypatch.setattr(cli, "aggregate", lambda evals: seen.append(aggregate(evals)) or seen[-1])
+        code = cli.main(["eval", "--model", "encdec", "--checkpoint", str(ckpt),
+                         "--tracks", str(tracks_path), "--stride", "5", "--flow-features", str(index),
+                         "--out", str(tmp_path / "eval")])
+        assert code == 0
+        (cli_report,) = seen
+        assert cli_report.n_windows == report.n_windows
+        for name in ("ade", "fde", "aiou", "fiou"):
+            assert getattr(cli_report, name) == pytest.approx(getattr(report, name), abs=1e-12)
+        assert np.allclose(cli_report.displacement_curve, report.displacement_curve, rtol=0, atol=1e-12)
+        assert np.allclose(cli_report.iou_curve, report.iou_curve, rtol=0, atol=1e-12)
+        assert (tmp_path / "eval" / "summary.csv").read_bytes() == (tmp_path / "xeval" / "summary.csv").read_bytes()
+
+    def test_a_missing_window_is_named(self, synth_setup, tmp_path):
+        tracks_path = synth_setup[0]
+        index = tmp_path / "flow.csv"
+        sources = write_sidecar(tracks_path, index, skip=3)
+        missing = re.escape(str((sources[3].video_id, sources[3].track_id, sources[3].anchor_frame)))
+        spec = make_spec(synth_setup, model="encdec", flow_features=str(index), train=BOTH)
+        with pytest.raises(FlowFeatureError, match=missing):
+            run_fold(spec)
+        ckpt = run_fold(dataclasses.replace(spec, flow_features=None, synthetic_flow=True)).checkpoint_path
+        with pytest.raises(FlowFeatureError, match=missing):
+            cross_eval(ckpt, tracks_path, stride=5, flow_features=index)
+
+    def test_bb_only_never_opens_it(self, synth_setup, tmp_path):
+        absent = tmp_path / "no_such_sidecar.csv"
+        result = run_fold(make_spec(synth_setup, model="encdec", flow_features=str(absent)))
+        assert result.report.n_windows > 0
+        report = cross_eval(result.checkpoint_path, synth_setup[0], stride=5, flow_features=absent)
         assert report.n_windows > 0
 
 
