@@ -25,6 +25,7 @@ from .data import (
     N_FOLDS,
     SplitConfig,
     WindowBatch,
+    count_windows,
     cut_windows,
     filter_short_tracks,
     load_flow_magnitudes,
@@ -253,6 +254,10 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _count_windows(tracks: list[Track], stride: int) -> int:
+    return sum(count_windows(len(t), stride=stride) for t in tracks)
+
+
 def _cmd_prepare(args) -> int:
     all_tracks = load_tracks(args.tracks)
     kept = filter_short_tracks(all_tracks, args.min_frames)
@@ -260,7 +265,7 @@ def _cmd_prepare(args) -> int:
         "tracks_in": len(all_tracks),
         "tracks_kept": len(kept),
         "tracks_dropped": len(all_tracks) - len(kept),
-        "windows": len(cut_windows(kept, stride=args.stride)),
+        "windows": _count_windows(kept, args.stride),
         "stride": args.stride,
         "min_frames": args.min_frames,
     }
@@ -268,7 +273,7 @@ def _cmd_prepare(args) -> int:
         config = SplitConfig.from_file(args.splits)
         split = make_splits(kept, config, args.fold)
         for side, tracks in (("train", split.train), ("val", split.val), ("test", split.test)):
-            stats[f"windows_{side}"] = len(cut_windows(tracks, stride=args.stride))
+            stats[f"windows_{side}"] = _count_windows(tracks, args.stride)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_tracks(kept, out / "filtered_tracks.csv")

@@ -15,6 +15,7 @@ from .windows import (
     MIN_TRACK_FRAMES,
     ClipInterval,
     WindowBatch,
+    count_windows,
     cut_windows,
     extract_windows,
     filter_short_tracks,
@@ -32,6 +33,7 @@ __all__ = [
     "SplitConfig",
     "SplitResult",
     "WindowBatch",
+    "count_windows",
     "cut_windows",
     "default_synth_split_config",
     "extract_windows",

@@ -55,6 +55,13 @@ def extract_windows(
     return windows
 
 
+def count_windows(length: int, p: int = OBSERVED_LEN, q: int = FUTURE_LEN, stride: int = 1) -> int:
+    """Number of windows :func:`cut_windows` takes from a track of ``length`` frames, without cutting them."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return max(0, (length - p - q) // stride + 1)
+
+
 @dataclass(frozen=True)
 class WindowBatch:
     """Many windows as arrays: row i of ``observed``/``future`` is window i.

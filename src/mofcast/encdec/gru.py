@@ -8,9 +8,28 @@ Cell convention (fixed for this package):
     h' = (1 - z) * h~ + z * h
 
 The backward pass reproduces the gradients of this exact computation through
-time (verified against central finite differences). Input projections for
-the whole sequence are batched into single matrix products; only the
-hidden-to-hidden recurrences run step by step.
+time (verified against central finite differences). Everything is float64.
+
+How the work is laid out:
+
+- ``sigmoid(x) = (1 + tanh(x / 2)) / 2``: one transcendental call, no
+  overflow for any finite ``x``, and the output stays in [0, 1].
+- Fused gates: each call stacks ``[W_z; W_r; W_h]`` into one (3H, I) input
+  matrix and ``[U_z; U_r]`` into one (2H, H) recurrent matrix, so the input
+  projection of the whole sequence is one GEMM and each step makes one
+  ``h @ U_zr`` GEMM for both gates (backward: one ``a_zr @ U_zr``). The
+  stacking happens once per call; :class:`GRUParams` keeps the nine
+  separate tensors that checkpoints name.
+- Only the hidden-to-hidden recurrences run step by step. The recurrent
+  weight gradients are not accumulated per step: after the loop, one GEMM
+  over the hidden states of all steps flattened to (B*T, H) gives
+  ``[dU_z; dU_r]`` and one more gives ``dU_h``.
+- Time-constant inputs: a (B, T, I) input whose time axis has stride 0 (a
+  ``np.broadcast_to`` of one (B, I) row per sequence, as the decoder is fed
+  its code) is projected once, as (B, 3H). Its input-weight gradient is
+  ``(sum_t da_t)^T x[:, 0]``, and ``gru_backward`` returns its ``dx`` as
+  (B, 1, I): the gradient w.r.t. the one shared row, which is the full
+  (B, T, I) ``dx`` summed over time.
 """
 
 from __future__ import annotations
@@ -22,13 +41,7 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass
@@ -92,38 +105,46 @@ class GRUParams:
 
 
 class GRUCache(NamedTuple):
-    x: np.ndarray       # (B, T, I)
+    x: np.ndarray       # (B, T, I), as passed in (stride 0 over T for a time-constant input)
     hs: np.ndarray      # (B, T+1, H), hs[:, 0] is h0
-    z: np.ndarray       # (B, T, H)
-    r: np.ndarray
-    htil: np.ndarray
+    zr: np.ndarray      # (B, T, 2H), the update gate z then the reset gate r
+    htil: np.ndarray    # (B, T, H)
+
+
+def _time_constant(x: np.ndarray) -> bool:
+    """True for a (B, T, I) input whose T > 1 steps all read the same row (time stride 0)."""
+    return x.shape[1] > 1 and x.strides[1] == 0
+
+
+def _input_weights(params: GRUParams) -> tuple[np.ndarray, np.ndarray]:
+    """(3H, I) stacked input weights and (3H,) biases, gate order z, r, h."""
+    return (np.concatenate([params.w_z, params.w_r, params.w_h]),
+            np.concatenate([params.b_z, params.b_r, params.b_h]))
 
 
 def gru_forward(params: GRUParams, x: np.ndarray, h0: np.ndarray | None = None) -> tuple[np.ndarray, GRUCache]:
     """Run the cell over a (B, T, I) sequence; returns hidden states (B, T, H)."""
     b, t, i = x.shape
     hd = params.hidden_dim
-    # One GEMM per gate for all timesteps' input projections.
-    flat = x.reshape(b * t, i)
-    xz = (flat @ params.w_z.T + params.b_z).reshape(b, t, hd)
-    xr = (flat @ params.w_r.T + params.b_r).reshape(b, t, hd)
-    xh = (flat @ params.w_h.T + params.b_h).reshape(b, t, hd)
+    w, bias = _input_weights(params)
+    u_zr = np.concatenate([params.u_z, params.u_r])
+    # One GEMM for all gates and timesteps (one row per sequence if time-constant).
+    rows = x[:, 0] if _time_constant(x) else x.reshape(b * t, i)
+    xp = np.broadcast_to((rows @ w.T + bias).reshape(b, -1, 3 * hd), (b, t, 3 * hd))
 
     hs = np.empty((b, t + 1, hd))
     hs[:, 0] = 0.0 if h0 is None else h0
-    z_all = np.empty((b, t, hd))
-    r_all = np.empty((b, t, hd))
+    zr_all = np.empty((b, t, 2 * hd))
     htil_all = np.empty((b, t, hd))
     for k in range(t):
         h = hs[:, k]
-        z = sigmoid(xz[:, k] + h @ params.u_z.T)
-        r = sigmoid(xr[:, k] + h @ params.u_r.T)
-        htil = np.tanh(xh[:, k] + (r * h) @ params.u_h.T)
+        zr = sigmoid(xp[:, k, : 2 * hd] + h @ u_zr.T)
+        z, r = zr[:, :hd], zr[:, hd:]
+        htil = np.tanh(xp[:, k, 2 * hd :] + (r * h) @ params.u_h.T)
         hs[:, k + 1] = (1.0 - z) * htil + z * h
-        z_all[:, k] = z
-        r_all[:, k] = r
+        zr_all[:, k] = zr
         htil_all[:, k] = htil
-    return hs[:, 1:], GRUCache(x=x, hs=hs, z=z_all, r=r_all, htil=htil_all)
+    return hs[:, 1:], GRUCache(x=x, hs=hs, zr=zr_all, htil=htil_all)
 
 
 def gru_backward(
@@ -133,23 +154,19 @@ def gru_backward(
 
     ``dh_out[:, k]`` is the loss gradient injected directly at hidden state
     h_{k+1} by its downstream consumers (every step for a decoder, only the
-    last step for a sequence encoder). Returns (dx, dh0, parameter grads).
+    last step for a sequence encoder). Returns (dx, dh0, parameter grads);
+    ``dx`` is (B, T, I), or (B, 1, I) for a time-constant input.
     """
-    x, hs, z_all, r_all, htil_all = cache
+    x, hs, zr_all, htil_all = cache
     b, t, i = x.shape
     hd = params.hidden_dim
+    u_zr = np.concatenate([params.u_z, params.u_r])
 
-    da_z = np.empty((b, t, hd))
-    da_r = np.empty((b, t, hd))
-    da_h = np.empty((b, t, hd))
-    du_z = np.zeros((hd, hd))
-    du_r = np.zeros((hd, hd))
-    du_h = np.zeros((hd, hd))
-
+    da = np.empty((b, t, 3 * hd))  # pre-activation gradients a_z, a_r, a_h
     dh = np.zeros((b, hd))
     for k in range(t - 1, -1, -1):
         dh = dh + dh_out[:, k]
-        z, r, htil = z_all[:, k], r_all[:, k], htil_all[:, k]
+        z, r, htil = zr_all[:, k, :hd], zr_all[:, k, hd:], htil_all[:, k]
         h_prev = hs[:, k]
 
         dhtil = dh * (1.0 - z)
@@ -159,30 +176,34 @@ def gru_backward(
         drh = a_h @ params.u_h          # grad w.r.t. (r * h_prev)
         dr = drh * h_prev
         a_r = dr * r * (1.0 - r)
+        da[:, k, :hd] = a_z
+        da[:, k, hd : 2 * hd] = a_r
+        da[:, k, 2 * hd :] = a_h
 
-        du_z += a_z.T @ h_prev
-        du_r += a_r.T @ h_prev
-        du_h += a_h.T @ (r * h_prev)
-        da_z[:, k] = a_z
-        da_r[:, k] = a_r
-        da_h[:, k] = a_h
+        dh = dh * z + da[:, k, : 2 * hd] @ u_zr + drh * r
 
-        dh = dh * z + a_z @ params.u_z + a_r @ params.u_r + drh * r
+    flat_da = da.reshape(b * t, 3 * hd)
+    h_prev = hs[:, :-1].reshape(b * t, hd)
+    du_zr = flat_da[:, : 2 * hd].T @ h_prev
+    du_h = flat_da[:, 2 * hd :].T @ (zr_all[:, :, hd:].reshape(b * t, hd) * h_prev)
 
-    flat_x = x.reshape(b * t, i)
-    fz = da_z.reshape(b * t, hd)
-    fr = da_r.reshape(b * t, hd)
-    fh = da_h.reshape(b * t, hd)
+    w, _ = _input_weights(params)
+    if _time_constant(x):
+        rows_da, rows_x = da.sum(axis=1), x[:, 0]
+    else:
+        rows_da, rows_x = flat_da, x.reshape(b * t, i)
+    dw = rows_da.T @ rows_x
+    db = rows_da.sum(axis=0)
     grads = GRUParams(
-        w_z=fz.T @ flat_x,
-        w_r=fr.T @ flat_x,
-        w_h=fh.T @ flat_x,
-        u_z=du_z,
-        u_r=du_r,
+        w_z=dw[:hd],
+        w_r=dw[hd : 2 * hd],
+        w_h=dw[2 * hd :],
+        u_z=du_zr[:hd],
+        u_r=du_zr[hd:],
         u_h=du_h,
-        b_z=fz.sum(axis=0),
-        b_r=fr.sum(axis=0),
-        b_h=fh.sum(axis=0),
+        b_z=db[:hd],
+        b_r=db[hd : 2 * hd],
+        b_h=db[2 * hd :],
     )
-    dx = (fz @ params.w_z + fr @ params.w_r + fh @ params.w_h).reshape(b, t, i)
+    dx = (rows_da @ w).reshape(b, -1, i)
     return dx, dh, grads

@@ -4,8 +4,9 @@ A GRU encoder summarizes the 30 standardized box-feature rows into a hidden
 state; an affine layer (plus optional rectifier) compresses that into a
 256-dim box code. Depending on the variant, the decoder input code is the
 box code, the (externally produced) flow feature, or their concatenation.
-The decoder GRU receives the same code at every one of the 60 future steps;
-an output layer maps each hidden state to a 4-vector per-step change
+The decoder GRU receives the same code at every one of the 60 future steps,
+passed as a stride-0 broadcast that the GRU projects once per window rather
+than once per step (and whose gradient it returns as one row); an output layer maps each hidden state to a 4-vector per-step change
 (velocity delta and size delta), and the running sum of those changes is the
 residual relative to the constant-velocity, constant-scale extrapolation.
 Emitting changes rather than absolute residuals keeps the output scale at a
@@ -207,8 +208,9 @@ def forward_batch(
         parts.append(flow)
     code = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     b = code.shape[0]
+    # A stride-0 view, not a copy: gru_forward projects the code once per window.
     dec_in = np.broadcast_to(code[:, None, :], (b, horizon, code.shape[1]))
-    dec_hs, dec_cache = gru_forward(params.decoder, np.ascontiguousarray(dec_in))
+    dec_hs, dec_cache = gru_forward(params.decoder, dec_in)
     flat = dec_hs.reshape(b * horizon, -1)
     deltas = (flat @ params.out_w.T + params.out_b).reshape(b, horizon, OUTPUT_DIM)
     residuals = np.cumsum(deltas, axis=1)
@@ -243,7 +245,7 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
     for k, v in dec_grads.tensors().items():
         grads[f"decoder.{k}"] = v
 
-    dcode = dx_dec.sum(axis=1)
+    dcode = dx_dec.sum(axis=1)  # dx_dec is (B, 1, C): the code is one row shared by all steps
     if cfg.uses_boxes:
         dbox_code = dcode[:, : cfg.box_code_dim]
         if cfg.fc_activation:

@@ -3,7 +3,10 @@
 ``gru_cell`` is one gated update. ``encode`` and ``decode`` run it one
 window and one step at a time, the way the model is defined, with none of
 the batching, fused input projections or broadcasting of
-``mofcast.encdec.model``. ``destandardize`` inverts ``standardize``.
+``mofcast.encdec.model``. ``sigmoid`` is the logistic function in its
+textbook ``1 / (1 + exp(-x))`` form, split by sign so ``exp`` never
+overflows, independent of the library's ``tanh`` form. ``destandardize``
+inverts ``standardize``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,15 @@ import numpy as np
 
 from mofcast.core import FUTURE_LEN, ObservationWindow
 from mofcast.encdec import FeatureStats, GRUParams, Model, ModelParams, box_features, standardize
-from mofcast.encdec.gru import sigmoid
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def gru_cell(x: np.ndarray, h: np.ndarray, params: GRUParams) -> np.ndarray:

@@ -9,6 +9,7 @@ from mofcast.data import (
     FlowFeatureStore,
     SplitConfig,
     WindowBatch,
+    count_windows,
     cut_windows,
     default_synth_split_config,
     extract_windows,
@@ -135,6 +136,16 @@ class TestCutWindows:
             expected = batch_of(windows)
             assert batch.observed.tobytes() == expected.observed.tobytes()
             assert batch.future.tobytes() == expected.future.tobytes()
+
+    @pytest.mark.parametrize("stride", (1, 7, 60))
+    @pytest.mark.parametrize("length", (0, 89, 90, 91, 150))
+    def test_count_windows_equals_cut(self, stride, length):
+        tracks = [linear_track(length=length)] if length else []
+        assert count_windows(length, stride=stride) == len(cut_windows(tracks, stride=stride))
+
+    def test_count_windows_rejects_bad_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            count_windows(150, stride=0)
 
     def test_empty_input_gives_empty_batch(self):
         batch = cut_windows([linear_track(length=89)])

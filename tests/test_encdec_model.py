@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mofcast.encdec import (
     forecast_array,
     forecast_windows,
     forward_batch,
+    gru_backward,
     gru_forward,
     init_params,
     residuals_to_boxes,
@@ -26,10 +28,12 @@ from mofcast.encdec import (
     synthetic_flow_feature,
 )
 from mofcast.encdec.features import box_features_from_array
+from mofcast.encdec.gru import sigmoid
 from mofcast.errors import FlowFeatureError
 
 from conftest import batch_of, linear_track, window_of
 from encdec_oracle import decode, destandardize, encode, gru_cell
+from encdec_oracle import sigmoid as oracle_sigmoid
 
 
 class TestBoxFeatures:
@@ -119,6 +123,50 @@ class TestGruCell:
         for k in range(7):
             h = gru_cell(x[:, k], h, params)
             assert np.allclose(hs[:, k], h, atol=1e-14)
+
+
+class TestGruHotPath:
+    """The tanh sigmoid, and a time-constant (stride-0) input projected once."""
+
+    def test_sigmoid_matches_the_oracle(self):
+        x = np.concatenate([np.linspace(-1000.0, 1000.0, 200_001), [-1000.0, 1000.0, -745.2, 745.2, -0.0, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(x)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert np.max(np.abs(out - oracle_sigmoid(x))) <= 1e-15
+
+    @pytest.mark.parametrize("t", (1, 7))
+    def test_time_constant_input_equals_its_copy(self, rng, t):
+        b, i, hd = 3, 5, 6
+        params = GRUParams.init(rng, i, hd)
+        params.b_z[:] = rng.normal(size=hd)
+        params.b_r[:] = rng.normal(size=hd)
+        params.b_h[:] = rng.normal(size=hd)
+        shared = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i))
+        copied = np.ascontiguousarray(shared)
+        h0 = rng.normal(size=(b, hd))
+        dh_out = rng.normal(size=(b, t, hd))
+
+        hs_shared, cache_shared = gru_forward(params, shared, h0)
+        hs_copied, cache_copied = gru_forward(params, copied, h0)
+        np.testing.assert_allclose(hs_shared, hs_copied, rtol=1e-12, atol=0.0)
+        dx_shared, dh0_shared, g_shared = gru_backward(params, cache_shared, dh_out)
+        dx_copied, dh0_copied, g_copied = gru_backward(params, cache_copied, dh_out)
+        np.testing.assert_allclose(dh0_shared, dh0_copied, rtol=1e-12, atol=0.0)
+        for name, g in g_shared.tensors().items():
+            np.testing.assert_allclose(g, getattr(g_copied, name), rtol=1e-12, atol=0.0, err_msg=name)
+        assert dx_shared.shape == (b, 1, i)
+        np.testing.assert_allclose(dx_shared, dx_copied.sum(axis=1, keepdims=True), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_decoder_input_is_a_view_of_the_code(self, rng, cv_window, variant):
+        config = ModelConfig(variant=variant, hidden=8, flow_dim=12)
+        cache = forward_batch(init_params(config, 0), FeatureStats.identity(), box_features(cv_window)[None],
+                              rng.normal(size=(1, 12)))
+        assert cache.dec_cache.x.shape == (1, 60, config.code_dim)
+        assert cache.dec_cache.x.strides[1] == 0
+        assert np.shares_memory(cache.dec_cache.x, cache.code)
 
 
 class TestEncodeDecode:
