@@ -18,8 +18,10 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import KalmanParams, cv_cs_batch, lkf_batch
-from .core import Forecast, Track, array_to_boxes
+from .core import Track
 from .data import (
+    CLIP_FRAMES,
+    FLOW_MAGNITUDE_THRESHOLD,
     KINDS,
     MIN_TRACK_FRAMES,
     N_FOLDS,
@@ -47,6 +49,7 @@ from .encdec import (
 )
 from .errors import MofcastError
 from .harness import (
+    MODEL_KINDS,
     ExperimentSpec,
     attach_flow_features,
     cross_eval,
@@ -144,7 +147,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate synthetic tracks")
     p.add_argument("--kind", required=True, choices=KINDS)
-    p.add_argument("--n", type=int, required=True, help="number of tracks")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of tracks")
     p.add_argument("--noise", type=float, default=0.0, help="per-frame Gaussian noise sigma in px")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--frames", type=int, help="fixed track length (default: random 120..180)")
@@ -157,8 +160,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("clip-filter", help="select low-motion clips from a flow-magnitude file")
     p.add_argument("--flow-magnitudes", required=True)
-    p.add_argument("--threshold", type=float, default=1.5)
-    p.add_argument("--clip-frames", type=int, default=600)
+    p.add_argument("--threshold", type=float, default=FLOW_MAGNITUDE_THRESHOLD)
+    p.add_argument("--clip-frames", type=_positive_int, default=CLIP_FRAMES)
     p.add_argument("--out", default="runs")
 
     p = sub.add_parser("train", help="train the encoder-decoder model on one fold")
@@ -176,7 +179,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate a model on a track file or fold test split")
     _add_io_flags(p)
-    p.add_argument("--model", required=True, choices=("cv_cs", "lkf", "encdec"))
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--checkpoint", help="encdec checkpoint file")
     p.add_argument("--params", help="tuned KalmanParams JSON (for --model lkf)")
     _add_split_flags(p, "optional: restrict to the fold's test split")
@@ -191,7 +194,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("forecast", help="emit per-window predictions as a track-format file")
     _add_io_flags(p)
-    p.add_argument("--model", required=True, choices=("cv_cs", "lkf", "encdec"))
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--checkpoint")
     p.add_argument("--params")
     _add_window_flags(p)
@@ -202,8 +205,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variant", default="bb_only", choices=VARIANTS)
     p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--coords", type=int, default=50, help="sampled coordinates per group")
-    p.add_argument("--samples", type=int, default=3, help="number of seeded samples")
+    p.add_argument("--coords", type=_positive_int, default=50, help="sampled coordinates per group")
+    p.add_argument("--samples", type=_positive_int, default=3, help="number of seeded samples")
     p.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
 
     return parser
@@ -365,15 +368,11 @@ def _cmd_cross_eval(args) -> int:
 
 def _cmd_forecast(args) -> int:
     batch, pred = _model_predictions(args, _eval_tracks(args))
-    forecasts = [
-        Forecast(source=source, boxes=array_to_boxes(rows), model_id=args.model)
-        for source, rows in zip(batch.sources, pred)
-    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "forecasts.csv"
-    write_tracks(forecasts_to_tracks(forecasts), path)
-    print(f"wrote {len(forecasts)} forecast tracks to {path}")
+    write_tracks(forecasts_to_tracks(batch.sources, pred), path)
+    print(f"wrote {len(batch)} forecast tracks to {path}")
     return 0
 
 

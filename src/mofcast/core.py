@@ -3,8 +3,10 @@
 Boxes are stored as centroid + size (cx, cy, w, h) in pixels, the
 parameterization every downstream quantity (velocity, size deltas, decoder
 residuals) is defined on. Corner form is derived on demand for overlap
-computations. All geometry is double precision; coordinates are never
-quantized to integer pixels.
+computations. A :class:`Track` holds its boxes as one (n, 4) array of such
+rows; :class:`BBox` is the one-box form that the per-window wrappers use.
+All geometry is double precision; coordinates are never quantized to
+integer pixels.
 """
 
 from __future__ import annotations
@@ -77,24 +79,53 @@ def centroid_distance(a: BBox, b: BBox) -> float:
     return math.hypot(a.cx - b.cx, a.cy - b.cy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Track:
     """One object's consecutive per-frame boxes with identity and metadata.
 
-    Box i sits at frame ``start_frame + i`` (30 Hz). ``metadata`` holds the
-    clip annotations (city, weather, time_of_day) when known.
+    ``boxes`` is an (n, 4) float64 array of [cx, cy, w, h] rows, n >= 1:
+    row i is the box at frame ``start_frame + i`` (30 Hz). Every value is
+    finite and every w, h is > 0. The track keeps its own read-only copy of
+    the array it is given. ``metadata`` holds the clip annotations (city,
+    weather, time_of_day) when known.
+
+    Two tracks are equal when their identity, metadata and boxes are; boxes
+    compare bit for bit.
     """
 
     video_id: str
     track_id: int
     start_frame: int
-    boxes: tuple[BBox, ...]
+    boxes: np.ndarray
     metadata: Mapping[str, str] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        if not self.boxes:
-            raise ValueError(f"track ({self.video_id}, {self.track_id}) has no boxes")
+        name = f"track ({self.video_id}, {self.track_id})"
+        boxes = np.array(self.boxes, dtype=np.float64)
+        if boxes.size == 0:
+            raise ValueError(f"{name} has no boxes")
+        if boxes.ndim != 2 or boxes.shape[1] != 4:
+            raise ValueError(f"{name}: boxes must be an (n, 4) array, got shape {boxes.shape}")
+        bad = ~np.isfinite(boxes).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{name}: box {int(np.argmax(bad))} has a non-finite coordinate")
+        bad = (boxes[:, 2:] <= 0).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            w, h = boxes[i, 2:].tolist()
+            raise ValueError(f"{name}: box {i} is degenerate: w={w!r}, h={h!r} (must be > 0)")
+        boxes.setflags(write=False)
+        object.__setattr__(self, "boxes", boxes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Track):
+            return NotImplemented
+        return (
+            (self.video_id, self.track_id, self.start_frame, self.metadata)
+            == (other.video_id, other.track_id, other.start_frame, other.metadata)
+            and self.boxes.shape == other.boxes.shape
+            and self.boxes.tobytes() == other.boxes.tobytes()
+        )
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -186,4 +217,4 @@ def array_to_boxes(arr: np.ndarray) -> tuple[BBox, ...]:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"expected (N, 4) array, got shape {arr.shape}")
-    return tuple(BBox(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in arr)
+    return tuple(BBox(cx, cy, w, h) for cx, cy, w, h in arr.tolist())

@@ -2,7 +2,9 @@
 
 Track file: UTF-8 CSV with header
 ``video_id,city,weather,time_of_day,frame,track_id,cx,cy,w,h`` and one row
-per (track, frame). Metadata columns may be empty.
+per (track, frame). Metadata columns may be empty, and all rows of a track
+carry the same metadata. A loaded :class:`~mofcast.core.Track` holds its
+rows' ``cx,cy,w,h`` as one (n, 4) float64 array in frame order.
 
 Flow-magnitude file: UTF-8 CSV with header ``video_id,frame,mean_flow_magnitude``.
 
@@ -22,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core import BBox, METADATA_FIELDS, Track, WindowSource
+from ..core import METADATA_FIELDS, Track, WindowSource
 from ..errors import FlowFeatureError, TrackFormatError
 
 TRACK_HEADER = ["video_id", "city", "weather", "time_of_day", "frame", "track_id", "cx", "cy", "w", "h"]
@@ -34,12 +36,13 @@ def load_tracks(path: str | Path) -> list[Track]:
     """Parse a track file into one Track per (video_id, track_id).
 
     Rows may arrive in any order; boxes are sorted by frame. Malformed rows,
-    gaps or duplicates in a track's frame sequence, and degenerate boxes are
+    rows whose metadata differs from their track's first row, gaps or
+    duplicates in a track's frame sequence, and degenerate boxes are
     rejected with the offending line or track named.
     """
     path = Path(path)
-    rows: dict[tuple[str, int], list[tuple[int, BBox]]] = {}
-    meta: dict[tuple[str, int], dict[str, str]] = {}
+    rows: dict[tuple[str, int], list[tuple[int, float, float, float, float]]] = {}
+    meta: dict[tuple[str, int], tuple[str, str, str]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -57,35 +60,39 @@ def load_tracks(path: str | Path) -> list[Track]:
             try:
                 frame = int(frame_s)
                 track_id = int(track_s)
-                cx, cy, w, h = (float(v) for v in (cx_s, cy_s, w_s, h_s))
+                cx, cy, w, h = float(cx_s), float(cy_s), float(w_s), float(h_s)
             except ValueError as exc:
                 raise TrackFormatError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if not all(math.isfinite(v) for v in (cx, cy, w, h)):
+            if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(w) and math.isfinite(h)):
                 raise TrackFormatError(f"{path}:{lineno}: non-finite coordinate")
             if w <= 0 or h <= 0:
                 raise TrackFormatError(f"{path}:{lineno}: degenerate box (w={w}, h={h})")
             key = (video_id, track_id)
-            rows.setdefault(key, []).append((frame, BBox(cx, cy, w, h)))
-            if key not in meta:
-                md = {k: v for k, v in zip(METADATA_FIELDS, (city, weather, tod)) if v}
-                meta[key] = md
+            first = meta.setdefault(key, (city, weather, tod))
+            if first != (city, weather, tod):
+                raise TrackFormatError(
+                    f"{path}:{lineno}: track {key}: metadata {(city, weather, tod)!r} differs from "
+                    f"the track's first row {first!r}"
+                )
+            rows.setdefault(key, []).append((frame, cx, cy, w, h))
 
     tracks = []
     for key, frame_boxes in rows.items():
         frame_boxes.sort(key=lambda fb: fb[0])
-        frames = [f for f, _ in frame_boxes]
+        frames = [fb[0] for fb in frame_boxes]
         for prev, cur in zip(frames, frames[1:]):
             if cur != prev + 1:
                 raise TrackFormatError(
                     f"{path}: track {key}: non-consecutive frames ({prev} -> {cur})"
                 )
+        md = {k: v for k, v in zip(METADATA_FIELDS, meta[key]) if v}
         tracks.append(
             Track(
                 video_id=key[0],
                 track_id=key[1],
                 start_frame=frames[0],
-                boxes=tuple(b for _, b in frame_boxes),
-                metadata=meta[key] or None,
+                boxes=[fb[1:] for fb in frame_boxes],
+                metadata=md or None,
             )
         )
     tracks.sort(key=lambda t: t.key)
@@ -100,7 +107,8 @@ def write_tracks(tracks: Iterable[Track], path: str | Path) -> None:
         writer.writerow(TRACK_HEADER)
         for t in tracks:
             md = t.metadata or {}
-            for offset, b in enumerate(t.boxes):
+            # Python floats: repr of a numpy scalar would read np.float64(...)
+            for offset, (cx, cy, w, h) in enumerate(t.boxes.tolist()):
                 writer.writerow(
                     [
                         t.video_id,
@@ -109,10 +117,10 @@ def write_tracks(tracks: Iterable[Track], path: str | Path) -> None:
                         md.get("time_of_day", ""),
                         t.start_frame + offset,
                         t.track_id,
-                        repr(b.cx),
-                        repr(b.cy),
-                        repr(b.w),
-                        repr(b.h),
+                        repr(cx),
+                        repr(cy),
+                        repr(w),
+                        repr(h),
                     ]
                 )
 
@@ -197,7 +205,10 @@ class FlowFeatureStore:
                     raise FlowFeatureError(
                         f"{index_path}:{lineno}: blob range [{offset}, {offset + length}) out of bounds"
                     )
-                index[(video_id, track_id, anchor)] = (offset, length)
+                key = (video_id, track_id, anchor)
+                if key in index:
+                    raise FlowFeatureError(f"{index_path}:{lineno}: duplicate entry for window {key}")
+                index[key] = (offset, length)
         if dim is None:
             raise FlowFeatureError(f"{index_path}: no entries")
         return cls(index, blob, dim)

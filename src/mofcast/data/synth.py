@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import BBox, Track
+from ..core import Track
 from .splits import SplitConfig
+from .windows import MIN_TRACK_FRAMES
 
 KINDS = ("constant_velocity", "accelerating", "turning", "stop_and_go")
 
@@ -86,9 +87,9 @@ def synth_generate(
 ) -> list[Track]:
     """Generate deterministic synthetic tracks of one motion family.
 
-    Every track is at least 90 frames long (lengths drawn from 120..180 when
-    ``n_frames`` is not given). ``noise_sigma`` is the per-frame Gaussian
-    noise, in pixels, added to all four box coordinates.
+    Every track is at least ``MIN_TRACK_FRAMES`` long (lengths drawn from
+    120..180 when ``n_frames`` is not given). ``noise_sigma`` is the
+    per-frame Gaussian noise, in pixels, added to all four box coordinates.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
@@ -96,8 +97,8 @@ def synth_generate(
         raise ValueError(f"n_tracks must be >= 1, got {n_tracks}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if n_frames is not None and n_frames < 90:
-        raise ValueError(f"n_frames must be >= 90, got {n_frames}")
+    if n_frames is not None and n_frames < MIN_TRACK_FRAMES:
+        raise ValueError(f"n_frames must be >= {MIN_TRACK_FRAMES}, got {n_frames}")
 
     rng = np.random.default_rng(seed)
     tracks = []
@@ -118,13 +119,12 @@ def synth_generate(
         coords = coords + noise_sigma * rng.standard_normal((length, 4))
         coords[:, 2:] = np.maximum(coords[:, 2:], _MIN_SIZE)
 
-        boxes = tuple(BBox(*row) for row in coords)
         tracks.append(
             Track(
                 video_id=f"synth-{kind}-{seed}-{i:04d}",
                 track_id=i,
                 start_frame=0,
-                boxes=boxes,
+                boxes=coords,
                 metadata={
                     "city": SYNTH_CITIES[i % len(SYNTH_CITIES)],
                     "weather": SYNTH_WEATHER[i % len(SYNTH_WEATHER)],

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..core import FUTURE_LEN, OBSERVED_LEN, ObservationWindow, Track, WindowSource, boxes_to_array
+from ..core import FUTURE_LEN, OBSERVED_LEN, ObservationWindow, Track, WindowSource, array_to_boxes
 
 # 3 seconds at 30 Hz: shorter tracks cannot yield a single window.
 MIN_TRACK_FRAMES = 90
@@ -41,14 +41,15 @@ def extract_windows(
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     n = len(track)
+    boxes = array_to_boxes(track.boxes)
     windows = []
     for t in range(p - 1, n - q, stride):
         source = WindowSource(track.video_id, track.track_id, track.frame_of(t))
         windows.append(
             ObservationWindow(
                 source=source,
-                observed=track.boxes[t - p + 1 : t + 1],
-                future=track.boxes[t + 1 : t + q + 1],
+                observed=boxes[t - p + 1 : t + 1],
+                future=boxes[t + 1 : t + q + 1],
                 metadata=track.metadata,
             )
         )
@@ -112,9 +113,9 @@ def cut_windows(
 ) -> WindowBatch:
     """The windows of :func:`extract_windows` over many tracks, as one batch.
 
-    Tracks are taken in key order and anchors ascend within a track. Each
-    track is converted to an array once; its windows are strided views of
-    that array, copied into the batch.
+    Tracks are taken in key order and anchors ascend within a track. A
+    track's windows are strided views of its boxes array, copied into the
+    batch.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -124,7 +125,7 @@ def cut_windows(
         if n < p + q:
             continue
         # (n-p-q+1, 4, p+q) -> every stride-th start, frames before channels
-        view = sliding_window_view(boxes_to_array(track.boxes), p + q, axis=0)[::stride].transpose(0, 2, 1)
+        view = sliding_window_view(track.boxes, p + q, axis=0)[::stride].transpose(0, 2, 1)
         observed.append(view[:, :p])
         future.append(view[:, p:])
         sources.extend(WindowSource(track.video_id, track.track_id, track.frame_of(t))

@@ -34,7 +34,7 @@ from .baselines import (
     load_param_grid,
     save_param_grid,
 )
-from .core import Forecast, METADATA_FIELDS, Track
+from .core import METADATA_FIELDS, Track, WindowSource
 from .data import (
     MIN_TRACK_FRAMES,
     N_FOLDS,
@@ -387,20 +387,21 @@ def cross_eval(
     return report
 
 
-def forecasts_to_tracks(forecasts: Sequence[Forecast]) -> list[Track]:
-    """Re-express forecasts in the track file format for overlay plotting.
+def forecasts_to_tracks(sources: Sequence[WindowSource], pred: np.ndarray) -> list[Track]:
+    """Re-express (N, q, 4) forecasts of the windows ``sources`` in the track file format.
 
-    Each forecast becomes one track starting at anchor_frame + 1; track ids
-    are renumbered sequentially so (video_id, track_id) stays unique even
-    when several windows of one source track are forecast.
+    Row i of ``pred`` becomes one track starting at ``sources[i]``'s
+    anchor_frame + 1, for overlay plotting; track ids are renumbered
+    sequentially so (video_id, track_id) stays unique even when several
+    windows of one source track are forecast.
     """
     return [
         Track(
-            video_id=f.source.video_id,
+            video_id=source.video_id,
             track_id=i,
-            start_frame=f.source.anchor_frame + 1,
-            boxes=f.boxes,
+            start_frame=source.anchor_frame + 1,
+            boxes=rows,
             metadata=None,
         )
-        for i, f in enumerate(forecasts)
+        for i, (source, rows) in enumerate(zip(sources, pred, strict=True))
     ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mofcast.core import BBox, ObservationWindow, Track, WindowSource
+from mofcast.core import ObservationWindow, Track, WindowSource, array_to_boxes
 from mofcast.data import WindowBatch
 
 
@@ -18,7 +18,7 @@ def linear_track(
     city: str = "arden",
 ) -> Track:
     """Exactly linear centroid motion with constant size."""
-    boxes = tuple(BBox(cx0 + vx * t, cy0 + vy * t, w, h) for t in range(length))
+    boxes = [(cx0 + vx * t, cy0 + vy * t, w, h) for t in range(length)]
     return Track(
         video_id=video_id,
         track_id=track_id,
@@ -32,8 +32,8 @@ def window_of(track: Track, anchor_offset: int = 29, p: int = 30, q: int = 60) -
     t = anchor_offset
     return ObservationWindow(
         source=WindowSource(track.video_id, track.track_id, track.frame_of(t)),
-        observed=track.boxes[t - p + 1 : t + 1],
-        future=track.boxes[t + 1 : t + q + 1],
+        observed=array_to_boxes(track.boxes[t - p + 1 : t + 1]),
+        future=array_to_boxes(track.boxes[t + 1 : t + q + 1]),
         metadata=track.metadata,
     )
 

@@ -58,6 +58,10 @@ class TestExitCodes:
             ["cross-eval", "--checkpoint", "c", "--tracks", "t.csv", "--stride", "-2"],
             ["prepare", "--tracks", "t.csv", "--min-frames", "0"],
             ["forecast", "--model", "cv_cs", "--tracks", "t.csv", "--stride", "x"],
+            ["gradcheck", "--samples", "0"],
+            ["gradcheck", "--coords", "0"],
+            ["clip-filter", "--flow-magnitudes", "f.csv", "--clip-frames", "0"],
+            ["synth", "--kind", "turning", "--n", "0", "--seed", "1", "--out", "t.csv"],
         ),
     )
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):

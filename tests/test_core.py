@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,9 +134,15 @@ class TestCentroidDistance:
             assert d > 0.0
 
 
+def _ones_with_row_2(row):
+    boxes = np.ones((4, 4))
+    boxes[2] = row
+    return boxes
+
+
 class TestTrack:
     def test_frame_reconstruction(self):
-        boxes = tuple(BBox(i, 0, 1, 1) for i in range(5))
+        boxes = [(i, 0, 1, 1) for i in range(5)]
         track = Track("v", 1, start_frame=10, boxes=boxes)
         assert [track.frame_of(i) for i in range(5)] == [10, 11, 12, 13, 14]
         assert track.end_frame == 14
@@ -144,6 +151,39 @@ class TestTrack:
     def test_empty_track_rejected(self):
         with pytest.raises(ValueError, match="no boxes"):
             Track("v", 1, 0, boxes=())
+
+    @pytest.mark.parametrize(
+        "boxes, match",
+        (
+            (_ones_with_row_2((math.nan, 0.0, 1.0, 1.0)), "box 2 has a non-finite"),
+            (_ones_with_row_2((0.0, -math.inf, 1.0, 1.0)), "box 2 has a non-finite"),
+            (_ones_with_row_2((0.0, 0.0, math.inf, 1.0)), "box 2 has a non-finite"),
+            (_ones_with_row_2((0.0, 0.0, 0.0, 1.0)), "box 2 is degenerate: w=0.0"),
+            (_ones_with_row_2((0.0, 0.0, 1.0, -2.0)), "box 2 is degenerate: .*h=-2.0"),
+            (np.ones((4, 3)), r"must be an \(n, 4\) array, got shape \(4, 3\)"),
+            (np.empty((0, 4)), "has no boxes"),
+        ),
+        ids=("nan", "-inf", "inf_w", "zero_w", "negative_h", "n_by_3", "empty"),
+    )
+    def test_invalid_boxes_rejected_naming_the_track(self, boxes, match):
+        with pytest.raises(ValueError, match=re.escape("track (v, 7)") + ".*" + match):
+            Track("v", 7, 0, boxes=boxes)
+
+    def test_boxes_are_a_read_only_copy(self):
+        given = np.ones((3, 4))
+        track = Track("v", 1, 0, boxes=given)
+        assert track.boxes.dtype == np.float64 and track.boxes.shape == (3, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            track.boxes[0, 0] = 5.0
+        given[0, 0] = 5.0
+        assert track.boxes[0, 0] == 1.0
+
+    def test_equality_compares_boxes_bit_for_bit(self):
+        track = Track("v", 1, 0, boxes=np.ones((3, 4)), metadata={"city": "arden"})
+        assert track == Track("v", 1, 0, boxes=np.ones((3, 4)), metadata={"city": "arden"})
+        assert track != Track("v", 1, 0, boxes=np.ones((3, 4)), metadata={"city": "bexley"})
+        assert track != Track("v", 1, 0, boxes=np.ones((2, 4)), metadata={"city": "arden"})
+        assert track != Track("v", 1, 0, boxes=np.nextafter(np.ones((3, 4)), 2), metadata={"city": "arden"})
 
 
 class TestWindowAndForecast:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mofcast.core import BBox, Track
+from mofcast.core import boxes_to_array
 from mofcast.data import (
     ClipInterval,
     FlowFeatureStore,
@@ -65,7 +65,14 @@ class TestLoadTracks:
     def test_unsorted_rows_are_ordered_by_frame(self, tmp_path):
         rows = [f"v0,,,,{f},7,{10 + f},20,3,6\n" for f in (2, 0, 1)]
         (t,) = load_tracks(write_csv(tmp_path, rows))
-        assert [b.cx for b in t.boxes] == [10, 11, 12]
+        assert t.boxes[:, 0].tolist() == [10, 11, 12]
+
+    @pytest.mark.parametrize("changed", ("bexley,sun,day", "arden,rain,day", "arden,sun,night", "arden,,day"))
+    def test_metadata_must_agree_within_a_track(self, tmp_path, changed):
+        rows = ["v0,arden,sun,day,0,7,10,20,3,6\n", "v1,bexley,sun,day,0,7,10,20,3,6\n",
+                f"v0,{changed},1,7,10,20,3,6\n"]
+        with pytest.raises(TrackFormatError, match=r"tracks\.csv:4: track \('v0', 7\): metadata"):
+            load_tracks(write_csv(tmp_path, rows))
 
     def test_round_trip(self, tmp_path):
         tracks = [linear_track(vx=0.37, cy0=55.25, video_id="va", track_id=3)]
@@ -114,8 +121,8 @@ class TestExtractWindows:
         track = linear_track(length=95)
         for w in extract_windows(track):
             t = w.source.anchor_frame - track.start_frame
-            assert w.observed == track.boxes[t - 29 : t + 1]
-            assert w.future == track.boxes[t + 1 : t + 61]
+            assert np.array_equal(boxes_to_array(w.observed), track.boxes[t - 29 : t + 1])
+            assert np.array_equal(boxes_to_array(w.future), track.boxes[t + 1 : t + 61])
             assert w.metadata == track.metadata
 
 
@@ -279,8 +286,7 @@ class TestMakeSplits:
 class TestSynthGenerate:
     def test_constant_velocity_has_constant_displacement(self):
         (track,) = synth_generate("constant_velocity", 1, 0.0, seed=7)
-        arr = np.array([[b.cx, b.cy] for b in track.boxes])
-        steps = np.diff(arr, axis=0)
+        steps = np.diff(track.boxes[:, :2], axis=0)
         assert np.allclose(steps, steps[0], atol=1e-9)
 
     def test_deterministic(self):
@@ -340,6 +346,18 @@ class TestFlowFiles:
         store = FlowFeatureStore.open(index)
         with pytest.raises(FlowFeatureError, match="no flow feature"):
             store.get(WindowSource("v0", 1, 99))
+
+    def test_duplicate_window_rejected_with_line(self, tmp_path):
+        index = tmp_path / "flow_features.csv"
+        blob = tmp_path / "flow_features.bin"
+        index.write_text(
+            "video_id,track_id,anchor_frame,offset,length\nv0,1,29,0,4\nv0,1,30,4,4\nv0,1,29,8,4\n",
+            encoding="utf-8",
+        )
+        blob.write_bytes(np.zeros(12, dtype="<f4").tobytes())
+        duplicate = r"flow_features\.csv:4: duplicate entry for window \('v0', 1, 29\)"
+        with pytest.raises(FlowFeatureError, match=duplicate):
+            FlowFeatureStore.open(index)
 
     def test_inconsistent_length_rejected(self, tmp_path):
         index = tmp_path / "flow_features.csv"

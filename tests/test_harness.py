@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from mofcast import cli
+from mofcast.baselines import cv_cs_batch
 from mofcast.cli import build_parser
+from mofcast.core import BBox
 from mofcast.data import (
+    CLIP_FRAMES,
+    FLOW_MAGNITUDE_THRESHOLD,
     MIN_TRACK_FRAMES,
     cut_windows,
     default_synth_split_config,
@@ -23,6 +27,7 @@ from mofcast.data import (
 from mofcast.encdec import Model, TrainConfig, init_params, load_checkpoint, save_checkpoint, synthetic_flow_batch
 from mofcast.errors import FlowFeatureError, MofcastError, SplitError
 from mofcast.harness import (
+    MODEL_KINDS,
     ExperimentSpec,
     cross_eval,
     forecasts_to_tracks,
@@ -272,22 +277,27 @@ class TestFlowSidecar:
 
 class TestForecastsToTracks:
     def test_round_trip_parses(self, synth_setup, tmp_path):
-        from mofcast.baselines import cv_cs_forecast
-        from mofcast.data import extract_windows, load_tracks
+        from mofcast.data import load_tracks
 
         tracks = synth_generate("turning", 2, 0.0, seed=5, n_frames=95)
-        windows = [w for t in tracks for w in extract_windows(t, stride=3)]
-        forecasts = [cv_cs_forecast(w) for w in windows]
-        out_tracks = forecasts_to_tracks(forecasts)
+        batch = cut_windows(tracks, stride=3)
+        pred = cv_cs_batch(batch.observed, batch.horizon)
+        out_tracks = forecasts_to_tracks(batch.sources, pred)
         path = tmp_path / "forecasts.csv"
         write_tracks(out_tracks, path)
         parsed = load_tracks(path)
-        assert len(parsed) == len(forecasts)
+        assert len(parsed) == len(batch)
         by_key = {t.key: t for t in parsed}
-        for i, f in enumerate(forecasts):
-            t = by_key[(f.source.video_id, i)]
-            assert t.start_frame == f.source.anchor_frame + 1
-            assert t.boxes == f.boxes
+        for i, (source, rows) in enumerate(zip(batch.sources, pred)):
+            t = by_key[(source.video_id, i)]
+            assert t.start_frame == source.anchor_frame + 1
+            assert t.boxes.tobytes() == rows.tobytes()
+
+    def test_sources_and_forecasts_must_pair_up(self):
+        batch = cut_windows(synth_generate("turning", 1, 0.0, seed=5, n_frames=95), stride=3)
+        pred = cv_cs_batch(batch.observed, batch.horizon)
+        with pytest.raises(ValueError, match="shorter"):
+            forecasts_to_tracks(batch.sources, pred[1:])
 
 
 def test_manifest_contents(synth_setup):
@@ -310,3 +320,42 @@ def test_min_track_frames_default_is_defined_once(synth_setup):
         assert args.min_frames == MIN_TRACK_FRAMES
     args = build_parser().parse_args(["train", "--tracks", "t.csv", "--splits", "s.json"])
     assert args.min_frames == MIN_TRACK_FRAMES
+    synth_generate("turning", 1, 0.0, seed=1, n_frames=MIN_TRACK_FRAMES)
+    with pytest.raises(ValueError, match=f"n_frames must be >= {MIN_TRACK_FRAMES}"):
+        synth_generate("turning", 1, 0.0, seed=1, n_frames=MIN_TRACK_FRAMES - 1)
+
+
+def test_cli_defaults_and_choices_are_the_library_constants():
+    args = build_parser().parse_args(["clip-filter", "--flow-magnitudes", "f.csv"])
+    assert (args.threshold, args.clip_frames) == (FLOW_MAGNITUDE_THRESHOLD, CLIP_FRAMES)
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    for command in ("eval", "forecast"):
+        (model,) = (a for a in subparsers[command]._actions if a.dest == "model")
+        assert tuple(model.choices) == MODEL_KINDS
+
+
+def test_no_fold_cross_eval_or_cli_path_builds_a_bbox(synth_setup, tmp_path, monkeypatch):
+    """Tracks, windows and forecasts stay arrays: BBox is only for the per-window wrappers."""
+
+    def refuse(self):
+        raise AssertionError("a BBox was built")
+
+    monkeypatch.setattr(BBox, "__post_init__", refuse)
+    results = {model: run_fold(make_spec(synth_setup, model=model)) for model in ("cv_cs", "lkf", "encdec")}
+    assert cross_eval(results["encdec"].checkpoint_path, synth_setup[0], stride=5).n_windows > 0
+
+    tracks, out = tmp_path / "cli_tracks.csv", tmp_path / "cli"
+    assert cli.main(["synth", "--kind", "turning", "--n", "6", "--seed", "2", "--frames", "95",
+                     "--out", str(tracks)]) == 0
+    assert cli.main(["prepare", "--tracks", str(tracks), "--splits", str(synth_setup[1]),
+                     "--out", str(out / "prep")]) == 0
+    model_flags = {
+        "cv_cs": [],
+        "lkf": ["--params", str(results["lkf"].run_dir / "lkf_params.json")],
+        "encdec": ["--checkpoint", str(results["encdec"].checkpoint_path)],
+    }
+    for model, flags in model_flags.items():
+        for command in ("eval", "forecast"):
+            argv = [command, "--model", model, *flags, "--tracks", str(tracks), "--stride", "5",
+                    "--out", str(out / f"{command}_{model}")]
+            assert cli.main(argv) == 0
