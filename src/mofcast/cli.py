@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -86,6 +87,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (0 < value < math.inf):  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _add_split_flags(p: argparse.ArgumentParser, help: str, required: bool = False, all_folds: bool = False):
     p.add_argument("--splits", required=required, help=help)
     p.add_argument("--fold", type=int, default=0, choices=range(N_FOLDS),
@@ -124,7 +132,7 @@ _TRAIN_FLAGS = (
     ("--beta", "beta", "smooth-L1 seam in px"),
     ("--flow-dim", "flow_dim", "flow feature dimension"),
     ("--seed", "seed", "seed of initialization and batch order"),
-    ("--deterministic", "deterministic", "bit-reproducible training"),
+    ("--deterministic", "deterministic", "pin BLAS to 1 thread for bit-reproducible training (needs threadpoolctl)"),
 )
 
 
@@ -204,10 +212,11 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variant", default="bb_only", choices=VARIANTS)
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--epsilon", type=_positive_float, default=1e-5, help="finite-difference step (default: 1e-5)")
     p.add_argument("--coords", type=_positive_int, default=50, help="sampled coordinates per group")
     p.add_argument("--samples", type=_positive_int, default=3, help="number of seeded samples")
-    p.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
+    p.add_argument("--tolerance", type=_positive_float, default=GRADCHECK_TOLERANCE,
+                   help=f"largest relative error that passes (default: {GRADCHECK_TOLERANCE:g})")
 
     return parser
 

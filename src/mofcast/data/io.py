@@ -13,12 +13,47 @@ Flow-feature sidecar: an index CSV with header
 of little-endian 32-bit floats. ``offset`` counts float32 elements from the
 start of the blob; ``length`` is the feature dimension and must be the same
 for every entry.
+
+Reading. Each CSV file's header is read with :mod:`csv`; the rest is parsed
+by one :func:`numpy.loadtxt` call (``,`` between fields, ``"`` around a
+field, ``""`` for a quote inside one, no comment character) and every check
+runs on the parsed columns as array operations.
+
+Fields. A text field is taken as written, after unquoting: quoted, it may
+hold commas, quotes and line breaks, and it may begin with ``#``. An integer
+is ASCII digits with an optional sign, within int64. A float is what
+Python's ``float`` accepts without underscores or non-ASCII digits:
+decimal or exponent notation, ``inf``/``nan`` in any case; it parses to the
+same double as ``float`` would. Numbers may be padded with whitespace. So
+``1_000``, ``1.0`` as an integer, and integers outside int64 are rejected
+with their line. A blank line is skipped; a line of only whitespace is a
+row of one field, and rejected.
+
+Errors name ``path:line`` or, for a frame-sequence fault, the track or
+video. Lines count CSV records, blank ones included: the header is line 1,
+and a line break inside a quoted field does not start a new line. When a
+file has several faults, the first of these is reported:
+
+1. an empty file or a bad header;
+2. the first row that does not parse (wrong field count, or a number outside
+   the grammar), even when a row before it has a value fault;
+3. the first row, in file order, with a value fault. Within a row the checks
+   run in this order. Track file: a non-finite coordinate, a degenerate box
+   (w or h <= 0), metadata that differs from its track's first row.
+   Flow-magnitude file: a negative or non-finite magnitude. Sidecar index: a
+   length that differs from the first row's, a blob range out of bounds
+   (a negative length counts as one), a window seen on an earlier row;
+4. the first track (flow-magnitude file: video), in order of first
+   appearance, whose sorted frames have a gap or a duplicate.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import re
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -31,70 +66,176 @@ TRACK_HEADER = ["video_id", "city", "weather", "time_of_day", "frame", "track_id
 FLOW_MAGNITUDE_HEADER = ["video_id", "frame", "mean_flow_magnitude"]
 FLOW_INDEX_HEADER = ["video_id", "track_id", "anchor_frame", "offset", "length"]
 
+# One field per header column, except the track file's cx,cy,w,h: one (4,) field.
+_TRACK_DTYPE = np.dtype(
+    [(name, object) for name in TRACK_HEADER[:4]]
+    + [("frame", np.int64), ("track_id", np.int64), ("box", np.float64, (4,))]
+)
+_FLOW_MAGNITUDE_DTYPE = np.dtype([("video_id", object), ("frame", np.int64), ("magnitude", np.float64)])
+_FLOW_INDEX_DTYPE = np.dtype([("video_id", object)] + [(name, np.int64) for name in FLOW_INDEX_HEADER[1:]])
+
+_NOT_LINE_END = re.compile(r"[^\r\n]")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_GRAMMAR = {"i": "an int64 integer", "f": "a decimal float"}
+
+
+def _read_table(path: Path, header: list[str], dtype: np.dtype, error: type[Exception]) -> tuple[np.ndarray, str]:
+    """The rows of the CSV file ``path`` under ``header``, parsed into ``dtype``, and
+    the text after the header, which the error paths find lines in."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        found = next(csv.reader(fh), None)
+        if found is None:
+            raise error(f"{path}: empty file")
+        if found != header:
+            raise error(f"{path}: bad header {found!r}, expected {header!r}")
+        body = fh.read()
+    if not _NOT_LINE_END.search(body):  # loadtxt warns on input with no rows
+        return np.empty(0, dtype), body
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body, newline=""), dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+        )
+    except ValueError as exc:
+        raise error(_malformed_row(path, body, header, dtype) or f"{path}: malformed file: {exc}") from None
+    return rows, body
+
+
+def _records(body: str) -> Iterable[tuple[int, list[str]]]:
+    """(line, fields) of each non-blank CSV record of the text after the header."""
+    return ((line, r) for line, r in enumerate(csv.reader(io.StringIO(body, newline="")), start=2) if r)
+
+
+def _line_of(body: str, row: int) -> int:
+    """The line of parsed row ``row``."""
+    return next(itertools.islice(_records(body), row, None))[0]
+
+
+def _parses(text: str, kind: str) -> bool:
+    """Whether ``text`` is in the number grammar of a numpy dtype kind ('O' takes any text)."""
+    if kind == "O":
+        return True
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    if kind == "i":
+        return _INTEGER.fullmatch(text) is not None and _INT64_MIN <= int(text) <= _INT64_MAX
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _malformed_row(path: Path, body: str, header: list[str], dtype: np.dtype) -> str | None:
+    """The message naming the first record that does not parse into ``dtype``.
+
+    Only called once loadtxt has failed; None if no record fails here.
+    """
+    kinds = [dtype[name].base.kind for name in dtype.names for _ in range(math.prod(dtype[name].shape))]
+    for line, fields in _records(body):
+        if len(fields) != len(header):
+            return f"{path}:{line}: expected {len(header)} fields, got {len(fields)}"
+        for name, kind, text in zip(header, kinds, fields):
+            if not _parses(text, kind):
+                return f"{path}:{line}: malformed row: {name} {text!r} is not {_GRAMMAR[kind]}"
+    return None
+
+
+def _first_fault(*masks: np.ndarray) -> tuple[int, int] | None:
+    """(row, check) of the first row any mask flags, the check being the first mask that flags it."""
+    flagged = np.logical_or.reduce(masks)
+    if not flagged.any():
+        return None
+    row = int(np.argmax(flagged))
+    return row, next(k for k, mask in enumerate(masks) if mask[row])
+
+
+def _group_by_first_appearance(*columns: np.ndarray) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Number the distinct keys of the rows (one value per column) by first appearance.
+
+    Returns the keys in that order, each row's key number and each key's
+    first row. Consecutive rows with one key form a run; the Python work is
+    once per run, not per row.
+    """
+    n = len(columns[0])
+    new_run = np.zeros(n, dtype=bool)
+    new_run[0] = True
+    for column in columns:
+        new_run[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(new_run)
+    numbers: dict[tuple, int] = {}
+    run_key = [numbers.setdefault(key, len(numbers)) for key in zip(*(c[starts].tolist() for c in columns))]
+    first_row = starts[np.unique(run_key, return_index=True)[1]]
+    return list(numbers), np.repeat(run_key, np.diff(starts, append=n)), first_row
+
+
+def _frame_order(group: np.ndarray, frame: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row order by (group, frame), stable, and the bounds of each group's rows in that order."""
+    order = np.lexsort((frame, group))
+    return order, np.searchsorted(group[order], np.arange(n_groups + 1))
+
 
 def load_tracks(path: str | Path) -> list[Track]:
-    """Parse a track file into one Track per (video_id, track_id).
+    """Parse a track file into one Track per (video_id, track_id), sorted by that key.
 
     Rows may arrive in any order; boxes are sorted by frame. Malformed rows,
     rows whose metadata differs from their track's first row, gaps or
     duplicates in a track's frame sequence, and degenerate boxes are
-    rejected with the offending line or track named.
+    rejected with the offending line or track named (see the module
+    docstring for the grammar and which fault is reported first).
     """
     path = Path(path)
-    rows: dict[tuple[str, int], list[tuple[int, float, float, float, float]]] = {}
-    meta: dict[tuple[str, int], tuple[str, str, str]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TrackFormatError(f"{path}: empty file") from None
-        if header != TRACK_HEADER:
-            raise TrackFormatError(f"{path}: bad header {header!r}, expected {TRACK_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRACK_HEADER):
-                raise TrackFormatError(f"{path}:{lineno}: expected {len(TRACK_HEADER)} fields, got {len(row)}")
-            video_id, city, weather, tod, frame_s, track_s, cx_s, cy_s, w_s, h_s = row
-            try:
-                frame = int(frame_s)
-                track_id = int(track_s)
-                cx, cy, w, h = float(cx_s), float(cy_s), float(w_s), float(h_s)
-            except ValueError as exc:
-                raise TrackFormatError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(w) and math.isfinite(h)):
-                raise TrackFormatError(f"{path}:{lineno}: non-finite coordinate")
-            if w <= 0 or h <= 0:
-                raise TrackFormatError(f"{path}:{lineno}: degenerate box (w={w}, h={h})")
-            key = (video_id, track_id)
-            first = meta.setdefault(key, (city, weather, tod))
-            if first != (city, weather, tod):
-                raise TrackFormatError(
-                    f"{path}:{lineno}: track {key}: metadata {(city, weather, tod)!r} differs from "
-                    f"the track's first row {first!r}"
-                )
-            rows.setdefault(key, []).append((frame, cx, cy, w, h))
-
-    tracks = []
-    for key, frame_boxes in rows.items():
-        frame_boxes.sort(key=lambda fb: fb[0])
-        frames = [fb[0] for fb in frame_boxes]
-        for prev, cur in zip(frames, frames[1:]):
-            if cur != prev + 1:
-                raise TrackFormatError(
-                    f"{path}: track {key}: non-consecutive frames ({prev} -> {cur})"
-                )
-        md = {k: v for k, v in zip(METADATA_FIELDS, meta[key]) if v}
-        tracks.append(
-            Track(
-                video_id=key[0],
-                track_id=key[1],
-                start_frame=frames[0],
-                boxes=[fb[1:] for fb in frame_boxes],
-                metadata=md or None,
-            )
+    rows, body = _read_table(path, TRACK_HEADER, _TRACK_DTYPE, TrackFormatError)
+    if not rows.size:
+        return []
+    keys, track_of_row, first_row = _group_by_first_appearance(rows["video_id"], rows["track_id"])
+    boxes = rows["box"]
+    first_of_row = first_row[track_of_row]
+    fault = _first_fault(
+        ~np.isfinite(boxes).all(axis=1),
+        (boxes[:, 2:] <= 0).any(axis=1),
+        np.logical_or.reduce([rows[name] != rows[name][first_of_row] for name in METADATA_FIELDS]),
+    )
+    if fault is not None:
+        i, check = fault
+        where = f"{path}:{_line_of(body, i)}"
+        if check == 0:
+            raise TrackFormatError(f"{where}: non-finite coordinate")
+        if check == 1:
+            w, h = boxes[i, 2:].tolist()
+            raise TrackFormatError(f"{where}: degenerate box (w={w}, h={h})")
+        meta = tuple(rows[name][i] for name in METADATA_FIELDS)
+        first = tuple(rows[name][first_of_row[i]] for name in METADATA_FIELDS)
+        raise TrackFormatError(
+            f"{where}: track {keys[track_of_row[i]]}: metadata {meta!r} differs from the track's first row {first!r}"
         )
+
+    order, bounds = _frame_order(track_of_row, rows["frame"], len(keys))
+    frames = rows["frame"][order]
+    step = np.diff(frames)
+    # A step across two tracks' rows is not a gap; every other step must be 1.
+    step[bounds[1:-1] - 1] = 1
+    gap = np.flatnonzero(step != 1)
+    if gap.size:
+        j = int(gap[0])
+        key = keys[int(np.searchsorted(bounds, j, side="right")) - 1]
+        raise TrackFormatError(f"{path}: track {key}: non-consecutive frames ({frames[j]} -> {frames[j + 1]})")
+
+    boxes = boxes[order]
+    metadata = zip(*(rows[name][first_row].tolist() for name in METADATA_FIELDS))
+    tracks = [
+        Track(
+            video_id=video_id,
+            track_id=track_id,
+            start_frame=start,
+            boxes=boxes[lo:hi],
+            metadata={k: v for k, v in zip(METADATA_FIELDS, meta) if v} or None,
+        )
+        for (video_id, track_id), start, lo, hi, meta in zip(
+            keys, frames[bounds[:-1]].tolist(), bounds[:-1], bounds[1:], metadata
+        )
+    ]
     tracks.sort(key=lambda t: t.key)
     return tracks
 
@@ -126,38 +267,39 @@ def write_tracks(tracks: Iterable[Track], path: str | Path) -> None:
 
 
 def load_flow_magnitudes(path: str | Path) -> dict[str, np.ndarray]:
-    """Read per-frame mean flow magnitudes, keyed by video_id.
+    """Read per-frame mean flow magnitudes, keyed by video_id in order of first appearance.
 
     Frames must be consecutive from 0 within each video; values must be
     finite and non-negative.
     """
     path = Path(path)
-    per_video: dict[str, list[tuple[int, float]]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FLOW_MAGNITUDE_HEADER:
-            raise TrackFormatError(f"{path}: bad header {header!r}, expected {FLOW_MAGNITUDE_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                video_id, frame_s, mag_s = row
-                frame, mag = int(frame_s), float(mag_s)
-            except ValueError as exc:
-                raise TrackFormatError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if not math.isfinite(mag) or mag < 0:
-                raise TrackFormatError(f"{path}:{lineno}: flow magnitude must be finite and >= 0")
-            per_video.setdefault(video_id, []).append((frame, mag))
+    rows, body = _read_table(path, FLOW_MAGNITUDE_HEADER, _FLOW_MAGNITUDE_DTYPE, TrackFormatError)
+    if not rows.size:
+        return {}
+    magnitude = rows["magnitude"]
+    fault = _first_fault(~(np.isfinite(magnitude) & (magnitude >= 0)))
+    if fault is not None:
+        raise TrackFormatError(f"{path}:{_line_of(body, fault[0])}: flow magnitude must be finite and >= 0")
 
-    out = {}
-    for video_id, pairs in per_video.items():
-        pairs.sort(key=lambda p: p[0])
-        frames = [f for f, _ in pairs]
-        if frames != list(range(len(frames))):
-            raise TrackFormatError(f"{path}: video {video_id}: frames not consecutive from 0")
-        out[video_id] = np.array([m for _, m in pairs], dtype=np.float64)
-    return out
+    keys, video_of_row, _ = _group_by_first_appearance(rows["video_id"])
+    order, bounds = _frame_order(video_of_row, rows["frame"], len(keys))
+    # Each frame must equal its position within its video's sorted rows.
+    position = np.arange(len(order)) - np.repeat(bounds[:-1], np.diff(bounds))
+    off = np.flatnonzero(rows["frame"][order] != position)
+    if off.size:
+        (video_id,) = keys[int(np.searchsorted(bounds, off[0], side="right")) - 1]
+        raise TrackFormatError(f"{path}: video {video_id}: frames not consecutive from 0")
+    magnitude = magnitude[order]
+    return {video_id: magnitude[lo:hi] for (video_id,), lo, hi in zip(keys, bounds[:-1], bounds[1:])}
+
+
+def _repeats(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose key (one value per column) appeared on an earlier row."""
+    order = np.lexsort(columns[::-1])
+    same = np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in columns])
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[order[1:][same]] = True  # the stable sort keeps equal keys in file order
+    return repeat
 
 
 class FlowFeatureStore:
@@ -178,40 +320,26 @@ class FlowFeatureStore:
         if blob_path is None:
             blob_path = index_path.with_suffix(".bin")
         blob = np.fromfile(blob_path, dtype="<f4")
-        index: dict[tuple[str, int, int], tuple[int, int]] = {}
-        dim = None
-        with index_path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != FLOW_INDEX_HEADER:
-                raise FlowFeatureError(
-                    f"{index_path}: bad header {header!r}, expected {FLOW_INDEX_HEADER!r}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    video_id, track_s, anchor_s, offset_s, length_s = row
-                    track_id, anchor, offset, length = (int(v) for v in (track_s, anchor_s, offset_s, length_s))
-                except ValueError as exc:
-                    raise FlowFeatureError(f"{index_path}:{lineno}: malformed row: {exc}") from None
-                if dim is None:
-                    dim = length
-                elif length != dim:
-                    raise FlowFeatureError(
-                        f"{index_path}:{lineno}: length {length} != feature dim {dim}"
-                    )
-                if offset < 0 or offset + length > blob.size:
-                    raise FlowFeatureError(
-                        f"{index_path}:{lineno}: blob range [{offset}, {offset + length}) out of bounds"
-                    )
-                key = (video_id, track_id, anchor)
-                if key in index:
-                    raise FlowFeatureError(f"{index_path}:{lineno}: duplicate entry for window {key}")
-                index[key] = (offset, length)
-        if dim is None:
+        rows, body = _read_table(index_path, FLOW_INDEX_HEADER, _FLOW_INDEX_DTYPE, FlowFeatureError)
+        if not rows.size:
             raise FlowFeatureError(f"{index_path}: no entries")
-        return cls(index, blob, dim)
+        key_columns = (rows["video_id"], rows["track_id"], rows["anchor_frame"])
+        keys = list(zip(*(c.tolist() for c in key_columns)))
+        offset, length = rows["offset"], rows["length"]
+        dim = int(length[0])
+        # offset + length > blob.size, written so that no int64 sum can wrap
+        out_of_bounds = (offset < 0) | (length < 0) | (offset > blob.size - np.maximum(length, 0))
+        fault = _first_fault(length != dim, out_of_bounds, _repeats(*key_columns))
+        if fault is not None:
+            i, check = fault
+            start, size = int(offset[i]), int(length[i])
+            problem = (
+                f"length {size} != feature dim {dim}",
+                f"blob range [{start}, {start + size}) out of bounds",
+                f"duplicate entry for window {keys[i]}",
+            )[check]
+            raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: {problem}")
+        return cls(dict(zip(keys, zip(offset.tolist(), length.tolist()))), blob, dim)
 
     def get(self, source: WindowSource) -> np.ndarray:
         key = (source.video_id, source.track_id, source.anchor_frame)

@@ -194,11 +194,12 @@ def _single_threaded_blas():
 def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig) -> TrainResult:
     """Train end to end; returns the parameters of the best-validation epoch.
 
-    Deterministic for a fixed config and seed: parameter init and batch order
-    come from independent seeded streams, and the deterministic flag pins
-    BLAS to one thread so repeated runs produce bit-identical checkpoints.
-    Whether the pin took effect, and why not, is in the result's
-    ``blas_pinned`` / ``blas_pin_reason``.
+    Parameter init and batch order come from independent seeded streams. The
+    deterministic flag pins BLAS to one thread, so that repeated runs produce
+    bit-identical checkpoints, only when ``threadpoolctl`` is importable.
+    Without it nothing is pinned: BLAS keeps its default thread count, and
+    repeatability rests on the BLAS build alone. Whether the pin took effect,
+    and why not, is in the result's ``blas_pinned`` / ``blas_pin_reason``.
     """
     if not len(train_batch):
         raise ValueError("training set is empty")

@@ -236,6 +236,10 @@ def _write_lkf_table(path: Path, table: Sequence[tuple[KalmanParams, float]]) ->
                              f"{ade:.6f}"])
 
 
+def _load_spec_tracks(spec: ExperimentSpec) -> list[Track]:
+    return filter_short_tracks(load_tracks(spec.tracks), spec.min_track_frames)
+
+
 def run_fold(spec: ExperimentSpec) -> FoldResult:
     """Train/tune on one fold's train+val cities, evaluate on the held-out test windows.
 
@@ -243,13 +247,19 @@ def run_fold(spec: ExperimentSpec) -> FoldResult:
     test batch go through one call of :func:`evaluate_batch`. The baselines
     cut only the splits they use (test, and val for the LKF).
     """
+    return _run_fold(spec, None)
+
+
+def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResult:
+    """:func:`run_fold` on ``tracks``, the spec's filtered tracks, loaded here when None."""
     started = time.perf_counter()
     run_dir = _make_run_dir(Path(spec.out_dir), spec.hash())
     spec.to_file(run_dir / "spec.json")
     manifest_extra: dict = {}
 
     try:
-        tracks = filter_short_tracks(load_tracks(spec.tracks), spec.min_track_frames)
+        if tracks is None:
+            tracks = _load_spec_tracks(spec)
         split_config = SplitConfig.from_file(spec.splits)
         split = make_splits(tracks, split_config, spec.fold)
         _audit_cities(split, spec.fold)
@@ -335,11 +345,10 @@ def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
 
 
 def run_all_folds(spec: ExperimentSpec) -> AllFoldsResult:
-    """Run folds 0..2 with the same spec; any fold failure aborts, keeping
-    the completed folds' artifacts on disk."""
-    per_fold = []
-    for fold in range(N_FOLDS):
-        per_fold.append(run_fold(dataclasses.replace(spec, fold=fold)))
+    """Run folds 0..2 with the same spec on tracks loaded once; any fold
+    failure aborts, keeping the completed folds' artifacts on disk."""
+    tracks = _load_spec_tracks(spec)
+    per_fold = [_run_fold(dataclasses.replace(spec, fold=fold), tracks) for fold in range(N_FOLDS)]
     mean = mean_report([r.report for r in per_fold])
     write_summary_csv(
         [r.report for r in per_fold] + [mean],

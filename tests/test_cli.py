@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mofcast
 from mofcast.cli import _spec_from_args, build_parser, main
 from mofcast.data import default_synth_split_config, load_tracks
 from mofcast.encdec import TrainConfig
@@ -47,6 +52,13 @@ class TestExitCodes:
     def test_help_is_exit_0(self):
         assert main(["--help"]) == 0
 
+    def test_runs_as_a_module(self):
+        src = str(Path(mofcast.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "mofcast", "--help"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: mofcast")
+
     @pytest.mark.parametrize(
         "argv",
         (
@@ -62,6 +74,7 @@ class TestExitCodes:
             ["gradcheck", "--coords", "0"],
             ["clip-filter", "--flow-magnitudes", "f.csv", "--clip-frames", "0"],
             ["synth", "--kind", "turning", "--n", "0", "--seed", "1", "--out", "t.csv"],
+            *(["gradcheck", flag, value] for flag in ("--epsilon", "--tolerance") for value in ("0", "-1e-5", "nan")),
         ),
     )
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):

@@ -368,3 +368,43 @@ class TestFlowFiles:
         blob.write_bytes(np.zeros(9, dtype="<f4").tobytes())
         with pytest.raises(FlowFeatureError, match="feature dim"):
             FlowFeatureStore.open(index)
+
+    def test_out_of_bounds_range_rejected_with_line(self, tmp_path):
+        index = tmp_path / "flow_features.csv"
+        (tmp_path / "flow_features.bin").write_bytes(np.zeros(6, dtype="<f4").tobytes())
+        index.write_text(
+            "video_id,track_id,anchor_frame,offset,length\nv0,1,29,0,4\n\nv0,1,30,4,4\n", encoding="utf-8"
+        )
+        with pytest.raises(FlowFeatureError, match=r"flow_features\.csv:4: blob range \[4, 8\) out of bounds"):
+            FlowFeatureStore.open(index)
+
+    def test_index_without_entries_rejected(self, tmp_path):
+        index = tmp_path / "flow_features.csv"
+        (tmp_path / "flow_features.bin").write_bytes(b"")
+        index.write_text("video_id,track_id,anchor_frame,offset,length\n\n", encoding="utf-8")
+        with pytest.raises(FlowFeatureError, match="no entries"):
+            FlowFeatureStore.open(index)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        (
+            ("v0,0,1.0\nv1,1,2.0\nv1,2,2.0\n", r"flow\.csv: video v1: frames not consecutive from 0"),
+            ("v0,0,1.0\nv0,0,1.0\n", r"flow\.csv: video v0: frames not consecutive from 0"),
+            ("v0,0,1.0\n\nv0,1,-0.5\n", r"flow\.csv:4: flow magnitude must be finite and >= 0"),
+            ("v0,0,1.0\nv0,1,nan\n", r"flow\.csv:3: flow magnitude must be finite and >= 0"),
+            ("v0,0,1.0\nv0,one,1.0\n", r"flow\.csv:3: malformed row"),
+            ("v0,0\n", r"flow\.csv:2: "),
+        ),
+    )
+    def test_flow_magnitude_faults_name_the_line_or_video(self, tmp_path, rows, error):
+        path = tmp_path / "flow.csv"
+        path.write_text("video_id,frame,mean_flow_magnitude\n" + rows, encoding="utf-8")
+        with pytest.raises(TrackFormatError, match=error):
+            load_flow_magnitudes(path)
+
+    def test_flow_magnitudes_sorted_by_frame(self, tmp_path):
+        path = tmp_path / "flow.csv"
+        path.write_text("video_id,frame,mean_flow_magnitude\nv1,1,0.5\nv0,0,3.0\nv1,0,0.25\n", encoding="utf-8")
+        mags = load_flow_magnitudes(path)
+        assert list(mags) == ["v1", "v0"]
+        assert mags["v1"].tolist() == [0.25, 0.5] and mags["v0"].tolist() == [3.0]

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mofcast import cli
+from mofcast import cli, harness
 from mofcast.baselines import cv_cs_batch
 from mofcast.cli import build_parser
 from mofcast.core import BBox
@@ -36,7 +36,7 @@ from mofcast.harness import (
     run_fold,
     weights_checksum,
 )
-from mofcast.metrics import MetricReport, aggregate
+from mofcast.metrics import MetricReport, aggregate, write_summary_csv
 
 
 @pytest.fixture
@@ -137,6 +137,22 @@ class TestRunAllFolds:
             per_fold = [getattr(r.report, field) for r in result.per_fold]
             assert getattr(result.mean, field) == pytest.approx(np.mean(per_fold), abs=1e-12)
         assert result.mean.n_windows == sum(r.report.n_windows for r in result.per_fold)
+
+    def test_loads_the_track_file_once(self, tmp_path, monkeypatch):
+        tracks_path = tmp_path / "tracks.csv"
+        write_tracks(synth_generate_mixed(("turning", "accelerating"), 12, 1.0, seed=4, n_frames=95), tracks_path)
+        splits_path = tmp_path / "splits.json"
+        default_synth_split_config().to_file(splits_path)
+        spec = make_spec((tracks_path, splits_path, tmp_path / "all"))
+        # The bytes the folds give when each is run on its own and loads its own tracks.
+        reports = [run_fold(dataclasses.replace(spec, fold=k, out_dir=str(tmp_path / "one"))).report for k in range(3)]
+        write_summary_csv(reports + [mean_report(reports)], tmp_path / "expected.csv", model_id="cv_cs")
+
+        calls = []
+        monkeypatch.setattr(harness, "load_tracks", lambda path: calls.append(path) or load_tracks(path))
+        run_all_folds(spec)
+        assert calls == [str(tracks_path)]
+        assert (tmp_path / "all" / "folds_summary.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_no_city_overlap_in_any_fold(self, synth_setup):
         # run_fold raises if the audit fails; also check artifacts exist per fold
