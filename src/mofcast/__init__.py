@@ -19,8 +19,6 @@ from .core import (
     WindowSource,
     boxes_to_array,
     array_to_boxes,
-    centroid_distance,
-    iou,
 )
 from .errors import (
     CheckpointError,
@@ -31,7 +29,7 @@ from .errors import (
     TrackFormatError,
     TrainingDivergedError,
 )
-from .metrics import MetricReport, WindowEvaluation, aggregate, breakdown, evaluate_window
+from .metrics import MetricReport, WindowScores, aggregate, breakdown, evaluate_window
 
 __all__ = [
     "BBox",
@@ -48,14 +46,12 @@ __all__ = [
     "Track",
     "TrackFormatError",
     "TrainingDivergedError",
-    "WindowEvaluation",
+    "WindowScores",
     "WindowSource",
     "__version__",
     "aggregate",
     "array_to_boxes",
     "boxes_to_array",
     "breakdown",
-    "centroid_distance",
     "evaluate_window",
-    "iou",
 ]

@@ -94,6 +94,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _add_split_flags(p: argparse.ArgumentParser, help: str, required: bool = False, all_folds: bool = False):
     p.add_argument("--splits", required=required, help=help)
     p.add_argument("--fold", type=int, default=0, choices=range(N_FOLDS),
@@ -122,7 +129,7 @@ def _add_flow_flags(p: argparse.ArgumentParser):
 
 
 # The train subcommand's flags: (flag, the TrainConfig field it sets, help).
-# Defaults come from TrainConfig itself.
+# Defaults come from TrainConfig itself; the float fields must be finite and > 0.
 _TRAIN_FLAGS = (
     ("--variant", "variant", "model variant"),
     ("--hidden", "hidden", "GRU hidden units"),
@@ -143,7 +150,8 @@ def _add_train_flags(p: argparse.ArgumentParser):
         if isinstance(default, bool):
             kwargs = {"action": argparse.BooleanOptionalAction}
         else:
-            kwargs = {"type": type(default), "choices": VARIANTS if name == "variant" else None}
+            kind = _positive_float if isinstance(default, float) else type(default)
+            kwargs = {"type": kind, "choices": VARIANTS if name == "variant" else None}
         p.add_argument(flag, dest=name, default=default, help=f"{help_text} (default: {default})", **kwargs)
 
 
@@ -168,7 +176,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("clip-filter", help="select low-motion clips from a flow-magnitude file")
     p.add_argument("--flow-magnitudes", required=True)
-    p.add_argument("--threshold", type=float, default=FLOW_MAGNITUDE_THRESHOLD)
+    p.add_argument("--threshold", type=_finite_float, default=FLOW_MAGNITUDE_THRESHOLD)
     p.add_argument("--clip-frames", type=_positive_int, default=CLIP_FRAMES)
     p.add_argument("--out", default="runs")
 

@@ -1,12 +1,12 @@
-"""Geometric primitives and the track/window data model.
+"""The track/window data model.
 
 Boxes are stored as centroid + size (cx, cy, w, h) in pixels, the
 parameterization every downstream quantity (velocity, size deltas, decoder
-residuals) is defined on. Corner form is derived on demand for overlap
-computations. A :class:`Track` holds its boxes as one (n, 4) array of such
-rows; :class:`BBox` is the one-box form that the per-window wrappers use.
-All geometry is double precision; coordinates are never quantized to
-integer pixels.
+residuals) is defined on. A :class:`Track` holds its boxes as one (n, 4)
+array of such rows, and :mod:`mofcast.metrics` scores such arrays.
+:class:`BBox` survives only for :func:`mofcast.data.extract_windows` and the
+per-window wrappers it feeds. All geometry is double precision; coordinates
+are never quantized to integer pixels.
 """
 
 from __future__ import annotations
@@ -44,39 +44,6 @@ class BBox:
             object.__setattr__(self, name, v)
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"degenerate box: w={self.w!r}, h={self.h!r} (must be > 0)")
-
-    @property
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1) corner form."""
-        hw, hh = self.w / 2.0, self.h / 2.0
-        return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union of two axis-aligned boxes, in [0, 1].
-
-    Areas are computed from the same corner arithmetic as the intersection,
-    which makes iou(a, a) == 1.0 exact and keeps the result <= 1 under
-    floating-point rounding.
-    """
-    ax0, ay0, ax1, ay1 = a.corners
-    bx0, by0, bx1, by1 = b.corners
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union
-
-
-def centroid_distance(a: BBox, b: BBox) -> float:
-    """Euclidean distance between the two box centroids, in pixels."""
-    return math.hypot(a.cx - b.cx, a.cy - b.cy)
 
 
 @dataclass(frozen=True, eq=False)

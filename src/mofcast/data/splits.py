@@ -52,7 +52,7 @@ class SplitConfig:
                 if city in folds:
                     raise SplitError(f"city {city!r} appears in folds {folds[city]} and {fold}")
                 folds[city] = fold
-        return cls(folds=folds, val_fraction=float(raw.get("val_fraction", 0.5)))
+        return cls(folds=folds, val_fraction=float(raw.get("val_fraction", cls.val_fraction)))
 
     def to_file(self, path: str | Path) -> None:
         by_fold: dict[str, list[str]] = {str(i): [] for i in range(N_FOLDS)}

@@ -169,6 +169,8 @@ def motion_filter_clips(
         raise ValueError("flow magnitudes must be finite and non-negative")
     if clip_frames < 1:
         raise ValueError(f"clip_frames must be >= 1, got {clip_frames}")
+    if not np.isfinite(threshold):  # every comparison with nan is False: nan would pass every frame
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
 
     bad = np.flatnonzero(mags > threshold)
     intervals = []

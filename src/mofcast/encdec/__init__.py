@@ -10,12 +10,13 @@ from .features import (
     synthetic_flow_batch,
     synthetic_flow_feature,
 )
-from .gradcheck import GradSample, grad_check, grad_check_detailed
+from .gradcheck import GradSample, grad_check_detailed
 from .gru import GRUParams, gru_backward, gru_forward
 from .loss import smooth_l1, smooth_l1_grad
 from .model import (
     BOX_CODE_DIM,
     ENCDEC_MODEL_ID,
+    FORECAST_BATCH_SIZE,
     Model,
     ModelConfig,
     ModelParams,
@@ -36,6 +37,7 @@ __all__ = [
     "ENCDEC_MODEL_ID",
     "EpochRecord",
     "FEATURE_DIM",
+    "FORECAST_BATCH_SIZE",
     "FeatureStats",
     "GRUParams",
     "GradSample",
@@ -53,7 +55,6 @@ __all__ = [
     "forecast_array",
     "forecast_windows",
     "forward_batch",
-    "grad_check",
     "grad_check_detailed",
     "gru_backward",
     "gru_forward",

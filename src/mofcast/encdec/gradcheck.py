@@ -76,19 +76,3 @@ def grad_check_detailed(
         errors[name] = worst
     return errors
 
-
-def grad_check(
-    params: ModelParams,
-    stats: FeatureStats,
-    sample: GradSample,
-    epsilon: float = 1e-5,
-    coords_per_group: int = 50,
-    seed: int = 0,
-    beta: float = 1.0,
-    resolution: float = DEFAULT_RESOLUTION,
-) -> float:
-    """Max relative error over all parameter groups."""
-    detailed = grad_check_detailed(
-        params, stats, sample, epsilon, coords_per_group, seed, beta, resolution
-    )
-    return max(detailed.values())

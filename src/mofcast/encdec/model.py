@@ -43,6 +43,8 @@ VARIANTS: tuple[Variant, ...] = ("bb_only", "of_only", "both")
 BOX_CODE_DIM = 256
 OUTPUT_DIM = 4
 
+FORECAST_BATCH_SIZE = 512  # windows per forward pass when forecasting, not training
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -295,7 +297,7 @@ def residuals_to_boxes(window: ObservationWindow, residuals: np.ndarray) -> Fore
     return Forecast(source=window.source, boxes=array_to_boxes(pred), model_id=ENCDEC_MODEL_ID)
 
 
-def forecast_array(model: Model, batch: WindowBatch, batch_size: int = 512) -> np.ndarray:
+def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_BATCH_SIZE) -> np.ndarray:
     """(N, q, 4) forecasts of a batch, as :func:`residuals_to_boxes` makes them.
 
     Forward passes run ``batch_size`` windows at a time. Flow-reading
@@ -313,7 +315,7 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = 512) -> n
     return _add_to_cv_cs(batch.observed, np.concatenate(residuals))
 
 
-def forecast_windows(model: Model, batch: WindowBatch, batch_size: int = 512) -> list[Forecast]:
+def forecast_windows(model: Model, batch: WindowBatch, batch_size: int = FORECAST_BATCH_SIZE) -> list[Forecast]:
     """:func:`forecast_array` as one :class:`Forecast` per window of the batch."""
     pred = forecast_array(model, batch, batch_size)
     return [

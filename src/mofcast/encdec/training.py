@@ -23,12 +23,14 @@ import numpy as np
 from ..baselines import cv_cs_batch
 from ..data.windows import WindowBatch
 from ..errors import FlowFeatureError, TrainingDivergedError
+from ..metrics import centroid_displacements
 from .features import FeatureStats, box_features_from_array, compute_feature_stats
-from .model import Model, ModelConfig, ModelParams, forward_batch, init_params, loss_and_gradients
+from .model import Model, ModelConfig, forecast_array, init_params, loss_and_gradients
 
-# Not called here: the one-window form of the features this module builds in
-# batches, kept in its namespace because benchmarks/tracing.py wraps it by this name.
+# Not called here (validation reaches forward_batch through forecast_array): kept in
+# this namespace because benchmarks/tracing.py wraps them by these names.
 from .features import box_features  # noqa: F401
+from .model import forward_batch  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -41,16 +43,16 @@ class TrainConfig:
     epochs: int = 20
     beta: float = 1.0  # smooth-L1 seam, in pixels
     seed: int = 0
-    hidden: int = 512
-    variant: str = "bb_only"
-    flow_dim: int = 2048
-    fc_activation: bool = True
+    hidden: int = ModelConfig.hidden
+    variant: str = ModelConfig.variant
+    flow_dim: int = ModelConfig.flow_dim
+    fc_activation: bool = ModelConfig.fc_activation
     deterministic: bool = True
 
     def __post_init__(self):
         for name in ("learning_rate", "beta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"TrainConfig.{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:  # also refuses nan
+                raise ValueError(f"TrainConfig.{name} must be a finite number > 0, got {getattr(self, name)!r}")
         for name in ("lr_halving_epochs", "batch_size", "epochs", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig.{name} must be >= 1")
@@ -153,20 +155,6 @@ def assemble_arrays(batch: WindowBatch, config: ModelConfig) -> WindowArrays:
     )
 
 
-def _validation_ade(params: ModelParams, stats: FeatureStats, arrays: WindowArrays, batch_size: int) -> float:
-    n = len(arrays)
-    err_sum = 0.0
-    for lo in range(0, n, batch_size):
-        sl = slice(lo, min(lo + batch_size, n))
-        feats = None if arrays.features is None else arrays.features[sl]
-        flow = None if arrays.flow is None else arrays.flow[sl]
-        cache = forward_batch(params, stats, feats, flow, horizon=arrays.base.shape[1])
-        pred = arrays.base[sl] + cache.residuals
-        delta = pred[:, :, :2] - arrays.gt[sl][:, :, :2]
-        err_sum += float(np.sqrt((delta**2).sum(axis=2)).sum())
-    return err_sum / (n * arrays.base.shape[1])
-
-
 _pin_warning_logged = False
 
 
@@ -211,7 +199,6 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
     train_arrays = assemble_arrays(train_batch, model_config)
-    val_arrays = assemble_arrays(val_batch, model_config)
     stats = (
         compute_feature_stats(train_arrays.features)
         if model_config.uses_boxes
@@ -228,10 +215,14 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
         params = init_params(model_config, init_rng)
         optimizer = Adam()
 
-        initial_val_ade = _validation_ade(params, stats, val_arrays, config.batch_size)
-        log = TrainLog(initial_val_ade=initial_val_ade)
+        def validation_ade() -> float:
+            # ADE as aggregate() computes it for a test set: the mean of the per-step curve.
+            pred = forecast_array(Model(params=params, stats=stats), val_batch, config.batch_size)
+            return float(centroid_displacements(pred, val_batch.future).mean(axis=0).mean())
+
+        best_ade = validation_ade()
+        log = TrainLog(initial_val_ade=best_ade)
         best_params = params.copy()
-        best_ade = initial_val_ade
 
         n = len(train_arrays)
         for epoch in range(1, config.epochs + 1):
@@ -251,7 +242,7 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
                     )
                 optimizer.step(params.tensors(), grads, lr)
                 loss_sum += loss * idx.size
-            val_ade = _validation_ade(params, stats, val_arrays, config.batch_size)
+            val_ade = validation_ade()
             log.epochs.append(
                 EpochRecord(epoch=epoch, learning_rate=lr, train_loss=loss_sum / n, val_ade=val_ade)
             )

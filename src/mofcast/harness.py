@@ -47,6 +47,7 @@ from .data import (
     make_splits,
 )
 from .encdec import (
+    FORECAST_BATCH_SIZE,
     Model,
     ModelConfig,
     TrainConfig,
@@ -60,7 +61,7 @@ from .encdec import (
 from .errors import FlowFeatureError, MofcastError
 from .metrics import (
     MetricReport,
-    WindowEvaluation,
+    WindowScores,
     aggregate,
     breakdown,
     evaluate_batch,
@@ -119,10 +120,10 @@ class FoldResult:
     report: MetricReport
     run_dir: Path
     fold: int
+    evaluations: WindowScores  # the test windows' scores, which ``report`` aggregates
     checkpoint_path: Path | None = None
     train_log: TrainLog | None = None
     lkf_params: KalmanParams | None = None
-    evaluations: list[WindowEvaluation] = field(default_factory=list)
 
 
 def _make_run_dir(base: Path, spec_hash: str) -> Path:
@@ -197,13 +198,13 @@ def _write_reports(
     run_dir: Path,
     model_id: str,
     report: MetricReport,
-    evals: list[WindowEvaluation],
+    scores: WindowScores,
 ) -> None:
     write_summary_csv([report], run_dir / "summary.csv", model_id=model_id)
     write_curve_csv(report, run_dir / "curves.csv")
     for fld in METADATA_FIELDS:
-        if all(ev.metadata and fld in ev.metadata for ev in evals):
-            write_summary_csv(breakdown(evals, fld), run_dir / f"breakdown_{fld}.csv", model_id=model_id)
+        if all(meta and fld in meta for meta in scores.metadata):
+            write_summary_csv(breakdown(scores, fld), run_dir / f"breakdown_{fld}.csv", model_id=model_id)
 
 
 def _write_train_log(log: TrainLog, path: Path) -> None:
@@ -304,17 +305,17 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
             save_checkpoint(trained.model, checkpoint_path)
             pred = forecast_array(trained.model, test)
 
-        evals = evaluate_batch(pred, test)
-        report = aggregate(evals)
-        _write_reports(run_dir, spec.model, report, evals)
+        scores = evaluate_batch(pred, test)
+        report = aggregate(scores)
+        _write_reports(run_dir, spec.model, report, scores)
         return FoldResult(
             report=report,
             run_dir=run_dir,
             fold=spec.fold,
+            evaluations=scores,
             checkpoint_path=checkpoint_path,
             train_log=train_log,
             lkf_params=lkf_params,
-            evaluations=evals,
         )
     finally:
         _write_manifest(run_dir, spec, time.perf_counter() - started, manifest_extra)
@@ -366,7 +367,7 @@ def cross_eval(
     min_track_frames: int = MIN_TRACK_FRAMES,
     flow_features: str | Path | None = None,
     synthetic_flow: bool = False,
-    batch_size: int = 512,
+    batch_size: int = FORECAST_BATCH_SIZE,
 ) -> MetricReport:
     """Evaluate a frozen checkpoint on an external track file.
 
@@ -382,8 +383,8 @@ def cross_eval(
         raise MofcastError(f"{tracks_path}: no windows after filtering")
     batch = attach_flow_features(batch, model.config, open_flow_store(flow_features, model.config), synthetic_flow)
     pred = forecast_array(model, batch, batch_size=batch_size)
-    evals = evaluate_batch(pred, batch)
-    report = aggregate(evals)
+    scores = evaluate_batch(pred, batch)
+    report = aggregate(scores)
 
     checksum_after = weights_checksum(model)
     if checksum_before != checksum_after:
@@ -392,7 +393,7 @@ def cross_eval(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_reports(out, "encdec", report, evals)
+        _write_reports(out, "encdec", report, scores)
     return report
 
 

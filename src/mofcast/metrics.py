@@ -6,10 +6,10 @@ aggregates. Averages weight every (window, step) pair equally, which makes
 the scalar metrics exactly the means of the per-step curves. All values are
 raw pixels at native resolution; nothing is normalized.
 
-Scoring works on box arrays: :func:`box_errors` computes both per-step
-errors for a whole (N, q, 4) batch with the corner arithmetic of
-:func:`mofcast.core.iou`, and :func:`evaluate_batch` splits the result into
-per-window evaluations.
+Scoring works on arrays from end to end: :func:`box_errors` computes both
+per-step errors of a whole (N, q, 4) batch, :func:`evaluate_batch` keeps
+them as one :class:`WindowScores` of (N, q) arrays, and :func:`aggregate`
+and :func:`breakdown` reduce those arrays over their window axis.
 """
 
 from __future__ import annotations
@@ -28,25 +28,16 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class WindowEvaluation:
-    """Per-timestep errors of one forecast; index k is frame anchor+k+1."""
+class WindowScores:
+    """(N, q) per-step errors of N forecasts: row i is window ``sources[i]``, column k frame anchor+k+1."""
 
     displacements: np.ndarray
     ious: np.ndarray
-    source: WindowSource | None = None
-    metadata: Mapping[str, str] | None = None
+    sources: tuple[WindowSource | None, ...]
+    metadata: tuple[Mapping[str, str] | None, ...]
 
-    def __post_init__(self):
-        d = np.asarray(self.displacements, dtype=np.float64)
-        i = np.asarray(self.ious, dtype=np.float64)
-        if d.shape != i.shape or d.ndim != 1:
-            raise ValueError(f"curve shapes disagree: {d.shape} vs {i.shape}")
-        object.__setattr__(self, "displacements", d)
-        object.__setattr__(self, "ious", i)
-
-    @property
-    def horizon(self) -> int:
-        return self.displacements.size
+    def __len__(self) -> int:
+        return len(self.displacements)
 
 
 @dataclass(frozen=True)
@@ -62,17 +53,17 @@ class MetricReport:
 
 
 def centroid_displacements(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Element for element :func:`mofcast.core.centroid_distance` of (..., 4) boxes or (..., 2) centroids."""
+    """Centroid distances of (..., 4) boxes or (..., 2) centroids, element for element."""
     return np.hypot(pred[..., 0] - gt[..., 0], pred[..., 1] - gt[..., 1])
 
 
 def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centroid distances and IOUs of two equally shaped (..., 4) box arrays.
 
-    Element for element this is :func:`mofcast.core.centroid_distance` and
-    :func:`mofcast.core.iou`: the same corners, no overlap when the
-    intersection width or height is <= 0, and areas from the corners, so
-    identical boxes score exactly 1.0.
+    IOU goes through corner form: no overlap when the intersection width or
+    height is <= 0, and each area comes from the same corners as the
+    intersection, so identical boxes score exactly 1.0 and no IOU exceeds 1
+    under rounding.
     """
     if pred.shape != gt.shape or pred.shape[-1] != 4:
         raise ValueError(f"box arrays disagree: {pred.shape} predicted vs {gt.shape} ground truth")
@@ -88,43 +79,26 @@ def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return centroid_displacements(pred, gt), ious
 
 
-def evaluate_batch(pred: np.ndarray, batch: "WindowBatch") -> list[WindowEvaluation]:
-    """Score (N, q, 4) predictions against a batch's future boxes, one evaluation per window."""
+def evaluate_batch(pred: np.ndarray, batch: "WindowBatch") -> WindowScores:
+    """Score (N, q, 4) predictions against a batch's future boxes."""
     disp, ious = box_errors(np.asarray(pred, dtype=np.float64), batch.future)
-    return [
-        WindowEvaluation(displacements=d, ious=i, source=src, metadata=meta)
-        for d, i, src, meta in zip(disp, ious, batch.sources, batch.metadata)
-    ]
+    return WindowScores(displacements=disp, ious=ious, sources=batch.sources, metadata=batch.metadata)
 
 
 def evaluate_window(
     pred: Forecast,
     gt: Sequence[BBox],
     metadata: Mapping[str, str] | None = None,
-) -> WindowEvaluation:
-    """Per-timestep centroid distances and IOUs of a forecast against truth."""
+) -> WindowScores:
+    """One forecast scored against its truth, as a one-row :class:`WindowScores`."""
     if len(pred.boxes) != len(gt):
         raise ValueError(f"length mismatch: {len(pred.boxes)} predicted vs {len(gt)} ground-truth boxes")
-    disp, ious = box_errors(boxes_to_array(pred.boxes), boxes_to_array(gt))
-    return WindowEvaluation(displacements=disp, ious=ious, source=pred.source, metadata=metadata)
+    disp, ious = box_errors(boxes_to_array(pred.boxes)[None], boxes_to_array(gt)[None])
+    return WindowScores(displacements=disp, ious=ious, sources=(pred.source,), metadata=(metadata,))
 
 
-def aggregate(per_window: Sequence[WindowEvaluation], group_key: str | None = None) -> MetricReport:
-    """Combine window evaluations into one report.
-
-    Curves are the per-step means over windows; ADE/AIOU are the means of
-    those curves (equivalently, the mean over all window-step pairs), and
-    FDE/FIOU are the curves at the final step.
-    """
-    if not per_window:
-        raise ValueError("cannot aggregate an empty list of window evaluations")
-    horizon = per_window[0].horizon
-    for ev in per_window:
-        if ev.horizon != horizon:
-            raise ValueError(f"mixed horizons: {ev.horizon} vs {horizon}")
-    disp = np.stack([ev.displacements for ev in per_window])
-    ious = np.stack([ev.ious for ev in per_window])
-    disp_curve = disp.mean(axis=0)
+def _report(displacements: np.ndarray, ious: np.ndarray, group_key: str | None) -> MetricReport:
+    disp_curve = displacements.mean(axis=0)
     iou_curve = ious.mean(axis=0)
     return MetricReport(
         ade=float(disp_curve.mean()),
@@ -133,21 +107,35 @@ def aggregate(per_window: Sequence[WindowEvaluation], group_key: str | None = No
         fiou=float(iou_curve[-1]),
         displacement_curve=disp_curve,
         iou_curve=iou_curve,
-        n_windows=len(per_window),
+        n_windows=len(displacements),
         group_key=group_key,
     )
 
 
-def breakdown(per_window: Sequence[WindowEvaluation], field: str) -> list[MetricReport]:
-    """One report per distinct value of a metadata field, best AIOU first."""
-    groups: dict[str, list[WindowEvaluation]] = {}
-    for ev in per_window:
-        if ev.metadata is None or field not in ev.metadata:
-            raise ValueError(f"window {ev.source} has no {field!r} metadata")
-        groups.setdefault(ev.metadata[field], []).append(ev)
-    reports = [aggregate(evs, group_key=value) for value, evs in sorted(groups.items())]
-    reports.sort(key=lambda r: -r.aiou)
-    return reports
+def aggregate(scores: WindowScores, group_key: str | None = None) -> MetricReport:
+    """Combine window scores into one report.
+
+    Curves are the per-step means over windows; ADE/AIOU are the means of
+    those curves (equivalently, the mean over all window-step pairs), and
+    FDE/FIOU are the curves at the final step.
+    """
+    if not len(scores):
+        raise ValueError("cannot aggregate an empty set of window scores")
+    return _report(scores.displacements, scores.ious, group_key)
+
+
+def breakdown(scores: WindowScores, field: str) -> list[MetricReport]:
+    """One report per distinct value of a metadata field, best AIOU first, ties by value."""
+    try:
+        values = [meta[field] for meta in scores.metadata]
+    except (KeyError, TypeError):
+        i = next(i for i, meta in enumerate(scores.metadata) if meta is None or field not in meta)
+        raise ValueError(f"window {scores.sources[i]} has no {field!r} metadata") from None
+    # An object array keeps each value as given (a unicode array would drop trailing NULs).
+    keys, group_of = np.unique(np.array(values, dtype=object), return_inverse=True)
+    masks = group_of == np.arange(len(keys))[:, None]
+    reports = (_report(scores.displacements[m], scores.ious[m], key) for m, key in zip(masks, keys))
+    return sorted(reports, key=lambda r: -r.aiou)  # stable: equal AIOUs keep the value order
 
 
 def write_summary_csv(reports: Iterable[MetricReport], path: str | Path, model_id: str = "") -> None:

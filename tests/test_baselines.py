@@ -22,6 +22,7 @@ from mofcast.core import BBox, ObservationWindow, WindowSource, boxes_to_array
 from mofcast.data import cut_windows, extract_windows, synth_generate
 from mofcast.metrics import aggregate, evaluate_batch, evaluate_window
 
+import metrics_oracle
 from conftest import batch_of, linear_track, window_of
 from lkf_oracle import KalmanState, lkf_filter, lkf_forecast, lkf_roll_out
 
@@ -77,11 +78,12 @@ class TestCvCs:
 
     def test_zero_ade_on_noiseless_constant_velocity(self):
         tracks = synth_generate("constant_velocity", 5, 0.0, seed=11)
-        evals = []
-        for track in tracks:
-            for window in extract_windows(track):
-                evals.append(evaluate_window(cv_cs_forecast(window), window.future))
-        assert aggregate(evals).ade <= 1e-9
+        scores = [
+            evaluate_window(cv_cs_forecast(window), window.future)
+            for track in tracks
+            for window in extract_windows(track)
+        ]
+        assert metrics_oracle.aggregate(metrics_oracle.rows_of(*scores)).ade <= 1e-9
 
     def test_velocity_definition(self, cv_window):
         # linear_track vx=1, vy=0.5 -> per-frame velocity (1, 0.5)
@@ -271,7 +273,9 @@ class TestBatchedBaselines:
         val = batch_of(windows)
         result = lkf_tune(val, default_param_grid())
         want = [
-            aggregate([evaluate_window(lkf_forecast(lkf_filter(w, p)), w.future) for w in windows]).ade
+            metrics_oracle.aggregate(
+                metrics_oracle.rows_of(*(evaluate_window(lkf_forecast(lkf_filter(w, p)), w.future) for w in windows))
+            ).ade
             for p in default_param_grid()
         ]
         np.testing.assert_allclose([ade for _, ade in result.table], want, rtol=1e-9)

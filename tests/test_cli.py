@@ -75,6 +75,9 @@ class TestExitCodes:
             ["clip-filter", "--flow-magnitudes", "f.csv", "--clip-frames", "0"],
             ["synth", "--kind", "turning", "--n", "0", "--seed", "1", "--out", "t.csv"],
             *(["gradcheck", flag, value] for flag in ("--epsilon", "--tolerance") for value in ("0", "-1e-5", "nan")),
+            *(["train", "--tracks", "t.csv", "--splits", "s.json", flag, value]
+              for flag in ("--lr", "--beta") for value in ("nan", "inf", "0", "-1")),
+            *(["clip-filter", "--flow-magnitudes", "f.csv", "--threshold", value] for value in ("nan", "inf", "-inf")),
         ),
     )
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):

@@ -227,6 +227,11 @@ class TestMotionFilterClips:
         with pytest.raises(ValueError):
             motion_filter_clips([-1.0, 0.5])
 
+    @pytest.mark.parametrize("threshold", (float("nan"), float("inf"), -float("inf")))
+    def test_rejects_a_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold!r}"):
+            motion_filter_clips([9.0] * 1200, threshold=threshold)
+
 
 class TestMakeSplits:
     def make_tracks(self):

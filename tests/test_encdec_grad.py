@@ -17,7 +17,6 @@ from mofcast.encdec import (
     ModelConfig,
     assemble_arrays,
     compute_feature_stats,
-    grad_check,
     grad_check_detailed,
     init_params,
     loss_and_gradients,
@@ -43,6 +42,11 @@ def build_sample(variant: str, flow_dim: int, seed: int, n_tracks: int = 2):
     params = init_params(config, seed, zero_output=False)
     sample = GradSample(features=arrays.features, flow=arrays.flow, targets=arrays.targets)
     return config, params, stats, sample
+
+
+def grad_check(params, stats, sample, **kwargs) -> float:
+    """Max relative error of ``grad_check_detailed`` over all parameter groups."""
+    return max(grad_check_detailed(params, stats, sample, **kwargs).values())
 
 
 def numeric_gradient(params, stats, sample, name, idx):

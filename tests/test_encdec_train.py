@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mofcast.baselines import cv_cs_extrapolate
+from mofcast.baselines import cv_cs_batch, cv_cs_extrapolate
 from mofcast.core import boxes_to_array
 from mofcast.data import (
     KINDS,
@@ -29,6 +29,7 @@ from mofcast.encdec import (
     train,
 )
 from mofcast.errors import CheckpointError, FlowFeatureError
+from mofcast.metrics import aggregate, evaluate_batch
 
 
 def cv_windows(n_tracks=6, noise=0.0, seed=21, stride=10):
@@ -93,6 +94,20 @@ class TestNoiselessConstantVelocity:
         assert result.log.best_epoch == 0  # untrained model never beaten
 
 
+class TestValidationScoresLikeTest:
+    @pytest.mark.parametrize("variant", ("bb_only", "both"))
+    def test_untrained_val_ade_is_the_cv_cs_report_ade_exactly(self, variant):
+        train_w, val_w = (
+            dataclasses.replace(b, flow=synthetic_flow_batch(b.observed, 16))
+            for b in cv_windows(n_tracks=12, noise=2.0, stride=3)
+        )
+        config = TrainConfig(**{**SMALL, "variant": variant, "flow_dim": 16, "epochs": 1, "batch_size": 7})
+        result = train(train_w, val_w, config)
+        cv_cs = aggregate(evaluate_batch(cv_cs_batch(val_w.observed, val_w.horizon), val_w))
+        assert cv_cs.ade > 1.0
+        assert result.log.initial_val_ade == cv_cs.ade
+
+
 class TestDeterminism:
     def test_bit_identical_checkpoints(self, tmp_path):
         train_w, val_w = cv_windows(noise=1.0)
@@ -150,6 +165,15 @@ class TestTrainValidation:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("name", ("learning_rate", "beta"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf"), -1.0))
+    def test_float_fields_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"TrainConfig.{name} must be a finite number > 0"):
+            TrainConfig(**{name: value})
+
+    def test_model_defaults_come_from_model_config(self):
+        assert TrainConfig().model_config() == ModelConfig()
 
 
 class TestCheckpoint:

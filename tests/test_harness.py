@@ -117,9 +117,22 @@ class TestRunFold:
         result = run_fold(make_spec(synth_setup, model=model))
         split = make_splits(load_tracks(tracks_path), SplitConfig.from_file(splits_path), fold=0)
         windows = [w for t in sorted(split.test, key=lambda t: t.key) for w in extract_windows(t, stride=5)]
-        assert [ev.source for ev in result.evaluations] == [w.source for w in windows]
-        assert [ev.metadata for ev in result.evaluations] == [w.metadata for w in windows]
-        assert all(ev.horizon == 60 for ev in result.evaluations)
+        assert result.evaluations.sources == tuple(w.source for w in windows)
+        assert result.evaluations.metadata == tuple(w.metadata for w in windows)
+        assert result.evaluations.displacements.shape == result.evaluations.ious.shape == (len(windows), 60)
+
+    @pytest.mark.parametrize("model", ("cv_cs", "lkf", "encdec"))
+    def test_evaluations_aggregate_exactly_to_the_report(self, synth_setup, model):
+        spec = make_spec(synth_setup, model=model, train=TrainConfig(hidden=8, epochs=2, batch_size=32, seed=5))
+        tracks_path = synth_setup[0]
+        write_tracks(synth_generate("turning", 12, 2.0, seed=4, n_frames=95), tracks_path)  # non-zero errors
+        result = run_fold(spec)
+        again = aggregate(result.evaluations)
+        assert again.ade > 0.0
+        for name in ("ade", "fde", "aiou", "fiou", "n_windows"):
+            assert getattr(again, name) == getattr(result.report, name), name
+        assert again.displacement_curve.tobytes() == result.report.displacement_curve.tobytes()
+        assert again.iou_curve.tobytes() == result.report.iou_curve.tobytes()
 
     def test_spec_file_round_trip(self, synth_setup, tmp_path):
         spec = make_spec(synth_setup, model="encdec")

@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mofcast.core import BBox, Forecast, WindowSource, boxes_to_array, centroid_distance, iou
+from mofcast.core import BBox, Forecast, WindowSource, boxes_to_array
 from mofcast.data import WindowBatch
 from mofcast.metrics import (
     MetricReport,
-    WindowEvaluation,
+    WindowScores,
     aggregate,
     box_errors,
     breakdown,
@@ -16,6 +19,10 @@ from mofcast.metrics import (
     write_curve_csv,
     write_summary_csv,
 )
+
+import metrics_oracle as oracle
+from box_oracle import centroid_distance, iou
+from metrics_oracle import Row, scores_of
 
 SRC = WindowSource("v", 0, 29)
 
@@ -110,29 +117,31 @@ class TestEvaluateBatch:
         metadata = ({"city": "arden"}, None)
         batch = WindowBatch(observed=np.ones((2, 30, 4)), future=future, sources=sources, metadata=metadata)
         pred = np.stack([gt, gt])
-        evals = evaluate_batch(pred, batch)
-        assert [ev.source for ev in evals] == list(sources)
-        assert [ev.metadata for ev in evals] == list(metadata)
-        assert np.all(evals[0].displacements == 0.0) and np.all(evals[0].ious == 1.0)
-        assert np.allclose(evals[1].displacements, 1.0)
+        scores = evaluate_batch(pred, batch)
+        assert len(scores) == 2
+        assert scores.displacements.shape == scores.ious.shape == (2, 60)
+        assert scores.sources == sources
+        assert scores.metadata == metadata
+        assert np.all(scores.displacements[0] == 0.0) and np.all(scores.ious[0] == 1.0)
+        assert np.allclose(scores.displacements[1], 1.0)
         single = evaluate_window(forecast_of(gt_boxes()), [BBox(*r) for r in future[1]])
-        assert np.array_equal(single.displacements, evals[1].displacements)
-        assert np.array_equal(single.ious, evals[1].ious)
+        assert len(single) == 1 and single.sources == (SRC,) and single.metadata == (None,)
+        assert np.array_equal(single.displacements, scores.displacements[1:])
+        assert np.array_equal(single.ious, scores.ious[1:])
 
 
-def eval_with(disps, ious, metadata=None):
-    return WindowEvaluation(
-        displacements=np.asarray(disps, dtype=float),
-        ious=np.asarray(ious, dtype=float),
-        source=SRC,
-        metadata=metadata,
-    )
+def eval_with(disps, ious, metadata=None) -> Row:
+    return Row(np.asarray(disps, dtype=float), np.asarray(ious, dtype=float), SRC, metadata)
+
+
+def aggregate_rows(rows) -> MetricReport:
+    return aggregate(scores_of(rows))
 
 
 class TestAggregate:
     def test_single_window_final_error_only(self):
         ev = eval_with([0.0] * 59 + [5.0], [1.0] * 60)
-        report = aggregate([ev])
+        report = aggregate_rows([ev])
         assert report.ade == pytest.approx(5.0 / 60.0)
         assert report.fde == 5.0
         assert report.n_windows == 1
@@ -140,23 +149,23 @@ class TestAggregate:
     def test_cross_window_mean(self):
         a = eval_with([0.0] * 60, [1.0] * 60)
         b = eval_with([0.0] * 60, [0.0] * 60)
-        report = aggregate([a, b])
+        report = aggregate_rows([a, b])
         assert report.aiou == 0.5
         assert report.fiou == 0.5
 
     def test_perfect_window(self):
-        report = aggregate([eval_with([0.0] * 60, [1.0] * 60)])
+        report = aggregate_rows([eval_with([0.0] * 60, [1.0] * 60)])
         assert (report.ade, report.fde, report.aiou, report.fiou) == (0.0, 0.0, 1.0, 1.0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            aggregate([])
+            aggregate(WindowScores(np.empty((0, 60)), np.empty((0, 60)), (), ()))
 
     def test_scalars_match_curves_exactly(self, rng):
         evals = [
             eval_with(rng.uniform(0, 50, 60), rng.uniform(0, 1, 60)) for _ in range(7)
         ]
-        r = aggregate(evals)
+        r = aggregate_rows(evals)
         assert r.ade == np.mean(r.displacement_curve)
         assert r.fde == r.displacement_curve[-1]
         assert r.aiou == np.mean(r.iou_curve)
@@ -165,7 +174,7 @@ class TestAggregate:
     def test_concatenation_equals_weighted_combination(self, rng):
         first = [eval_with(rng.uniform(0, 9, 60), rng.uniform(0, 1, 60)) for _ in range(3)]
         second = [eval_with(rng.uniform(0, 9, 60), rng.uniform(0, 1, 60)) for _ in range(5)]
-        ra, rb, rall = aggregate(first), aggregate(second), aggregate(first + second)
+        ra, rb, rall = aggregate_rows(first), aggregate_rows(second), aggregate_rows(first + second)
         combined_ade = (3 * ra.ade + 5 * rb.ade) / 8
         combined_aiou = (3 * ra.aiou + 5 * rb.aiou) / 8
         assert rall.ade == pytest.approx(combined_ade, abs=1e-12)
@@ -176,10 +185,10 @@ class TestAggregate:
     def test_translation_invariance_of_all_metrics(self, offset):
         gt = gt_boxes()
         pred = [BBox(b.cx + 2, b.cy - 1, b.w + 1, b.h) for b in gt]
-        base = aggregate([evaluate_window(forecast_of(pred), gt)])
+        base = aggregate(evaluate_window(forecast_of(pred), gt))
         gt2 = [BBox(b.cx + offset, b.cy + offset, b.w, b.h) for b in gt]
         pred2 = [BBox(b.cx + offset, b.cy + offset, b.w, b.h) for b in pred]
-        moved = aggregate([evaluate_window(forecast_of(pred2), gt2)])
+        moved = aggregate(evaluate_window(forecast_of(pred2), gt2))
         assert moved.ade == pytest.approx(base.ade, abs=1e-9)
         assert moved.fde == pytest.approx(base.fde, abs=1e-9)
         assert moved.aiou == pytest.approx(base.aiou, abs=1e-9)
@@ -188,15 +197,15 @@ class TestAggregate:
     def test_iou_one_implies_zero_displacement(self):
         gt = gt_boxes()
         pred = [BBox(b.cx + (0 if k % 2 else 4), b.cy, b.w, b.h) for k, b in enumerate(gt)]
-        ev = evaluate_window(forecast_of(pred), gt)
-        assert np.all(ev.displacements[ev.ious == 1.0] == 0.0)
+        scores = evaluate_window(forecast_of(pred), gt)
+        assert np.all(scores.displacements[scores.ious == 1.0] == 0.0)
 
 
 class TestBreakdown:
     def test_single_group_equals_global(self):
         evals = [eval_with([1.0] * 60, [0.5] * 60, {"city": "arden"}) for _ in range(4)]
-        (report,) = breakdown(evals, "city")
-        global_report = aggregate(evals)
+        (report,) = breakdown(scores_of(evals), "city")
+        global_report = aggregate_rows(evals)
         assert report.group_key == "arden"
         assert report.ade == global_report.ade
         assert report.n_windows == 4
@@ -204,24 +213,100 @@ class TestBreakdown:
     def test_identical_groups_give_identical_reports(self):
         a = eval_with([2.0] * 60, [0.25] * 60, {"city": "a"})
         b = eval_with([2.0] * 60, [0.25] * 60, {"city": "b"})
-        ra, rb = breakdown([a, b], "city")
+        ra, rb = breakdown(scores_of([a, b]), "city")
         assert (ra.ade, ra.aiou) == (rb.ade, rb.aiou)
 
     def test_sorted_by_aiou_descending(self):
         worse = eval_with([9.0] * 60, [0.0] * 60, {"city": "bad"})
         better = eval_with([0.0] * 60, [1.0] * 60, {"city": "good"})
-        reports = breakdown([worse, better], "city")
+        reports = breakdown(scores_of([worse, better]), "city")
         assert [r.group_key for r in reports] == ["good", "bad"]
 
     def test_missing_metadata_names_window(self):
         ev = eval_with([0.0] * 60, [1.0] * 60, {"city": "a"})
         with pytest.raises(ValueError, match="weather"):
-            breakdown([ev], "weather")
+            breakdown(scores_of([ev]), "weather")
+        bare = Row(ev.displacements, ev.ious, WindowSource("bare", 4, 77), None)
+        with pytest.raises(ValueError, match=re.escape("window WindowSource(video_id='bare', track_id=4")):
+            breakdown(scores_of([ev, bare]), "city")
+
+
+# First appearance in the order listed here differs from the sorted order.
+GROUP_VALUES = ("delta", "alpha", "charlie", "bravo")
+
+
+def assert_same_report(got: MetricReport, want: MetricReport) -> None:
+    """Equal bit for bit: scalars, curves, window count and group key."""
+    assert (got.ade, got.fde, got.aiou, got.fiou) == (want.ade, want.fde, want.aiou, want.fiou)
+    assert got.displacement_curve.tobytes() == want.displacement_curve.tobytes()
+    assert got.iou_curve.tobytes() == want.iou_curve.tobytes()
+    assert (got.n_windows, got.group_key, type(got.group_key)) == (want.n_windows, want.group_key, type(want.group_key))
+
+
+@st.composite
+def scored_windows(draw) -> list[Row]:
+    n, q = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    disp = draw(arrays(np.float64, (n, q), elements=st.floats(0.0, 1e3)))
+    # Dyadic IOUs sum exactly, so groups of identical rows tie on AIOU exactly.
+    iou_values = st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        ious = np.tile(draw(arrays(np.float64, q, elements=st.sampled_from((0.0, 0.25, 0.5, 1.0)))), (n, 1))
+    else:
+        ious = draw(arrays(np.float64, (n, q), elements=iou_values))
+    values = draw(st.lists(st.sampled_from(GROUP_VALUES), min_size=n, max_size=n))
+    return [
+        Row(disp[k].copy(), ious[k].copy(), WindowSource("v", k, 29 + k), {"city": value})
+        for k, value in enumerate(values)
+    ]
+
+
+class TestAgainstRowOracle:
+    @given(rows=scored_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_reports_equal_the_row_by_row_oracle_bit_for_bit(self, rows):
+        scores = scores_of(rows)
+        assert_same_report(aggregate(scores), oracle.aggregate(rows))
+        got, want = breakdown(scores, "city"), oracle.breakdown(rows, "city")
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_report(g, w)
+
+    def test_one_window_groups_and_aiou_ties_keep_the_value_order(self):
+        tied = [0.5] * 4
+        rows = [
+            eval_with([1.0, 2.0, 3.0, 4.0], tied, {"city": "delta"}),
+            eval_with([0.0] * 4, [1.0] * 4, {"city": "echo"}),
+            eval_with([5.0] * 4, tied, {"city": "alpha"}),
+            eval_with([7.0] * 4, tied, {"city": "charlie"}),
+            eval_with([9.0] * 4, tied, {"city": "alpha"}),
+        ]
+        got = breakdown(scores_of(rows), "city")
+        assert [r.group_key for r in got] == ["echo", "alpha", "charlie", "delta"]
+        assert [r.n_windows for r in got] == [1, 2, 1, 1]
+        for g, w in zip(got, oracle.breakdown(rows, "city"), strict=True):
+            assert_same_report(g, w)
+
+    def test_evaluate_batch_rows_are_the_per_window_scores(self, rng):
+        future = rng.uniform(5.0, 50.0, (5, 7, 4))
+        pred = future + rng.normal(0.0, 3.0, future.shape)
+        sources = tuple(WindowSource("v", k, 29) for k in range(5))
+        metadata = tuple({"city": GROUP_VALUES[k % 3]} for k in range(5))
+        batch = WindowBatch(observed=np.ones((5, 30, 4)), future=future, sources=sources, metadata=metadata)
+        scores = evaluate_batch(pred, batch)
+        singles = [
+            evaluate_window(Forecast(src, tuple(BBox(*r) for r in p)), [BBox(*r) for r in f], meta)
+            for src, p, f, meta in zip(sources, pred, future, metadata)
+        ]
+        rows = oracle.rows_of(*singles)
+        assert [r.source for r in rows] == list(sources)
+        assert_same_report(aggregate(scores), oracle.aggregate(rows))
+        for g, w in zip(breakdown(scores, "city"), oracle.breakdown(rows, "city"), strict=True):
+            assert_same_report(g, w)
 
 
 class TestReportFiles:
     def test_summary_and_curve_files(self, tmp_path):
-        report = aggregate([eval_with([1.0] * 60, [0.5] * 60)])
+        report = aggregate_rows([eval_with([1.0] * 60, [0.5] * 60)])
         summary = tmp_path / "summary.csv"
         curves = tmp_path / "curves.csv"
         write_summary_csv([report], summary, model_id="cv_cs")
