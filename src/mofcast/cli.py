@@ -87,6 +87,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (0 < value < math.inf):  # also refuses nan
@@ -128,29 +135,30 @@ def _add_flow_flags(p: argparse.ArgumentParser):
     )
 
 
-# The train subcommand's flags: (flag, the TrainConfig field it sets, help).
-# Defaults come from TrainConfig itself; the float fields must be finite and > 0.
+# The train subcommand's flags: (flag, the TrainConfig field it sets, its
+# argument type, help). Defaults come from TrainConfig itself; the types
+# refuse out-of-range values as usage errors, before any file is read.
 _TRAIN_FLAGS = (
-    ("--variant", "variant", "model variant"),
-    ("--hidden", "hidden", "GRU hidden units"),
-    ("--epochs", "epochs", "training epochs"),
-    ("--batch", "batch_size", "mini-batch size"),
-    ("--lr", "learning_rate", "initial learning rate"),
-    ("--beta", "beta", "smooth-L1 seam in px"),
-    ("--flow-dim", "flow_dim", "flow feature dimension"),
-    ("--seed", "seed", "seed of initialization and batch order"),
-    ("--deterministic", "deterministic", "pin BLAS to 1 thread for bit-reproducible training (needs threadpoolctl)"),
+    ("--variant", "variant", str, "model variant"),
+    ("--hidden", "hidden", _positive_int, "GRU hidden units"),
+    ("--epochs", "epochs", _positive_int, "training epochs"),
+    ("--batch", "batch_size", _positive_int, "mini-batch size"),
+    ("--lr", "learning_rate", _positive_float, "initial learning rate"),
+    ("--beta", "beta", _positive_float, "smooth-L1 seam in px"),
+    ("--flow-dim", "flow_dim", _positive_int, "flow feature dimension"),
+    ("--seed", "seed", _non_negative_int, "seed of initialization and batch order"),
+    ("--deterministic", "deterministic", bool,
+     "pin BLAS to 1 thread for bit-reproducible training (needs threadpoolctl)"),
 )
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
     defaults = TrainConfig()
-    for flag, name, help_text in _TRAIN_FLAGS:
+    for flag, name, kind, help_text in _TRAIN_FLAGS:
         default = getattr(defaults, name)
-        if isinstance(default, bool):
+        if kind is bool:
             kwargs = {"action": argparse.BooleanOptionalAction}
         else:
-            kind = _positive_float if isinstance(default, float) else type(default)
             kwargs = {"type": kind, "choices": VARIANTS if name == "variant" else None}
         p.add_argument(flag, dest=name, default=default, help=f"{help_text} (default: {default})", **kwargs)
 
@@ -322,7 +330,7 @@ def _cmd_clip_filter(args) -> int:
 
 def _spec_from_args(args, model: str) -> ExperimentSpec:
     if args.command == "train":
-        train_config = TrainConfig(**{name: getattr(args, name) for _, name, _ in _TRAIN_FLAGS})
+        train_config = TrainConfig(**{name: getattr(args, name) for _, name, _, _ in _TRAIN_FLAGS})
     else:
         train_config = TrainConfig()
     return ExperimentSpec(

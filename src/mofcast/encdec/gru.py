@@ -20,10 +20,22 @@ How the work is laid out:
   ``h @ U_zr`` GEMM for both gates (backward: one ``a_zr @ U_zr``). The
   stacking happens once per call; :class:`GRUParams` keeps the nine
   separate tensors that checkpoints name.
+- Time-major state: the cache holds the hidden states as (T+1, B, H) and
+  the gates as (T, B, ·), so every step reads and writes contiguous (B, ·)
+  blocks. The callers' (B, T, ·) contract is kept by transposed views: the
+  returned hidden states are ``hs[1:]`` seen as (B, T, H), ``dh_out`` is
+  read one (B, H) step at a time, and ``dx`` is a (B, T, I) view.
+- In-place steps: both forward GEMMs write into their cache slot
+  (``np.matmul(..., out=)``), the sigmoid and tanh run in place, and ``h'``
+  is built in ``hs[k+1]`` with one reused (B, H) buffer. The backward step
+  writes ``a_z``, ``a_r`` and ``a_h`` straight into its (B, 3H) row of
+  ``da`` and updates ``dh`` in place, with three reused (B, H) buffers. Each
+  step keeps the elementwise operation order of the cell above, so the
+  forward pass is bit-identical to a batch-major one with temporaries.
 - Only the hidden-to-hidden recurrences run step by step. The recurrent
   weight gradients are not accumulated per step: after the loop, one GEMM
-  over the hidden states of all steps flattened to (B*T, H) gives
-  ``[dU_z; dU_r]`` and one more gives ``dU_h``.
+  over the hidden states of all steps, ``hs[:-1]`` read as (T*B, H) without
+  a copy, gives ``[dU_z; dU_r]`` and one more gives ``dU_h``.
 - Time-constant inputs: a (B, T, I) input whose time axis has stride 0 (a
   ``np.broadcast_to`` of one (B, I) row per sequence, as the decoder is fed
   its code) is projected once, as (B, 3H). Its input-weight gradient is
@@ -40,8 +52,13 @@ from typing import NamedTuple
 import numpy as np
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function in its tanh form; ``out`` may be ``x`` itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 @dataclass
@@ -106,9 +123,9 @@ class GRUParams:
 
 class GRUCache(NamedTuple):
     x: np.ndarray       # (B, T, I), as passed in (stride 0 over T for a time-constant input)
-    hs: np.ndarray      # (B, T+1, H), hs[:, 0] is h0
-    zr: np.ndarray      # (B, T, 2H), the update gate z then the reset gate r
-    htil: np.ndarray    # (B, T, H)
+    hs: np.ndarray      # (T+1, B, H) time-major; hs[0] is h0, hs[k+1] the state after step k
+    zr: np.ndarray      # (T, B, 2H), per step the update gate z then the reset gate r
+    htil: np.ndarray    # (T, B, H), the candidate state of each step
 
 
 def _time_constant(x: np.ndarray) -> bool:
@@ -123,28 +140,42 @@ def _input_weights(params: GRUParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gru_forward(params: GRUParams, x: np.ndarray, h0: np.ndarray | None = None) -> tuple[np.ndarray, GRUCache]:
-    """Run the cell over a (B, T, I) sequence; returns hidden states (B, T, H)."""
+    """Run the cell over a (B, T, I) sequence; returns hidden states (B, T, H).
+
+    The states are a (B, T, H) view of the time-major ``cache.hs[1:]``.
+    """
     b, t, i = x.shape
     hd = params.hidden_dim
     w, bias = _input_weights(params)
-    u_zr = np.concatenate([params.u_z, params.u_r])
-    # One GEMM for all gates and timesteps (one row per sequence if time-constant).
-    rows = x[:, 0] if _time_constant(x) else x.reshape(b * t, i)
-    xp = np.broadcast_to((rows @ w.T + bias).reshape(b, -1, 3 * hd), (b, t, 3 * hd))
+    u_zr_t = np.concatenate([params.u_z, params.u_r]).T
+    u_h_t = params.u_h.T
+    # One GEMM for all gates and timesteps, time-major (T, B, 3H); a
+    # time-constant input is projected once, (B, 3H), and read at every step.
+    if _time_constant(x):
+        xp = np.broadcast_to(x[:, 0] @ w.T + bias, (t, b, 3 * hd))
+    else:
+        xp = (x.transpose(1, 0, 2).reshape(t * b, i) @ w.T + bias).reshape(t, b, 3 * hd)
 
-    hs = np.empty((b, t + 1, hd))
-    hs[:, 0] = 0.0 if h0 is None else h0
-    zr_all = np.empty((b, t, 2 * hd))
-    htil_all = np.empty((b, t, hd))
+    hs = np.empty((t + 1, b, hd))
+    hs[0] = 0.0 if h0 is None else h0
+    zr_all = np.empty((t, b, 2 * hd))
+    htil_all = np.empty((t, b, hd))
+    buf = np.empty((b, hd))
     for k in range(t):
-        h = hs[:, k]
-        zr = sigmoid(xp[:, k, : 2 * hd] + h @ u_zr.T)
+        h, zr, htil, h_next = hs[k], zr_all[k], htil_all[k], hs[k + 1]
+        np.matmul(h, u_zr_t, out=zr)
+        zr += xp[k, :, : 2 * hd]
+        sigmoid(zr, out=zr)
         z, r = zr[:, :hd], zr[:, hd:]
-        htil = np.tanh(xp[:, k, 2 * hd :] + (r * h) @ params.u_h.T)
-        hs[:, k + 1] = (1.0 - z) * htil + z * h
-        zr_all[:, k] = zr
-        htil_all[:, k] = htil
-    return hs[:, 1:], GRUCache(x=x, hs=hs, zr=zr_all, htil=htil_all)
+        np.multiply(r, h, out=buf)
+        np.matmul(buf, u_h_t, out=htil)
+        htil += xp[k, :, 2 * hd :]
+        np.tanh(htil, out=htil)
+        np.subtract(1.0, z, out=h_next)     # h' = (1 - z) * htil + z * h
+        h_next *= htil
+        np.multiply(z, h, out=buf)
+        h_next += buf
+    return hs[1:].transpose(1, 0, 2), GRUCache(x=x, hs=hs, zr=zr_all, htil=htil_all)
 
 
 def gru_backward(
@@ -154,44 +185,55 @@ def gru_backward(
 
     ``dh_out[:, k]`` is the loss gradient injected directly at hidden state
     h_{k+1} by its downstream consumers (every step for a decoder, only the
-    last step for a sequence encoder). Returns (dx, dh0, parameter grads);
-    ``dx`` is (B, T, I), or (B, 1, I) for a time-constant input.
+    last step for a sequence encoder); a (B, T, H) view of a time-major
+    (T, B, H) array reads each step contiguously. Returns (dx, dh0,
+    parameter grads); ``dx`` is a (B, T, I) view of a time-major array, or
+    (B, 1, I) for a time-constant input.
     """
     x, hs, zr_all, htil_all = cache
     b, t, i = x.shape
     hd = params.hidden_dim
     u_zr = np.concatenate([params.u_z, params.u_r])
 
-    da = np.empty((b, t, 3 * hd))  # pre-activation gradients a_z, a_r, a_h
+    da = np.empty((t, b, 3 * hd))  # pre-activation gradients a_z, a_r, a_h
     dh = np.zeros((b, hd))
+    one_minus_z, drh, buf = np.empty((b, hd)), np.empty((b, hd)), np.empty((b, hd))
     for k in range(t - 1, -1, -1):
-        dh = dh + dh_out[:, k]
-        z, r, htil = zr_all[:, k, :hd], zr_all[:, k, hd:], htil_all[:, k]
-        h_prev = hs[:, k]
+        dh += dh_out[:, k]
+        z, r, htil, h_prev = zr_all[k, :, :hd], zr_all[k, :, hd:], htil_all[k], hs[k]
+        a_z, a_r, a_h = da[k, :, :hd], da[k, :, hd : 2 * hd], da[k, :, 2 * hd :]
 
-        dhtil = dh * (1.0 - z)
-        dz = dh * (h_prev - htil)
-        a_h = dhtil * (1.0 - htil * htil)
-        a_z = dz * z * (1.0 - z)
-        drh = a_h @ params.u_h          # grad w.r.t. (r * h_prev)
-        dr = drh * h_prev
-        a_r = dr * r * (1.0 - r)
-        da[:, k, :hd] = a_z
-        da[:, k, hd : 2 * hd] = a_r
-        da[:, k, 2 * hd :] = a_h
+        np.subtract(1.0, z, out=one_minus_z)
+        np.multiply(dh, one_minus_z, out=a_h)       # dhtil
+        np.multiply(htil, htil, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        a_h *= buf                                  # a_h = dhtil * (1 - htil^2)
+        np.subtract(h_prev, htil, out=buf)
+        np.multiply(dh, buf, out=a_z)               # dz
+        a_z *= z
+        a_z *= one_minus_z                          # a_z = dz * z * (1 - z)
+        np.matmul(a_h, params.u_h, out=drh)         # grad w.r.t. (r * h_prev)
+        np.multiply(drh, h_prev, out=a_r)           # dr
+        a_r *= r
+        np.subtract(1.0, r, out=buf)
+        a_r *= buf                                  # a_r = dr * r * (1 - r)
 
-        dh = dh * z + da[:, k, : 2 * hd] @ u_zr + drh * r
+        dh *= z                                     # dh = dh * z + a_zr @ U_zr + drh * r
+        np.matmul(da[k, :, : 2 * hd], u_zr, out=buf)
+        dh += buf
+        drh *= r
+        dh += drh
 
-    flat_da = da.reshape(b * t, 3 * hd)
-    h_prev = hs[:, :-1].reshape(b * t, hd)
+    flat_da = da.reshape(t * b, 3 * hd)
+    h_prev = hs[:-1].reshape(t * b, hd)
     du_zr = flat_da[:, : 2 * hd].T @ h_prev
-    du_h = flat_da[:, 2 * hd :].T @ (zr_all[:, :, hd:].reshape(b * t, hd) * h_prev)
+    du_h = flat_da[:, 2 * hd :].T @ (zr_all[:, :, hd:].reshape(t * b, hd) * h_prev)
 
     w, _ = _input_weights(params)
     if _time_constant(x):
-        rows_da, rows_x = da.sum(axis=1), x[:, 0]
+        rows_da, rows_x = da.sum(axis=0), x[:, 0]
     else:
-        rows_da, rows_x = flat_da, x.reshape(b * t, i)
+        rows_da, rows_x = flat_da, x.transpose(1, 0, 2).reshape(t * b, i)
     dw = rows_da.T @ rows_x
     db = rows_da.sum(axis=0)
     grads = GRUParams(
@@ -205,5 +247,5 @@ def gru_backward(
         b_r=db[hd : 2 * hd],
         b_h=db[2 * hd :],
     )
-    dx = (rows_da @ w).reshape(b, -1, i)
+    dx = (rows_da @ w).reshape(-1, b, i).transpose(1, 0, 2)
     return dx, dh, grads

@@ -6,9 +6,11 @@ state; an affine layer (plus optional rectifier) compresses that into a
 box code, the (externally produced) flow feature, or their concatenation.
 The decoder GRU receives the same code at every one of the 60 future steps,
 passed as a stride-0 broadcast that the GRU projects once per window rather
-than once per step (and whose gradient it returns as one row); an output layer maps each hidden state to a 4-vector per-step change
-(velocity delta and size delta), and the running sum of those changes is the
-residual relative to the constant-velocity, constant-scale extrapolation.
+than once per step (and whose gradient it returns as one row). An output
+layer maps each hidden state to a 4-vector per-step change (velocity delta
+and size delta), and the running sum of those changes is the residual
+relative to the constant-velocity, constant-scale extrapolation. The output
+layer and the running sum work on the decoder's time-major (T, B, H) states.
 Emitting changes rather than absolute residuals keeps the output scale at a
 few pixels per step and lets bounded hidden states express residual curves
 that keep growing over the whole horizon. The output layer is
@@ -176,8 +178,7 @@ class ForwardCache:
     enc_last: np.ndarray | None
     fc_pre: np.ndarray | None
     code: np.ndarray
-    dec_cache: GRUCache
-    dec_hs: np.ndarray
+    dec_cache: GRUCache  # dec_cache.hs[1:] are the (horizon, B, H) decoder states
     residuals: np.ndarray
 
 
@@ -212,10 +213,10 @@ def forward_batch(
     b = code.shape[0]
     # A stride-0 view, not a copy: gru_forward projects the code once per window.
     dec_in = np.broadcast_to(code[:, None, :], (b, horizon, code.shape[1]))
-    dec_hs, dec_cache = gru_forward(params.decoder, dec_in)
-    flat = dec_hs.reshape(b * horizon, -1)
-    deltas = (flat @ params.out_w.T + params.out_b).reshape(b, horizon, OUTPUT_DIM)
-    residuals = np.cumsum(deltas, axis=1)
+    _, dec_cache = gru_forward(params.decoder, dec_in)
+    flat = dec_cache.hs[1:].reshape(horizon * b, -1)
+    deltas = (flat @ params.out_w.T + params.out_b).reshape(horizon, b, OUTPUT_DIM)
+    residuals = np.ascontiguousarray(np.cumsum(deltas, axis=0).transpose(1, 0, 2))
     return ForwardCache(
         std_features=std_features,
         enc_cache=enc_cache,
@@ -223,7 +224,6 @@ def forward_batch(
         fc_pre=fc_pre,
         code=code,
         dec_cache=dec_cache,
-        dec_hs=dec_hs,
         residuals=residuals,
     )
 
@@ -234,16 +234,17 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
     b, horizon, _ = dresiduals.shape
     hd = cfg.hidden
 
-    # residual_k = sum_{j<=k} delta_j, so d(loss)/d(delta_j) = sum_{k>=j} d(loss)/d(residual_k)
-    ddeltas = np.flip(np.cumsum(np.flip(dresiduals, axis=1), axis=1), axis=1)
-    flat_d = np.ascontiguousarray(ddeltas).reshape(b * horizon, OUTPUT_DIM)
-    flat_h = cache.dec_hs.reshape(b * horizon, hd)
+    # residual_k = sum_{j<=k} delta_j, so d(loss)/d(delta_j) = sum_{k>=j} d(loss)/d(residual_k);
+    # time-major (horizon, B, 4), like the decoder states
+    ddeltas = np.flip(np.cumsum(np.flip(dresiduals.transpose(1, 0, 2), axis=0), axis=0), axis=0)
+    flat_d = np.ascontiguousarray(ddeltas).reshape(horizon * b, OUTPUT_DIM)
+    flat_h = cache.dec_cache.hs[1:].reshape(horizon * b, hd)
     grads: dict[str, np.ndarray] = {}
     grads["out.w"] = flat_d.T @ flat_h
     grads["out.b"] = flat_d.sum(axis=0)
 
-    ddec_h = (flat_d @ params.out_w).reshape(b, horizon, hd)
-    dx_dec, _, dec_grads = gru_backward(params.decoder, cache.dec_cache, ddec_h)
+    ddec_h = (flat_d @ params.out_w).reshape(horizon, b, hd)
+    dx_dec, _, dec_grads = gru_backward(params.decoder, cache.dec_cache, ddec_h.transpose(1, 0, 2))
     for k, v in dec_grads.tensors().items():
         grads[f"decoder.{k}"] = v
 
@@ -256,9 +257,9 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
         grads["fc1.b"] = dbox_code.sum(axis=0)
 
         p = cache.std_features.shape[1]
-        denc_out = np.zeros((b, p, hd))
-        denc_out[:, -1] = dbox_code @ params.fc1_w
-        _, _, enc_grads = gru_backward(params.encoder, cache.enc_cache, denc_out)
+        denc_out = np.zeros((p, b, hd))
+        denc_out[-1] = dbox_code @ params.fc1_w
+        _, _, enc_grads = gru_backward(params.encoder, cache.enc_cache, denc_out.transpose(1, 0, 2))
         for k, v in enc_grads.tensors().items():
             grads[f"encoder.{k}"] = v
 

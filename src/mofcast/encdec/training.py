@@ -53,9 +53,11 @@ class TrainConfig:
         for name in ("learning_rate", "beta"):
             if not 0 < getattr(self, name) < math.inf:  # also refuses nan
                 raise ValueError(f"TrainConfig.{name} must be a finite number > 0, got {getattr(self, name)!r}")
-        for name in ("lr_halving_epochs", "batch_size", "epochs", "hidden"):
+        for name in ("lr_halving_epochs", "batch_size", "epochs", "hidden", "flow_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig.{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

@@ -217,12 +217,13 @@ def _write_train_log(log: TrainLog, path: Path) -> None:
 
 
 def weights_checksum(model: Model) -> str:
+    """SHA-256 of the stats and every named tensor, hashed from their C-contiguous buffers without a copy."""
     digest = hashlib.sha256()
-    digest.update(model.stats.mean.tobytes())
-    digest.update(model.stats.std.tobytes())
+    digest.update(np.ascontiguousarray(model.stats.mean))
+    digest.update(np.ascontiguousarray(model.stats.std))
     for name, tensor in model.params.tensors().items():
         digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(tensor).tobytes())
+        digest.update(np.ascontiguousarray(tensor))
     return digest.hexdigest()
 
 

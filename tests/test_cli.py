@@ -78,6 +78,10 @@ class TestExitCodes:
             *(["train", "--tracks", "t.csv", "--splits", "s.json", flag, value]
               for flag in ("--lr", "--beta") for value in ("nan", "inf", "0", "-1")),
             *(["clip-filter", "--flow-magnitudes", "f.csv", "--threshold", value] for value in ("nan", "inf", "-inf")),
+            *(["train", "--tracks", "t.csv", "--splits", "s.json", flag, value]
+              for flag in ("--hidden", "--epochs", "--batch", "--flow-dim") for value in ("0", "-1")),
+            ["train", "--tracks", "t.csv", "--splits", "s.json", "--variant", "both", "--flow-dim", "0"],
+            ["train", "--tracks", "t.csv", "--splits", "s.json", "--seed", "-1"],
         ),
     )
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):

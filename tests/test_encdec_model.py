@@ -32,7 +32,15 @@ from mofcast.encdec.gru import sigmoid
 from mofcast.errors import FlowFeatureError
 
 from conftest import batch_of, linear_track, window_of
-from encdec_oracle import decode, destandardize, encode, gru_cell
+from encdec_oracle import (
+    decode,
+    destandardize,
+    encode,
+    forward_residuals_batch_major,
+    gru_backward_batch_major,
+    gru_cell,
+    gru_forward_batch_major,
+)
 from encdec_oracle import sigmoid as oracle_sigmoid
 
 
@@ -167,6 +175,66 @@ class TestGruHotPath:
         assert cache.dec_cache.x.shape == (1, 60, config.code_dim)
         assert cache.dec_cache.x.strides[1] == 0
         assert np.shares_memory(cache.dec_cache.x, cache.code)
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestTimeMajorGru:
+    """The time-major GRU against the batch-major one it replaced: same forward bits, gradients to rounding."""
+
+    @pytest.mark.parametrize(
+        "b,t,i,hd,shared,with_h0",
+        (
+            (5, 7, 6, 9, False, False),
+            (5, 7, 6, 9, False, True),
+            (4, 6, 8, 10, True, False),
+            (4, 6, 8, 10, True, True),
+            (3, 1, 4, 5, False, True),
+            (3, 1, 4, 5, True, False),
+            (1, 9, 4, 5, False, True),
+            (1, 9, 4, 5, True, False),
+            (24, 6, 8, 512, False, False),  # large enough for BLAS to thread
+            (24, 6, 64, 512, True, True),
+        ),
+        ids=("plain", "plain-h0", "stride0", "stride0-h0", "t1", "t1-stride0", "b1", "b1-stride0",
+             "h512", "h512-stride0-h0"),
+    )
+    def test_matches_the_batch_major_oracle(self, rng, b, t, i, hd, shared, with_h0):
+        params = GRUParams.init(rng, i, hd)
+        for name in ("b_z", "b_r", "b_h"):
+            getattr(params, name)[:] = rng.normal(size=hd)
+        x = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i)) if shared else rng.normal(size=(b, t, i))
+        h0 = rng.normal(size=(b, hd)) if with_h0 else None
+        dh_out = rng.normal(size=(b, t, hd))
+
+        hs, cache = gru_forward(params, x, h0)
+        hs_ref, cache_ref = gru_forward_batch_major(params, x, h0)
+        assert hs.shape == (b, t, hd)
+        assert cache.x is x
+        assert _bits(hs) == _bits(hs_ref)
+        assert cache.hs.shape == (t + 1, b, hd)
+        for name in ("hs", "zr", "htil"):
+            assert _bits(getattr(cache, name).transpose(1, 0, 2)) == _bits(getattr(cache_ref, name)), name
+
+        dx, dh0, grads = gru_backward(params, cache, dh_out)
+        dx_ref, dh0_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
+        assert dx.shape == ((b, 1, i) if shared and t > 1 else (b, t, i))
+        pairs = {"dx": (dx, dx_ref), "dh0": (dh0, dh0_ref)}
+        pairs.update({name: (g, getattr(grads_ref, name)) for name, g in grads.tensors().items()})
+        for name, (got, want) in pairs.items():
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(), err_msg=name)
+
+    @pytest.mark.parametrize("variant,hidden", (("bb_only", 12), ("of_only", 12), ("both", 12), ("both", 512)))
+    def test_forward_batch_residuals_are_bit_identical(self, rng, variant, hidden):
+        config = ModelConfig(variant=variant, hidden=hidden, flow_dim=24)
+        params = init_params(config, 7, zero_output=False)
+        stats = FeatureStats(mean=rng.normal(size=8), std=rng.uniform(0.5, 2.0, size=8))
+        features, flow = rng.normal(size=(16, 30, 8)), rng.normal(size=(16, 24))
+        residuals = forward_batch(params, stats, features, flow).residuals
+        assert residuals.flags.c_contiguous
+        assert _bits(residuals) == _bits(forward_residuals_batch_major(params, stats, features, flow))
 
 
 class TestEncodeDecode:

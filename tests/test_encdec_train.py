@@ -120,6 +120,25 @@ class TestDeterminism:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_bit_identical_checkpoints_at_paper_size(self, tmp_path):
+        # H=512 GEMMs are large enough for BLAS to thread, unlike the tiny model
+        # above, so this also guards the GRU's reused buffers and out= writes.
+        train_w = cut_windows(synth_generate_mixed(KINDS, 2, 1.0, seed=4, n_frames=150), stride=30)
+        val_w = cut_windows(synth_generate_mixed(KINDS, 1, 1.0, seed=5, n_frames=150), stride=60)
+        assert len(train_w) == 24
+        config = TrainConfig(hidden=512, variant="bb_only", epochs=1, batch_size=12, seed=1, deterministic=True)
+        paths, logs = [], []
+        for run in range(2):
+            result = train(train_w, val_w, config)
+            assert result.log.best_epoch == 1  # the checkpoint holds trained weights, not the initial ones
+            path = tmp_path / f"run{run}" / "checkpoint.mofc"
+            path.parent.mkdir()
+            save_checkpoint(result.model, path)
+            paths.append(path)
+            logs.append(result.log.rows())
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert repr(logs[0]) == repr(logs[1])
+
     def test_different_seed_changes_weights(self, tmp_path):
         train_w, val_w = cv_windows(noise=1.0)
         a = train(train_w, val_w, TrainConfig(**{**SMALL, "seed": 1}))
@@ -170,6 +189,11 @@ class TestTrainValidation:
     @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf"), -1.0))
     def test_float_fields_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ValueError, match=f"TrainConfig.{name} must be a finite number > 0"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value,bound", (("seed", -1, ">= 0"), ("flow_dim", 0, ">= 1"), ("hidden", 0, ">= 1")))
+    def test_int_fields_are_range_checked_by_name(self, name, value, bound):
+        with pytest.raises(ValueError, match=f"TrainConfig.{name} must be {bound}"):
             TrainConfig(**{name: value})
 
     def test_model_defaults_come_from_model_config(self):

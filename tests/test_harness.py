@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -24,7 +25,16 @@ from mofcast.data import (
     write_flow_features,
     write_tracks,
 )
-from mofcast.encdec import Model, TrainConfig, init_params, load_checkpoint, save_checkpoint, synthetic_flow_batch
+from mofcast.encdec import (
+    FeatureStats,
+    Model,
+    ModelConfig,
+    TrainConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+    synthetic_flow_batch,
+)
 from mofcast.errors import FlowFeatureError, MofcastError, SplitError
 from mofcast.harness import (
     MODEL_KINDS,
@@ -215,6 +225,18 @@ class TestCrossEval:
         cross_eval(ckpt, synth_setup[0], stride=5, out_dir=tmp_path / "xeval")
         assert weights_checksum(load_checkpoint(ckpt)) == before
         assert (tmp_path / "xeval" / "summary.csv").exists()
+
+    def test_checksum_hashes_the_tensor_bytes(self, rng):
+        params = init_params(ModelConfig(variant="both", hidden=8, flow_dim=6), 3)
+        params.out_w = np.asfortranarray(rng.normal(size=params.out_w.shape))  # hashed in C order all the same
+        model = Model(params=params, stats=FeatureStats(mean=rng.normal(size=8), std=np.ones(8)))
+        digest = hashlib.sha256()
+        digest.update(model.stats.mean.tobytes())
+        digest.update(model.stats.std.tobytes())
+        for name, tensor in params.tensors().items():
+            digest.update(name.encode("utf-8"))
+            digest.update(tensor.tobytes())
+        assert weights_checksum(model) == digest.hexdigest()
 
     def test_short_external_tracks_are_an_error(self, synth_setup, tmp_path):
         ckpt, _ = self.train_checkpoint(synth_setup)
