@@ -32,6 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import FUTURE_LEN, Forecast, ObservationWindow, array_to_boxes
+from .data.io import read_json
 from .data.windows import WindowBatch
 # aggregate and evaluate_window stay in this namespace: benchmarks/tracing.py wraps them here
 from .metrics import aggregate, centroid_displacements, evaluate_window  # noqa: F401
@@ -63,9 +64,9 @@ def cv_cs_batch(observed: np.ndarray, horizon: int = FUTURE_LEN) -> np.ndarray:
     return out
 
 
-def cv_cs_extrapolate(window: ObservationWindow, horizon: int | None = None) -> np.ndarray:
-    """:func:`cv_cs_batch` of one window, as a (horizon, 4) array."""
-    return cv_cs_batch(window.observed_array()[None], window.horizon if horizon is None else horizon)[0]
+def cv_cs_extrapolate(window: ObservationWindow) -> np.ndarray:
+    """:func:`cv_cs_batch` of one window over its own horizon, as a (horizon, 4) array."""
+    return cv_cs_batch(window.observed_array()[None], window.horizon)[0]
 
 
 def cv_cs_forecast(window: ObservationWindow) -> Forecast:
@@ -85,7 +86,7 @@ class KalmanParams:
 
     def __post_init__(self):
         for name, v in asdict(self).items():
-            if not (math.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not (math.isfinite(v) and v > 0):
                 raise ValueError(f"KalmanParams.{name} must be finite and > 0, got {v!r}")
 
     def to_file(self, path: str | Path) -> None:
@@ -93,7 +94,18 @@ class KalmanParams:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "KalmanParams":
-        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a JSON object of the fields; a malformed file raises ValueError naming it."""
+        return _params_from(read_json(path, ValueError), str(path))
+
+
+def _params_from(entry, where: str) -> KalmanParams:
+    """KalmanParams from one parsed JSON value; its errors name ``where``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected a JSON object of KalmanParams fields, got {json.dumps(entry)}")
+    try:
+        return KalmanParams(**entry)
+    except (TypeError, ValueError) as exc:  # TypeError: a missing or unknown field
+        raise ValueError(f"{where}: {exc}") from None
 
 
 @functools.lru_cache(maxsize=256)
@@ -193,5 +205,8 @@ def save_param_grid(grid: Sequence[KalmanParams], path: str | Path) -> None:
 
 
 def load_param_grid(path: str | Path) -> list[KalmanParams]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [KalmanParams(**entry) for entry in payload]
+    """Read a non-empty JSON list of KalmanParams objects; a malformed file raises ValueError naming it."""
+    payload = read_json(path, ValueError)
+    if not isinstance(payload, list) or not payload:
+        raise ValueError(f"{path}: expected a non-empty JSON list of KalmanParams objects")
+    return [_params_from(entry, f"{path}: entry {i}") for i, entry in enumerate(payload)]

@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Every subcommand is deterministic given its flags and seed (with the
-deterministic flag on); machine-readable artifacts go to the output
-directory, a short human summary goes to stdout. Exit codes: 0 success,
-1 usage error, 2 data/validation error.
+Machine-readable artifacts go to the output directory, a short human summary
+goes to stdout. Every subcommand is deterministic given its flags and seed,
+except that without ``threadpoolctl`` training's repeatability rests on the
+BLAS build: ``--deterministic`` (on by default) pins BLAS to one thread only
+when ``threadpoolctl`` is importable. A paper-size (H=512) test checks that two
+trainings write byte-identical checkpoints. Exit codes: 0 success, 1 usage
+error, 2 data/validation error.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .data import (
 )
 from .encdec import (
     VARIANTS,
-    GradSample,
     TrainConfig,
     assemble_arrays,
     forecast_array,
@@ -73,39 +75,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_flags(p: argparse.ArgumentParser, *, tracks: bool = True, out: bool = True):
-    if tracks:
-        p.add_argument("--tracks", required=True, help="track CSV file")
-    if out:
-        p.add_argument("--out", default="runs", help="output directory (default: runs)")
+def _add_io_flags(p: argparse.ArgumentParser):
+    p.add_argument("--tracks", required=True, help="track CSV file")
+    p.add_argument("--out", default="runs", help="output directory (default: runs)")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, ok, requirement: str):
+    """An argparse type: ``convert(text)``, refused as a usage error unless ``ok`` holds for it."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" message names it
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (0 < value < math.inf):  # also refuses nan
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
+# Range checks run while parsing, so an out-of-range flag is a usage error
+# (exit 1) before any file is read. nan fails every comparison.
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, ">= 0")
+_track_length = _checked(int, lambda v: v >= MIN_TRACK_FRAMES, f">= {MIN_TRACK_FRAMES}")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_non_negative_float = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 
 
 def _add_split_flags(p: argparse.ArgumentParser, help: str, required: bool = False, all_folds: bool = False):
@@ -148,7 +141,8 @@ _TRAIN_FLAGS = (
     ("--flow-dim", "flow_dim", _positive_int, "flow feature dimension"),
     ("--seed", "seed", _non_negative_int, "seed of initialization and batch order"),
     ("--deterministic", "deterministic", bool,
-     "pin BLAS to 1 thread for bit-reproducible training (needs threadpoolctl)"),
+     "pin BLAS to 1 thread for bit-reproducible training when threadpoolctl is importable; "
+     "without it nothing is pinned and repeatability rests on the BLAS build"),
 )
 
 
@@ -172,9 +166,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic tracks")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--n", type=_positive_int, required=True, help="number of tracks")
-    p.add_argument("--noise", type=float, default=0.0, help="per-frame Gaussian noise sigma in px")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--frames", type=int, help="fixed track length (default: random 120..180)")
+    p.add_argument("--noise", type=_non_negative_float, default=0.0, help="per-frame Gaussian noise sigma in px")
+    p.add_argument("--seed", type=_non_negative_int, required=True)
+    p.add_argument("--frames", type=_track_length,
+                   help=f"fixed track length, at least {MIN_TRACK_FRAMES} (default: random 120..180)")
     p.add_argument("--out", required=True, help="output track CSV file")
 
     p = sub.add_parser("prepare", help="filter tracks, build windows, emit stats")
@@ -225,8 +220,8 @@ def build_parser() -> _Parser:
     _add_flow_flags(p)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", type=_positive_int, default=64)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--variant", default="bb_only", choices=VARIANTS)
     p.add_argument("--epsilon", type=_positive_float, default=1e-5, help="finite-difference step (default: 1e-5)")
     p.add_argument("--coords", type=_positive_int, default=50, help="sampled coordinates per group")
@@ -417,9 +412,8 @@ def _cmd_gradcheck(args) -> int:
         # Random output layer: the training default (zeros) blocks gradient
         # flow upstream and would make the check vacuous.
         params = init_params(config, args.seed + i, zero_output=False)
-        sample = GradSample(features=arrays.features, flow=arrays.flow, targets=arrays.targets)
         detailed = grad_check_detailed(
-            params, stats, sample, epsilon=args.epsilon, coords_per_group=args.coords, seed=args.seed + i
+            params, stats, arrays, epsilon=args.epsilon, coords_per_group=args.coords, seed=args.seed + i
         )
         sample_worst = max(detailed.values())
         worst = max(worst, sample_worst)

@@ -97,10 +97,6 @@ class Track:
     def __len__(self) -> int:
         return len(self.boxes)
 
-    @property
-    def end_frame(self) -> int:
-        return self.start_frame + len(self.boxes) - 1
-
     def frame_of(self, offset: int) -> int:
         return self.start_frame + offset
 

@@ -10,7 +10,9 @@ Flow-magnitude file: UTF-8 CSV with header ``video_id,frame,mean_flow_magnitude`
 
 Flow-feature sidecar: an index CSV with header
 ``video_id,track_id,anchor_frame,offset,length`` next to a flat binary blob
-of little-endian 32-bit floats. ``offset`` counts float32 elements from the
+of little-endian 32-bit floats. The blob's path is the index path with its
+suffix replaced by ``.bin`` (``flow.csv`` -> ``flow.bin``), and its size is a
+whole number of float32 values. ``offset`` counts float32 elements from the
 start of the blob; ``length`` is the feature dimension and must be the same
 for every entry.
 
@@ -52,6 +54,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import re
 from pathlib import Path
@@ -99,6 +102,14 @@ def _read_table(path: Path, header: list[str], dtype: np.dtype, error: type[Exce
     except ValueError as exc:
         raise error(_malformed_row(path, body, header, dtype) or f"{path}: malformed file: {exc}") from None
     return rows, body
+
+
+def read_json(path: str | Path, error: type[Exception]) -> object:
+    """The parsed JSON file ``path``; a file that is not JSON raises ``error`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
 
 
 def _records(body: str) -> Iterable[tuple[int, list[str]]]:
@@ -305,7 +316,7 @@ def _repeats(*columns: np.ndarray) -> np.ndarray:
 class FlowFeatureStore:
     """Random access to precomputed per-window flow features.
 
-    Backed by the sidecar format: ``index_path`` CSV plus ``blob_path`` raw
+    Backed by the sidecar format: the index CSV plus its ``.bin`` blob of raw
     little-endian float32. Features are returned as float64 vectors.
     """
 
@@ -315,10 +326,12 @@ class FlowFeatureStore:
         self.dim = dim
 
     @classmethod
-    def open(cls, index_path: str | Path, blob_path: str | Path | None = None) -> "FlowFeatureStore":
+    def open(cls, index_path: str | Path) -> "FlowFeatureStore":
         index_path = Path(index_path)
-        if blob_path is None:
-            blob_path = index_path.with_suffix(".bin")
+        blob_path = index_path.with_suffix(".bin")
+        size = blob_path.stat().st_size
+        if size % 4:
+            raise FlowFeatureError(f"{blob_path}: {size} bytes is not a whole number of float32 values")
         blob = np.fromfile(blob_path, dtype="<f4")
         rows, body = _read_table(index_path, FLOW_INDEX_HEADER, _FLOW_INDEX_DTYPE, FlowFeatureError)
         if not rows.size:
@@ -349,22 +362,13 @@ class FlowFeatureStore:
             raise FlowFeatureError(f"no flow feature for window {key}") from None
         return self._blob[offset : offset + length].astype(np.float64)
 
-    def __contains__(self, source: WindowSource) -> bool:
-        return (source.video_id, source.track_id, source.anchor_frame) in self._index
-
     def __len__(self) -> int:
         return len(self._index)
 
 
-def write_flow_features(
-    entries: Iterable[tuple[WindowSource, np.ndarray]],
-    index_path: str | Path,
-    blob_path: str | Path | None = None,
-) -> None:
-    """Write the flow-feature sidecar (index CSV + float32 blob)."""
+def write_flow_features(entries: Iterable[tuple[WindowSource, np.ndarray]], index_path: str | Path) -> None:
+    """Write the flow-feature sidecar: the index CSV at ``index_path``, the float32 blob next to it as ``.bin``."""
     index_path = Path(index_path)
-    if blob_path is None:
-        blob_path = index_path.with_suffix(".bin")
     offset = 0
     chunks = []
     with index_path.open("w", newline="", encoding="utf-8") as fh:
@@ -377,6 +381,6 @@ def write_flow_features(
             writer.writerow([source.video_id, source.track_id, source.anchor_frame, offset, vec32.size])
             chunks.append(vec32)
             offset += vec32.size
-    with Path(blob_path).open("wb") as fh:
+    with index_path.with_suffix(".bin").open("wb") as fh:
         for chunk in chunks:
             fh.write(chunk.tobytes())

@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from ..core import Track
 from ..errors import SplitError
+from .io import read_json
 
 N_FOLDS = 3
 
@@ -42,17 +43,26 @@ class SplitConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SplitConfig":
-        """Load from a JSON file: {"folds": {"0": [cities...], ...}, "val_fraction": 0.5}."""
-        with Path(path).open(encoding="utf-8") as fh:
-            raw = json.load(fh)
+        """Load from a JSON file: {"folds": {"0": [cities...], ...}, "val_fraction": 0.5}.
+
+        A malformed file raises :class:`SplitError` naming it.
+        """
+        raw = read_json(path, SplitError)
+        if not isinstance(raw, dict) or not isinstance(raw.get("folds"), dict):
+            raise SplitError(f'{path}: expected a JSON object whose "folds" maps each fold to a list of cities')
         folds: dict[str, int] = {}
-        for fold_s, cities in raw["folds"].items():
-            fold = int(fold_s)
-            for city in cities:
-                if city in folds:
-                    raise SplitError(f"city {city!r} appears in folds {folds[city]} and {fold}")
-                folds[city] = fold
-        return cls(folds=folds, val_fraction=float(raw.get("val_fraction", cls.val_fraction)))
+        try:
+            for fold_s, cities in raw["folds"].items():
+                fold = int(fold_s)
+                if not isinstance(cities, list) or not all(isinstance(city, str) for city in cities):
+                    raise SplitError(f"fold {fold_s} must be a list of city names, got {json.dumps(cities)}")
+                for city in cities:
+                    if city in folds:
+                        raise SplitError(f"city {city!r} appears in folds {folds[city]} and {fold}")
+                    folds[city] = fold
+            return cls(folds=folds, val_fraction=float(raw.get("val_fraction", cls.val_fraction)))
+        except (TypeError, ValueError, SplitError) as exc:  # int() or float() of a bad value; a bad fold
+            raise SplitError(f"{path}: {exc}") from None
 
     def to_file(self, path: str | Path) -> None:
         by_fold: dict[str, list[str]] = {str(i): [] for i in range(N_FOLDS)}
@@ -67,7 +77,6 @@ class SplitResult:
     train: tuple[Track, ...]
     val: tuple[Track, ...]
     test: tuple[Track, ...]
-    fold: int = field(default=0)
 
     @property
     def train_cities(self) -> set[str]:
@@ -112,4 +121,4 @@ def make_splits(tracks: Sequence[Track], config: SplitConfig, fold: int) -> Spli
             test.append(track)
     if tracks and not train:
         warnings.warn(f"fold {fold} leaves the train set empty", UserWarning, stacklevel=2)
-    return SplitResult(train=tuple(train), val=tuple(val), test=tuple(test), fold=fold)
+    return SplitResult(train=tuple(train), val=tuple(val), test=tuple(test))

@@ -27,10 +27,9 @@ SYNTH_TIME_OF_DAY = ("day", "night")
 _MIN_SIZE = 1.0
 
 
-def default_synth_split_config(val_fraction: float = SplitConfig.val_fraction) -> SplitConfig:
+def default_synth_split_config() -> SplitConfig:
     """Three-fold config over the synthetic cities, two cities per fold."""
-    folds = {city: i % 3 for i, city in enumerate(SYNTH_CITIES)}
-    return SplitConfig(folds=folds, val_fraction=val_fraction)
+    return SplitConfig(folds={city: i % 3 for i, city in enumerate(SYNTH_CITIES)})
 
 
 def _centroids(kind: str, rng: np.random.Generator, n_frames: int) -> np.ndarray:

@@ -25,22 +25,17 @@ def filter_short_tracks(tracks: Sequence[Track], min_frames: int = MIN_TRACK_FRA
     return [t for t in tracks if len(t) >= min_frames]
 
 
-def extract_windows(
-    track: Track,
-    p: int = OBSERVED_LEN,
-    q: int = FUTURE_LEN,
-    stride: int = 1,
-) -> list[ObservationWindow]:
+def extract_windows(track: Track, stride: int = 1) -> list[ObservationWindow]:
     """Cut observation windows from one track.
 
-    One window per anchor offset t (advancing by ``stride``) such that the p
-    observed frames t-p+1..t and the q future frames t+1..t+q all lie inside
-    the track. A track shorter than p+q yields no windows. Windows inherit
-    the track's metadata.
+    One window per anchor offset t (advancing by ``stride``) such that the
+    p = 30 observed frames t-p+1..t and the q = 60 future frames t+1..t+q all
+    lie inside the track. A track shorter than p+q yields no windows. Windows
+    inherit the track's metadata.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    n = len(track)
+    p, q, n = OBSERVED_LEN, FUTURE_LEN, len(track)
     boxes = array_to_boxes(track.boxes)
     windows = []
     for t in range(p - 1, n - q, stride):
@@ -56,11 +51,11 @@ def extract_windows(
     return windows
 
 
-def count_windows(length: int, p: int = OBSERVED_LEN, q: int = FUTURE_LEN, stride: int = 1) -> int:
-    """Number of windows :func:`cut_windows` takes from a track of ``length`` frames, without cutting them."""
+def count_windows(length: int, stride: int = 1) -> int:
+    """Number of p = 30 / q = 60 windows :func:`cut_windows` takes from a ``length``-frame track, uncut."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    return max(0, (length - p - q) // stride + 1)
+    return max(0, (length - OBSERVED_LEN - FUTURE_LEN) // stride + 1)
 
 
 @dataclass(frozen=True)
@@ -105,20 +100,16 @@ class WindowBatch:
         return self.future.shape[1]
 
 
-def cut_windows(
-    tracks: Sequence[Track],
-    p: int = OBSERVED_LEN,
-    q: int = FUTURE_LEN,
-    stride: int = 1,
-) -> WindowBatch:
+def cut_windows(tracks: Sequence[Track], stride: int = 1) -> WindowBatch:
     """The windows of :func:`extract_windows` over many tracks, as one batch.
 
-    Tracks are taken in key order and anchors ascend within a track. A
-    track's windows are strided views of its boxes array, copied into the
-    batch.
+    Each window observes p = 30 frames and forecasts the next q = 60. Tracks
+    are taken in key order and anchors ascend within a track. A track's
+    windows are strided views of its boxes array, copied into the batch.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    p, q = OBSERVED_LEN, FUTURE_LEN
     observed, future, sources, metadata = [], [], [], []
     for track in sorted(tracks, key=lambda t: t.key):
         n = len(track)
@@ -145,9 +136,6 @@ class ClipInterval:
 
     start_frame: int
     end_frame: int
-
-    def __len__(self) -> int:
-        return self.end_frame - self.start_frame + 1
 
 
 def motion_filter_clips(

@@ -10,7 +10,7 @@ from .features import (
     synthetic_flow_batch,
     synthetic_flow_feature,
 )
-from .gradcheck import GradSample, grad_check_detailed
+from .gradcheck import grad_check_detailed
 from .gru import GRUParams, gru_backward, gru_forward
 from .loss import smooth_l1, smooth_l1_grad
 from .model import (
@@ -40,7 +40,6 @@ __all__ = [
     "FORECAST_BATCH_SIZE",
     "FeatureStats",
     "GRUParams",
-    "GradSample",
     "Model",
     "ModelConfig",
     "ModelParams",

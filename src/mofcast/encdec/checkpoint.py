@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import CheckpointError
 from .features import FEATURE_DIM, FeatureStats
 from .gru import GRUParams
-from .model import Model, ModelConfig, ModelParams, OUTPUT_DIM
+from .model import BOX_CODE_DIM, OUTPUT_DIM, Model, ModelConfig, ModelParams
 
 MAGIC = b"MOFC"
 VERSION = 1
@@ -51,8 +51,8 @@ def _tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
     if config.uses_boxes:
         gru_block("encoder", FEATURE_DIM)
-        shapes.append(("fc1.w", (config.box_code_dim, h)))
-        shapes.append(("fc1.b", (config.box_code_dim,)))
+        shapes.append(("fc1.w", (BOX_CODE_DIM, h)))
+        shapes.append(("fc1.b", (BOX_CODE_DIM,)))
     gru_block("decoder", config.code_dim)
     shapes.append(("out.w", (OUTPUT_DIM, h)))
     shapes.append(("out.b", (OUTPUT_DIM,)))
@@ -68,7 +68,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         1 if config.fc_activation else 0,
         FEATURE_DIM,
         config.hidden,
-        config.box_code_dim,
+        BOX_CODE_DIM,
         config.flow_dim,
         OUTPUT_DIM,
     )
@@ -88,21 +88,22 @@ def load_checkpoint(path: str | Path) -> Model:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    _, version, variant_tag, fc_flag, input_dim, hidden, box_code_dim, flow_dim, output_dim = _HEADER.unpack_from(raw)
+    _, version, variant_tag, fc_flag, input_dim, hidden, box_code_size, flow_dim, output_dim = _HEADER.unpack_from(raw)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     if variant_tag not in _TAG_VARIANTS:
         raise CheckpointError(f"{path}: unknown variant tag {variant_tag}")
-    if input_dim != FEATURE_DIM or output_dim != OUTPUT_DIM:
+    if fc_flag not in (0, 1):
+        raise CheckpointError(f"{path}: rectifier flag {fc_flag}, expected 0 or 1")
+    if (input_dim, box_code_size, output_dim) != (FEATURE_DIM, BOX_CODE_DIM, OUTPUT_DIM):
         raise CheckpointError(
-            f"{path}: dimension inconsistency (input {input_dim}, output {output_dim})"
+            f"{path}: dimension inconsistency (input {input_dim}, box code {box_code_size}, output {output_dim})"
         )
-    if hidden < 1 or box_code_dim < 1 or flow_dim < 1:
+    if hidden < 1 or flow_dim < 1:
         raise CheckpointError(f"{path}: dimension inconsistency (non-positive dim)")
     config = ModelConfig(
         variant=_TAG_VARIANTS[variant_tag],  # type: ignore[arg-type]
         hidden=hidden,
-        box_code_dim=box_code_dim,
         flow_dim=flow_dim,
         fc_activation=bool(fc_flag),
     )

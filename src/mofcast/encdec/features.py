@@ -66,12 +66,12 @@ def standardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
     return (np.asarray(features, dtype=np.float64) - stats.mean) / stats.std
 
 
-def synthetic_flow_feature(window: ObservationWindow, dim: int = 2048) -> np.ndarray:
+def synthetic_flow_feature(window: ObservationWindow, dim: int) -> np.ndarray:
     """:func:`synthetic_flow_batch` of one window, as a (dim,) vector."""
     return synthetic_flow_batch(window.observed_array()[None], dim)[0]
 
 
-def synthetic_flow_batch(observed: np.ndarray, dim: int = 2048) -> np.ndarray:
+def synthetic_flow_batch(observed: np.ndarray, dim: int) -> np.ndarray:
     """Stand-in flow features of (N, p, 4) windows, built from the windows themselves.
 
     Row i is the mean per-step displacement of window i's observed boxes (4

@@ -4,10 +4,11 @@ For each parameter tensor, perturb a random sample of coordinates by
 +/- epsilon, difference the loss, and compare against the backpropagated
 gradient.
 
-A double-precision central difference carries irreducible rounding noise of
-about ``2 * eps64 * |loss| / epsilon`` (~1e-10 here); gradient coordinates
-smaller than that noise divided by the resolution target cannot be certified
-relatively. The relative-error denominator is therefore floored at
+The loss is smooth-L1 with its default 1 px seam. A double-precision
+central difference carries irreducible rounding noise of about
+``2 * eps64 * |loss| / epsilon`` (~1e-10 here); gradient coordinates
+smaller than that noise divided by the resolution target (1e-4) cannot be
+certified relatively. The relative-error denominator is therefore floored at
 ``noise / resolution``, which keeps the check honest: a systematic backprop
 bug perturbs coordinates well above the floor and still reads as O(1) error,
 while oracle noise on near-zero coordinates stays below the resolution.
@@ -15,47 +16,33 @@ while oracle noise on near-zero coordinates stays below the resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .features import FeatureStats
 from .loss import smooth_l1
 from .model import ModelParams, forward_batch, loss_and_gradients
+from .training import WindowArrays
 
-DEFAULT_RESOLUTION = 1e-4
-
-
-@dataclass(frozen=True)
-class GradSample:
-    """One batch to differentiate through: raw features, flow, residual targets."""
-
-    features: np.ndarray | None
-    flow: np.ndarray | None
-    targets: np.ndarray
+RESOLUTION = 1e-4
 
 
 def grad_check_detailed(
     params: ModelParams,
     stats: FeatureStats,
-    sample: GradSample,
+    arrays: WindowArrays,
     epsilon: float = 1e-5,
     coords_per_group: int = 50,
     seed: int = 0,
-    beta: float = 1.0,
-    resolution: float = DEFAULT_RESOLUTION,
 ) -> dict[str, float]:
-    """Max relative error per parameter group."""
+    """Max relative error per parameter group, differentiating the loss of ``arrays``' residual targets."""
     rng = np.random.default_rng(seed)
-    loss0, analytic = loss_and_gradients(
-        params, stats, sample.features, sample.flow, sample.targets, beta=beta
-    )
+    features, flow, targets = arrays.features, arrays.flow, arrays.targets
+    loss0, analytic = loss_and_gradients(params, stats, features, flow, targets)
     fd_noise = 2.0 * np.finfo(np.float64).eps * max(1.0, abs(loss0)) / epsilon
-    denom_floor = fd_noise / resolution
+    denom_floor = fd_noise / RESOLUTION
 
     def loss_now() -> float:
-        cache = forward_batch(params, stats, sample.features, sample.flow, horizon=sample.targets.shape[1])
-        return smooth_l1(cache.residuals, sample.targets, beta)
+        return smooth_l1(forward_batch(params, stats, features, flow, horizon=targets.shape[1]).residuals, targets)
 
     errors: dict[str, float] = {}
     for name, tensor in params.tensors().items():

@@ -7,8 +7,11 @@ Cell convention (fixed for this package):
     h~ = tanh(W_h x + U_h (r * h) + b_h)      candidate state
     h' = (1 - z) * h~ + z * h
 
-The backward pass reproduces the gradients of this exact computation through
-time (verified against central finite differences). Everything is float64.
+Every sequence starts from the zero state h_0 = 0: the model runs its
+encoder over the p = 30 observed frames and its decoder over the q = 60
+future steps. The backward pass reproduces the gradients of this exact
+computation through time (verified against central finite differences).
+Everything is float64.
 
 How the work is laid out:
 
@@ -106,24 +109,10 @@ class GRUParams:
             b_h=np.zeros(hidden_dim),
         )
 
-    @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int) -> "GRUParams":
-        return cls(
-            w_z=np.zeros((hidden_dim, input_dim)),
-            w_r=np.zeros((hidden_dim, input_dim)),
-            w_h=np.zeros((hidden_dim, input_dim)),
-            u_z=np.zeros((hidden_dim, hidden_dim)),
-            u_r=np.zeros((hidden_dim, hidden_dim)),
-            u_h=np.zeros((hidden_dim, hidden_dim)),
-            b_z=np.zeros(hidden_dim),
-            b_r=np.zeros(hidden_dim),
-            b_h=np.zeros(hidden_dim),
-        )
-
 
 class GRUCache(NamedTuple):
     x: np.ndarray       # (B, T, I), as passed in (stride 0 over T for a time-constant input)
-    hs: np.ndarray      # (T+1, B, H) time-major; hs[0] is h0, hs[k+1] the state after step k
+    hs: np.ndarray      # (T+1, B, H) time-major; hs[0] is the zero state, hs[k+1] the state after step k
     zr: np.ndarray      # (T, B, 2H), per step the update gate z then the reset gate r
     htil: np.ndarray    # (T, B, H), the candidate state of each step
 
@@ -139,8 +128,8 @@ def _input_weights(params: GRUParams) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([params.b_z, params.b_r, params.b_h]))
 
 
-def gru_forward(params: GRUParams, x: np.ndarray, h0: np.ndarray | None = None) -> tuple[np.ndarray, GRUCache]:
-    """Run the cell over a (B, T, I) sequence; returns hidden states (B, T, H).
+def gru_forward(params: GRUParams, x: np.ndarray) -> tuple[np.ndarray, GRUCache]:
+    """Run the cell over a (B, T, I) sequence from the zero state; returns hidden states (B, T, H).
 
     The states are a (B, T, H) view of the time-major ``cache.hs[1:]``.
     """
@@ -157,7 +146,7 @@ def gru_forward(params: GRUParams, x: np.ndarray, h0: np.ndarray | None = None) 
         xp = (x.transpose(1, 0, 2).reshape(t * b, i) @ w.T + bias).reshape(t, b, 3 * hd)
 
     hs = np.empty((t + 1, b, hd))
-    hs[0] = 0.0 if h0 is None else h0
+    hs[0] = 0.0
     zr_all = np.empty((t, b, 2 * hd))
     htil_all = np.empty((t, b, hd))
     buf = np.empty((b, hd))
@@ -178,17 +167,16 @@ def gru_forward(params: GRUParams, x: np.ndarray, h0: np.ndarray | None = None) 
     return hs[1:].transpose(1, 0, 2), GRUCache(x=x, hs=hs, zr=zr_all, htil=htil_all)
 
 
-def gru_backward(
-    params: GRUParams, cache: GRUCache, dh_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, GRUParams]:
+def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tuple[np.ndarray, GRUParams]:
     """Backpropagate through time.
 
     ``dh_out[:, k]`` is the loss gradient injected directly at hidden state
     h_{k+1} by its downstream consumers (every step for a decoder, only the
     last step for a sequence encoder); a (B, T, H) view of a time-major
-    (T, B, H) array reads each step contiguously. Returns (dx, dh0,
-    parameter grads); ``dx`` is a (B, T, I) view of a time-major array, or
-    (B, 1, I) for a time-constant input.
+    (T, B, H) array reads each step contiguously. Returns (dx, parameter
+    grads); ``dx`` is a (B, T, I) view of a time-major array, or (B, 1, I)
+    for a time-constant input. The initial state is the constant zero, so it
+    has no gradient.
     """
     x, hs, zr_all, htil_all = cache
     b, t, i = x.shape
@@ -248,4 +236,4 @@ def gru_backward(
         b_h=db[2 * hd :],
     )
     dx = (rows_da @ w).reshape(-1, b, i).transpose(1, 0, 2)
-    return dx, dh, grads
+    return dx, grads

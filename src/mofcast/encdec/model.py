@@ -52,14 +52,13 @@ FORECAST_BATCH_SIZE = 512  # windows per forward pass when forecasting, not trai
 class ModelConfig:
     variant: Variant = "bb_only"
     hidden: int = 512
-    box_code_dim: int = BOX_CODE_DIM
     flow_dim: int = 2048
     fc_activation: bool = True  # rectifier after the box-code layer
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        for name in ("hidden", "box_code_dim", "flow_dim"):
+        for name in ("hidden", "flow_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"ModelConfig.{name} must be >= 1")
 
@@ -75,10 +74,10 @@ class ModelConfig:
     def code_dim(self) -> int:
         """Dimension of the decoder input code."""
         if self.variant == "bb_only":
-            return self.box_code_dim
+            return BOX_CODE_DIM
         if self.variant == "of_only":
             return self.flow_dim
-        return self.box_code_dim + self.flow_dim
+        return BOX_CODE_DIM + self.flow_dim
 
 
 @dataclass
@@ -138,8 +137,8 @@ def init_params(
     if config.uses_boxes:
         encoder = GRUParams.init(rng, FEATURE_DIM, config.hidden)
         bound = 1.0 / np.sqrt(config.hidden)
-        fc1_w = rng.uniform(-bound, bound, (config.box_code_dim, config.hidden))
-        fc1_b = np.zeros(config.box_code_dim)
+        fc1_w = rng.uniform(-bound, bound, (BOX_CODE_DIM, config.hidden))
+        fc1_b = np.zeros(BOX_CODE_DIM)
     decoder = GRUParams.init(rng, config.code_dim, config.hidden)
     if zero_output:
         out_w = np.zeros((OUTPUT_DIM, config.hidden))
@@ -244,13 +243,13 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
     grads["out.b"] = flat_d.sum(axis=0)
 
     ddec_h = (flat_d @ params.out_w).reshape(horizon, b, hd)
-    dx_dec, _, dec_grads = gru_backward(params.decoder, cache.dec_cache, ddec_h.transpose(1, 0, 2))
+    dx_dec, dec_grads = gru_backward(params.decoder, cache.dec_cache, ddec_h.transpose(1, 0, 2))
     for k, v in dec_grads.tensors().items():
         grads[f"decoder.{k}"] = v
 
     dcode = dx_dec.sum(axis=1)  # dx_dec is (B, 1, C): the code is one row shared by all steps
     if cfg.uses_boxes:
-        dbox_code = dcode[:, : cfg.box_code_dim]
+        dbox_code = dcode[:, :BOX_CODE_DIM]
         if cfg.fc_activation:
             dbox_code = dbox_code * (cache.fc_pre > 0.0)
         grads["fc1.w"] = dbox_code.T @ cache.enc_last
@@ -259,7 +258,7 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
         p = cache.std_features.shape[1]
         denc_out = np.zeros((p, b, hd))
         denc_out[-1] = dbox_code @ params.fc1_w
-        _, _, enc_grads = gru_backward(params.encoder, cache.enc_cache, denc_out.transpose(1, 0, 2))
+        _, enc_grads = gru_backward(params.encoder, cache.enc_cache, denc_out.transpose(1, 0, 2))
         for k, v in enc_grads.tensors().items():
             grads[f"encoder.{k}"] = v
 

@@ -104,10 +104,11 @@ class TrainResult:
 
 
 class Adam:
-    """Adaptive-moment estimation with the standard defaults."""
+    """Adaptive-moment estimation with the standard constants."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0

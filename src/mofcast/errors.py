@@ -24,9 +24,9 @@ class CheckpointError(MofcastError):
 class GradientError(MofcastError):
     """Backpropagation produced a non-finite gradient."""
 
-    def __init__(self, group: str, message: str | None = None):
+    def __init__(self, group: str):
         self.group = group
-        super().__init__(message or f"non-finite gradient in parameter group '{group}'")
+        super().__init__(f"non-finite gradient in parameter group '{group}'")
 
 
 class TrainingDivergedError(MofcastError):

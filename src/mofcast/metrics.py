@@ -112,7 +112,7 @@ def _report(displacements: np.ndarray, ious: np.ndarray, group_key: str | None) 
     )
 
 
-def aggregate(scores: WindowScores, group_key: str | None = None) -> MetricReport:
+def aggregate(scores: WindowScores) -> MetricReport:
     """Combine window scores into one report.
 
     Curves are the per-step means over windows; ADE/AIOU are the means of
@@ -121,7 +121,7 @@ def aggregate(scores: WindowScores, group_key: str | None = None) -> MetricRepor
     """
     if not len(scores):
         raise ValueError("cannot aggregate an empty set of window scores")
-    return _report(scores.displacements, scores.ious, group_key)
+    return _report(scores.displacements, scores.ious, None)
 
 
 def breakdown(scores: WindowScores, field: str) -> list[MetricReport]:

@@ -89,8 +89,8 @@ def _time_constant(x: np.ndarray) -> bool:
     return x.shape[1] > 1 and x.strides[1] == 0
 
 
-def gru_forward_batch_major(params: GRUParams, x: np.ndarray, h0: np.ndarray | None = None):
-    """(B, T, H) hidden states and a batch-major cache (``hs`` is (B, T+1, H))."""
+def gru_forward_batch_major(params: GRUParams, x: np.ndarray):
+    """(B, T, H) hidden states from the zero state and a batch-major cache (``hs`` is (B, T+1, H))."""
     b, t, i = x.shape
     hd = params.hidden_dim
     w, bias = _input_weights(params)
@@ -99,7 +99,7 @@ def gru_forward_batch_major(params: GRUParams, x: np.ndarray, h0: np.ndarray | N
     xp = np.broadcast_to((rows @ w.T + bias).reshape(b, -1, 3 * hd), (b, t, 3 * hd))
 
     hs = np.empty((b, t + 1, hd))
-    hs[:, 0] = 0.0 if h0 is None else h0
+    hs[:, 0] = 0.0
     zr_all = np.empty((b, t, 2 * hd))
     htil_all = np.empty((b, t, hd))
     for k in range(t):
@@ -114,7 +114,7 @@ def gru_forward_batch_major(params: GRUParams, x: np.ndarray, h0: np.ndarray | N
 
 
 def gru_backward_batch_major(params: GRUParams, cache: GRUCache, dh_out: np.ndarray):
-    """(dx, dh0, grads) from a :func:`gru_forward_batch_major` cache."""
+    """(dx, grads) from a :func:`gru_forward_batch_major` cache."""
     x, hs, zr_all, htil_all = cache
     b, t, i = x.shape
     hd = params.hidden_dim
@@ -151,7 +151,7 @@ def gru_backward_batch_major(params: GRUParams, cache: GRUCache, dh_out: np.ndar
     db = rows_da.sum(axis=0)
     grads = GRUParams(w_z=dw[:hd], w_r=dw[hd : 2 * hd], w_h=dw[2 * hd :], u_z=du_zr[:hd], u_r=du_zr[hd:],
                       u_h=du_h, b_z=db[:hd], b_r=db[hd : 2 * hd], b_h=db[2 * hd :])
-    return (rows_da @ w).reshape(b, -1, i), dh, grads
+    return (rows_da @ w).reshape(b, -1, i), grads
 
 
 def forward_residuals_batch_major(params: ModelParams, stats: FeatureStats, features, flow,

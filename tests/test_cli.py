@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,11 +83,53 @@ class TestExitCodes:
               for flag in ("--hidden", "--epochs", "--batch", "--flow-dim") for value in ("0", "-1")),
             ["train", "--tracks", "t.csv", "--splits", "s.json", "--variant", "both", "--flow-dim", "0"],
             ["train", "--tracks", "t.csv", "--splits", "s.json", "--seed", "-1"],
+            ["gradcheck", "--hidden", "0"],
+            ["gradcheck", "--seed", "-1"],
+            *(["synth", "--kind", "turning", "--n", "1", "--seed", "1", "--out", "t.csv", flag, value]
+              for flag, value in (("--seed", "-1"), ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-0.5"),
+                                  ("--frames", "10"), ("--frames", "89"))),
         ),
     )
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", (("--seed", "-1"), ("--noise", "nan"), ("--frames", "10")))
+    def test_synth_range_error_names_the_flag(self, flag, value, capsys):
+        assert main(["synth", "--kind", "turning", "--n", "1", "--seed", "1", "--out", "t.csv", flag, value]) == 1
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,content,problem",
+        (
+            ("--params", '{"foo": 1}', "unexpected keyword argument 'foo'"),
+            ("--params", "[1, 2]", "expected a JSON object of KalmanParams fields, got \\[1, 2\\]"),
+            ("--params", '{"process_noise_pos": "1", "process_noise_vel": 1, "observation_noise": 1}',
+             "KalmanParams.process_noise_pos must be finite and > 0, got '1'"),
+            ("--params", '{"process_noise_pos": 1,', "not valid JSON"),
+            ("--grid", '[{"process_noise_pos": 1}]', "entry 0: .*missing 2 required positional arguments"),
+            ("--grid", "[]", "expected a non-empty JSON list"),
+            ("--splits", '{"val_fraction": 0.5}', 'expected a JSON object whose "folds"'),
+            ("--splits", '{"folds": {"0": "arden"}}', 'fold 0 must be a list of city names, got "arden"'),
+            ("--splits", '{"folds": {"zero": ["arden"]}}', "invalid literal for int"),
+            ("--splits", '{"folds": {"0": ["arden"]}, "val_fraction": null}', "float\\(\\) argument"),
+        ),
+        ids=("params-unknown-field", "params-list", "params-string-value", "params-not-json", "grid-missing-fields",
+             "grid-empty", "splits-no-folds", "splits-string-cities", "splits-bad-fold", "splits-null-val-fraction"),
+    )
+    def test_malformed_json_config_is_a_data_error(self, synth_file, splits_file, tmp_path, capsys,
+                                                   flag, content, problem):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        argv = {
+            "--params": ["eval", "--model", "lkf", "--params", str(config)],
+            "--grid": ["tune-lkf", "--splits", str(splits_file), "--grid", str(config)],
+            "--splits": ["eval", "--model", "cv_cs", "--splits", str(config)],
+        }[flag]
+        assert main(argv + ["--tracks", str(synth_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: " in err
+        assert re.search(problem, err), err
 
 
 class TestSpecFromArgs:

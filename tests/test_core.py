@@ -145,7 +145,7 @@ class TestTrack:
         boxes = [(i, 0, 1, 1) for i in range(5)]
         track = Track("v", 1, start_frame=10, boxes=boxes)
         assert [track.frame_of(i) for i in range(5)] == [10, 11, 12, 13, 14]
-        assert track.end_frame == 14
+        assert track.start_frame + len(track) - 1 == 14
         assert len(track) == 5
 
     def test_empty_track_rejected(self):

@@ -219,7 +219,7 @@ class TestMotionFilterClips:
         prev_end = -1
         for clip in clips:
             assert clip.start_frame > prev_end  # disjoint
-            assert len(clip) == 50
+            assert clip.end_frame - clip.start_frame + 1 == 50
             assert np.all(mags[clip.start_frame : clip.end_frame + 1] <= 1.5)
             prev_end = clip.end_frame
 
@@ -276,7 +276,7 @@ class TestMakeSplits:
         assert len(split.val) + len(split.test) == 4
 
     def test_config_file_round_trip(self, tmp_path):
-        config = default_synth_split_config(val_fraction=0.4)
+        config = dataclasses.replace(default_synth_split_config(), val_fraction=0.4)
         path = tmp_path / "splits.json"
         config.to_file(path)
         assert SplitConfig.from_file(path) == config
@@ -381,6 +381,14 @@ class TestFlowFiles:
             "video_id,track_id,anchor_frame,offset,length\nv0,1,29,0,4\n\nv0,1,30,4,4\n", encoding="utf-8"
         )
         with pytest.raises(FlowFeatureError, match=r"flow_features\.csv:4: blob range \[4, 8\) out of bounds"):
+            FlowFeatureStore.open(index)
+
+    def test_blob_of_partial_float32_rejected(self, tmp_path, rng):
+        index = tmp_path / "flow_features.csv"
+        write_flow_features([(WindowSource("v0", 1, 29), rng.normal(size=4))], index)
+        blob = index.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes() + b"\x00\x00\x00")
+        with pytest.raises(FlowFeatureError, match=r"flow_features\.bin: 19 bytes is not a whole number of float32"):
             FlowFeatureStore.open(index)
 
     def test_index_without_entries_rejected(self, tmp_path):

@@ -13,7 +13,6 @@ import pytest
 from mofcast.data import cut_windows, synth_generate_mixed
 from mofcast.encdec import (
     FeatureStats,
-    GradSample,
     ModelConfig,
     assemble_arrays,
     compute_feature_stats,
@@ -40,8 +39,7 @@ def build_sample(variant: str, flow_dim: int, seed: int, n_tracks: int = 2):
     arrays = assemble_arrays(batch, config)
     stats = compute_feature_stats(arrays.features) if config.uses_boxes else FeatureStats.identity()
     params = init_params(config, seed, zero_output=False)
-    sample = GradSample(features=arrays.features, flow=arrays.flow, targets=arrays.targets)
-    return config, params, stats, sample
+    return config, params, stats, arrays
 
 
 def grad_check(params, stats, sample, **kwargs) -> float:
@@ -96,12 +94,9 @@ def test_gradient_zero_at_loss_minimum(cv_window):
 def test_duplicating_the_batch_leaves_gradients_unchanged():
     config, params, stats, sample = build_sample("bb_only", 8, seed=5)
     _, single = loss_and_gradients(params, stats, sample.features, sample.flow, sample.targets)
-    doubled = GradSample(
-        features=np.concatenate([sample.features, sample.features]),
-        flow=None,
-        targets=np.concatenate([sample.targets, sample.targets]),
-    )
-    _, twice = loss_and_gradients(params, stats, doubled.features, doubled.flow, doubled.targets)
+    features = np.concatenate([sample.features, sample.features])
+    targets = np.concatenate([sample.targets, sample.targets])
+    _, twice = loss_and_gradients(params, stats, features, None, targets)
     for name in single:
         assert np.allclose(single[name], twice[name], atol=1e-12), name
 

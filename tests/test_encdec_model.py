@@ -104,15 +104,21 @@ class TestStandardize:
         assert np.all(np.isfinite(standardize(features, stats)))
 
 
+def zero_gru(input_dim: int, hidden_dim: int) -> GRUParams:
+    """A GRU layer whose weights and biases are all zero."""
+    shapes = {"w": (hidden_dim, input_dim), "u": (hidden_dim, hidden_dim), "b": (hidden_dim,)}
+    return GRUParams(**{f"{kind}_{gate}": np.zeros(shape) for kind, shape in shapes.items() for gate in "zrh"})
+
+
 class TestGruCell:
     def test_zero_weights_zero_state(self):
-        params = GRUParams.zeros(4, 6)
+        params = zero_gru(4, 6)
         h = gru_cell(np.zeros(4), np.zeros(6), params)
         assert np.all(h == 0.0)
 
     def test_zero_weights_halve_state(self, rng):
         # z = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0, so h' = h/2
-        params = GRUParams.zeros(4, 6)
+        params = zero_gru(4, 6)
         h = rng.normal(size=6)
         out = gru_cell(rng.normal(size=4), h, params)
         assert np.allclose(out, 0.5 * h, atol=1e-15)
@@ -153,15 +159,13 @@ class TestGruHotPath:
         params.b_h[:] = rng.normal(size=hd)
         shared = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i))
         copied = np.ascontiguousarray(shared)
-        h0 = rng.normal(size=(b, hd))
         dh_out = rng.normal(size=(b, t, hd))
 
-        hs_shared, cache_shared = gru_forward(params, shared, h0)
-        hs_copied, cache_copied = gru_forward(params, copied, h0)
+        hs_shared, cache_shared = gru_forward(params, shared)
+        hs_copied, cache_copied = gru_forward(params, copied)
         np.testing.assert_allclose(hs_shared, hs_copied, rtol=1e-12, atol=0.0)
-        dx_shared, dh0_shared, g_shared = gru_backward(params, cache_shared, dh_out)
-        dx_copied, dh0_copied, g_copied = gru_backward(params, cache_copied, dh_out)
-        np.testing.assert_allclose(dh0_shared, dh0_copied, rtol=1e-12, atol=0.0)
+        dx_shared, g_shared = gru_backward(params, cache_shared, dh_out)
+        dx_copied, g_copied = gru_backward(params, cache_copied, dh_out)
         for name, g in g_shared.tensors().items():
             np.testing.assert_allclose(g, getattr(g_copied, name), rtol=1e-12, atol=0.0, err_msg=name)
         assert dx_shared.shape == (b, 1, i)
@@ -185,32 +189,28 @@ class TestTimeMajorGru:
     """The time-major GRU against the batch-major one it replaced: same forward bits, gradients to rounding."""
 
     @pytest.mark.parametrize(
-        "b,t,i,hd,shared,with_h0",
+        "b,t,i,hd,shared",
         (
-            (5, 7, 6, 9, False, False),
-            (5, 7, 6, 9, False, True),
-            (4, 6, 8, 10, True, False),
-            (4, 6, 8, 10, True, True),
-            (3, 1, 4, 5, False, True),
-            (3, 1, 4, 5, True, False),
-            (1, 9, 4, 5, False, True),
-            (1, 9, 4, 5, True, False),
-            (24, 6, 8, 512, False, False),  # large enough for BLAS to thread
-            (24, 6, 64, 512, True, True),
+            (5, 7, 6, 9, False),
+            (4, 6, 8, 10, True),
+            (3, 1, 4, 5, False),
+            (3, 1, 4, 5, True),
+            (1, 9, 4, 5, False),
+            (1, 9, 4, 5, True),
+            (24, 6, 8, 512, False),  # large enough for BLAS to thread
+            (24, 6, 64, 512, True),
         ),
-        ids=("plain", "plain-h0", "stride0", "stride0-h0", "t1", "t1-stride0", "b1", "b1-stride0",
-             "h512", "h512-stride0-h0"),
+        ids=("plain", "stride0", "t1", "t1-stride0", "b1", "b1-stride0", "h512", "h512-stride0"),
     )
-    def test_matches_the_batch_major_oracle(self, rng, b, t, i, hd, shared, with_h0):
+    def test_matches_the_batch_major_oracle(self, rng, b, t, i, hd, shared):
         params = GRUParams.init(rng, i, hd)
         for name in ("b_z", "b_r", "b_h"):
             getattr(params, name)[:] = rng.normal(size=hd)
         x = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i)) if shared else rng.normal(size=(b, t, i))
-        h0 = rng.normal(size=(b, hd)) if with_h0 else None
         dh_out = rng.normal(size=(b, t, hd))
 
-        hs, cache = gru_forward(params, x, h0)
-        hs_ref, cache_ref = gru_forward_batch_major(params, x, h0)
+        hs, cache = gru_forward(params, x)
+        hs_ref, cache_ref = gru_forward_batch_major(params, x)
         assert hs.shape == (b, t, hd)
         assert cache.x is x
         assert _bits(hs) == _bits(hs_ref)
@@ -218,10 +218,10 @@ class TestTimeMajorGru:
         for name in ("hs", "zr", "htil"):
             assert _bits(getattr(cache, name).transpose(1, 0, 2)) == _bits(getattr(cache_ref, name)), name
 
-        dx, dh0, grads = gru_backward(params, cache, dh_out)
-        dx_ref, dh0_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
+        dx, grads = gru_backward(params, cache, dh_out)
+        dx_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
         assert dx.shape == ((b, 1, i) if shared and t > 1 else (b, t, i))
-        pairs = {"dx": (dx, dx_ref), "dh0": (dh0, dh0_ref)}
+        pairs = {"dx": (dx, dx_ref)}
         pairs.update({name: (g, getattr(grads_ref, name)) for name, g in grads.tensors().items()})
         for name, (got, want) in pairs.items():
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(), err_msg=name)

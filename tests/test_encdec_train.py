@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import struct
 import sys
 
 import numpy as np
@@ -264,6 +265,22 @@ class TestCheckpoint:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "offset,value,problem",
+        ((9, b"\x07", "rectifier flag 7, expected 0 or 1"),
+         (18, struct.pack("<I", 128), r"dimension inconsistency \(input 8, box code 128, output 4\)")),
+        ids=("rectifier-flag", "box-code-dim"),
+    )
+    def test_malformed_header_field_rejected(self, tmp_path, offset, value, problem):
+        model, _ = self.make_model()
+        path = tmp_path / "model.mofc"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=rf"model\.mofc: {problem}"):
             load_checkpoint(path)
 
     def test_bb_only_checkpoint_runs_without_flow_features(self, tmp_path):
