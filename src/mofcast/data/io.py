@@ -367,20 +367,43 @@ class FlowFeatureStore:
 
 
 def write_flow_features(entries: Iterable[tuple[WindowSource, np.ndarray]], index_path: str | Path) -> None:
-    """Write the flow-feature sidecar: the index CSV at ``index_path``, the float32 blob next to it as ``.bin``."""
+    """Write the flow-feature sidecar: the index CSV at ``index_path``, the float32 blob next to it as ``.bin``.
+
+    Every entry is checked before either file is written, so a sidecar that
+    :meth:`FlowFeatureStore.open` would reject is never written, nor one that
+    holds a value float32 cannot. There must be at least one entry. Each
+    entry's vector must be 1-D, as long as the first entry's, finite and
+    within the float32 range, and its window must be one no earlier entry
+    names.
+    """
     index_path = Path(index_path)
-    offset = 0
-    chunks = []
+    f32_max = float(np.finfo(np.float32).max)
+    rows, chunks, seen = [], [], set()
+    for source, vec in entries:
+        vec = np.asarray(vec)
+        key = (source.video_id, source.track_id, source.anchor_frame)
+        if vec.ndim != 1:
+            problem = "must be 1-D"
+        elif chunks and vec.size != chunks[0].size:
+            problem = f"has length {vec.size}, the first entry {chunks[0].size}"
+        elif key in seen:
+            problem = "repeats an earlier entry's window"
+        elif not np.all(np.isfinite(vec)):
+            problem = "is not finite"
+        elif np.any(np.abs(vec) > f32_max):
+            problem = "is outside the float32 range"
+        else:
+            rows.append([*key, len(rows) * vec.size, vec.size])  # offset: every entry is as long
+            chunks.append(np.ascontiguousarray(vec, dtype="<f4"))
+            seen.add(key)
+            continue
+        raise FlowFeatureError(f"flow feature for {source} {problem}")
+    if not rows:
+        raise FlowFeatureError(f"{index_path}: no entries to write")
     with index_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FLOW_INDEX_HEADER)
-        for source, vec in entries:
-            vec32 = np.ascontiguousarray(np.asarray(vec), dtype="<f4")
-            if vec32.ndim != 1:
-                raise FlowFeatureError(f"flow feature for {source} must be 1-D")
-            writer.writerow([source.video_id, source.track_id, source.anchor_frame, offset, vec32.size])
-            chunks.append(vec32)
-            offset += vec32.size
+        writer.writerows(rows)
     with index_path.with_suffix(".bin").open("wb") as fh:
         for chunk in chunks:
             fh.write(chunk.tobytes())

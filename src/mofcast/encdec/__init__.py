@@ -28,6 +28,7 @@ from .model import (
     init_params,
     loss_and_gradients,
     residuals_to_boxes,
+    tensor_shapes,
 )
 from .training import Adam, EpochRecord, TrainConfig, TrainLog, TrainResult, assemble_arrays, train
 
@@ -67,5 +68,6 @@ __all__ = [
     "standardize",
     "synthetic_flow_batch",
     "synthetic_flow_feature",
+    "tensor_shapes",
     "train",
 ]

@@ -11,13 +11,14 @@ Layout, all little-endian:
     float64 x 8  standardization stds
     tensors      raw float64, row-major, in the fixed order below
 
-Tensor order: encoder w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h; fc1 w, b
-(both blocks only for variants that use boxes); decoder (same nine); out w, b.
-Loading a checkpoint restores every tensor bit-exactly.
+Tensor order: the table of :func:`mofcast.encdec.model.tensor_shapes`, which
+names each tensor and gives its shape. Loading a checkpoint restores every
+tensor bit-exactly.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -25,8 +26,7 @@ import numpy as np
 
 from ..errors import CheckpointError
 from .features import FEATURE_DIM, FeatureStats
-from .gru import GRUParams
-from .model import BOX_CODE_DIM, OUTPUT_DIM, Model, ModelConfig, ModelParams
+from .model import BOX_CODE_DIM, OUTPUT_DIM, Model, ModelConfig, ModelParams, tensor_shapes
 
 MAGIC = b"MOFC"
 VERSION = 1
@@ -35,28 +35,6 @@ _VARIANT_TAGS = {"bb_only": 0, "of_only": 1, "both": 2}
 _TAG_VARIANTS = {v: k for k, v in _VARIANT_TAGS.items()}
 
 _HEADER = struct.Struct("<4sIBB5I")
-
-
-def _tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    h = config.hidden
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-
-    def gru_block(prefix: str, input_dim: int):
-        for gate in ("z", "r", "h"):
-            shapes.append((f"{prefix}.w_{gate}", (h, input_dim)))
-        for gate in ("z", "r", "h"):
-            shapes.append((f"{prefix}.u_{gate}", (h, h)))
-        for gate in ("z", "r", "h"):
-            shapes.append((f"{prefix}.b_{gate}", (h,)))
-
-    if config.uses_boxes:
-        gru_block("encoder", FEATURE_DIM)
-        shapes.append(("fc1.w", (BOX_CODE_DIM, h)))
-        shapes.append(("fc1.b", (BOX_CODE_DIM,)))
-    gru_block("decoder", config.code_dim)
-    shapes.append(("out.w", (OUTPUT_DIM, h)))
-    shapes.append(("out.b", (OUTPUT_DIM,)))
-    return shapes
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
@@ -77,7 +55,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         fh.write(header)
         fh.write(np.ascontiguousarray(model.stats.mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.stats.std, dtype="<f8").tobytes())
-        for name, shape in _tensor_shapes(config):
+        for name, shape in tensor_shapes(config).items():
             tensor = tensors[name]
             if tensor.shape != shape:
                 raise CheckpointError(f"tensor {name} has shape {tensor.shape}, expected {shape}")
@@ -110,8 +88,9 @@ def load_checkpoint(path: str | Path) -> Model:
 
     offset = _HEADER.size
 
-    def take(count: int, shape: tuple[int, ...]) -> np.ndarray:
+    def take(shape: tuple[int, ...]) -> np.ndarray:
         nonlocal offset
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated file")
@@ -119,25 +98,9 @@ def load_checkpoint(path: str | Path) -> Model:
         offset += nbytes
         return arr
 
-    mean = take(FEATURE_DIM, (FEATURE_DIM,))
-    std = take(FEATURE_DIM, (FEATURE_DIM,))
-    tensors = {}
-    for name, shape in _tensor_shapes(config):
-        tensors[name] = take(int(np.prod(shape)), shape)
+    mean = take((FEATURE_DIM,))
+    std = take((FEATURE_DIM,))
+    tensors = {name: take(shape) for name, shape in tensor_shapes(config).items()}
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} unexpected trailing bytes")
-
-    def gru_block(prefix: str) -> GRUParams:
-        return GRUParams(**{k: tensors[f"{prefix}.{k}"] for k in
-                            ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")})
-
-    params = ModelParams(
-        config=config,
-        encoder=gru_block("encoder") if config.uses_boxes else None,
-        fc1_w=tensors.get("fc1.w"),
-        fc1_b=tensors.get("fc1.b"),
-        decoder=gru_block("decoder"),
-        out_w=tensors["out.w"],
-        out_b=tensors["out.b"],
-    )
-    return Model(params=params, stats=FeatureStats(mean=mean, std=std))
+    return Model(params=ModelParams(config, tensors), stats=FeatureStats(mean=mean, std=std))

@@ -21,8 +21,9 @@ How the work is laid out:
   matrix and ``[U_z; U_r]`` into one (2H, H) recurrent matrix, so the input
   projection of the whole sequence is one GEMM and each step makes one
   ``h @ U_zr`` GEMM for both gates (backward: one ``a_zr @ U_zr``). The
-  stacking happens once per call; :class:`GRUParams` keeps the nine
-  separate tensors that checkpoints name.
+  stacking happens once per call; the nine separate tensors of a
+  :class:`GRUParams` are the arrays of the model's parameter table
+  (``ModelParams.gru``), which checkpoints name.
 - Time-major state: the cache holds the hidden states as (T+1, B, H) and
   the gates as (T, B, ·), so every step reads and writes contiguous (B, ·)
   blocks. The callers' (B, T, ·) contract is kept by transposed views: the
@@ -88,26 +89,6 @@ class GRUParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def copy(self) -> "GRUParams":
-        return GRUParams(**{k: v.copy() for k, v in self.tensors().items()})
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, input_dim: int, hidden_dim: int) -> "GRUParams":
-        """Uniform fan-in-scaled weights, zero biases."""
-        wb = 1.0 / np.sqrt(input_dim)
-        ub = 1.0 / np.sqrt(hidden_dim)
-        return cls(
-            w_z=rng.uniform(-wb, wb, (hidden_dim, input_dim)),
-            w_r=rng.uniform(-wb, wb, (hidden_dim, input_dim)),
-            w_h=rng.uniform(-wb, wb, (hidden_dim, input_dim)),
-            u_z=rng.uniform(-ub, ub, (hidden_dim, hidden_dim)),
-            u_r=rng.uniform(-ub, ub, (hidden_dim, hidden_dim)),
-            u_h=rng.uniform(-ub, ub, (hidden_dim, hidden_dim)),
-            b_z=np.zeros(hidden_dim),
-            b_r=np.zeros(hidden_dim),
-            b_h=np.zeros(hidden_dim),
-        )
 
 
 class GRUCache(NamedTuple):
@@ -205,6 +186,8 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
         a_r *= r
         np.subtract(1.0, r, out=buf)
         a_r *= buf                                  # a_r = dr * r * (1 - r)
+        if k == 0:
+            break                                   # h_0 is the constant zero: no dh to carry
 
         dh *= z                                     # dh = dh * z + a_zr @ U_zr + drh * r
         np.matmul(da[k, :, : 2 * hd], u_zr, out=buf)
@@ -224,16 +207,6 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
         rows_da, rows_x = flat_da, x.transpose(1, 0, 2).reshape(t * b, i)
     dw = rows_da.T @ rows_x
     db = rows_da.sum(axis=0)
-    grads = GRUParams(
-        w_z=dw[:hd],
-        w_r=dw[hd : 2 * hd],
-        w_h=dw[2 * hd :],
-        u_z=du_zr[:hd],
-        u_r=du_zr[hd:],
-        u_h=du_h,
-        b_z=db[:hd],
-        b_r=db[hd : 2 * hd],
-        b_h=db[2 * hd :],
-    )
+    grads = GRUParams(*np.split(dw, 3), *np.split(du_zr, 2), du_h, *np.split(db, 3))
     dx = (rows_da @ w).reshape(-1, b, i).transpose(1, 0, 2)
     return dx, grads

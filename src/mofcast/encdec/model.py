@@ -20,7 +20,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal
 
 import numpy as np
@@ -80,40 +80,42 @@ class ModelConfig:
         return BOX_CODE_DIM + self.flow_dim
 
 
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every trainable tensor, in checkpoint order: the one definition of the layout.
+
+    Encoder GRU and box-code layer ``fc1`` (variants that use boxes only),
+    decoder GRU, output layer ``out``. A GRU's tensors are the fields of
+    :class:`GRUParams` in their order: ``w_z, w_r, w_h`` (H, I), ``u_z, u_r,
+    u_h`` (H, H) and ``b_z, b_r, b_h`` (H,).
+    """
+    h = config.hidden
+
+    def gru(layer: str, input_dim: int) -> dict[str, tuple[int, ...]]:
+        kinds = {"w": (h, input_dim), "u": (h, h), "b": (h,)}
+        return {f"{layer}.{f.name}": kinds[f.name[0]] for f in fields(GRUParams)}
+
+    boxes = gru("encoder", FEATURE_DIM) | {"fc1.w": (BOX_CODE_DIM, h), "fc1.b": (BOX_CODE_DIM,)}
+    return ((boxes if config.uses_boxes else {}) | gru("decoder", config.code_dim)
+            | {"out.w": (OUTPUT_DIM, h), "out.b": (OUTPUT_DIM,)})
+
+
 @dataclass
 class ModelParams:
-    """All trainable tensors plus the configuration that shapes them."""
+    """The configuration plus every trainable tensor, by name in :func:`tensor_shapes` order."""
 
     config: ModelConfig
-    encoder: GRUParams | None
-    fc1_w: np.ndarray | None
-    fc1_b: np.ndarray | None
-    decoder: GRUParams
-    out_w: np.ndarray
-    out_b: np.ndarray
+    arrays: dict[str, np.ndarray]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Live tensors in the fixed checkpoint order."""
-        out: dict[str, np.ndarray] = {}
-        if self.encoder is not None:
-            out.update({f"encoder.{k}": v for k, v in self.encoder.tensors().items()})
-            out["fc1.w"] = self.fc1_w
-            out["fc1.b"] = self.fc1_b
-        out.update({f"decoder.{k}": v for k, v in self.decoder.tensors().items()})
-        out["out.w"] = self.out_w
-        out["out.b"] = self.out_b
-        return out
+        """The live tensors in checkpoint order; an in-place update changes the model."""
+        return self.arrays
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            encoder=self.encoder.copy() if self.encoder is not None else None,
-            fc1_w=None if self.fc1_w is None else self.fc1_w.copy(),
-            fc1_b=None if self.fc1_b is None else self.fc1_b.copy(),
-            decoder=self.decoder.copy(),
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-        )
+        return ModelParams(self.config, {name: t.copy() for name, t in self.arrays.items()})
+
+    def gru(self, layer: str) -> GRUParams:
+        """The ``"encoder"`` or ``"decoder"`` GRU, its nine tensors the arrays of this table."""
+        return GRUParams(**{f.name: self.arrays[f"{layer}.{f.name}"] for f in fields(GRUParams)})
 
 
 def init_params(
@@ -121,41 +123,28 @@ def init_params(
     seed_or_rng: int | np.random.Generator,
     zero_output: bool = True,
 ) -> ModelParams:
-    """Fresh parameters: fan-in-scaled uniform weights, zero-initialized output layer.
+    """Fresh parameters by one rule, drawn in :func:`tensor_shapes` order.
 
-    The zero output layer makes the untrained model's residuals exactly zero,
+    2-D weights are uniform in ±1/sqrt(fan-in), biases are zero, and the
+    output layer is zero, so the untrained model's residuals are exactly zero,
     i.e. the model starts as the CV-CS baseline. ``zero_output=False`` draws
-    the output layer randomly too, which gradient checking needs: a zero
-    output layer blocks all gradient flow into the rest of the network.
+    the output layer, bias too, at ±1/sqrt(hidden), which gradient checking
+    needs: a zero output layer blocks all gradient flow into the network.
     """
     rng = (
         seed_or_rng
         if isinstance(seed_or_rng, np.random.Generator)
         else np.random.default_rng(seed_or_rng)
     )
-    encoder = fc1_w = fc1_b = None
-    if config.uses_boxes:
-        encoder = GRUParams.init(rng, FEATURE_DIM, config.hidden)
-        bound = 1.0 / np.sqrt(config.hidden)
-        fc1_w = rng.uniform(-bound, bound, (BOX_CODE_DIM, config.hidden))
-        fc1_b = np.zeros(BOX_CODE_DIM)
-    decoder = GRUParams.init(rng, config.code_dim, config.hidden)
-    if zero_output:
-        out_w = np.zeros((OUTPUT_DIM, config.hidden))
-        out_b = np.zeros(OUTPUT_DIM)
-    else:
-        bound = 1.0 / np.sqrt(config.hidden)
-        out_w = rng.uniform(-bound, bound, (OUTPUT_DIM, config.hidden))
-        out_b = rng.uniform(-bound, bound, OUTPUT_DIM)
-    return ModelParams(
-        config=config,
-        encoder=encoder,
-        fc1_w=fc1_w,
-        fc1_b=fc1_b,
-        decoder=decoder,
-        out_w=out_w,
-        out_b=out_b,
-    )
+    arrays = {}
+    for name, shape in tensor_shapes(config).items():
+        drawn = len(shape) == 2 or name == "out.b"
+        if not drawn or (zero_output and name.startswith("out.")):
+            arrays[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[1] if len(shape) == 2 else config.hidden)
+            arrays[name] = rng.uniform(-bound, bound, shape)
+    return ModelParams(config, arrays)
 
 
 @dataclass
@@ -189,16 +178,16 @@ def forward_batch(
     horizon: int = FUTURE_LEN,
 ) -> ForwardCache:
     """Batched forward pass from raw (B, p, 8) features / (B, F) flow to (B, horizon, 4) residuals."""
-    cfg = params.config
+    cfg, t = params.config, params.tensors()
     parts = []
     std_features = enc_cache = enc_last = fc_pre = None
     if cfg.uses_boxes:
         if features is None:
             raise ValueError(f"variant {cfg.variant!r} needs box features")
         std_features = standardize(features, stats)
-        enc_hs, enc_cache = gru_forward(params.encoder, std_features)
+        enc_hs, enc_cache = gru_forward(params.gru("encoder"), std_features)
         enc_last = enc_hs[:, -1]
-        fc_pre = enc_last @ params.fc1_w.T + params.fc1_b
+        fc_pre = enc_last @ t["fc1.w"].T + t["fc1.b"]
         box_code = np.maximum(fc_pre, 0.0) if cfg.fc_activation else fc_pre
         parts.append(box_code)
     if cfg.uses_flow:
@@ -212,9 +201,9 @@ def forward_batch(
     b = code.shape[0]
     # A stride-0 view, not a copy: gru_forward projects the code once per window.
     dec_in = np.broadcast_to(code[:, None, :], (b, horizon, code.shape[1]))
-    _, dec_cache = gru_forward(params.decoder, dec_in)
+    _, dec_cache = gru_forward(params.gru("decoder"), dec_in)
     flat = dec_cache.hs[1:].reshape(horizon * b, -1)
-    deltas = (flat @ params.out_w.T + params.out_b).reshape(horizon, b, OUTPUT_DIM)
+    deltas = (flat @ t["out.w"].T + t["out.b"]).reshape(horizon, b, OUTPUT_DIM)
     residuals = np.ascontiguousarray(np.cumsum(deltas, axis=0).transpose(1, 0, 2))
     return ForwardCache(
         std_features=std_features,
@@ -229,7 +218,7 @@ def forward_batch(
 
 def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every tensor, given d(loss)/d(residuals)."""
-    cfg = params.config
+    cfg, t = params.config, params.tensors()
     b, horizon, _ = dresiduals.shape
     hd = cfg.hidden
 
@@ -242,8 +231,8 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
     grads["out.w"] = flat_d.T @ flat_h
     grads["out.b"] = flat_d.sum(axis=0)
 
-    ddec_h = (flat_d @ params.out_w).reshape(horizon, b, hd)
-    dx_dec, dec_grads = gru_backward(params.decoder, cache.dec_cache, ddec_h.transpose(1, 0, 2))
+    ddec_h = (flat_d @ t["out.w"]).reshape(horizon, b, hd)
+    dx_dec, dec_grads = gru_backward(params.gru("decoder"), cache.dec_cache, ddec_h.transpose(1, 0, 2))
     for k, v in dec_grads.tensors().items():
         grads[f"decoder.{k}"] = v
 
@@ -257,8 +246,8 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
 
         p = cache.std_features.shape[1]
         denc_out = np.zeros((p, b, hd))
-        denc_out[-1] = dbox_code @ params.fc1_w
-        _, enc_grads = gru_backward(params.encoder, cache.enc_cache, denc_out.transpose(1, 0, 2))
+        denc_out[-1] = dbox_code @ t["fc1.w"]
+        _, enc_grads = gru_backward(params.gru("encoder"), cache.enc_cache, denc_out.transpose(1, 0, 2))
         for k, v in enc_grads.tensors().items():
             grads[f"encoder.{k}"] = v
 

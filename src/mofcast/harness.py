@@ -104,12 +104,6 @@ class ExperimentSpec:
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentSpec":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        train_raw = raw.pop("train", {})
-        return cls(train=TrainConfig(**train_raw), **raw)
-
     def hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()

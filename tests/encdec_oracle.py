@@ -14,6 +14,9 @@ GRU as it ran before its state went time-major: (B, T+1, H) hidden states,
 sigmoid and elementwise operation order as the library. The library's
 forward pass must match them bit for bit, and its gradients to rounding.
 ``forward_residuals_batch_major`` is the model's forward pass over them.
+
+Every model tensor is read from ``params.tensors()`` by its checkpoint name
+(``gru_layer`` gathers a GRU's nine), not through the library's accessors.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ def gru_cell(x: np.ndarray, h: np.ndarray, params: GRUParams) -> np.ndarray:
     return (1.0 - z) * htil + z * h
 
 
+def gru_layer(params: ModelParams, layer: str) -> GRUParams:
+    """The ``layer`` GRU's nine tensors, read by name from the model's table."""
+    t = params.tensors()
+    return GRUParams(**{f"{kind}_{gate}": t[f"{layer}.{kind}_{gate}"] for kind in "wub" for gate in "zrh"})
+
+
 def destandardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
     """Inverse of ``standardize`` (round-trip identity up to float error)."""
     return np.asarray(features, dtype=np.float64) * stats.std + stats.mean
@@ -49,13 +58,14 @@ def destandardize(features: np.ndarray, stats: FeatureStats) -> np.ndarray:
 
 def encode(window: ObservationWindow, model: Model, flow: np.ndarray | None = None) -> np.ndarray:
     """Decoder input code of one window: box code, flow feature, or both."""
-    cfg, params = model.config, model.params
+    cfg, t = model.config, model.params.tensors()
     parts = []
     if cfg.uses_boxes:
+        encoder = gru_layer(model.params, "encoder")
         h = np.zeros(cfg.hidden)
         for row in standardize(box_features(window), model.stats):
-            h = gru_cell(row, h, params.encoder)
-        pre = params.fc1_w @ h + params.fc1_b
+            h = gru_cell(row, h, encoder)
+        pre = t["fc1.w"] @ h + t["fc1.b"]
         parts.append(np.maximum(pre, 0.0) if cfg.fc_activation else pre)
     if cfg.uses_flow:
         parts.append(np.asarray(flow, dtype=np.float64))
@@ -68,11 +78,12 @@ def decode(code: np.ndarray, params: ModelParams, horizon: int = FUTURE_LEN) -> 
     The code is re-fed at every step; the per-step output-layer emissions are
     accumulated into residuals relative to the CV-CS extrapolation.
     """
+    t, decoder = params.tensors(), gru_layer(params, "decoder")
     h = np.zeros(params.config.hidden)
     deltas = []
     for _ in range(horizon):
-        h = gru_cell(code, h, params.decoder)
-        deltas.append(params.out_w @ h + params.out_b)
+        h = gru_cell(code, h, decoder)
+        deltas.append(t["out.w"] @ h + t["out.b"])
     return np.cumsum(deltas, axis=0)
 
 
@@ -157,16 +168,17 @@ def gru_backward_batch_major(params: GRUParams, cache: GRUCache, dh_out: np.ndar
 def forward_residuals_batch_major(params: ModelParams, stats: FeatureStats, features, flow,
                                   horizon: int = FUTURE_LEN) -> np.ndarray:
     """(B, horizon, 4) residuals of ``forward_batch`` computed over the batch-major GRU."""
-    cfg = params.config
+    cfg, t = params.config, params.tensors()
     parts = []
     if cfg.uses_boxes:
-        enc_hs, _ = gru_forward_batch_major(params.encoder, standardize(features, stats))
-        pre = enc_hs[:, -1] @ params.fc1_w.T + params.fc1_b
+        enc_hs, _ = gru_forward_batch_major(gru_layer(params, "encoder"), standardize(features, stats))
+        pre = enc_hs[:, -1] @ t["fc1.w"].T + t["fc1.b"]
         parts.append(np.maximum(pre, 0.0) if cfg.fc_activation else pre)
     if cfg.uses_flow:
         parts.append(np.asarray(flow, dtype=np.float64))
     code = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     b = code.shape[0]
-    dec_hs, _ = gru_forward_batch_major(params.decoder, np.broadcast_to(code[:, None, :], (b, horizon, code.shape[1])))
-    deltas = (dec_hs.reshape(b * horizon, -1) @ params.out_w.T + params.out_b).reshape(b, horizon, 4)
+    dec_in = np.broadcast_to(code[:, None, :], (b, horizon, code.shape[1]))
+    dec_hs, _ = gru_forward_batch_major(gru_layer(params, "decoder"), dec_in)
+    deltas = (dec_hs.reshape(b * horizon, -1) @ t["out.w"].T + t["out.b"]).reshape(b, horizon, 4)
     return np.cumsum(deltas, axis=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,32 @@ class TestFlowFiles:
             got = store.get(source)
             assert got.dtype == np.float64
             assert np.array_equal(got, vec.astype(np.float64))
+
+    @pytest.mark.parametrize(
+        "second, problem",
+        (
+            (("v0", 1, 30, np.zeros(5)), "has length 5, the first entry 4"),
+            (("v0", 1, 29, np.zeros(4)), "repeats an earlier entry's window"),
+            (("v0", 1, 30, np.array([0.0, np.nan, 0.0, 0.0])), "is not finite"),
+            (("v0", 1, 30, np.array([0.0, -1e39, 0.0, 0.0])), "is outside the float32 range"),
+        ),
+        ids=("length", "repeat", "nan", "float32-range"),
+    )
+    def test_writer_rejects_what_open_would(self, tmp_path, second, problem):
+        index = tmp_path / "flow_features.csv"
+        *key, vec = second
+        entries = [(WindowSource("v0", 1, 29), np.ones(4)), (WindowSource(*key), vec)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no float32-cast overflow warning either
+            with pytest.raises(FlowFeatureError, match=rf"flow feature for WindowSource\(.*{problem}"):
+                write_flow_features(entries, index)
+        assert not index.exists() and not index.with_suffix(".bin").exists()
+
+    def test_writer_rejects_an_empty_sidecar(self, tmp_path):
+        index = tmp_path / "flow_features.csv"
+        with pytest.raises(FlowFeatureError, match=r"flow_features\.csv: no entries to write"):
+            write_flow_features([], index)
+        assert not index.exists()
 
     def test_missing_window_feature(self, tmp_path, rng):
         index = tmp_path / "flow_features.csv"

@@ -103,7 +103,7 @@ def test_duplicating_the_batch_leaves_gradients_unchanged():
 
 def test_non_finite_gradient_is_reported_with_group():
     config, params, stats, sample = build_sample("bb_only", 8, seed=7)
-    params.out_w[0, 0] = np.inf
+    params.tensors()["out.w"][0, 0] = np.inf
     with np.errstate(invalid="ignore"):  # inf - inf inside backward is the point
         with pytest.raises(GradientError) as excinfo:
             loss_and_gradients(params, stats, sample.features, sample.flow, sample.targets)

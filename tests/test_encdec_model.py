@@ -110,6 +110,14 @@ def zero_gru(input_dim: int, hidden_dim: int) -> GRUParams:
     return GRUParams(**{f"{kind}_{gate}": np.zeros(shape) for kind, shape in shapes.items() for gate in "zrh"})
 
 
+def random_gru(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> GRUParams:
+    """A GRU layer with uniform ±1/sqrt(fan-in) weights, drawn w_z, w_r, w_h, u_z, u_r, u_h, and zero biases."""
+    wb, ub = 1.0 / np.sqrt(input_dim), 1.0 / np.sqrt(hidden_dim)
+    draws = {f"w_{g}": rng.uniform(-wb, wb, (hidden_dim, input_dim)) for g in "zrh"}
+    draws.update({f"u_{g}": rng.uniform(-ub, ub, (hidden_dim, hidden_dim)) for g in "zrh"})
+    return GRUParams(**draws, **{f"b_{g}": np.zeros(hidden_dim) for g in "zrh"})
+
+
 class TestGruCell:
     def test_zero_weights_zero_state(self):
         params = zero_gru(4, 6)
@@ -124,13 +132,13 @@ class TestGruCell:
         assert np.allclose(out, 0.5 * h, atol=1e-15)
 
     def test_bounded_by_max_of_state_and_one(self, rng):
-        params = GRUParams.init(rng, 4, 6)
+        params = random_gru(rng, 4, 6)
         h = rng.normal(size=6) * 3
         out = gru_cell(rng.normal(size=4), h, params)
         assert np.all(np.abs(out) <= np.maximum(np.abs(h), 1.0) + 1e-12)
 
     def test_gru_forward_steps_the_cell(self, rng):
-        params = GRUParams.init(rng, 4, 6)
+        params = random_gru(rng, 4, 6)
         x = rng.normal(size=(3, 7, 4))
         hs, _ = gru_forward(params, x)
         h = np.zeros((3, 6))
@@ -153,7 +161,7 @@ class TestGruHotPath:
     @pytest.mark.parametrize("t", (1, 7))
     def test_time_constant_input_equals_its_copy(self, rng, t):
         b, i, hd = 3, 5, 6
-        params = GRUParams.init(rng, i, hd)
+        params = random_gru(rng, i, hd)
         params.b_z[:] = rng.normal(size=hd)
         params.b_r[:] = rng.normal(size=hd)
         params.b_h[:] = rng.normal(size=hd)
@@ -203,7 +211,7 @@ class TestTimeMajorGru:
         ids=("plain", "stride0", "t1", "t1-stride0", "b1", "b1-stride0", "h512", "h512-stride0"),
     )
     def test_matches_the_batch_major_oracle(self, rng, b, t, i, hd, shared):
-        params = GRUParams.init(rng, i, hd)
+        params = random_gru(rng, i, hd)
         for name in ("b_z", "b_r", "b_h"):
             getattr(params, name)[:] = rng.normal(size=hd)
         x = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i)) if shared else rng.normal(size=(b, t, i))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import struct
 import sys
@@ -18,15 +19,18 @@ from mofcast.data import (
     synth_generate_mixed,
 )
 from mofcast.encdec import (
+    Model,
     ModelConfig,
     TrainConfig,
     assemble_arrays,
     box_features,
     forecast_windows,
+    init_params,
     load_checkpoint,
     save_checkpoint,
     synthetic_flow_batch,
     synthetic_flow_feature,
+    tensor_shapes,
     train,
 )
 from mofcast.errors import CheckpointError, FlowFeatureError
@@ -144,7 +148,7 @@ class TestDeterminism:
         train_w, val_w = cv_windows(noise=1.0)
         a = train(train_w, val_w, TrainConfig(**{**SMALL, "seed": 1}))
         b = train(train_w, val_w, TrainConfig(**{**SMALL, "seed": 2}))
-        assert not np.array_equal(a.model.params.decoder.w_z, b.model.params.decoder.w_z)
+        assert not np.array_equal(a.model.params.tensors()["decoder.w_z"], b.model.params.tensors()["decoder.w_z"])
 
 
 class TestBlasPinReport:
@@ -233,6 +237,36 @@ class TestCheckpoint:
         after = forecast_windows(loaded, train_w)
         for f0, f1 in zip(before, after):
             assert np.array_equal(boxes_to_array(f0.boxes), boxes_to_array(f1.boxes))
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_one_table_names_every_tensor(self, tmp_path, variant):
+        config = ModelConfig(variant=variant, hidden=6, flow_dim=5)
+        path = tmp_path / "model.mofc"
+        save_checkpoint(Model(init_params(config, 0)), path)
+        want = list(tensor_shapes(config).items())
+        gru = [f"{kind}_{gate}" for kind in "wub" for gate in "zrh"]
+        boxes = [f"encoder.{n}" for n in gru] + ["fc1.w", "fc1.b"] if config.uses_boxes else []
+        assert [name for name, _ in want] == boxes + [f"decoder.{n}" for n in gru] + ["out.w", "out.b"]
+        for params in (init_params(config, 0), load_checkpoint(path).params):
+            assert [(name, t.shape) for name, t in params.tensors().items()] == want
+
+    # sha256 of the init checkpoints as first written; the draw order of
+    # init_params is part of the checkpoint, so a reordered draw shows here.
+    INIT_DIGESTS = {
+        ("bb_only", False): "99b299ee994ffb41839f2a3234fc6c51c90e43d97e883e92bf815fec964677ea",
+        ("bb_only", True): "d1a2748fab4eedace2ecf441b4bc6946f7920c1bac451d96bfc492a4d5055ba7",
+        ("of_only", False): "b6740928d21b78266b1bfc37b2cd8e7a3d764b34d695a57f075754f76545d7d3",
+        ("of_only", True): "7934c8616bf776d994bc22d440f39530152c9104af8589e5fa8192864c4bf980",
+        ("both", False): "dd154209a72e727277b9a6995c3e360c0da57fe8a7b40eedbd396810fba26851",
+        ("both", True): "eae28cc8b0f0eca66965addcf79165cdc56644c061414a4e13fd71c656c65552",
+    }
+
+    @pytest.mark.parametrize("variant,zero_output", list(INIT_DIGESTS))
+    def test_init_checkpoint_bytes_are_pinned(self, tmp_path, variant, zero_output):
+        config = ModelConfig(variant=variant, hidden=16, flow_dim=24)
+        path = tmp_path / "init.mofc"
+        save_checkpoint(Model(init_params(config, 7, zero_output=zero_output)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.INIT_DIGESTS[variant, zero_output]
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.mofc"
