@@ -1,17 +1,17 @@
 """Command-line interface.
 
 Machine-readable artifacts go to the output directory, a short human summary
-goes to stdout. Every subcommand is deterministic given its flags and seed,
-except that without ``threadpoolctl`` training's repeatability rests on the
-BLAS build: ``--deterministic`` (on by default) pins BLAS to one thread only
-when ``threadpoolctl`` is importable. A paper-size (H=512) test checks that two
-trainings write byte-identical checkpoints. Exit codes: 0 success, 1 usage
-error, 2 data/validation error.
+goes to stdout. Every subcommand's output is fixed by its flags and seed.
+Nothing pins BLAS's thread count, so training's repeatability also rests on
+the BLAS build; a paper-size (H=512) test checks that two trainings write
+byte-identical checkpoints. Exit codes: 0 success, 1 usage error, 2
+data/validation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -140,9 +140,6 @@ _TRAIN_FLAGS = (
     ("--beta", "beta", _positive_float, "smooth-L1 seam in px"),
     ("--flow-dim", "flow_dim", _positive_int, "flow feature dimension"),
     ("--seed", "seed", _non_negative_int, "seed of initialization and batch order"),
-    ("--deterministic", "deterministic", bool,
-     "pin BLAS to 1 thread for bit-reproducible training when threadpoolctl is importable; "
-     "without it nothing is pinned and repeatability rests on the BLAS build"),
 )
 
 
@@ -150,11 +147,8 @@ def _add_train_flags(p: argparse.ArgumentParser):
     defaults = TrainConfig()
     for flag, name, kind, help_text in _TRAIN_FLAGS:
         default = getattr(defaults, name)
-        if kind is bool:
-            kwargs = {"action": argparse.BooleanOptionalAction}
-        else:
-            kwargs = {"type": kind, "choices": VARIANTS if name == "variant" else None}
-        p.add_argument(flag, dest=name, default=default, help=f"{help_text} (default: {default})", **kwargs)
+        p.add_argument(flag, dest=name, type=kind, choices=VARIANTS if name == "variant" else None,
+                       default=default, help=f"{help_text} (default: {default})")
 
 
 def build_parser() -> _Parser:
@@ -314,10 +308,11 @@ def _cmd_clip_filter(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     total = 0
     with (out / "clips.csv").open("w", newline="", encoding="utf-8") as fh:
-        fh.write("video_id,start_frame,end_frame\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["video_id", "start_frame", "end_frame"])
         for video_id in sorted(per_video):
             for clip in motion_filter_clips(per_video[video_id], args.threshold, args.clip_frames):
-                fh.write(f"{video_id},{clip.start_frame},{clip.end_frame}\n")
+                writer.writerow([video_id, clip.start_frame, clip.end_frame])
                 total += 1
     print(f"selected {total} clips from {len(per_video)} videos -> {out / 'clips.csv'}")
     return 0

@@ -13,8 +13,6 @@ training can only be accepted if it beats that.
 
 from __future__ import annotations
 
-import contextlib
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -32,13 +30,12 @@ from .model import Model, ModelConfig, forecast_array, init_params, loss_and_gra
 from .features import box_features  # noqa: F401
 from .model import forward_batch  # noqa: F401
 
-logger = logging.getLogger(__name__)
+LR_HALVING_EPOCHS = 5
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    lr_halving_epochs: int = 5
     batch_size: int = 1024
     epochs: int = 20
     beta: float = 1.0  # smooth-L1 seam, in pixels
@@ -46,30 +43,28 @@ class TrainConfig:
     hidden: int = ModelConfig.hidden
     variant: str = ModelConfig.variant
     flow_dim: int = ModelConfig.flow_dim
-    fc_activation: bool = ModelConfig.fc_activation
-    deterministic: bool = True
 
     def __post_init__(self):
         for name in ("learning_rate", "beta"):
             if not 0 < getattr(self, name) < math.inf:  # also refuses nan
                 raise ValueError(f"TrainConfig.{name} must be a finite number > 0, got {getattr(self, name)!r}")
-        for name in ("lr_halving_epochs", "batch_size", "epochs", "hidden", "flow_dim"):
+        for name in ("batch_size", "epochs", "hidden", "flow_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig.{name} must be >= 1")
         if self.seed < 0:
             raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
+        self.model_config()  # refuses an unknown variant
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             variant=self.variant,  # type: ignore[arg-type]
             hidden=self.hidden,
             flow_dim=self.flow_dim,
-            fc_activation=self.fc_activation,
         )
 
     def lr_at_epoch(self, epoch: int) -> float:
-        """Learning rate for a 1-indexed epoch: halved every ``lr_halving_epochs``."""
-        return self.learning_rate * 0.5 ** ((epoch - 1) // self.lr_halving_epochs)
+        """Learning rate for a 1-indexed epoch: halved every ``LR_HALVING_EPOCHS``."""
+        return self.learning_rate * 0.5 ** ((epoch - 1) // LR_HALVING_EPOCHS)
 
 
 @dataclass(frozen=True)
@@ -99,8 +94,6 @@ class TrainLog:
 class TrainResult:
     model: Model
     log: TrainLog
-    blas_pinned: bool = False  # whether BLAS ran single-threaded during training
-    blas_pin_reason: str = ""
 
 
 class Adam:
@@ -158,39 +151,13 @@ def assemble_arrays(batch: WindowBatch, config: ModelConfig) -> WindowArrays:
     )
 
 
-_pin_warning_logged = False
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Limit BLAS to one thread inside the block; yields (pinned, reason).
-
-    Without ``threadpoolctl`` nothing is pinned: that is logged as a warning
-    once per process and reported through the yielded reason.
-    """
-    global _pin_warning_logged
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError as exc:
-        reason = f"threadpoolctl is not importable ({exc}); BLAS keeps its default thread count"
-        if not _pin_warning_logged:
-            logger.warning("deterministic training requested but BLAS is not pinned: %s", reason)
-            _pin_warning_logged = True
-        yield False, reason
-        return
-    with threadpool_limits(limits=1):
-        yield True, "threadpoolctl limited BLAS to 1 thread"
-
-
 def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig) -> TrainResult:
     """Train end to end; returns the parameters of the best-validation epoch.
 
-    Parameter init and batch order come from independent seeded streams. The
-    deterministic flag pins BLAS to one thread, so that repeated runs produce
-    bit-identical checkpoints, only when ``threadpoolctl`` is importable.
-    Without it nothing is pinned: BLAS keeps its default thread count, and
-    repeatability rests on the BLAS build alone. Whether the pin took effect,
-    and why not, is in the result's ``blas_pinned`` / ``blas_pin_reason``.
+    Parameter init and batch order come from independent seeded streams.
+    Nothing pins BLAS's thread count, so repeatability also rests on the BLAS
+    build; a paper-size (H=512) test checks that two runs write byte-identical
+    checkpoints.
     """
     if not len(train_batch):
         raise ValueError("training set is empty")
@@ -209,54 +176,43 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     )
     targets = train_arrays.targets
 
-    ctx = (
-        _single_threaded_blas()
-        if config.deterministic
-        else contextlib.nullcontext((False, "TrainConfig.deterministic is off"))
-    )
-    with ctx as (blas_pinned, blas_pin_reason):
-        params = init_params(model_config, init_rng)
-        optimizer = Adam()
+    params = init_params(model_config, init_rng)
+    optimizer = Adam()
 
-        def validation_ade() -> float:
-            # ADE as aggregate() computes it for a test set: the mean of the per-step curve.
-            pred = forecast_array(Model(params=params, stats=stats), val_batch, config.batch_size)
-            return float(centroid_displacements(pred, val_batch.future).mean(axis=0).mean())
+    def validation_ade() -> float:
+        # ADE as aggregate() computes it for a test set: the mean of the per-step curve.
+        pred = forecast_array(Model(params=params, stats=stats), val_batch, config.batch_size)
+        return float(centroid_displacements(pred, val_batch.future).mean(axis=0).mean())
 
-        best_ade = validation_ade()
-        log = TrainLog(initial_val_ade=best_ade)
-        best_params = params.copy()
+    best_ade = validation_ade()
+    log = TrainLog(initial_val_ade=best_ade)
+    best_params = params.copy()
 
-        n = len(train_arrays)
-        for epoch in range(1, config.epochs + 1):
-            lr = config.lr_at_epoch(epoch)
-            order = shuffle_rng.permutation(n)
-            loss_sum = 0.0
-            for lo in range(0, n, config.batch_size):
-                idx = order[lo : lo + config.batch_size]
-                feats = None if train_arrays.features is None else train_arrays.features[idx]
-                flow = None if train_arrays.flow is None else train_arrays.flow[idx]
-                loss, grads = loss_and_gradients(
-                    params, stats, feats, flow, targets[idx], beta=config.beta
-                )
-                if not math.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}", log=log
-                    )
-                optimizer.step(params.tensors(), grads, lr)
-                loss_sum += loss * idx.size
-            val_ade = validation_ade()
-            log.epochs.append(
-                EpochRecord(epoch=epoch, learning_rate=lr, train_loss=loss_sum / n, val_ade=val_ade)
+    n = len(train_arrays)
+    for epoch in range(1, config.epochs + 1):
+        lr = config.lr_at_epoch(epoch)
+        order = shuffle_rng.permutation(n)
+        loss_sum = 0.0
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            feats = None if train_arrays.features is None else train_arrays.features[idx]
+            flow = None if train_arrays.flow is None else train_arrays.flow[idx]
+            loss, grads = loss_and_gradients(
+                params, stats, feats, flow, targets[idx], beta=config.beta
             )
-            if val_ade < best_ade:
-                best_ade = val_ade
-                best_params = params.copy()
-                log.best_epoch = epoch
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}", log=log
+                )
+            optimizer.step(params.tensors(), grads, lr)
+            loss_sum += loss * idx.size
+        val_ade = validation_ade()
+        log.epochs.append(
+            EpochRecord(epoch=epoch, learning_rate=lr, train_loss=loss_sum / n, val_ade=val_ade)
+        )
+        if val_ade < best_ade:
+            best_ade = val_ade
+            best_params = params.copy()
+            log.best_epoch = epoch
 
-    return TrainResult(
-        model=Model(params=best_params, stats=stats),
-        log=log,
-        blas_pinned=blas_pinned,
-        blas_pin_reason=blas_pin_reason,
-    )
+    return TrainResult(model=Model(params=best_params, stats=stats), log=log)

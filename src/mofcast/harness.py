@@ -100,6 +100,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODEL_KINDS}")
         if self.fold not in range(N_FOLDS):
             raise ValueError(f"fold must be in 0..{N_FOLDS - 1}, got {self.fold}")
+        for name in ("stride", "min_track_frames"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"ExperimentSpec.{name} must be >= 1, got {getattr(self, name)}")
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
@@ -132,7 +135,7 @@ def _make_run_dir(base: Path, spec_hash: str) -> Path:
     return candidate
 
 
-def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float, extra: dict) -> None:
+def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float) -> None:
     manifest = {
         "spec_hash": spec.hash(),
         "seed": spec.train.seed,
@@ -140,7 +143,6 @@ def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float, extr
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "wall_clock_seconds": round(wall_clock, 3),
-        **extra,
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
@@ -251,7 +253,6 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
     started = time.perf_counter()
     run_dir = _make_run_dir(Path(spec.out_dir), spec.hash())
     spec.to_file(run_dir / "spec.json")
-    manifest_extra: dict = {}
 
     try:
         if tracks is None:
@@ -292,8 +293,6 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
             )
             logger.info("fold %d windows: train=%d val=%d", spec.fold, len(train_batch), len(val_batch))
             trained = train(train_batch, val_batch, spec.train)
-            manifest_extra["blas_pinned"] = trained.blas_pinned
-            manifest_extra["blas_pin_reason"] = trained.blas_pin_reason
             train_log = trained.log
             _write_train_log(trained.log, run_dir / "train_log.csv")
             checkpoint_path = run_dir / "checkpoint.mofc"
@@ -313,7 +312,7 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
             lkf_params=lkf_params,
         )
     finally:
-        _write_manifest(run_dir, spec, time.perf_counter() - started, manifest_extra)
+        _write_manifest(run_dir, spec, time.perf_counter() - started)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -141,19 +143,31 @@ class TestSpecFromArgs:
         args = build_parser().parse_args(
             ["train", "--tracks", "t.csv", "--splits", "s.json", "--variant", "both", "--hidden", "8",
              "--epochs", "3", "--batch", "16", "--lr", "0.01", "--beta", "2.5", "--flow-dim", "32",
-             "--seed", "9", "--no-deterministic"]
+             "--seed", "9"]
         )
         assert _spec_from_args(args, "encdec").train == TrainConfig(
-            variant="both", hidden=8, epochs=3, batch_size=16, learning_rate=0.01, beta=2.5, flow_dim=32,
-            seed=9, deterministic=False,
+            variant="both", hidden=8, epochs=3, batch_size=16, learning_rate=0.01, beta=2.5, flow_dim=32, seed=9,
         )
+
+    def test_train_flags_set_exactly_the_train_config_fields(self):
+        # A TrainConfig field no flag sets, or a flag no field takes, fails here.
+        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in subcommands.choices["train"]._actions}
+        shared = {"help", "tracks", "out", "splits", "fold", "all_folds", "stride", "min_frames",
+                  "flow_features", "synthetic_flow"}
+        assert dests - shared == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    @pytest.mark.parametrize("flag", ("--deterministic", "--no-deterministic"))
+    def test_removed_blas_pin_flag_is_a_usage_error(self, flag, capsys):
+        assert main(["train", "--tracks", "t.csv", "--splits", "s.json", flag]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_tune_lkf_spec_hash_is_stable(self):
         # The hash names the run directories; it must not move when defaults are refactored.
         args = build_parser().parse_args(["tune-lkf", "--tracks", "t.csv", "--splits", "s.json"])
         spec = _spec_from_args(args, "lkf")
         assert spec.train == TrainConfig()
-        assert spec.hash() == "fa3bc0cf467a1f521709f3b40723db152627627a7bb35d6cd66ea97e4114f9d7"
+        assert spec.hash() == "091cbc298b4f4824695389347c75f73fbb22324695a5f392008aafd039ea6342"
 
 
 class TestSynth:
@@ -198,6 +212,17 @@ class TestClipFilter:
         lines = (out / "clips.csv").read_text().splitlines()
         assert lines[0] == "video_id,start_frame,end_frame"
         assert lines[1:] == ["v0,0,599", "v0,600,1199"]
+
+    def test_quoted_video_id_round_trips(self, tmp_path, capsys):
+        video_id = 'cam,1 "north"'
+        flow = tmp_path / "flow.csv"
+        flow.write_text("video_id,frame,mean_flow_magnitude\n"
+                        + "".join(f'"cam,1 ""north""",{f},1.0\n' for f in range(600)))
+        out = tmp_path / "clips"
+        assert main(["clip-filter", "--flow-magnitudes", str(flow), "--out", str(out)]) == 0
+        with (out / "clips.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["video_id", "start_frame", "end_frame"], [video_id, "0", "599"]]
 
 
 class TestEvalAndForecast:

@@ -1,8 +1,6 @@
 import dataclasses
 import hashlib
-import logging
 import struct
-import sys
 
 import numpy as np
 import pytest
@@ -69,7 +67,7 @@ class TestAssembleArrays:
 
 class TestLrSchedule:
     def test_halving_every_five_epochs(self):
-        config = TrainConfig(learning_rate=1e-3, lr_halving_epochs=5)
+        config = TrainConfig(learning_rate=1e-3)
         assert config.lr_at_epoch(1) == 1e-3
         assert config.lr_at_epoch(5) == 1e-3
         assert config.lr_at_epoch(6) == 5e-4
@@ -79,7 +77,7 @@ class TestLrSchedule:
 
     def test_logged_rates_follow_schedule(self):
         train_w, val_w = cv_windows()
-        config = TrainConfig(hidden=8, epochs=6, batch_size=32, seed=1, lr_halving_epochs=5)
+        config = TrainConfig(hidden=8, epochs=6, batch_size=32, seed=1)
         result = train(train_w, val_w, config)
         rates = [r.learning_rate for r in result.log.epochs]
         assert rates == [1e-3] * 5 + [5e-4]
@@ -116,7 +114,7 @@ class TestValidationScoresLikeTest:
 class TestDeterminism:
     def test_bit_identical_checkpoints(self, tmp_path):
         train_w, val_w = cv_windows(noise=1.0)
-        config = TrainConfig(**SMALL, deterministic=True)
+        config = TrainConfig(**SMALL)
         paths = []
         for run in range(2):
             result = train(train_w, val_w, config)
@@ -131,7 +129,7 @@ class TestDeterminism:
         train_w = cut_windows(synth_generate_mixed(KINDS, 2, 1.0, seed=4, n_frames=150), stride=30)
         val_w = cut_windows(synth_generate_mixed(KINDS, 1, 1.0, seed=5, n_frames=150), stride=60)
         assert len(train_w) == 24
-        config = TrainConfig(hidden=512, variant="bb_only", epochs=1, batch_size=12, seed=1, deterministic=True)
+        config = TrainConfig(hidden=512, variant="bb_only", epochs=1, batch_size=12, seed=1)
         paths, logs = [], []
         for run in range(2):
             result = train(train_w, val_w, config)
@@ -149,30 +147,6 @@ class TestDeterminism:
         a = train(train_w, val_w, TrainConfig(**{**SMALL, "seed": 1}))
         b = train(train_w, val_w, TrainConfig(**{**SMALL, "seed": 2}))
         assert not np.array_equal(a.model.params.tensors()["decoder.w_z"], b.model.params.tensors()["decoder.w_z"])
-
-
-class TestBlasPinReport:
-    def test_unpinnable_blas_is_warned_once_and_reported(self, monkeypatch, caplog):
-        from mofcast.encdec import training
-
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # the import now fails
-        monkeypatch.setattr(training, "_pin_warning_logged", False)
-        train_w, val_w = cv_windows()
-        config = TrainConfig(**{**SMALL, "epochs": 1}, deterministic=True)
-        with caplog.at_level(logging.WARNING, logger="mofcast.encdec.training"):
-            first = train(train_w, val_w, config)
-            second = train(train_w, val_w, config)
-        assert (first.blas_pinned, second.blas_pinned) == (False, False)
-        assert "threadpoolctl" in first.blas_pin_reason
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1
-        assert "not pinned" in warnings[0].getMessage()
-
-    def test_non_deterministic_run_reports_why(self):
-        train_w, val_w = cv_windows()
-        result = train(train_w, val_w, TrainConfig(**{**SMALL, "epochs": 1}, deterministic=False))
-        assert result.blas_pinned is False
-        assert "deterministic is off" in result.blas_pin_reason
 
 
 class TestTrainValidation:

@@ -359,11 +359,19 @@ def test_manifest_contents(synth_setup):
     assert set(manifest) >= {"spec_hash", "seed", "package_version", "numpy_version", "wall_clock_seconds"}
 
 
-def test_encdec_manifest_reports_the_blas_pin(synth_setup):
-    result = run_fold(make_spec(synth_setup, model="encdec"))
-    manifest = json.loads((result.run_dir / "manifest.json").read_text())
-    assert isinstance(manifest["blas_pinned"], bool)
-    assert manifest["blas_pin_reason"]
+@pytest.mark.parametrize(
+    "build,problem",
+    (
+        (lambda setup: make_spec(setup, stride=0), "ExperimentSpec.stride must be >= 1"),
+        (lambda setup: make_spec(setup, min_track_frames=0), "ExperimentSpec.min_track_frames must be >= 1"),
+        (lambda setup: make_spec(setup, model="encdec", train=TrainConfig(variant="nope")), "unknown variant 'nope'"),
+    ),
+    ids=("stride", "min_track_frames", "variant"),
+)
+def test_bad_spec_is_refused_before_a_run_directory_exists(synth_setup, build, problem):
+    with pytest.raises(ValueError, match=problem):
+        run_fold(build(synth_setup))
+    assert not synth_setup[2].exists()
 
 
 def test_min_track_frames_default_is_defined_once(synth_setup):
