@@ -31,11 +31,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FUTURE_LEN, Forecast, ObservationWindow, array_to_boxes
+from .core import FUTURE_LEN, OBSERVED_LEN, VELOCITY_LAG, VELOCITY_SPAN, Forecast, ObservationWindow, array_to_boxes
 from .data.io import read_json
 from .data.windows import WindowBatch
+from .metrics import centroid_ade
 # aggregate and evaluate_window stay in this namespace: benchmarks/tracing.py wraps them here
-from .metrics import aggregate, centroid_displacements, evaluate_window  # noqa: F401
+from .metrics import aggregate, evaluate_window  # noqa: F401
 
 CV_CS_MODEL_ID = "cv_cs"
 LKF_MODEL_ID = "lkf"
@@ -46,27 +47,27 @@ def cv_velocity(observed: np.ndarray) -> np.ndarray:
 
     ``observed`` is (p, 4) or a (N, p, 4) batch.
     """
-    return (observed[..., -1, :2] - observed[..., -5, :2]) / 4.0
+    return (observed[..., -1, :2] - observed[..., -VELOCITY_SPAN, :2]) / VELOCITY_LAG
 
 
-def cv_cs_batch(observed: np.ndarray, horizon: int = FUTURE_LEN) -> np.ndarray:
-    """Constant-velocity, constant-scale roll-out of (N, p, 4) windows as (N, horizon, 4).
+def cv_cs_batch(observed: np.ndarray) -> np.ndarray:
+    """Constant-velocity, constant-scale roll-out of (N, p, 4) windows as (N, 60, 4).
 
     Row k holds the box at step k+1: centroid(anchor) + (k+1) * velocity,
     size frozen at the anchor frame. This is both the CV-CS forecast and the
     reference the learned model's residuals are added to.
     """
     vel = cv_velocity(observed)
-    steps = np.arange(1, horizon + 1, dtype=np.float64)
-    out = np.empty((observed.shape[0], horizon, 4), dtype=np.float64)
+    steps = np.arange(1, FUTURE_LEN + 1, dtype=np.float64)
+    out = np.empty((observed.shape[0], FUTURE_LEN, 4), dtype=np.float64)
     out[:, :, :2] = observed[:, -1, None, :2] + steps[None, :, None] * vel[:, None, :]
     out[:, :, 2:] = observed[:, -1, None, 2:]
     return out
 
 
 def cv_cs_extrapolate(window: ObservationWindow) -> np.ndarray:
-    """:func:`cv_cs_batch` of one window over its own horizon, as a (horizon, 4) array."""
-    return cv_cs_batch(window.observed_array()[None], window.horizon)[0]
+    """:func:`cv_cs_batch` of one window, as a (60, 4) array."""
+    return cv_cs_batch(window.observed_array()[None])[0]
 
 
 def cv_cs_forecast(window: ObservationWindow) -> Forecast:
@@ -109,8 +110,8 @@ def _params_from(entry, where: str) -> KalmanParams:
 
 
 @functools.lru_cache(maxsize=256)
-def lkf_operator(params: KalmanParams, p: int, q: int) -> np.ndarray:
-    """The (q, p) matrix taking one channel's p observations to its q forecast steps.
+def lkf_operator(params: KalmanParams) -> np.ndarray:
+    """The (60, 30) matrix taking one channel's 30 observations to its 60 forecast steps.
 
     Runs the 2-state (position, velocity) filter of one channel with the
     data-free covariance recursion (Joseph-form update), while
@@ -122,9 +123,9 @@ def lkf_operator(params: KalmanParams, p: int, q: int) -> np.ndarray:
     qp, qv = params.process_noise_pos, params.process_noise_vel
     # covariance [[a, b], [b, c]] of (position, velocity)
     a, b, c = r, 0.0, params.initial_velocity_variance
-    weights = np.zeros((2, p))
+    weights = np.zeros((2, OBSERVED_LEN))
     weights[0, 0] = 1.0  # the state starts at the first observation, velocity 0
-    for t in range(p):
+    for t in range(OBSERVED_LEN):
         # predict: F = [[1, 1], [0, 1]]
         weights[0] += weights[1]
         a, b, c = a + 2.0 * b + c + qp, b + c, c + qv
@@ -141,22 +142,22 @@ def lkf_operator(params: KalmanParams, p: int, q: int) -> np.ndarray:
             (1.0 - k0) * (b - k1 * a) + k0 * k1 * r,
             c - 2.0 * k1 * b + k1 * k1 * a + k1 * k1 * r,
         )
-    steps = np.arange(1, q + 1, dtype=np.float64)
+    steps = np.arange(1, FUTURE_LEN + 1, dtype=np.float64)
     operator = weights[0][None, :] + steps[:, None] * weights[1][None, :]
     operator.setflags(write=False)
     return operator
 
 
-def lkf_batch(observed: np.ndarray, params: KalmanParams, horizon: int = FUTURE_LEN) -> np.ndarray:
-    """Kalman forecasts of (N, p, 4) windows as (N, horizon, 4); sizes clamped to 1 px."""
-    pred = lkf_operator(params, observed.shape[1], horizon) @ observed
+def lkf_batch(observed: np.ndarray, params: KalmanParams) -> np.ndarray:
+    """Kalman forecasts of (N, 30, 4) windows as (N, 60, 4); sizes clamped to 1 px."""
+    pred = lkf_operator(params) @ observed
     pred[..., 2:] = np.maximum(pred[..., 2:], 1.0)
     return pred
 
 
 def lkf_forecast_window(window: ObservationWindow, params: KalmanParams) -> Forecast:
-    """:func:`lkf_batch` of one window, matching its own horizon."""
-    rows = lkf_batch(window.observed_array()[None], params, window.horizon)[0]
+    """:func:`lkf_batch` of one window."""
+    rows = lkf_batch(window.observed_array()[None], params)[0]
     return Forecast(source=window.source, boxes=array_to_boxes(rows), model_id=LKF_MODEL_ID)
 
 
@@ -182,8 +183,7 @@ def lkf_tune(val: WindowBatch, grid: Sequence[KalmanParams]) -> TuneResult:
     best = None
     best_ade = math.inf
     for params in grid:
-        pred = lkf_operator(params, val.observed.shape[1], val.horizon) @ centroids
-        ade = float(centroid_displacements(pred, val.future).mean(axis=0).mean())  # as aggregate() computes it
+        ade = centroid_ade(lkf_operator(params) @ centroids, val.future)
         table.append((params, ade))
         if ade < best_ade:
             best, best_ade = params, ade

@@ -111,12 +111,6 @@ def _add_split_flags(p: argparse.ArgumentParser, help: str, required: bool = Fal
 
 def _add_window_flags(p: argparse.ArgumentParser):
     p.add_argument("--stride", type=_positive_int, default=1, help="window stride (default: 1)")
-    p.add_argument(
-        "--min-frames",
-        type=_positive_int,
-        default=MIN_TRACK_FRAMES,
-        help=f"minimum track length (default: {MIN_TRACK_FRAMES})",
-    )
 
 
 def _add_flow_flags(p: argparse.ArgumentParser):
@@ -235,7 +229,7 @@ def _print_report(report: MetricReport, label: str) -> None:
 
 def _eval_tracks(args) -> list[Track]:
     """The tracks to evaluate: long enough, and only the fold's test split when --splits is given."""
-    tracks = filter_short_tracks(load_tracks(args.tracks), args.min_frames)
+    tracks = filter_short_tracks(load_tracks(args.tracks))
     if getattr(args, "splits", None):
         config = SplitConfig.from_file(args.splits)
         tracks = list(make_splits(tracks, config, args.fold).test)
@@ -248,11 +242,11 @@ def _model_predictions(args, tracks: list[Track]) -> tuple[WindowBatch, np.ndarr
     if not len(batch):
         raise MofcastError(f"{args.tracks}: no windows after filtering")
     if args.model == "cv_cs":
-        return batch, cv_cs_batch(batch.observed, batch.horizon)
+        return batch, cv_cs_batch(batch.observed)
     if args.model == "lkf":
         if not args.params:
             raise MofcastError("--model lkf needs --params (run tune-lkf first)")
-        return batch, lkf_batch(batch.observed, KalmanParams.from_file(args.params), batch.horizon)
+        return batch, lkf_batch(batch.observed, KalmanParams.from_file(args.params))
     if not args.checkpoint:
         raise MofcastError("--model encdec needs --checkpoint")
     model = load_checkpoint(args.checkpoint)
@@ -277,14 +271,13 @@ def _count_windows(tracks: list[Track], stride: int) -> int:
 
 def _cmd_prepare(args) -> int:
     all_tracks = load_tracks(args.tracks)
-    kept = filter_short_tracks(all_tracks, args.min_frames)
+    kept = filter_short_tracks(all_tracks)
     stats = {
         "tracks_in": len(all_tracks),
         "tracks_kept": len(kept),
         "tracks_dropped": len(all_tracks) - len(kept),
         "windows": _count_windows(kept, args.stride),
         "stride": args.stride,
-        "min_frames": args.min_frames,
     }
     if args.splits:
         config = SplitConfig.from_file(args.splits)
@@ -333,7 +326,6 @@ def _spec_from_args(args, model: str) -> ExperimentSpec:
         synthetic_flow=getattr(args, "synthetic_flow", False),
         lkf_grid=getattr(args, "grid", None),
         stride=args.stride,
-        min_track_frames=args.min_frames,
         train=train_config,
     )
 
@@ -373,7 +365,6 @@ def _cmd_cross_eval(args) -> int:
         args.tracks,
         out_dir=args.out,
         stride=args.stride,
-        min_track_frames=args.min_frames,
         flow_features=args.flow_features,
         synthetic_flow=args.synthetic_flow,
     )

@@ -21,8 +21,10 @@ import numpy as np
 OBSERVED_LEN = 30
 FUTURE_LEN = 60
 
-# Frames needed by the 5-frame velocity rule used throughout.
+# The 5-frame velocity rule used throughout: (x_t - x_{t-VELOCITY_LAG}) / VELOCITY_LAG
+# spans VELOCITY_SPAN frames.
 VELOCITY_SPAN = 5
+VELOCITY_LAG = VELOCITY_SPAN - 1
 
 METADATA_FIELDS = ("city", "weather", "time_of_day")
 
@@ -136,10 +138,6 @@ class ObservationWindow:
             )
         if not self.future:
             raise ValueError("window has no future boxes")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.future)
 
     def observed_array(self) -> np.ndarray:
         """(p, 4) float64 array of observed boxes as [cx, cy, w, h] rows."""

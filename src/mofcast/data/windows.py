@@ -10,19 +10,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core import FUTURE_LEN, OBSERVED_LEN, ObservationWindow, Track, WindowSource, array_to_boxes
 
-# 3 seconds at 30 Hz: shorter tracks cannot yield a single window.
-MIN_TRACK_FRAMES = 90
+# p + q = 90 frames (3 s at 30 Hz): shorter tracks cannot yield a single window.
+MIN_TRACK_FRAMES = OBSERVED_LEN + FUTURE_LEN
 
 # 20-second clips at 30 Hz.
 CLIP_FRAMES = 600
 FLOW_MAGNITUDE_THRESHOLD = 1.5
 
 
-def filter_short_tracks(tracks: Sequence[Track], min_frames: int = MIN_TRACK_FRAMES) -> list[Track]:
-    """Keep only tracks with at least ``min_frames`` boxes, order preserved."""
-    if min_frames < 1:
-        raise ValueError(f"min_frames must be >= 1, got {min_frames}")
-    return [t for t in tracks if len(t) >= min_frames]
+def filter_short_tracks(tracks: Sequence[Track]) -> list[Track]:
+    """Keep only tracks with at least :data:`MIN_TRACK_FRAMES` boxes, order preserved."""
+    return [t for t in tracks if len(t) >= MIN_TRACK_FRAMES]
 
 
 def extract_windows(track: Track, stride: int = 1) -> list[ObservationWindow]:
@@ -62,9 +60,11 @@ def count_windows(length: int, stride: int = 1) -> int:
 class WindowBatch:
     """Many windows as arrays: row i of ``observed``/``future`` is window i.
 
-    ``observed`` is (N, p, 4) and ``future`` (N, q, 4), both [cx, cy, w, h]
-    float64; ``sources`` and ``metadata`` carry each window's identity and
-    track annotations, as :class:`ObservationWindow` does for one window.
+    ``observed`` is exactly (N, 30, 4) and ``future`` exactly (N, 60, 4)
+    (``OBSERVED_LEN`` and ``FUTURE_LEN``), both [cx, cy, w, h] float64;
+    any other shape is refused with a ValueError naming it. ``sources`` and
+    ``metadata`` carry each window's identity and track annotations, as
+    :class:`ObservationWindow` does for one window.
     ``flow``, when present, is the (N, F) flow-feature matrix the
     flow-reading model variants consume: row i belongs to window i, every
     entry is finite, and the array is read-only.
@@ -77,9 +77,10 @@ class WindowBatch:
     flow: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.observed.shape[0]
-        if self.observed.ndim != 3 or self.future.ndim != 3 or self.future.shape[0] != n:
-            raise ValueError(f"expected (N, p, 4) and (N, q, 4), got {self.observed.shape} and {self.future.shape}")
+        n = len(self.observed)
+        if self.observed.shape != (n, OBSERVED_LEN, 4) or self.future.shape != (n, FUTURE_LEN, 4):
+            raise ValueError(f"expected observed (N, {OBSERVED_LEN}, 4) and future (N, {FUTURE_LEN}, 4), "
+                             f"got {self.observed.shape} and {self.future.shape}")
         if len(self.sources) != n or len(self.metadata) != n:
             raise ValueError(f"{n} windows but {len(self.sources)} sources and {len(self.metadata)} metadata")
         if self.flow is not None:
@@ -94,10 +95,6 @@ class WindowBatch:
 
     def __len__(self) -> int:
         return self.observed.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.future.shape[1]
 
 
 def cut_windows(tracks: Sequence[Track], stride: int = 1) -> WindowBatch:

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ObservationWindow
+from ..core import VELOCITY_LAG, ObservationWindow
 
 FEATURE_DIM = 8
-VELOCITY_LAG = 4
 
 _STD_FLOOR = 1e-6
 

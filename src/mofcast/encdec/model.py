@@ -166,7 +166,7 @@ class ForwardCache:
     enc_last: np.ndarray | None
     fc_pre: np.ndarray | None
     code: np.ndarray
-    dec_cache: GRUCache  # dec_cache.hs[1:] are the (horizon, B, H) decoder states
+    dec_cache: GRUCache  # dec_cache.hs[1:] are the (60, B, H) decoder states
     residuals: np.ndarray
 
 
@@ -175,9 +175,8 @@ def forward_batch(
     stats: FeatureStats,
     features: np.ndarray | None,
     flow: np.ndarray | None,
-    horizon: int = FUTURE_LEN,
 ) -> ForwardCache:
-    """Batched forward pass from raw (B, p, 8) features / (B, F) flow to (B, horizon, 4) residuals."""
+    """Batched forward pass from raw (B, 30, 8) features / (B, F) flow to (B, 60, 4) residuals."""
     cfg, t = params.config, params.tensors()
     parts = []
     std_features = enc_cache = enc_last = fc_pre = None
@@ -200,10 +199,10 @@ def forward_batch(
     code = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     b = code.shape[0]
     # A stride-0 view, not a copy: gru_forward projects the code once per window.
-    dec_in = np.broadcast_to(code[:, None, :], (b, horizon, code.shape[1]))
+    dec_in = np.broadcast_to(code[:, None, :], (b, FUTURE_LEN, code.shape[1]))
     _, dec_cache = gru_forward(params.gru("decoder"), dec_in)
-    flat = dec_cache.hs[1:].reshape(horizon * b, -1)
-    deltas = (flat @ t["out.w"].T + t["out.b"]).reshape(horizon, b, OUTPUT_DIM)
+    flat = dec_cache.hs[1:].reshape(FUTURE_LEN * b, -1)
+    deltas = (flat @ t["out.w"].T + t["out.b"]).reshape(FUTURE_LEN, b, OUTPUT_DIM)
     residuals = np.ascontiguousarray(np.cumsum(deltas, axis=0).transpose(1, 0, 2))
     return ForwardCache(
         std_features=std_features,
@@ -265,16 +264,16 @@ def loss_and_gradients(
     targets: np.ndarray,
     beta: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward + backward for one batch of residual targets (B, horizon, 4)."""
-    cache = forward_batch(params, stats, features, flow, horizon=targets.shape[1])
+    """Forward + backward for one batch of residual targets (B, 60, 4)."""
+    cache = forward_batch(params, stats, features, flow)
     loss = smooth_l1(cache.residuals, targets, beta)
     dres = smooth_l1_grad(cache.residuals, targets, beta)
     return loss, backward_batch(params, cache, dres)
 
 
 def _add_to_cv_cs(observed: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """(N, q, 4) CV-CS extrapolation of (N, p, 4) windows plus residuals; sizes clamped to 1 px."""
-    pred = cv_cs_batch(observed, residuals.shape[1]) + residuals
+    """(N, 60, 4) CV-CS extrapolation of (N, 30, 4) windows plus residuals; sizes clamped to 1 px."""
+    pred = cv_cs_batch(observed) + residuals
     pred[..., 2:] = np.maximum(pred[..., 2:], 1.0)
     return pred
 
@@ -295,12 +294,12 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
     cfg = model.config
     if cfg.uses_flow and batch.flow is None:
         raise FlowFeatureError(f"variant {cfg.variant!r} needs flow features, and the batch has none")
-    residuals = [np.empty((0, batch.horizon, OUTPUT_DIM))]
+    residuals = [np.empty((0, FUTURE_LEN, OUTPUT_DIM))]
     for lo in range(0, len(batch), batch_size):
         sl = slice(lo, lo + batch_size)
         features = box_features_from_array(batch.observed[sl]) if cfg.uses_boxes else None
         flow = batch.flow[sl] if cfg.uses_flow else None
-        residuals.append(forward_batch(model.params, model.stats, features, flow, horizon=batch.horizon).residuals)
+        residuals.append(forward_batch(model.params, model.stats, features, flow).residuals)
     return _add_to_cv_cs(batch.observed, np.concatenate(residuals))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from ..baselines import cv_cs_batch
 from ..data.windows import WindowBatch
 from ..errors import FlowFeatureError, TrainingDivergedError
-from ..metrics import centroid_displacements
+from ..metrics import centroid_ade
 from .features import FeatureStats, box_features_from_array, compute_feature_stats
 from .model import Model, ModelConfig, forecast_array, init_params, loss_and_gradients
 
@@ -48,12 +48,12 @@ class TrainConfig:
         for name in ("learning_rate", "beta"):
             if not 0 < getattr(self, name) < math.inf:  # also refuses nan
                 raise ValueError(f"TrainConfig.{name} must be a finite number > 0, got {getattr(self, name)!r}")
-        for name in ("batch_size", "epochs", "hidden", "flow_dim"):
+        for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"TrainConfig.{name} must be >= 1")
         if self.seed < 0:
             raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
-        self.model_config()  # refuses an unknown variant
+        self.model_config()  # refuses an unknown variant and a hidden or flow_dim below 1
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -146,7 +146,7 @@ def assemble_arrays(batch: WindowBatch, config: ModelConfig) -> WindowArrays:
     return WindowArrays(
         features=box_features_from_array(batch.observed) if config.uses_boxes else None,
         flow=batch.flow if config.uses_flow else None,
-        base=cv_cs_batch(batch.observed, batch.horizon),
+        base=cv_cs_batch(batch.observed),
         gt=batch.future,
     )
 
@@ -180,9 +180,8 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     optimizer = Adam()
 
     def validation_ade() -> float:
-        # ADE as aggregate() computes it for a test set: the mean of the per-step curve.
         pred = forecast_array(Model(params=params, stats=stats), val_batch, config.batch_size)
-        return float(centroid_displacements(pred, val_batch.future).mean(axis=0).mean())
+        return centroid_ade(pred, val_batch.future)
 
     best_ade = validation_ade()
     log = TrainLog(initial_val_ade=best_ade)

@@ -36,7 +36,6 @@ from .baselines import (
 )
 from .core import METADATA_FIELDS, Track, WindowSource
 from .data import (
-    MIN_TRACK_FRAMES,
     N_FOLDS,
     FlowFeatureStore,
     SplitConfig,
@@ -92,7 +91,6 @@ class ExperimentSpec:
     synthetic_flow: bool = False
     lkf_grid: str | None = None
     stride: int = 1
-    min_track_frames: int = MIN_TRACK_FRAMES
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -100,9 +98,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODEL_KINDS}")
         if self.fold not in range(N_FOLDS):
             raise ValueError(f"fold must be in 0..{N_FOLDS - 1}, got {self.fold}")
-        for name in ("stride", "min_track_frames"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ExperimentSpec.{name} must be >= 1, got {getattr(self, name)}")
+        if self.stride < 1:
+            raise ValueError(f"ExperimentSpec.stride must be >= 1, got {self.stride}")
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
@@ -235,7 +232,7 @@ def _write_lkf_table(path: Path, table: Sequence[tuple[KalmanParams, float]]) ->
 
 
 def _load_spec_tracks(spec: ExperimentSpec) -> list[Track]:
-    return filter_short_tracks(load_tracks(spec.tracks), spec.min_track_frames)
+    return filter_short_tracks(load_tracks(spec.tracks))
 
 
 def run_fold(spec: ExperimentSpec) -> FoldResult:
@@ -271,7 +268,7 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
             raise MofcastError(f"fold {spec.fold}: no test windows after filtering")
 
         if spec.model == "cv_cs":
-            pred = cv_cs_batch(test.observed, test.horizon)
+            pred = cv_cs_batch(test.observed)
         elif spec.model == "lkf":
             grid = load_param_grid(spec.lkf_grid) if spec.lkf_grid else default_param_grid()
             save_param_grid(grid, run_dir / "lkf_grid.json")
@@ -282,7 +279,7 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
             tuned.params.to_file(run_dir / "lkf_params.json")
             _write_lkf_table(run_dir / "lkf_grid_table.csv", tuned.table)
             lkf_params = tuned.params
-            pred = lkf_batch(test.observed, lkf_params, test.horizon)
+            pred = lkf_batch(test.observed, lkf_params)
         else:  # encdec
             model_config = spec.train.model_config()
             store = open_flow_store(spec.flow_features, model_config)
@@ -358,7 +355,6 @@ def cross_eval(
     tracks_path: str | Path,
     out_dir: str | Path | None = None,
     stride: int = 1,
-    min_track_frames: int = MIN_TRACK_FRAMES,
     flow_features: str | Path | None = None,
     synthetic_flow: bool = False,
     batch_size: int = FORECAST_BATCH_SIZE,
@@ -371,7 +367,7 @@ def cross_eval(
     model = load_checkpoint(checkpoint)
     checksum_before = weights_checksum(model)
 
-    tracks = filter_short_tracks(load_tracks(tracks_path), min_track_frames)
+    tracks = filter_short_tracks(load_tracks(tracks_path))
     batch = cut_windows(tracks, stride=stride)
     if not len(batch):
         raise MofcastError(f"{tracks_path}: no windows after filtering")

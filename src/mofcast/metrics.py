@@ -57,6 +57,11 @@ def centroid_displacements(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return np.hypot(pred[..., 0] - gt[..., 0], pred[..., 1] - gt[..., 1])
 
 
+def centroid_ade(pred: np.ndarray, gt: np.ndarray) -> float:
+    """ADE of (N, q, ·) forecasts as :func:`aggregate` computes it: the mean of the per-step mean displacements."""
+    return float(centroid_displacements(pred, gt).mean(axis=0).mean())
+
+
 def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centroid distances and IOUs of two equally shaped (..., 4) box arrays.
 

@@ -205,8 +205,8 @@ def test_tuned_lkf_beats_cv_on_noisy_constant_velocity():
     val = cut_windows(tracks[0::2], stride=15)
     test = cut_windows(tracks[1::2], stride=15)
     tuned = lkf_tune(val, default_param_grid())
-    lkf_report = aggregate(evaluate_batch(lkf_batch(test.observed, tuned.params, test.horizon), test))
-    cv_report = aggregate(evaluate_batch(cv_cs_batch(test.observed, test.horizon), test))
+    lkf_report = aggregate(evaluate_batch(lkf_batch(test.observed, tuned.params), test))
+    cv_report = aggregate(evaluate_batch(cv_cs_batch(test.observed), test))
     assert lkf_report.ade <= cv_report.ade
 
 
@@ -238,7 +238,7 @@ class TestBatchedBaselines:
     def test_cv_cs_batch_equals_per_window_extrapolation(self):
         tracks = synth_generate("accelerating", 3, 1.5, seed=2)
         windows = [w for t in tracks for w in extract_windows(t, stride=4)]
-        pred = cv_cs_batch(batch_of(windows).observed, 60)
+        pred = cv_cs_batch(batch_of(windows).observed)
         for row, w in zip(pred, windows):
             assert np.array_equal(row, cv_cs_extrapolate(w))
             assert np.array_equal(row, boxes_to_array(cv_cs_forecast(w).boxes))
@@ -249,9 +249,9 @@ class TestBatchedBaselines:
         windows = _random_windows(seed)
         observed = batch_of(windows).observed
         for params in default_param_grid():
-            want = np.stack([lkf_roll_out(lkf_filter(w, params), w.horizon) for w in windows])
+            want = np.stack([lkf_roll_out(lkf_filter(w, params)) for w in windows])
             assert np.any(want[0, :, 2:] == 1.0)  # the size clamp is exercised
-            np.testing.assert_allclose(lkf_batch(observed, params, 60), want, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(lkf_batch(observed, params), want, rtol=1e-9, atol=0.0)
 
     def test_single_window_forecast_matches_the_loop(self, cv_window):
         params = KalmanParams(1e-2, 1e-4, 1.0)
@@ -261,9 +261,9 @@ class TestBatchedBaselines:
 
     def test_operator_is_cached_and_read_only(self):
         params = KalmanParams(1e-2, 1e-2, 1.0)
-        op = lkf_operator(params, 30, 60)
+        op = lkf_operator(params)
         assert op.shape == (60, 30)
-        assert lkf_operator(KalmanParams(1e-2, 1e-2, 1.0), 30, 60) is op
+        assert lkf_operator(KalmanParams(1e-2, 1e-2, 1.0)) is op
         assert not op.flags.writeable
         # a constant input stays constant: every forecast row's weights sum to 1
         np.testing.assert_allclose(op.sum(axis=1), 1.0, rtol=1e-12)

@@ -153,7 +153,7 @@ class TestSpecFromArgs:
         # A TrainConfig field no flag sets, or a flag no field takes, fails here.
         subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         dests = {action.dest for action in subcommands.choices["train"]._actions}
-        shared = {"help", "tracks", "out", "splits", "fold", "all_folds", "stride", "min_frames",
+        shared = {"help", "tracks", "out", "splits", "fold", "all_folds", "stride",
                   "flow_features", "synthetic_flow"}
         assert dests - shared == {f.name for f in dataclasses.fields(TrainConfig)}
 
@@ -162,12 +162,28 @@ class TestSpecFromArgs:
         assert main(["train", "--tracks", "t.csv", "--splits", "s.json", flag]) == 1
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        (
+            ["prepare", "--tracks", "t.csv"],
+            ["train", "--tracks", "t.csv", "--splits", "s.json"],
+            ["tune-lkf", "--tracks", "t.csv", "--splits", "s.json"],
+            ["eval", "--model", "cv_cs", "--tracks", "t.csv"],
+            ["cross-eval", "--checkpoint", "c", "--tracks", "t.csv"],
+            ["forecast", "--model", "cv_cs", "--tracks", "t.csv"],
+        ),
+        ids=lambda command: command[0],
+    )
+    def test_removed_track_minimum_flag_is_a_usage_error(self, command, capsys):
+        assert main([*command, "--min-frames", "90"]) == 1
+        assert "unrecognized arguments: --min-frames" in capsys.readouterr().err
+
     def test_tune_lkf_spec_hash_is_stable(self):
         # The hash names the run directories; it must not move when defaults are refactored.
         args = build_parser().parse_args(["tune-lkf", "--tracks", "t.csv", "--splits", "s.json"])
         spec = _spec_from_args(args, "lkf")
         assert spec.train == TrainConfig()
-        assert spec.hash() == "091cbc298b4f4824695389347c75f73fbb22324695a5f392008aafd039ea6342"
+        assert spec.hash() == "f39aca210dbee073061976061fe323fe28c9d0273a24a3c55ea05c511d17a167"
 
 
 class TestSynth:

@@ -1,4 +1,8 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mofcast
 from mofcast.core import (
     BBox,
     Forecast,
@@ -207,3 +212,30 @@ def test_boxes_array_round_trip(rng):
     arr = boxes_to_array(boxes)
     assert arr.shape == (17, 4)
     assert array_to_boxes(arr) == boxes
+
+
+def _public_names_and_parameters():
+    """(qualified name, parameter names) of every public function, class and method of every mofcast module."""
+    for info in pkgutil.walk_packages(mofcast.__path__, "mofcast."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
+                continue
+            if not inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", inspect.signature(obj).parameters
+                continue
+            if dataclasses.is_dataclass(obj):
+                yield f"{module.__name__}.{name}", {f.name for f in dataclasses.fields(obj)}
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and callable(getattr(obj, attr)) and not inspect.isclass(member):
+                    yield f"{module.__name__}.{name}.{attr}", inspect.signature(getattr(obj, attr)).parameters
+
+
+def test_no_public_api_takes_the_window_protocol_as_a_parameter():
+    # Windows are always 30 observed and 60 forecast frames, and a track needs their sum to yield one:
+    # a parameter restating any of these is a knob that does nothing but disagree.
+    knobs = {"horizon", "p", "q", "min_frames", "min_track_frames"}
+    seen = dict(_public_names_and_parameters())
+    assert "mofcast.baselines.lkf_operator" in seen and "mofcast.harness.ExperimentSpec" in seen
+    offenders = {name: sorted(knobs & set(params)) for name, params in seen.items() if knobs & set(params)}
+    assert offenders == {}

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -85,11 +86,11 @@ class TestLoadTracks:
 class TestFilterShortTracks:
     def test_threshold_at_90(self):
         tracks = [linear_track(length=n, track_id=i) for i, n in enumerate((89, 90, 91))]
-        kept = filter_short_tracks(tracks, 90)
+        kept = filter_short_tracks(tracks)
         assert [len(t) for t in kept] == [90, 91]
 
     def test_empty_input(self):
-        assert filter_short_tracks([], 90) == []
+        assert filter_short_tracks([]) == []
 
     def test_all_long_unchanged(self):
         tracks = [linear_track(length=300, track_id=i) for i in range(3)]
@@ -185,6 +186,16 @@ class TestWindowBatch:
     def test_flow_needs_one_row_per_window(self, shape):
         with pytest.raises(ValueError, match="flow must be"):
             dataclasses.replace(self.batch(), flow=np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "observed,future",
+        (((2, 30, 3), (2, 60, 4)), ((2, 29, 4), (2, 60, 4)), ((2, 31, 4), (2, 60, 4)),
+         ((2, 30, 4), (2, 59, 4)), ((2, 30, 4), (2, 61, 4))),
+        ids=("3-channels", "p29", "p31", "q59", "q61"),
+    )
+    def test_window_batch_rejects_off_protocol_shapes(self, observed, future):
+        with pytest.raises(ValueError, match=re.escape(f"got {observed} and {future}")):
+            WindowBatch(observed=np.zeros(observed), future=np.zeros(future), sources=(None,) * 2, metadata=(None,) * 2)
 
     def test_flow_is_read_only_float64(self):
         batch = dataclasses.replace(self.batch(), flow=np.arange(8, dtype=np.float32).reshape(2, 4))

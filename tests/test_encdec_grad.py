@@ -53,7 +53,7 @@ def numeric_gradient(params, stats, sample, name, idx):
 
     def loss_at(value):
         tensor.flat[idx] = value
-        cache = forward_batch(params, stats, sample.features, sample.flow, horizon=sample.targets.shape[1])
+        cache = forward_batch(params, stats, sample.features, sample.flow)
         return smooth_l1(cache.residuals, sample.targets)
 
     up = loss_at(original + EPS)

@@ -302,13 +302,6 @@ class TestEncodeDecode:
         assert a.shape == (60, 4)
         assert np.array_equal(a, b)
 
-    def test_decode_horizon_override(self, rng, cv_window):
-        config = ModelConfig(variant="bb_only", hidden=16)
-        params = init_params(config, 0, zero_output=False)
-        assert decode(rng.normal(size=256), params, horizon=17).shape == (17, 4)
-        cache = forward_batch(params, FeatureStats.identity(), box_features(cv_window)[None], None, horizon=17)
-        assert cache.residuals.shape == (1, 17, 4)
-
     @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
     def test_forward_batch_matches_the_oracle(self, variant):
         tracks = synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 5, n_frames=95)
@@ -389,7 +382,7 @@ class TestForecastArray:
         model = Model(params=init_params(config, 3, zero_output=False), stats=FeatureStats.identity())
         pred = forecast_array(model, dataclasses.replace(batch, flow=flow), batch_size=5)
         features = box_features_from_array(batch.observed)
-        expected = cv_cs_batch(batch.observed, 60) + forward_batch(model.params, model.stats, features, flow).residuals
+        expected = cv_cs_batch(batch.observed) + forward_batch(model.params, model.stats, features, flow).residuals
         expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
         assert np.allclose(pred, expected, atol=1e-9)
 
@@ -415,7 +408,7 @@ class TestRectifierOff:
         model, batch = self.model_and_batch(variant)
         pred = forecast_array(model, batch, batch_size=5)
         features = box_features_from_array(batch.observed)
-        expected = cv_cs_batch(batch.observed, 60) + forward_residuals_batch_major(
+        expected = cv_cs_batch(batch.observed) + forward_residuals_batch_major(
             model.params, model.stats, features, batch.flow
         )
         expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)

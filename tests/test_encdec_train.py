@@ -106,7 +106,7 @@ class TestValidationScoresLikeTest:
         )
         config = TrainConfig(**{**SMALL, "variant": variant, "flow_dim": 16, "epochs": 1, "batch_size": 7})
         result = train(train_w, val_w, config)
-        cv_cs = aggregate(evaluate_batch(cv_cs_batch(val_w.observed, val_w.horizon), val_w))
+        cv_cs = aggregate(evaluate_batch(cv_cs_batch(val_w.observed), val_w))
         assert cv_cs.ade > 1.0
         assert result.log.initial_val_ade == cv_cs.ade
 
@@ -170,9 +170,14 @@ class TestTrainValidation:
         with pytest.raises(ValueError, match=f"TrainConfig.{name} must be a finite number > 0"):
             TrainConfig(**{name: value})
 
-    @pytest.mark.parametrize("name,value,bound", (("seed", -1, ">= 0"), ("flow_dim", 0, ">= 1"), ("hidden", 0, ">= 1")))
-    def test_int_fields_are_range_checked_by_name(self, name, value, bound):
-        with pytest.raises(ValueError, match=f"TrainConfig.{name} must be {bound}"):
+    @pytest.mark.parametrize(
+        "owner,name,value,bound",
+        (("TrainConfig", "seed", -1, ">= 0"), ("ModelConfig", "flow_dim", 0, ">= 1"), ("ModelConfig", "hidden", 0, ">= 1")),
+        ids=("seed--1->= 0", "flow_dim-0->= 1", "hidden-0->= 1"),
+    )
+    def test_int_fields_are_range_checked_by_name(self, owner, name, value, bound):
+        # hidden and flow_dim are checked once, by the ModelConfig that TrainConfig builds
+        with pytest.raises(ValueError, match=f"{owner}.{name} must be {bound}"):
             TrainConfig(**{name: value})
 
     def test_model_defaults_come_from_model_config(self):

@@ -9,7 +9,7 @@ import pytest
 from mofcast import cli, harness
 from mofcast.baselines import cv_cs_batch
 from mofcast.cli import build_parser
-from mofcast.core import BBox
+from mofcast.core import FUTURE_LEN, OBSERVED_LEN, BBox
 from mofcast.data import (
     CLIP_FRAMES,
     FLOW_MAGNITUDE_THRESHOLD,
@@ -334,7 +334,7 @@ class TestForecastsToTracks:
 
         tracks = synth_generate("turning", 2, 0.0, seed=5, n_frames=95)
         batch = cut_windows(tracks, stride=3)
-        pred = cv_cs_batch(batch.observed, batch.horizon)
+        pred = cv_cs_batch(batch.observed)
         out_tracks = forecasts_to_tracks(batch.sources, pred)
         path = tmp_path / "forecasts.csv"
         write_tracks(out_tracks, path)
@@ -348,7 +348,7 @@ class TestForecastsToTracks:
 
     def test_sources_and_forecasts_must_pair_up(self):
         batch = cut_windows(synth_generate("turning", 1, 0.0, seed=5, n_frames=95), stride=3)
-        pred = cv_cs_batch(batch.observed, batch.horizon)
+        pred = cv_cs_batch(batch.observed)
         with pytest.raises(ValueError, match="shorter"):
             forecasts_to_tracks(batch.sources, pred[1:])
 
@@ -360,28 +360,27 @@ def test_manifest_contents(synth_setup):
 
 
 @pytest.mark.parametrize(
-    "build,problem",
+    "build,error,problem",
     (
-        (lambda setup: make_spec(setup, stride=0), "ExperimentSpec.stride must be >= 1"),
-        (lambda setup: make_spec(setup, min_track_frames=0), "ExperimentSpec.min_track_frames must be >= 1"),
-        (lambda setup: make_spec(setup, model="encdec", train=TrainConfig(variant="nope")), "unknown variant 'nope'"),
+        (lambda setup: make_spec(setup, stride=0), ValueError, "ExperimentSpec.stride must be >= 1"),
+        # the track minimum is the window length, not a spec field
+        (lambda setup: make_spec(setup, min_track_frames=0), TypeError, "unexpected keyword argument 'min_track_frames'"),
+        (lambda setup: make_spec(setup, model="encdec", train=TrainConfig(variant="nope")), ValueError,
+         "unknown variant 'nope'"),
     ),
     ids=("stride", "min_track_frames", "variant"),
 )
-def test_bad_spec_is_refused_before_a_run_directory_exists(synth_setup, build, problem):
-    with pytest.raises(ValueError, match=problem):
+def test_bad_spec_is_refused_before_a_run_directory_exists(synth_setup, build, error, problem):
+    with pytest.raises(error, match=problem):
         run_fold(build(synth_setup))
     assert not synth_setup[2].exists()
 
 
-def test_min_track_frames_default_is_defined_once(synth_setup):
-    assert make_spec(synth_setup).min_track_frames == MIN_TRACK_FRAMES
-    for command in (["eval", "--model", "cv_cs"], ["cross-eval", "--checkpoint", "c"], ["prepare"]):
-        args = build_parser().parse_args([*command, "--tracks", "t.csv"])
-        assert args.min_frames == MIN_TRACK_FRAMES
-    args = build_parser().parse_args(["train", "--tracks", "t.csv", "--splits", "s.json"])
-    assert args.min_frames == MIN_TRACK_FRAMES
-    synth_generate("turning", 1, 0.0, seed=1, n_frames=MIN_TRACK_FRAMES)
+def test_min_track_frames_default_is_defined_once():
+    assert MIN_TRACK_FRAMES == OBSERVED_LEN + FUTURE_LEN
+    (track,) = synth_generate("turning", 1, 0.0, seed=1, n_frames=MIN_TRACK_FRAMES)
+    assert len(cut_windows([track])) == 1
+    assert len(cut_windows([dataclasses.replace(track, boxes=track.boxes[:-1])])) == 0
     with pytest.raises(ValueError, match=f"n_frames must be >= {MIN_TRACK_FRAMES}"):
         synth_generate("turning", 1, 0.0, seed=1, n_frames=MIN_TRACK_FRAMES - 1)
 

@@ -287,7 +287,7 @@ class TestAgainstRowOracle:
             assert_same_report(g, w)
 
     def test_evaluate_batch_rows_are_the_per_window_scores(self, rng):
-        future = rng.uniform(5.0, 50.0, (5, 7, 4))
+        future = rng.uniform(5.0, 50.0, (5, 60, 4))
         pred = future + rng.normal(0.0, 3.0, future.shape)
         sources = tuple(WindowSource("v", k, 29) for k in range(5))
         metadata = tuple({"city": GROUP_VALUES[k % 3]} for k in range(5))
