@@ -121,7 +121,9 @@ class ObservationWindow:
     """The sample unit: observed boxes up to an anchor, future boxes after it.
 
     ``observed`` covers frames anchor-(p-1) .. anchor, ``future`` covers
-    anchor+1 .. anchor+q. The canonical protocol is p=30, q=60.
+    anchor+1 .. anchor+q, with exactly p = 30 and q = 60 boxes
+    (``OBSERVED_LEN`` and ``FUTURE_LEN``); any other lengths are refused
+    with a ValueError naming them, as :class:`mofcast.data.WindowBatch` does.
     """
 
     source: WindowSource
@@ -132,12 +134,9 @@ class ObservationWindow:
     def __post_init__(self):
         object.__setattr__(self, "observed", tuple(self.observed))
         object.__setattr__(self, "future", tuple(self.future))
-        if len(self.observed) < VELOCITY_SPAN:
-            raise ValueError(
-                f"window needs at least {VELOCITY_SPAN} observed boxes, got {len(self.observed)}"
-            )
-        if not self.future:
-            raise ValueError("window has no future boxes")
+        if (len(self.observed), len(self.future)) != (OBSERVED_LEN, FUTURE_LEN):
+            raise ValueError(f"window needs {OBSERVED_LEN} observed and {FUTURE_LEN} future boxes, "
+                             f"got {len(self.observed)} and {len(self.future)}")
 
     def observed_array(self) -> np.ndarray:
         """(p, 4) float64 array of observed boxes as [cx, cy, w, h] rows."""

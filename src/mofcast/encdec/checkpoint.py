@@ -19,6 +19,7 @@ tensor bit-exactly.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -62,11 +63,11 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str | Path) -> Model:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size or raw[:4] != MAGIC:
+def _header_config(path: str | Path, header: bytes) -> ModelConfig:
+    """The model configuration a checkpoint header describes, every field checked."""
+    if len(header) < _HEADER.size or header[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    _, version, variant_tag, fc_flag, input_dim, hidden, box_code_size, flow_dim, output_dim = _HEADER.unpack_from(raw)
+    _, version, variant_tag, fc_flag, input_dim, hidden, box_code_size, flow_dim, output_dim = _HEADER.unpack(header)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     if variant_tag not in _TAG_VARIANTS:
@@ -79,28 +80,40 @@ def load_checkpoint(path: str | Path) -> Model:
         )
     if hidden < 1 or flow_dim < 1:
         raise CheckpointError(f"{path}: dimension inconsistency (non-positive dim)")
-    config = ModelConfig(
+    return ModelConfig(
         variant=_TAG_VARIANTS[variant_tag],  # type: ignore[arg-type]
         hidden=hidden,
         flow_dim=flow_dim,
         fc_activation=bool(fc_flag),
     )
 
-    offset = _HEADER.size
 
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(raw):
+def load_checkpoint(path: str | Path) -> Model:
+    """Read a checkpoint; every tensor is read straight from the file into its own array.
+
+    The file size is checked against the size the header's dims imply
+    before any tensor is read or allocated. Each tensor gets its own array
+    rather than a view into one buffer: the data starts at byte 158, which
+    is not 8-aligned, and BLAS wants aligned float64 operands.
+    """
+    with Path(path).open("rb") as fh:
+        config = _header_config(path, fh.read(_HEADER.size))
+        table = tensor_shapes(config)
+        expected = _HEADER.size + 8 * (2 * FEATURE_DIM + sum(math.prod(shape) for shape in table.values()))
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
             raise CheckpointError(f"{path}: truncated file")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
-        return arr
+        if size > expected:
+            raise CheckpointError(f"{path}: {size - expected} unexpected trailing bytes")
 
-    mean = take((FEATURE_DIM,))
-    std = take((FEATURE_DIM,))
-    tensors = {name: take(shape) for name, shape in tensor_shapes(config).items()}
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} unexpected trailing bytes")
+        def take(shape: tuple[int, ...]) -> np.ndarray:
+            count = math.prod(shape)
+            arr = np.fromfile(fh, dtype="<f8", count=count)
+            if arr.size != count:  # the file shrank after the size check
+                raise CheckpointError(f"{path}: truncated file")
+            return arr.reshape(shape)
+
+        mean = take((FEATURE_DIM,))
+        std = take((FEATURE_DIM,))
+        tensors = {name: take(shape) for name, shape in table.items()}
     return Model(params=ModelParams(config, tensors), stats=FeatureStats(mean=mean, std=std))

@@ -42,7 +42,7 @@ def grad_check_detailed(
     denom_floor = fd_noise / RESOLUTION
 
     def loss_now() -> float:
-        return smooth_l1(forward_batch(params, stats, features, flow).residuals, targets)
+        return smooth_l1(forward_batch(params, stats, features, flow, for_backward=False).residuals, targets)
 
     errors: dict[str, float] = {}
     for name, tensor in params.tensors().items():

@@ -36,6 +36,12 @@ How the work is laid out:
   ``da`` and updates ``dh`` in place, with three reused (B, H) buffers. Each
   step keeps the elementwise operation order of the cell above, so the
   forward pass is bit-identical to a batch-major one with temporaries.
+- Forward-only: ``gru_forward(..., for_backward=False)`` is for a pass no
+  backward follows (forecasting). Its ``zr`` and ``htil`` are (1, B, ·)
+  buffers that every step reuses, so a forecast holds no (T, B, ·) gate
+  cache; ``hs`` stays whole, for the caller reads every state. The step is
+  the same code, so the states are bit-identical, and ``gru_backward``
+  refuses such a cache (for T > 1) instead of reading stale gates.
 - Only the hidden-to-hidden recurrences run step by step. The recurrent
   weight gradients are not accumulated per step: after the loop, one GEMM
   over the hidden states of all steps, ``hs[:-1]`` read as (T*B, H) without
@@ -94,8 +100,8 @@ class GRUParams:
 class GRUCache(NamedTuple):
     x: np.ndarray       # (B, T, I), as passed in (stride 0 over T for a time-constant input)
     hs: np.ndarray      # (T+1, B, H) time-major; hs[0] is the zero state, hs[k+1] the state after step k
-    zr: np.ndarray      # (T, B, 2H), per step the update gate z then the reset gate r
-    htil: np.ndarray    # (T, B, H), the candidate state of each step
+    zr: np.ndarray      # (T, B, 2H), per step the update gate z then the reset gate r; (1, B, 2H) forward-only
+    htil: np.ndarray    # (T, B, H), the candidate state of each step; (1, B, H) forward-only
 
 
 def _time_constant(x: np.ndarray) -> bool:
@@ -109,30 +115,35 @@ def _input_weights(params: GRUParams) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([params.b_z, params.b_r, params.b_h]))
 
 
-def gru_forward(params: GRUParams, x: np.ndarray) -> tuple[np.ndarray, GRUCache]:
+def gru_forward(params: GRUParams, x: np.ndarray, *, for_backward: bool = True) -> tuple[np.ndarray, GRUCache]:
     """Run the cell over a (B, T, I) sequence from the zero state; returns hidden states (B, T, H).
 
     The states are a (B, T, H) view of the time-major ``cache.hs[1:]``.
+    ``for_backward=False`` keeps only the last step's gates in the cache,
+    which :func:`gru_backward` then refuses.
     """
     b, t, i = x.shape
     hd = params.hidden_dim
     w, bias = _input_weights(params)
     u_zr_t = np.concatenate([params.u_z, params.u_r]).T
     u_h_t = params.u_h.T
-    # One GEMM for all gates and timesteps, time-major (T, B, 3H); a
-    # time-constant input is projected once, (B, 3H), and read at every step.
-    if _time_constant(x):
-        xp = np.broadcast_to(x[:, 0] @ w.T + bias, (t, b, 3 * hd))
-    else:
-        xp = (x.transpose(1, 0, 2).reshape(t * b, i) @ w.T + bias).reshape(t, b, 3 * hd)
+    # One GEMM for all gates and timesteps, time-major (T, B, 3H), the bias
+    # added in place; a time-constant input is projected once, (B, 3H), and
+    # read at every step.
+    shared = _time_constant(x)
+    xp = (x[:, 0] if shared else x.transpose(1, 0, 2).reshape(t * b, i)) @ w.T
+    xp += bias
+    xp = np.broadcast_to(xp, (t, b, 3 * hd)) if shared else xp.reshape(t, b, 3 * hd)
 
     hs = np.empty((t + 1, b, hd))
     hs[0] = 0.0
-    zr_all = np.empty((t, b, 2 * hd))
-    htil_all = np.empty((t, b, hd))
+    gate_steps = t if for_backward else 1
+    zr_all = np.empty((gate_steps, b, 2 * hd))
+    htil_all = np.empty((gate_steps, b, hd))
     buf = np.empty((b, hd))
     for k in range(t):
-        h, zr, htil, h_next = hs[k], zr_all[k], htil_all[k], hs[k + 1]
+        g = k if for_backward else 0
+        h, zr, htil, h_next = hs[k], zr_all[g], htil_all[g], hs[k + 1]
         np.matmul(h, u_zr_t, out=zr)
         zr += xp[k, :, : 2 * hd]
         sigmoid(zr, out=zr)
@@ -161,6 +172,9 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
     """
     x, hs, zr_all, htil_all = cache
     b, t, i = x.shape
+    if zr_all.shape[0] != t:
+        raise ValueError(f"cache holds the gates of {zr_all.shape[0]} step(s) for a {t}-step sequence: "
+                         "it comes from a forward-only gru_forward(..., for_backward=False)")
     hd = params.hidden_dim
     u_zr = np.concatenate([params.u_z, params.u_r])
 

@@ -161,6 +161,13 @@ class Model:
 
 @dataclass
 class ForwardCache:
+    """What :func:`backward_batch` reads of a forward pass, and the residuals.
+
+    From ``forward_batch(..., for_backward=False)`` the two GRU caches keep
+    only their last step's gates: the residuals are the same bits, and
+    :func:`backward_batch` raises on such a cache.
+    """
+
     std_features: np.ndarray | None
     enc_cache: GRUCache | None
     enc_last: np.ndarray | None
@@ -175,8 +182,14 @@ def forward_batch(
     stats: FeatureStats,
     features: np.ndarray | None,
     flow: np.ndarray | None,
+    *,
+    for_backward: bool = True,
 ) -> ForwardCache:
-    """Batched forward pass from raw (B, 30, 8) features / (B, F) flow to (B, 60, 4) residuals."""
+    """Batched forward pass from raw (B, 30, 8) features / (B, F) flow to (B, 60, 4) residuals.
+
+    ``for_backward`` says whether :func:`backward_batch` will read the
+    cache; without it both GRUs run forward-only (see :func:`gru_forward`).
+    """
     cfg, t = params.config, params.tensors()
     parts = []
     std_features = enc_cache = enc_last = fc_pre = None
@@ -184,7 +197,7 @@ def forward_batch(
         if features is None:
             raise ValueError(f"variant {cfg.variant!r} needs box features")
         std_features = standardize(features, stats)
-        enc_hs, enc_cache = gru_forward(params.gru("encoder"), std_features)
+        enc_hs, enc_cache = gru_forward(params.gru("encoder"), std_features, for_backward=for_backward)
         enc_last = enc_hs[:, -1]
         fc_pre = enc_last @ t["fc1.w"].T + t["fc1.b"]
         box_code = np.maximum(fc_pre, 0.0) if cfg.fc_activation else fc_pre
@@ -200,7 +213,7 @@ def forward_batch(
     b = code.shape[0]
     # A stride-0 view, not a copy: gru_forward projects the code once per window.
     dec_in = np.broadcast_to(code[:, None, :], (b, FUTURE_LEN, code.shape[1]))
-    _, dec_cache = gru_forward(params.gru("decoder"), dec_in)
+    _, dec_cache = gru_forward(params.gru("decoder"), dec_in, for_backward=for_backward)
     flat = dec_cache.hs[1:].reshape(FUTURE_LEN * b, -1)
     deltas = (flat @ t["out.w"].T + t["out.b"]).reshape(FUTURE_LEN, b, OUTPUT_DIM)
     residuals = np.ascontiguousarray(np.cumsum(deltas, axis=0).transpose(1, 0, 2))
@@ -265,7 +278,7 @@ def loss_and_gradients(
     beta: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward + backward for one batch of residual targets (B, 60, 4)."""
-    cache = forward_batch(params, stats, features, flow)
+    cache = forward_batch(params, stats, features, flow, for_backward=True)
     loss = smooth_l1(cache.residuals, targets, beta)
     dres = smooth_l1_grad(cache.residuals, targets, beta)
     return loss, backward_batch(params, cache, dres)
@@ -288,7 +301,8 @@ def residuals_to_boxes(window: ObservationWindow, residuals: np.ndarray) -> Fore
 def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_BATCH_SIZE) -> np.ndarray:
     """(N, q, 4) forecasts of a batch, as :func:`residuals_to_boxes` makes them.
 
-    Forward passes run ``batch_size`` windows at a time. Flow-reading
+    Forward passes run ``batch_size`` windows at a time and forward-only:
+    no backward follows, so no per-step gate cache is kept. Flow-reading
     variants take their flow from ``batch.flow``.
     """
     cfg = model.config
@@ -299,7 +313,7 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
         sl = slice(lo, lo + batch_size)
         features = box_features_from_array(batch.observed[sl]) if cfg.uses_boxes else None
         flow = batch.flow[sl] if cfg.uses_flow else None
-        residuals.append(forward_batch(model.params, model.stats, features, flow).residuals)
+        residuals.append(forward_batch(model.params, model.stats, features, flow, for_backward=False).residuals)
     return _add_to_cv_cs(batch.observed, np.concatenate(residuals))
 
 

@@ -193,11 +193,12 @@ class TestTrack:
 
 class TestWindowAndForecast:
     def test_window_length_validation(self):
+        # exactly 30 observed and 60 future boxes, as WindowBatch takes them
         boxes = tuple(BBox(i, 0, 1, 1) for i in range(100))
-        with pytest.raises(ValueError, match="observed"):
-            ObservationWindow(WindowSource("v", 1, 3), boxes[:4], boxes[4:10])
-        with pytest.raises(ValueError, match="future"):
-            ObservationWindow(WindowSource("v", 1, 29), boxes[:30], ())
+        assert len(ObservationWindow(WindowSource("v", 1, 29), boxes[:30], boxes[30:90]).future) == 60
+        for n_obs, n_fut in ((4, 6), (20, 10), (30, 0), (30, 59), (30, 61), (29, 60), (31, 60)):
+            with pytest.raises(ValueError, match=f"30 observed and 60 future boxes, got {n_obs} and {n_fut}$"):
+                ObservationWindow(WindowSource("v", 1, n_obs - 1), boxes[:n_obs], boxes[n_obs : n_obs + n_fut])
 
     def test_forecast_non_empty(self):
         with pytest.raises(ValueError):

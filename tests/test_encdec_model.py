@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from mofcast.encdec import (
     Model,
     ModelConfig,
     assemble_arrays,
+    backward_batch,
     box_features,
     compute_feature_stats,
     forecast_array,
@@ -230,6 +232,12 @@ class TestTimeMajorGru:
         for name in ("hs", "zr", "htil"):
             assert _bits(getattr(cache, name).transpose(1, 0, 2)) == _bits(getattr(cache_ref, name)), name
 
+        # forward-only: the same states, and one step of gates, the last
+        hs_fwd, cache_fwd = gru_forward(params, x, for_backward=False)
+        assert _bits(hs_fwd) == _bits(hs) and _bits(cache_fwd.hs) == _bits(cache.hs)
+        assert cache_fwd.zr.shape == (1, b, 2 * hd) and cache_fwd.htil.shape == (1, b, hd)
+        assert _bits(cache_fwd.zr) == _bits(cache.zr[-1:]) and _bits(cache_fwd.htil) == _bits(cache.htil[-1:])
+
         dx, grads = gru_backward(params, cache, dh_out)
         dx_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
         assert dx.shape == ((b, 1, i) if shared and t > 1 else (b, t, i))
@@ -247,6 +255,56 @@ class TestTimeMajorGru:
         residuals = forward_batch(params, stats, features, flow).residuals
         assert residuals.flags.c_contiguous
         assert _bits(residuals) == _bits(forward_residuals_batch_major(params, stats, features, flow))
+
+
+class TestForwardOnly:
+    """Forecasting keeps no per-step gate cache, and a backward refuses the cache it leaves."""
+
+    @pytest.mark.parametrize("shared", (False, True), ids=("plain", "stride0"))
+    def test_backward_refuses_a_forward_only_cache(self, rng, shared):
+        params = random_gru(rng, 4, 5)
+        x = np.broadcast_to(rng.normal(size=(3, 1, 4)), (3, 7, 4)) if shared else rng.normal(size=(3, 7, 4))
+        _, cache = gru_forward(params, x, for_backward=False)
+        with pytest.raises(ValueError, match="gates of 1 step\\(s\\) for a 7-step sequence"):
+            gru_backward(params, cache, rng.normal(size=(3, 7, 5)))
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_backward_batch_refuses_a_forward_only_cache(self, rng, variant):
+        params = init_params(ModelConfig(variant=variant, hidden=6, flow_dim=5), 1, zero_output=False)
+        cache = forward_batch(params, FeatureStats.identity(), rng.normal(size=(4, 30, 8)),
+                              rng.normal(size=(4, 5)), for_backward=False)
+        with pytest.raises(ValueError, match="for a 60-step sequence"):
+            backward_batch(params, cache, rng.normal(size=(4, 60, 4)))
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_forecast_array_equals_the_cached_pass(self, variant):
+        batch = cut_windows(synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 3, n_frames=95), stride=3)
+        batch = dataclasses.replace(batch, flow=synthetic_flow_batch(batch.observed, 12))
+        features = box_features_from_array(batch.observed)
+        config = ModelConfig(variant=variant, hidden=16, flow_dim=12)
+        model = Model(params=init_params(config, 5, zero_output=False), stats=compute_feature_stats(features))
+        cached = forward_batch(model.params, model.stats, features, batch.flow, for_backward=True).residuals
+        expected = cv_cs_batch(batch.observed) + cached
+        expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
+        assert _bits(forecast_array(model, batch)) == _bits(expected)
+
+    def test_forecast_peak_memory_stays_below_one_gate_cache(self):
+        # both at H=64, B=64: one full decoder gate cache, (60, B, 3H) float64, is 5.9 MB; the
+        # forward-only pass holds the (T+1, B, H) states and the encoder's input projection
+        b, hd = 64, 64
+        batch = cut_windows(synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 3, n_frames=120), stride=2)
+        assert len(batch) == b  # 4 tracks of 16 windows
+        batch = dataclasses.replace(batch, flow=synthetic_flow_batch(batch.observed, 16))
+        model = Model(params=init_params(ModelConfig(variant="both", hidden=hd, flow_dim=16), 0, zero_output=False))
+        gate_cache = 60 * b * 3 * hd * 8
+        forecast_array(model, batch)  # first call outside the trace: lazy imports and BLAS setup
+        tracemalloc.start()
+        try:
+            forecast_array(model, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gate_cache, (peak, gate_cache)
 
 
 class TestEncodeDecode:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,17 +259,39 @@ class TestCheckpoint:
         path = tmp_path / "model.mofc"
         save_checkpoint(model, path)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
+        header = struct.calcsize("<4sIBB5I")
+        # half the file, one byte short, the header alone, the header and the two stats vectors
+        for size in (len(data) // 2, len(data) - 1, header, header + 2 * 8 * 8):
+            path.write_bytes(data[:size])
+            with pytest.raises(CheckpointError, match="model\\.mofc: truncated file"):
+                load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         model, _ = self.make_model()
         path = tmp_path / "model.mofc"
         save_checkpoint(model, path)
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(CheckpointError, match="trailing"):
-            load_checkpoint(path)
+        data = path.read_bytes()
+        for extra in (b"junk", b"\x00"):
+            path.write_bytes(data + extra)
+            with pytest.raises(CheckpointError, match=f"model\\.mofc: {len(extra)} unexpected trailing bytes"):
+                load_checkpoint(path)
+
+    def test_huge_hidden_is_refused_before_any_tensor_is_allocated(self, tmp_path):
+        # hidden = 2**20 implies a file of over 30 TB: the size check refuses it from the header
+        model, _ = self.make_model()
+        path = tmp_path / "model.mofc"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        data[14:18] = struct.pack("<I", 2**20)  # the hidden dim, after magic, version, two flags and input dim
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="model\\.mofc: truncated file"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_unsupported_version(self, tmp_path):
         model, _ = self.make_model()
