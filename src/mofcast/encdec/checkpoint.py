@@ -91,6 +91,10 @@ def _header_config(path: str | Path, header: bytes) -> ModelConfig:
 def load_checkpoint(path: str | Path) -> Model:
     """Read a checkpoint; every tensor is read straight from the file into its own array.
 
+    The loaded model is frozen: every tensor, and its base array, is
+    read-only, so an in-place update (an item write, an Adam step) raises
+    at the write. ``model.params.copy()`` gives writable tensors to train.
+
     The file size is checked against the size the header's dims imply
     before any tensor is read or allocated. Each tensor gets its own array
     rather than a view into one buffer: the data starts at byte 158, which
@@ -111,6 +115,7 @@ def load_checkpoint(path: str | Path) -> Model:
             arr = np.fromfile(fh, dtype="<f8", count=count)
             if arr.size != count:  # the file shrank after the size check
                 raise CheckpointError(f"{path}: truncated file")
+            arr.setflags(write=False)  # before the reshape, so no writable alias exists
             return arr.reshape(shape)
 
         mean = take((FEATURE_DIM,))

@@ -33,18 +33,24 @@ def box_features_from_array(observed: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Per-channel mean/std of the training features; std floored at 1e-6."""
+    """Per-channel mean/std of the training features; std floored at 1e-6.
+
+    The stats keep their own read-only copies of the ``mean`` and ``std``
+    they are given.
+    """
 
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
+        mean = np.array(self.mean, dtype=np.float64)
+        std = np.maximum(np.asarray(self.std, dtype=np.float64), _STD_FLOOR)
         if mean.shape != (FEATURE_DIM,) or std.shape != (FEATURE_DIM,):
             raise ValueError(f"stats must have shape ({FEATURE_DIM},)")
+        mean.setflags(write=False)
+        std.setflags(write=False)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", np.maximum(std, _STD_FLOOR))
+        object.__setattr__(self, "std", std)
 
     @classmethod
     def identity(cls) -> "FeatureStats":

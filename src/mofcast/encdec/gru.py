@@ -17,11 +17,18 @@ How the work is laid out:
 
 - ``sigmoid(x) = (1 + tanh(x / 2)) / 2``: one transcendental call, no
   overflow for any finite ``x``, and the output stays in [0, 1].
-- Fused gates: each call stacks ``[W_z; W_r; W_h]`` into one (3H, I) input
-  matrix and ``[U_z; U_r]`` into one (2H, H) recurrent matrix, so the input
-  projection of the whole sequence is one GEMM and each step makes one
+- Fused gates: the input projection of the whole sequence is one GEMM
+  per gate, ``x @ W_g^T`` written into the gate's column block of one
+  (·, 3H) array and ``b_g`` added in place, so the input weights are never
+  copied into a stacked (3H, I) matrix (for the ``both`` decoder at H=512
+  that copy was 28 MB per call). The bits equal a stacked GEMM's wherever
+  BLAS runs both shapes with the same kernel; OpenBLAS's small-matrix
+  kernel (AVX-512) can take the narrower per-gate GEMM alone when H times
+  the row count is small, which moves the last bits. ``[U_z; U_r]`` is
+  stacked into one (2H, H) recurrent matrix, so each step makes one
   ``h @ U_zr`` GEMM for both gates (backward: one ``a_zr @ U_zr``). The
-  stacking happens once per call; the nine separate tensors of a
+  backward pass still stacks ``[W_z; W_r; W_h]`` for its one ``dx`` GEMM.
+  Stacking happens once per call; the nine separate tensors of a
   :class:`GRUParams` are the arrays of the model's parameter table
   (``ModelParams.gru``), which checkpoints name.
 - Time-major state: the cache holds the hidden states as (T+1, B, H) and
@@ -109,12 +116,6 @@ def _time_constant(x: np.ndarray) -> bool:
     return x.shape[1] > 1 and x.strides[1] == 0
 
 
-def _input_weights(params: GRUParams) -> tuple[np.ndarray, np.ndarray]:
-    """(3H, I) stacked input weights and (3H,) biases, gate order z, r, h."""
-    return (np.concatenate([params.w_z, params.w_r, params.w_h]),
-            np.concatenate([params.b_z, params.b_r, params.b_h]))
-
-
 def gru_forward(params: GRUParams, x: np.ndarray, *, for_backward: bool = True) -> tuple[np.ndarray, GRUCache]:
     """Run the cell over a (B, T, I) sequence from the zero state; returns hidden states (B, T, H).
 
@@ -124,15 +125,18 @@ def gru_forward(params: GRUParams, x: np.ndarray, *, for_backward: bool = True) 
     """
     b, t, i = x.shape
     hd = params.hidden_dim
-    w, bias = _input_weights(params)
     u_zr_t = np.concatenate([params.u_z, params.u_r]).T
     u_h_t = params.u_h.T
-    # One GEMM for all gates and timesteps, time-major (T, B, 3H), the bias
-    # added in place; a time-constant input is projected once, (B, 3H), and
-    # read at every step.
+    # One GEMM per gate over all timesteps, time-major (T*B, 3H), each into
+    # its column block with the bias added in place; a time-constant input
+    # is projected once, (B, 3H), and read at every step.
     shared = _time_constant(x)
-    xp = (x[:, 0] if shared else x.transpose(1, 0, 2).reshape(t * b, i)) @ w.T
-    xp += bias
+    rows = x[:, 0] if shared else x.transpose(1, 0, 2).reshape(t * b, i)
+    xp = np.empty((rows.shape[0], 3 * hd))
+    for g, (w_g, b_g) in enumerate(((params.w_z, params.b_z), (params.w_r, params.b_r), (params.w_h, params.b_h))):
+        block = xp[:, g * hd : (g + 1) * hd]
+        np.matmul(rows, w_g.T, out=block)
+        block += b_g
     xp = np.broadcast_to(xp, (t, b, 3 * hd)) if shared else xp.reshape(t, b, 3 * hd)
 
     hs = np.empty((t + 1, b, hd))
@@ -214,7 +218,7 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
     du_zr = flat_da[:, : 2 * hd].T @ h_prev
     du_h = flat_da[:, 2 * hd :].T @ (zr_all[:, :, hd:].reshape(t * b, hd) * h_prev)
 
-    w, _ = _input_weights(params)
+    w = np.concatenate([params.w_z, params.w_r, params.w_h])  # (3H, I), gate order z, r, h
     if _time_constant(x):
         rows_da, rows_x = da.sum(axis=0), x[:, 0]
     else:

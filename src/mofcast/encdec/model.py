@@ -303,8 +303,11 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
 
     Forward passes run ``batch_size`` windows at a time and forward-only:
     no backward follows, so no per-step gate cache is kept. Flow-reading
-    variants take their flow from ``batch.flow``.
+    variants take their flow from ``batch.flow``. A ``batch_size`` below 1
+    is a ``ValueError``.
     """
+    if batch_size < 1:
+        raise ValueError(f"forecast batch_size must be >= 1, got {batch_size}")
     cfg = model.config
     if cfg.uses_flow and batch.flow is None:
         raise FlowFeatureError(f"variant {cfg.variant!r} needs flow features, and the batch has none")

@@ -103,6 +103,16 @@ class TestStandardize:
         twice = standardize(once, stats)
         assert not np.allclose(once, twice)
 
+    def test_stats_keep_read_only_copies(self):
+        mean, std = np.arange(8.0), np.full(8, 2.0)
+        stats = FeatureStats(mean=mean, std=std)
+        mean[:] = std[:] = -1.0  # the caller's arrays stay writable and are not the stats' arrays
+        assert np.array_equal(stats.mean, np.arange(8.0)) and np.all(stats.std == 2.0)
+        for arr in (stats.mean, stats.std):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_constant_channel_floored(self):
         features = np.zeros((3, 30, 8))
         stats = compute_feature_stats(features)
@@ -213,8 +223,9 @@ class TestTimeMajorGru:
             (1, 9, 4, 5, True),
             (24, 6, 8, 512, False),  # large enough for BLAS to thread
             (24, 6, 64, 512, True),
+            (96, 2, 2304, 512, True),  # the both decoder at paper size; its projection does not depend on T
         ),
-        ids=("plain", "stride0", "t1", "t1-stride0", "b1", "b1-stride0", "h512", "h512-stride0"),
+        ids=("plain", "stride0", "t1", "t1-stride0", "b1", "b1-stride0", "h512", "h512-stride0", "paper-stride0"),
     )
     def test_matches_the_batch_major_oracle(self, rng, b, t, i, hd, shared):
         params = random_gru(rng, i, hd)
@@ -285,6 +296,18 @@ class TestForwardOnly:
         model = Model(params=init_params(config, 5, zero_output=False), stats=compute_feature_stats(features))
         cached = forward_batch(model.params, model.stats, features, batch.flow, for_backward=True).residuals
         expected = cv_cs_batch(batch.observed) + cached
+        expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
+        assert _bits(forecast_array(model, batch)) == _bits(expected)
+
+    def test_forecast_array_at_paper_size_matches_the_batch_major_oracle(self, rng):
+        # both at H=512, flow 2048: the oracle projects the decoder input through stacked [W_z; W_r; W_h]
+        batch = cut_windows(synth_generate_mixed(("turning", "stop_and_go"), 1, 1.0, 3, n_frames=95), stride=2)
+        batch = dataclasses.replace(batch, flow=rng.normal(size=(len(batch), 2048)))
+        features = box_features_from_array(batch.observed)
+        config = ModelConfig(variant="both", hidden=512, flow_dim=2048)
+        model = Model(params=init_params(config, 5, zero_output=False), stats=compute_feature_stats(features))
+        expected = cv_cs_batch(batch.observed) + forward_residuals_batch_major(
+            model.params, model.stats, features, batch.flow)
         expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
         assert _bits(forecast_array(model, batch)) == _bits(expected)
 
@@ -443,6 +466,12 @@ class TestForecastArray:
         expected = cv_cs_batch(batch.observed) + forward_batch(model.params, model.stats, features, flow).residuals
         expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
         assert np.allclose(pred, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("batch_size", (0, -5))
+    def test_batch_size_below_one_is_refused(self, cv_window, batch_size):
+        model = Model(params=init_params(ModelConfig(hidden=8), 0))
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            forecast_array(model, batch_of([cv_window]), batch_size=batch_size)
 
     def test_empty_batch(self):
         model = Model(params=init_params(ModelConfig(hidden=8), 0))

@@ -18,6 +18,7 @@ from mofcast.data import (
     synth_generate_mixed,
 )
 from mofcast.encdec import (
+    Adam,
     Model,
     ModelConfig,
     TrainConfig,
@@ -207,6 +208,26 @@ class TestCheckpoint:
         assert np.array_equal(loaded.stats.std, model.stats.std)
         for name, tensor in model.params.tensors().items():
             assert np.array_equal(loaded.params.tensors()[name], tensor), name
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_loaded_model_is_read_only(self, tmp_path, variant):
+        model, _ = self.make_model(variant)
+        path = tmp_path / "model.mofc"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        tensors = loaded.params.tensors()
+        for name, arr in [*tensors.items(), ("stats.mean", loaded.stats.mean), ("stats.std", loaded.stats.std)]:
+            assert not arr.flags.writeable, name
+            assert arr.base is None or not arr.base.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            tensors["out.w"][0, 0] = 1.0
+        grads = {name: np.ones_like(arr) for name, arr in tensors.items()}
+        with pytest.raises(ValueError, match="read-only"):
+            Adam().step(tensors, grads, 1e-3)
+        trainable = loaded.params.copy()
+        assert all(arr.flags.writeable for arr in trainable.tensors().values())
+        Adam().step(trainable.tensors(), grads, 1e-3)
+        assert not np.array_equal(trainable.tensors()["out.w"], model.params.tensors()["out.w"])
 
     def test_round_trip_forecasts_identical(self, tmp_path):
         model, (train_w, _) = self.make_model()

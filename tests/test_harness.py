@@ -30,6 +30,7 @@ from mofcast.encdec import (
     Model,
     ModelConfig,
     TrainConfig,
+    forecast_array,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -226,6 +227,29 @@ class TestCrossEval:
         cross_eval(ckpt, synth_setup[0], stride=5, out_dir=tmp_path / "xeval")
         assert weights_checksum(load_checkpoint(ckpt)) == before
         assert (tmp_path / "xeval" / "summary.csv").exists()
+
+    def test_forecast_leaves_the_loaded_weights_unchanged(self, synth_setup):
+        ckpt, _ = self.train_checkpoint(synth_setup)
+        model = load_checkpoint(ckpt)
+        before = weights_checksum(model)
+        forecast_array(model, cut_windows(load_tracks(synth_setup[0]), stride=5))
+        assert weights_checksum(model) == before
+
+    def test_needs_no_checksum(self, synth_setup, monkeypatch):
+        # the read-only weights are the guarantee: cross_eval hashes nothing
+        ckpt, _ = self.train_checkpoint(synth_setup)
+
+        def refuse(model):
+            raise AssertionError("cross_eval hashed the weights")
+
+        monkeypatch.setattr(harness, "weights_checksum", refuse)
+        assert cross_eval(ckpt, synth_setup[0], stride=5).n_windows > 0
+
+    @pytest.mark.parametrize("batch_size", (0, -5))
+    def test_batch_size_below_one_is_refused(self, synth_setup, batch_size):
+        ckpt, _ = self.train_checkpoint(synth_setup)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            cross_eval(ckpt, synth_setup[0], stride=5, batch_size=batch_size)
 
     def test_checksum_hashes_the_tensor_bytes(self, rng):
         params = init_params(ModelConfig(variant="both", hidden=8, flow_dim=6), 3)
