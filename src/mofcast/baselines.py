@@ -31,7 +31,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FUTURE_LEN, OBSERVED_LEN, VELOCITY_LAG, VELOCITY_SPAN, Forecast, ObservationWindow, array_to_boxes
+from .core import FUTURE_LEN, MIN_BOX_SIZE, OBSERVED_LEN, VELOCITY_LAG, VELOCITY_SPAN
+from .core import Forecast, ObservationWindow, array_to_boxes
 from .data.io import read_json
 from .data.windows import WindowBatch
 from .metrics import centroid_ade
@@ -151,7 +152,7 @@ def lkf_operator(params: KalmanParams) -> np.ndarray:
 def lkf_batch(observed: np.ndarray, params: KalmanParams) -> np.ndarray:
     """Kalman forecasts of (N, 30, 4) windows as (N, 60, 4); sizes clamped to 1 px."""
     pred = lkf_operator(params) @ observed
-    pred[..., 2:] = np.maximum(pred[..., 2:], 1.0)
+    pred[..., 2:] = np.maximum(pred[..., 2:], MIN_BOX_SIZE)
     return pred
 
 

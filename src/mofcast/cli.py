@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -45,23 +46,24 @@ from .encdec import (
     VARIANTS,
     TrainConfig,
     assemble_arrays,
-    forecast_array,
     grad_check_detailed,
     init_params,
     load_checkpoint,
+    synthetic_flow_batch,
 )
+from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON
 from .errors import MofcastError
 from .harness import (
     MODEL_KINDS,
     ExperimentSpec,
-    attach_flow_features,
     cross_eval,
+    forecast_saved_model,
     forecasts_to_tracks,
-    open_flow_store,
     run_all_folds,
     run_fold,
+    score_forecasts,
 )
-from .metrics import MetricReport, aggregate, evaluate_batch, write_curve_csv, write_summary_csv
+from .metrics import MetricReport
 
 logger = logging.getLogger(__name__)
 
@@ -184,7 +186,9 @@ def build_parser() -> _Parser:
     _add_window_flags(p)
     p.add_argument("--grid", help="JSON grid of KalmanParams (default: stock 27-point grid)")
 
-    p = sub.add_parser("eval", help="evaluate a model on a track file or fold test split")
+    p = sub.add_parser("eval", help="evaluate a model on a track file or fold test split",
+                       description="Evaluate a model on a track file or fold test split. Writes summary.csv, "
+                       "curves.csv and one breakdown_<field>.csv per metadata field every window carries.")
     _add_io_flags(p)
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--checkpoint", help="encdec checkpoint file")
@@ -211,8 +215,9 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=_positive_int, default=64)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--variant", default="bb_only", choices=VARIANTS)
-    p.add_argument("--epsilon", type=_positive_float, default=1e-5, help="finite-difference step (default: 1e-5)")
-    p.add_argument("--coords", type=_positive_int, default=50, help="sampled coordinates per group")
+    p.add_argument("--epsilon", type=_positive_float, default=EPSILON,
+                   help=f"finite-difference step (default: {EPSILON:g})")
+    p.add_argument("--coords", type=_positive_int, default=COORDS_PER_GROUP, help="sampled coordinates per group")
     p.add_argument("--samples", type=_positive_int, default=3, help="number of seeded samples")
     p.add_argument("--tolerance", type=_positive_float, default=GRADCHECK_TOLERANCE,
                    help=f"largest relative error that passes (default: {GRADCHECK_TOLERANCE:g})")
@@ -249,10 +254,7 @@ def _model_predictions(args, tracks: list[Track]) -> tuple[WindowBatch, np.ndarr
         return batch, lkf_batch(batch.observed, KalmanParams.from_file(args.params))
     if not args.checkpoint:
         raise MofcastError("--model encdec needs --checkpoint")
-    model = load_checkpoint(args.checkpoint)
-    store = open_flow_store(args.flow_features, model.config)
-    batch = attach_flow_features(batch, model.config, store, args.synthetic_flow)
-    return batch, forecast_array(model, batch)
+    return batch, forecast_saved_model(load_checkpoint(args.checkpoint), batch, args.flow_features, args.synthetic_flow)
 
 
 def _cmd_synth(args) -> int:
@@ -350,11 +352,7 @@ def _run_spec(args, model: str) -> int:
 
 def _cmd_eval(args) -> int:
     batch, pred = _model_predictions(args, _eval_tracks(args))
-    report = aggregate(evaluate_batch(pred, batch))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv([report], out / "summary.csv", model_id=args.model)
-    write_curve_csv(report, out / "curves.csv")
+    report, _ = score_forecasts(pred, batch, args.model, args.out)
     _print_report(report, args.model)
     return 0
 
@@ -389,9 +387,9 @@ def _cmd_gradcheck(args) -> int:
     config = TrainConfig(hidden=args.hidden, variant=args.variant, seed=args.seed).model_config()
     worst = 0.0
     for i in range(args.samples):
-        tracks = synth_generate_mixed(("turning", "accelerating"), 2, 1.0, args.seed + i, n_frames=91)
-        batch = attach_flow_features(cut_windows(tracks), config, None, synthetic=True)
-        arrays = assemble_arrays(batch, config)
+        batch = cut_windows(synth_generate_mixed(("turning", "accelerating"), 2, 1.0, args.seed + i, n_frames=91))
+        flow = synthetic_flow_batch(batch.observed, config.flow_dim) if config.uses_flow else None
+        arrays = assemble_arrays(dataclasses.replace(batch, flow=flow), config)
         stats = (
             compute_feature_stats(arrays.features) if config.uses_boxes else FeatureStats.identity()
         )

@@ -28,6 +28,9 @@ VELOCITY_LAG = VELOCITY_SPAN - 1
 
 METADATA_FIELDS = ("city", "weather", "time_of_day")
 
+# Forecast and synthetic box sizes are clamped to at least this many px.
+MIN_BOX_SIZE = 1.0
+
 
 @dataclass(frozen=True)
 class BBox:

@@ -317,10 +317,11 @@ class FlowFeatureStore:
     """Random access to precomputed per-window flow features.
 
     Backed by the sidecar format: the index CSV plus its ``.bin`` blob of raw
-    little-endian float32. Features are returned as float64 vectors.
+    little-endian float32, read whole and kept read-only. A window's feature
+    is returned as stored: a read-only float32 view of its ``dim`` values.
     """
 
-    def __init__(self, index: Mapping[tuple[str, int, int], tuple[int, int]], blob: np.ndarray, dim: int):
+    def __init__(self, index: Mapping[tuple[str, int, int], int], blob: np.ndarray, dim: int):
         self._index = dict(index)
         self._blob = blob
         self.dim = dim
@@ -333,6 +334,7 @@ class FlowFeatureStore:
         if size % 4:
             raise FlowFeatureError(f"{blob_path}: {size} bytes is not a whole number of float32 values")
         blob = np.fromfile(blob_path, dtype="<f4")
+        blob.setflags(write=False)
         rows, body = _read_table(index_path, FLOW_INDEX_HEADER, _FLOW_INDEX_DTYPE, FlowFeatureError)
         if not rows.size:
             raise FlowFeatureError(f"{index_path}: no entries")
@@ -352,15 +354,15 @@ class FlowFeatureStore:
                 f"duplicate entry for window {keys[i]}",
             )[check]
             raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: {problem}")
-        return cls(dict(zip(keys, zip(offset.tolist(), length.tolist()))), blob, dim)
+        return cls(dict(zip(keys, offset.tolist())), blob, dim)  # every length is dim
 
     def get(self, source: WindowSource) -> np.ndarray:
         key = (source.video_id, source.track_id, source.anchor_frame)
         try:
-            offset, length = self._index[key]
+            offset = self._index[key]
         except KeyError:
             raise FlowFeatureError(f"no flow feature for window {key}") from None
-        return self._blob[offset : offset + length].astype(np.float64)
+        return self._blob[offset : offset + self.dim]
 
     def __len__(self) -> int:
         return len(self._index)

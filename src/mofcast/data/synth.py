@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Track
+from ..core import MIN_BOX_SIZE, Track
 from .splits import SplitConfig
 from .windows import MIN_TRACK_FRAMES
 
@@ -23,8 +23,6 @@ KINDS = ("constant_velocity", "accelerating", "turning", "stop_and_go")
 SYNTH_CITIES = ("arden", "bexley", "corunna", "dunmore", "elsfield", "farley")
 SYNTH_WEATHER = ("sun", "rain", "snow", "overcast")
 SYNTH_TIME_OF_DAY = ("day", "night")
-
-_MIN_SIZE = 1.0
 
 
 def default_synth_split_config() -> SplitConfig:
@@ -116,7 +114,7 @@ def synth_generate(
 
         coords = np.concatenate([centers, sizes], axis=1)
         coords = coords + noise_sigma * rng.standard_normal((length, 4))
-        coords[:, 2:] = np.maximum(coords[:, 2:], _MIN_SIZE)
+        coords[:, 2:] = np.maximum(coords[:, 2:], MIN_BOX_SIZE)
 
         tracks.append(
             Track(

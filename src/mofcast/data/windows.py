@@ -67,7 +67,8 @@ class WindowBatch:
     :class:`ObservationWindow` does for one window.
     ``flow``, when present, is the (N, F) flow-feature matrix the
     flow-reading model variants consume: row i belongs to window i, every
-    entry is finite, and the array is read-only.
+    entry is finite, and the array is read-only. Its dtype is kept as given
+    (float32 from a sidecar, float64 from ``--synthetic-flow``).
     """
 
     observed: np.ndarray
@@ -84,7 +85,7 @@ class WindowBatch:
         if len(self.sources) != n or len(self.metadata) != n:
             raise ValueError(f"{n} windows but {len(self.sources)} sources and {len(self.metadata)} metadata")
         if self.flow is not None:
-            flow = np.asarray(self.flow, dtype=np.float64)
+            flow = np.asarray(self.flow)
             if flow.ndim != 2 or flow.shape[0] != n:
                 raise ValueError(f"flow must be ({n}, F) for {n} windows, got shape {flow.shape}")
             finite = np.isfinite(flow).all(axis=1)

@@ -24,14 +24,16 @@ from .model import ModelParams, forward_batch, loss_and_gradients
 from .training import WindowArrays
 
 RESOLUTION = 1e-4
+EPSILON = 1e-5  # finite-difference step
+COORDS_PER_GROUP = 50  # coordinates sampled per parameter tensor
 
 
 def grad_check_detailed(
     params: ModelParams,
     stats: FeatureStats,
     arrays: WindowArrays,
-    epsilon: float = 1e-5,
-    coords_per_group: int = 50,
+    epsilon: float = EPSILON,
+    coords_per_group: int = COORDS_PER_GROUP,
     seed: int = 0,
 ) -> dict[str, float]:
     """Max relative error per parameter group, differentiating the loss of ``arrays``' residual targets."""

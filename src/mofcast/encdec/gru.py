@@ -20,17 +20,16 @@ How the work is laid out:
 - Fused gates: the input projection of the whole sequence is one GEMM
   per gate, ``x @ W_g^T`` written into the gate's column block of one
   (·, 3H) array and ``b_g`` added in place, so the input weights are never
-  copied into a stacked (3H, I) matrix (for the ``both`` decoder at H=512
-  that copy was 28 MB per call). The bits equal a stacked GEMM's wherever
-  BLAS runs both shapes with the same kernel; OpenBLAS's small-matrix
-  kernel (AVX-512) can take the narrower per-gate GEMM alone when H times
-  the row count is small, which moves the last bits. ``[U_z; U_r]`` is
-  stacked into one (2H, H) recurrent matrix, so each step makes one
-  ``h @ U_zr`` GEMM for both gates (backward: one ``a_zr @ U_zr``). The
-  backward pass still stacks ``[W_z; W_r; W_h]`` for its one ``dx`` GEMM.
-  Stacking happens once per call; the nine separate tensors of a
-  :class:`GRUParams` are the arrays of the model's parameter table
-  (``ModelParams.gru``), which checkpoints name.
+  copied into a stacked (3H, I) matrix. The bits equal a stacked GEMM's
+  wherever BLAS runs both shapes with the same kernel; OpenBLAS's
+  small-matrix kernel (AVX-512) can take the narrower per-gate GEMM alone
+  when H times the row count is small, which moves the last bits.
+  ``[U_z; U_r]`` is stacked into one (2H, H) recurrent matrix, so each step
+  makes one ``h @ U_zr`` GEMM for both gates (backward: one
+  ``a_zr @ U_zr``). The backward pass still stacks ``[W_z; W_r; W_h]`` for
+  its one ``dx`` GEMM. Stacking happens once per call; the nine separate
+  tensors of a :class:`GRUParams` are the arrays of the model's parameter
+  table (``ModelParams.gru``), which checkpoints name.
 - Time-major state: the cache holds the hidden states as (T+1, B, H) and
   the gates as (T, B, ·), so every step reads and writes contiguous (B, ·)
   blocks. The callers' (B, T, ·) contract is kept by transposed views: the

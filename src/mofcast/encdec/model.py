@@ -26,7 +26,7 @@ from typing import Literal
 import numpy as np
 
 from ..baselines import cv_cs_batch
-from ..core import FUTURE_LEN, Forecast, ObservationWindow, array_to_boxes
+from ..core import FUTURE_LEN, MIN_BOX_SIZE, Forecast, ObservationWindow, array_to_boxes
 from ..data.windows import WindowBatch
 from ..errors import FlowFeatureError, GradientError
 from .features import FEATURE_DIM, FeatureStats, box_features_from_array, standardize
@@ -168,9 +168,7 @@ class ForwardCache:
     :func:`backward_batch` raises on such a cache.
     """
 
-    std_features: np.ndarray | None
-    enc_cache: GRUCache | None
-    enc_last: np.ndarray | None
+    enc_cache: GRUCache | None  # enc_cache.x: the standardized features; enc_cache.hs[-1]: the last state
     fc_pre: np.ndarray | None
     code: np.ndarray
     dec_cache: GRUCache  # dec_cache.hs[1:] are the (60, B, H) decoder states
@@ -185,21 +183,19 @@ def forward_batch(
     *,
     for_backward: bool = True,
 ) -> ForwardCache:
-    """Batched forward pass from raw (B, 30, 8) features / (B, F) flow to (B, 60, 4) residuals.
+    """Batched forward pass from raw (B, 30, 8) features / (B, F) flow, upcast here, to (B, 60, 4) residuals.
 
     ``for_backward`` says whether :func:`backward_batch` will read the
     cache; without it both GRUs run forward-only (see :func:`gru_forward`).
     """
     cfg, t = params.config, params.tensors()
     parts = []
-    std_features = enc_cache = enc_last = fc_pre = None
+    enc_cache = fc_pre = None
     if cfg.uses_boxes:
         if features is None:
             raise ValueError(f"variant {cfg.variant!r} needs box features")
-        std_features = standardize(features, stats)
-        enc_hs, enc_cache = gru_forward(params.gru("encoder"), std_features, for_backward=for_backward)
-        enc_last = enc_hs[:, -1]
-        fc_pre = enc_last @ t["fc1.w"].T + t["fc1.b"]
+        _, enc_cache = gru_forward(params.gru("encoder"), standardize(features, stats), for_backward=for_backward)
+        fc_pre = enc_cache.hs[-1] @ t["fc1.w"].T + t["fc1.b"]
         box_code = np.maximum(fc_pre, 0.0) if cfg.fc_activation else fc_pre
         parts.append(box_code)
     if cfg.uses_flow:
@@ -217,15 +213,7 @@ def forward_batch(
     flat = dec_cache.hs[1:].reshape(FUTURE_LEN * b, -1)
     deltas = (flat @ t["out.w"].T + t["out.b"]).reshape(FUTURE_LEN, b, OUTPUT_DIM)
     residuals = np.ascontiguousarray(np.cumsum(deltas, axis=0).transpose(1, 0, 2))
-    return ForwardCache(
-        std_features=std_features,
-        enc_cache=enc_cache,
-        enc_last=enc_last,
-        fc_pre=fc_pre,
-        code=code,
-        dec_cache=dec_cache,
-        residuals=residuals,
-    )
+    return ForwardCache(enc_cache=enc_cache, fc_pre=fc_pre, code=code, dec_cache=dec_cache, residuals=residuals)
 
 
 def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndarray) -> dict[str, np.ndarray]:
@@ -253,10 +241,10 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
         dbox_code = dcode[:, :BOX_CODE_DIM]
         if cfg.fc_activation:
             dbox_code = dbox_code * (cache.fc_pre > 0.0)
-        grads["fc1.w"] = dbox_code.T @ cache.enc_last
+        grads["fc1.w"] = dbox_code.T @ cache.enc_cache.hs[-1]
         grads["fc1.b"] = dbox_code.sum(axis=0)
 
-        p = cache.std_features.shape[1]
+        p = cache.enc_cache.x.shape[1]
         denc_out = np.zeros((p, b, hd))
         denc_out[-1] = dbox_code @ t["fc1.w"]
         _, enc_grads = gru_backward(params.gru("encoder"), cache.enc_cache, denc_out.transpose(1, 0, 2))
@@ -287,7 +275,7 @@ def loss_and_gradients(
 def _add_to_cv_cs(observed: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """(N, 60, 4) CV-CS extrapolation of (N, 30, 4) windows plus residuals; sizes clamped to 1 px."""
     pred = cv_cs_batch(observed) + residuals
-    pred[..., 2:] = np.maximum(pred[..., 2:], 1.0)
+    pred[..., 2:] = np.maximum(pred[..., 2:], MIN_BOX_SIZE)
     return pred
 
 
@@ -299,12 +287,12 @@ def residuals_to_boxes(window: ObservationWindow, residuals: np.ndarray) -> Fore
 
 
 def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_BATCH_SIZE) -> np.ndarray:
-    """(N, q, 4) forecasts of a batch, as :func:`residuals_to_boxes` makes them.
+    """(N, q, 4) forecasts of a batch: the CV-CS extrapolation plus the model's residuals, sizes at least 1 px.
 
     Forward passes run ``batch_size`` windows at a time and forward-only:
     no backward follows, so no per-step gate cache is kept. Flow-reading
-    variants take their flow from ``batch.flow``. A ``batch_size`` below 1
-    is a ``ValueError``.
+    variants take their flow from ``batch.flow``, upcast one chunk at a time.
+    A ``batch_size`` below 1 is a ``ValueError``.
     """
     if batch_size < 1:
         raise ValueError(f"forecast batch_size must be >= 1, got {batch_size}")

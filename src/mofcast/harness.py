@@ -145,8 +145,14 @@ def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float) -> N
 
 
 def open_flow_store(path: str | Path | None, config: ModelConfig) -> FlowFeatureStore | None:
-    """The flow-feature sidecar at ``path``, opened only when ``config``'s variant reads flow."""
-    return FlowFeatureStore.open(path) if path and config.uses_flow else None
+    """The flow-feature sidecar at ``path``, opened only when ``config``'s variant reads flow and
+    refused, naming its index file, when its feature dimension is not ``config.flow_dim``."""
+    if not (path and config.uses_flow):
+        return None
+    store = FlowFeatureStore.open(path)
+    if store.dim != config.flow_dim:
+        raise FlowFeatureError(f"{path}: flow feature dim {store.dim} != the model's flow_dim {config.flow_dim}")
+    return store
 
 
 def attach_flow_features(
@@ -175,6 +181,14 @@ def attach_flow_features(
     return dataclasses.replace(batch, flow=flow)
 
 
+def forecast_saved_model(model: Model, batch: WindowBatch, flow_features: str | Path | None, synthetic_flow: bool,
+                         batch_size: int = FORECAST_BATCH_SIZE) -> np.ndarray:
+    """(N, q, 4) forecasts of ``batch`` by a loaded model, fed the flow its variant reads: from the
+    sidecar ``flow_features`` or, with ``synthetic_flow``, from the windows (:func:`attach_flow_features`)."""
+    store = open_flow_store(flow_features, model.config)
+    return forecast_array(model, attach_flow_features(batch, model.config, store, synthetic_flow), batch_size)
+
+
 def _audit_cities(split, fold: int) -> None:
     overlap = split.train_cities & split.holdout_cities
     if overlap:
@@ -187,17 +201,21 @@ def _audit_cities(split, fold: int) -> None:
     )
 
 
-def _write_reports(
-    run_dir: Path,
-    model_id: str,
-    report: MetricReport,
-    scores: WindowScores,
-) -> None:
-    write_summary_csv([report], run_dir / "summary.csv", model_id=model_id)
-    write_curve_csv(report, run_dir / "curves.csv")
-    for fld in METADATA_FIELDS:
-        if all(meta and fld in meta for meta in scores.metadata):
-            write_summary_csv(breakdown(scores, fld), run_dir / f"breakdown_{fld}.csv", model_id=model_id)
+def score_forecasts(pred: np.ndarray, batch: WindowBatch, model_id: str,
+                    out_dir: str | Path | None) -> tuple[MetricReport, WindowScores]:
+    """Score ``pred``, the (N, q, 4) forecasts of ``batch``. Given an ``out_dir`` (made if missing), write
+    ``summary.csv``, ``curves.csv`` and a ``breakdown_<field>.csv`` per metadata field every window carries."""
+    scores = evaluate_batch(pred, batch)
+    report = aggregate(scores)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_summary_csv([report], out / "summary.csv", model_id=model_id)
+        write_curve_csv(report, out / "curves.csv")
+        for fld in METADATA_FIELDS:
+            if all(meta and fld in meta for meta in scores.metadata):
+                write_summary_csv(breakdown(scores, fld), out / f"breakdown_{fld}.csv", model_id=model_id)
+    return report, scores
 
 
 def _write_train_log(log: TrainLog, path: Path) -> None:
@@ -240,7 +258,7 @@ def run_fold(spec: ExperimentSpec) -> FoldResult:
     """Train/tune on one fold's train+val cities, evaluate on the held-out test windows.
 
     Every model is scored the same way: its (N, q, 4) predictions of the
-    test batch go through one call of :func:`evaluate_batch`. The baselines
+    test batch go through one call of :func:`score_forecasts`. The baselines
     cut only the splits they use (test, and val for the LKF).
     """
     return _run_fold(spec, None)
@@ -297,9 +315,7 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
             save_checkpoint(trained.model, checkpoint_path)
             pred = forecast_array(trained.model, test)
 
-        scores = evaluate_batch(pred, test)
-        report = aggregate(scores)
-        _write_reports(run_dir, spec.model, report, scores)
+        report, scores = score_forecasts(pred, test, spec.model, run_dir)
         return FoldResult(
             report=report,
             run_dir=run_dir,
@@ -370,16 +386,8 @@ def cross_eval(
     batch = cut_windows(tracks, stride=stride)
     if not len(batch):
         raise MofcastError(f"{tracks_path}: no windows after filtering")
-    batch = attach_flow_features(batch, model.config, open_flow_store(flow_features, model.config), synthetic_flow)
-    pred = forecast_array(model, batch, batch_size=batch_size)
-    scores = evaluate_batch(pred, batch)
-    report = aggregate(scores)
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_reports(out, "encdec", report, scores)
-    return report
+    pred = forecast_saved_model(model, batch, flow_features, synthetic_flow, batch_size)
+    return score_forecasts(pred, batch, "encdec", out_dir)[0]
 
 
 def forecasts_to_tracks(sources: Sequence[WindowSource], pred: np.ndarray) -> list[Track]:

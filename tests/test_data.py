@@ -197,12 +197,14 @@ class TestWindowBatch:
         with pytest.raises(ValueError, match=re.escape(f"got {observed} and {future}")):
             WindowBatch(observed=np.zeros(observed), future=np.zeros(future), sources=(None,) * 2, metadata=(None,) * 2)
 
-    def test_flow_is_read_only_float64(self):
-        batch = dataclasses.replace(self.batch(), flow=np.arange(8, dtype=np.float32).reshape(2, 4))
-        assert batch.flow.dtype == np.float64 and not batch.flow.flags.writeable
+    def test_flow_is_read_only_and_keeps_its_dtype(self):
         assert self.batch().flow is None
-        with pytest.raises(ValueError, match="read-only"):
-            batch.flow[0, 0] = 1.0
+        for dtype in (np.float32, np.float64):  # a sidecar's, --synthetic-flow's
+            batch = dataclasses.replace(self.batch(), flow=np.arange(8, dtype=dtype).reshape(2, 4))
+            assert batch.flow.dtype == dtype and not batch.flow.flags.writeable
+            assert np.array_equal(batch.flow, np.arange(8).reshape(2, 4))
+            with pytest.raises(ValueError, match="read-only"):
+                batch.flow[0, 0] = 1.0
 
 
 class TestMotionFilterClips:
@@ -354,8 +356,10 @@ class TestFlowFiles:
         assert store.dim == 16 and len(store) == 2
         for source, vec in entries:
             got = store.get(source)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, vec.astype(np.float64))
+            assert got.dtype == np.float32  # as stored: the model upcasts per forward pass
+            assert np.array_equal(got, vec)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
 
     @pytest.mark.parametrize(
         "second, problem",

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 
@@ -31,6 +32,7 @@ from mofcast.encdec import (
     ModelConfig,
     TrainConfig,
     forecast_array,
+    grad_check_detailed,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -293,10 +295,10 @@ FLOW_DIM = 16
 BOTH = TrainConfig(hidden=8, variant="both", flow_dim=FLOW_DIM, epochs=1, batch_size=32, seed=5)
 
 
-def write_sidecar(tracks_path, index_path, skip: int | None = None):
-    """A flow sidecar for every stride-5 window of the track file, but window ``skip``; returns its sources."""
+def write_sidecar(tracks_path, index_path, skip: int | None = None, dim: int = FLOW_DIM):
+    """A ``dim``-d sidecar for every stride-5 window of the track file, but window ``skip``; returns its sources."""
     batch = cut_windows(load_tracks(tracks_path), stride=5)
-    flow = synthetic_flow_batch(batch.observed, FLOW_DIM) + 0.25  # not what --synthetic-flow derives
+    flow = synthetic_flow_batch(batch.observed, dim) + 0.25  # not what --synthetic-flow derives
     write_flow_features(
         ((source, row) for i, (source, row) in enumerate(zip(batch.sources, flow)) if i != skip), index_path
     )
@@ -304,7 +306,7 @@ def write_sidecar(tracks_path, index_path, skip: int | None = None):
 
 
 class TestFlowSidecar:
-    def test_fold_cross_eval_and_cli_eval_read_it(self, synth_setup, tmp_path, monkeypatch):
+    def test_fold_cross_eval_and_cli_eval_read_it(self, synth_setup, tmp_path):
         tracks_path = synth_setup[0]
         index = tmp_path / "flow.csv"
         write_sidecar(tracks_path, index)
@@ -318,19 +320,16 @@ class TestFlowSidecar:
         synthetic = cross_eval(ckpt, tracks_path, stride=5, synthetic_flow=True)
         assert report.ade != synthetic.ade  # the sidecar's features were read, not derived
 
-        seen = []
-        monkeypatch.setattr(cli, "aggregate", lambda evals: seen.append(aggregate(evals)) or seen[-1])
-        code = cli.main(["eval", "--model", "encdec", "--checkpoint", str(ckpt),
-                         "--tracks", str(tracks_path), "--stride", "5", "--flow-features", str(index),
-                         "--out", str(tmp_path / "eval")])
-        assert code == 0
-        (cli_report,) = seen
-        assert cli_report.n_windows == report.n_windows
-        for name in ("ade", "fde", "aiou", "fiou"):
-            assert getattr(cli_report, name) == pytest.approx(getattr(report, name), abs=1e-12)
-        assert np.allclose(cli_report.displacement_curve, report.displacement_curve, rtol=0, atol=1e-12)
-        assert np.allclose(cli_report.iou_curve, report.iou_curve, rtol=0, atol=1e-12)
-        assert (tmp_path / "eval" / "summary.csv").read_bytes() == (tmp_path / "xeval" / "summary.csv").read_bytes()
+        # eval and cross-eval of one checkpoint and sidecar write the same five files, byte for byte
+        flags = ["--checkpoint", str(ckpt), "--tracks", str(tracks_path), "--stride", "5",
+                 "--flow-features", str(index)]
+        assert cli.main(["eval", "--model", "encdec", *flags, "--out", str(tmp_path / "eval")]) == 0
+        assert cli.main(["cross-eval", *flags, "--out", str(tmp_path / "cli_xeval")]) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "xeval").iterdir()}
+        assert sorted(written) == ["breakdown_city.csv", "breakdown_time_of_day.csv", "breakdown_weather.csv",
+                                   "curves.csv", "summary.csv"]
+        for out in ("eval", "cli_xeval"):
+            assert {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()} == written
 
     def test_a_missing_window_is_named(self, synth_setup, tmp_path):
         tracks_path = synth_setup[0]
@@ -343,6 +342,51 @@ class TestFlowSidecar:
         ckpt = run_fold(dataclasses.replace(spec, flow_features=None, synthetic_flow=True)).checkpoint_path
         with pytest.raises(FlowFeatureError, match=missing):
             cross_eval(ckpt, tracks_path, stride=5, flow_features=index)
+
+    def test_a_sidecar_of_another_dim_is_refused_where_it_is_opened(self, synth_setup, tmp_path, capsys):
+        tracks_path = synth_setup[0]
+        index = tmp_path / "flow12.csv"
+        write_sidecar(tracks_path, index, dim=12)
+        spec = make_spec(synth_setup, model="encdec", flow_features=str(index), train=BOTH)
+        named = re.escape(f"{index}: flow feature dim 12 != the model's flow_dim {FLOW_DIM}")
+        with pytest.raises(FlowFeatureError, match=named):
+            run_fold(spec)
+        ckpt = run_fold(dataclasses.replace(spec, flow_features=None, synthetic_flow=True)).checkpoint_path
+        with pytest.raises(FlowFeatureError, match=named):
+            cross_eval(ckpt, tracks_path, stride=5, flow_features=index)
+        assert cli.main(["cross-eval", "--checkpoint", str(ckpt), "--tracks", str(tracks_path),
+                         "--flow-features", str(index), "--out", str(tmp_path / "xeval")]) == 2
+        assert re.search(named, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("variant", ("both", "of_only"))
+    def test_float32_rows_give_the_bytes_of_float64_rows(self, synth_setup, tmp_path, monkeypatch, variant):
+        """Training, the test pass and cross-eval on a sidecar's float32 rows write what the rows upcast up front do."""
+        tracks_path = synth_setup[0]
+        index = tmp_path / "flow.csv"
+        write_sidecar(tracks_path, index)
+        spec = make_spec(synth_setup, model="encdec", flow_features=str(index),
+                         train=dataclasses.replace(BOTH, variant=variant, epochs=2))
+
+        def outputs(name: str) -> dict[str, bytes]:
+            run_dir = run_fold(dataclasses.replace(spec, out_dir=str(tmp_path / name))).run_dir
+            cross_eval(run_dir / "checkpoint.mofc", tracks_path, stride=5, flow_features=index,
+                       out_dir=tmp_path / name / "xeval")
+            files = [p for p in run_dir.iterdir() if p.name not in ("spec.json", "manifest.json")]
+            return {str(p.relative_to(tmp_path / name)).replace(run_dir.name, "run"): p.read_bytes()
+                    for p in files + list((tmp_path / name / "xeval").iterdir())}
+
+        as_stored = outputs("float32")
+        attach = harness.attach_flow_features
+
+        def upcast(*args):
+            batch = attach(*args)
+            assert batch.flow.dtype == np.float32
+            return dataclasses.replace(batch, flow=batch.flow.astype(np.float64))
+
+        monkeypatch.setattr(harness, "attach_flow_features", upcast)
+        upcast_first = outputs("float64")
+        assert {"run/checkpoint.mofc", "run/summary.csv", "run/train_log.csv", "xeval/summary.csv"} <= set(as_stored)
+        assert upcast_first == as_stored
 
     def test_bb_only_never_opens_it(self, synth_setup, tmp_path):
         absent = tmp_path / "no_such_sidecar.csv"
@@ -412,6 +456,9 @@ def test_min_track_frames_default_is_defined_once():
 def test_cli_defaults_and_choices_are_the_library_constants():
     args = build_parser().parse_args(["clip-filter", "--flow-magnitudes", "f.csv"])
     assert (args.threshold, args.clip_frames) == (FLOW_MAGNITUDE_THRESHOLD, CLIP_FRAMES)
+    args = build_parser().parse_args(["gradcheck"])
+    defaults = inspect.signature(grad_check_detailed).parameters
+    assert (args.epsilon, args.coords) == (defaults["epsilon"].default, defaults["coords_per_group"].default)
     subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
     for command in ("eval", "forecast"):
         (model,) = (a for a in subparsers[command]._actions if a.dest == "model")
