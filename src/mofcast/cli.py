@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .data import (
     SplitConfig,
     WindowBatch,
     count_windows,
-    cut_windows,
     filter_short_tracks,
     load_flow_magnitudes,
     load_tracks,
@@ -42,23 +41,17 @@ from .data import (
     synth_generate,
     write_tracks,
 )
-from .encdec import (
-    VARIANTS,
-    TrainConfig,
-    assemble_arrays,
-    grad_check_detailed,
-    init_params,
-    load_checkpoint,
-    synthetic_flow_batch,
-)
-from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON
+from .encdec import VARIANTS, TrainConfig, grad_check_detailed, load_checkpoint
+from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON, grad_check_sample
 from .errors import MofcastError
 from .harness import (
+    MODEL_INPUTS,
     MODEL_KINDS,
     ExperimentSpec,
     cross_eval,
     forecast_saved_model,
     forecasts_to_tracks,
+    load_windows,
     run_all_folds,
     run_fold,
     score_forecasts,
@@ -105,10 +98,11 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 
 def _add_split_flags(p: argparse.ArgumentParser, help: str, required: bool = False, all_folds: bool = False):
     p.add_argument("--splits", required=required, help=help)
-    p.add_argument("--fold", type=int, default=0, choices=range(N_FOLDS),
-                   help=f"fold index in 0..{N_FOLDS - 1} (default: 0)")
+    folds = p.add_mutually_exclusive_group()
+    folds.add_argument("--fold", type=int, choices=range(N_FOLDS),
+                       help=f"fold index in 0..{N_FOLDS - 1} (default: 0)")
     if all_folds:
-        p.add_argument("--all-folds", action="store_true", help=f"run folds 0..{N_FOLDS - 1} and average")
+        folds.add_argument("--all-folds", action="store_true", help=f"run folds 0..{N_FOLDS - 1} and average")
 
 
 def _add_window_flags(p: argparse.ArgumentParser):
@@ -116,12 +110,18 @@ def _add_window_flags(p: argparse.ArgumentParser):
 
 
 def _add_flow_flags(p: argparse.ArgumentParser):
-    p.add_argument("--flow-features", help="flow-feature sidecar index CSV")
-    p.add_argument(
-        "--synthetic-flow",
-        action="store_true",
-        help="derive flow features from the windows themselves (desk-scale testing)",
-    )
+    flow = p.add_mutually_exclusive_group()
+    reader = "read by --model encdec, train and cross-eval for the both and of_only variants"
+    flow.add_argument("--flow-features", help=f"flow-feature sidecar index CSV ({reader})")
+    flow.add_argument("--synthetic-flow", action="store_true",
+                      help=f"derive flow features from the windows themselves, for desk-scale testing ({reader})")
+
+
+def _add_model_flags(p: argparse.ArgumentParser):
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
+    p.add_argument("--checkpoint", help="checkpoint file (read by --model encdec)")
+    p.add_argument("--params", help="tuned KalmanParams JSON, written by tune-lkf (read by --model lkf)")
+    _add_flow_flags(p)
 
 
 # The train subcommand's flags: (flag, the TrainConfig field it sets, its
@@ -184,18 +184,15 @@ def build_parser() -> _Parser:
     _add_io_flags(p)
     _add_split_flags(p, "split config JSON file", required=True, all_folds=True)
     _add_window_flags(p)
-    p.add_argument("--grid", help="JSON grid of KalmanParams (default: stock 27-point grid)")
+    p.add_argument("--grid", dest="lkf_grid", help="JSON grid of KalmanParams (default: stock 27-point grid)")
 
     p = sub.add_parser("eval", help="evaluate a model on a track file or fold test split",
                        description="Evaluate a model on a track file or fold test split. Writes summary.csv, "
                        "curves.csv and one breakdown_<field>.csv per metadata field every window carries.")
     _add_io_flags(p)
-    p.add_argument("--model", required=True, choices=MODEL_KINDS)
-    p.add_argument("--checkpoint", help="encdec checkpoint file")
-    p.add_argument("--params", help="tuned KalmanParams JSON (for --model lkf)")
+    _add_model_flags(p)
     _add_split_flags(p, "optional: restrict to the fold's test split")
     _add_window_flags(p)
-    _add_flow_flags(p)
 
     p = sub.add_parser("cross-eval", help="evaluate a frozen checkpoint on an external track file")
     _add_io_flags(p)
@@ -205,11 +202,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("forecast", help="emit per-window predictions as a track-format file")
     _add_io_flags(p)
-    p.add_argument("--model", required=True, choices=MODEL_KINDS)
-    p.add_argument("--checkpoint")
-    p.add_argument("--params")
+    _add_model_flags(p)
     _add_window_flags(p)
-    _add_flow_flags(p)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
     p.add_argument("--hidden", type=_positive_int, default=64)
@@ -232,29 +226,39 @@ def _print_report(report: MetricReport, label: str) -> None:
     )
 
 
-def _eval_tracks(args) -> list[Track]:
-    """The tracks to evaluate: long enough, and only the fold's test split when --splits is given."""
-    tracks = filter_short_tracks(load_tracks(args.tracks))
-    if getattr(args, "splits", None):
-        config = SplitConfig.from_file(args.splits)
-        tracks = list(make_splits(tracks, config, args.fold).test)
-    return tracks
+def _check_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse, as a usage error before any file is read, a flag that would be ignored: one --model does not
+    read (harness.MODEL_INPUTS), or --fold without --splits. An absent --fold (None) means fold 0."""
+    def refuse(problem: str):
+        parser.exit(1, f"{parser.prog} {args.command}: error: {problem}\n")
+
+    model = getattr(args, "model", None)
+    for name in (n for names in MODEL_INPUTS.values() for n in names):
+        if model and getattr(args, name, None) and name not in MODEL_INPUTS[model]:
+            refuse(f"argument --{name.replace('_', '-')}: not read by --model {model}")
+    if getattr(args, "fold", None) is not None and not args.splits:
+        refuse("argument --fold: not allowed without argument --splits")
 
 
-def _model_predictions(args, tracks: list[Track]) -> tuple[WindowBatch, np.ndarray]:
-    """The tracks' windows and the requested model's (N, q, 4) forecasts of them."""
-    batch = cut_windows(tracks, stride=args.stride)
-    if not len(batch):
-        raise MofcastError(f"{args.tracks}: no windows after filtering")
+def _model_predictions(args) -> tuple[WindowBatch, np.ndarray]:
+    """The windows of --tracks (of the fold's test split, given --splits) and --model's (N, q, 4) forecasts of
+    them. A saved model is read before the tracks."""
+    windows = partial(load_windows, args.tracks, args.stride, getattr(args, "splits", None),
+                      getattr(args, "fold", None) or 0)
     if args.model == "cv_cs":
+        batch = windows()
         return batch, cv_cs_batch(batch.observed)
     if args.model == "lkf":
         if not args.params:
             raise MofcastError("--model lkf needs --params (run tune-lkf first)")
-        return batch, lkf_batch(batch.observed, KalmanParams.from_file(args.params))
+        params = KalmanParams.from_file(args.params)
+        batch = windows()
+        return batch, lkf_batch(batch.observed, params)
     if not args.checkpoint:
         raise MofcastError("--model encdec needs --checkpoint")
-    return batch, forecast_saved_model(load_checkpoint(args.checkpoint), batch, args.flow_features, args.synthetic_flow)
+    model = load_checkpoint(args.checkpoint)
+    batch = windows()
+    return batch, forecast_saved_model(model, batch, args.flow_features, args.synthetic_flow)
 
 
 def _cmd_synth(args) -> int:
@@ -283,7 +287,7 @@ def _cmd_prepare(args) -> int:
     }
     if args.splits:
         config = SplitConfig.from_file(args.splits)
-        split = make_splits(kept, config, args.fold)
+        split = make_splits(kept, config, args.fold or 0)
         for side, tracks in (("train", split.train), ("val", split.val), ("test", split.test)):
             stats[f"windows_{side}"] = _count_windows(tracks, args.stride)
     out = Path(args.out)
@@ -321,12 +325,12 @@ def _spec_from_args(args, model: str) -> ExperimentSpec:
     return ExperimentSpec(
         tracks=args.tracks,
         splits=args.splits,
-        fold=args.fold,
+        fold=args.fold or 0,
         model=model,
         out_dir=args.out,
         flow_features=getattr(args, "flow_features", None),
         synthetic_flow=getattr(args, "synthetic_flow", False),
-        lkf_grid=getattr(args, "grid", None),
+        lkf_grid=getattr(args, "lkf_grid", None),
         stride=args.stride,
         train=train_config,
     )
@@ -351,7 +355,7 @@ def _run_spec(args, model: str) -> int:
 
 
 def _cmd_eval(args) -> int:
-    batch, pred = _model_predictions(args, _eval_tracks(args))
+    batch, pred = _model_predictions(args)
     report, _ = score_forecasts(pred, batch, args.model, args.out)
     _print_report(report, args.model)
     return 0
@@ -371,7 +375,7 @@ def _cmd_cross_eval(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    batch, pred = _model_predictions(args, _eval_tracks(args))
+    batch, pred = _model_predictions(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "forecasts.csv"
@@ -381,21 +385,10 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .data import synth_generate_mixed
-    from .encdec import FeatureStats, compute_feature_stats
-
     config = TrainConfig(hidden=args.hidden, variant=args.variant, seed=args.seed).model_config()
     worst = 0.0
     for i in range(args.samples):
-        batch = cut_windows(synth_generate_mixed(("turning", "accelerating"), 2, 1.0, args.seed + i, n_frames=91))
-        flow = synthetic_flow_batch(batch.observed, config.flow_dim) if config.uses_flow else None
-        arrays = assemble_arrays(dataclasses.replace(batch, flow=flow), config)
-        stats = (
-            compute_feature_stats(arrays.features) if config.uses_boxes else FeatureStats.identity()
-        )
-        # Random output layer: the training default (zeros) blocks gradient
-        # flow upstream and would make the check vacuous.
-        params = init_params(config, args.seed + i, zero_output=False)
+        params, stats, arrays = grad_check_sample(config, args.seed + i)
         detailed = grad_check_detailed(
             params, stats, arrays, epsilon=args.epsilon, coords_per_group=args.coords, seed=args.seed + i
         )
@@ -416,6 +409,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(

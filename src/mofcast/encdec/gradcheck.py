@@ -16,16 +16,30 @@ while oracle noise on near-zero coordinates stays below the resolution.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .features import FeatureStats
+from ..data import cut_windows, synth_generate_mixed
+from .features import FeatureStats, compute_feature_stats, synthetic_flow_batch
 from .loss import smooth_l1
-from .model import ModelParams, forward_batch, loss_and_gradients
-from .training import WindowArrays
+from .model import ModelConfig, ModelParams, forward_batch, init_params, loss_and_gradients
+from .training import WindowArrays, assemble_arrays
 
 RESOLUTION = 1e-4
 EPSILON = 1e-5  # finite-difference step
 COORDS_PER_GROUP = 50  # coordinates sampled per parameter tensor
+
+
+def grad_check_sample(config: ModelConfig, seed: int) -> tuple[ModelParams, FeatureStats, WindowArrays]:
+    """A seeded sample to check gradients on: the windows of two turning and two accelerating tracks
+    (with synthetic flow when ``config`` reads flow), and parameters with a random output layer. The
+    training default (zeros) would block gradient flow upstream and make the check vacuous."""
+    batch = cut_windows(synth_generate_mixed(("turning", "accelerating"), 2, 1.0, seed, n_frames=91))
+    flow = synthetic_flow_batch(batch.observed, config.flow_dim) if config.uses_flow else None
+    arrays = assemble_arrays(dataclasses.replace(batch, flow=flow), config)
+    stats = compute_feature_stats(arrays.features) if config.uses_boxes else FeatureStats.identity()
+    return init_params(config, seed, zero_output=False), stats, arrays
 
 
 def grad_check_detailed(

@@ -292,7 +292,9 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
     Forward passes run ``batch_size`` windows at a time and forward-only:
     no backward follows, so no per-step gate cache is kept. Flow-reading
     variants take their flow from ``batch.flow``, upcast one chunk at a time.
-    A ``batch_size`` below 1 is a ``ValueError``.
+    A ``batch_size`` below 1 is a ``ValueError``. The forecasts' last bits
+    depend on ``batch_size``, because OpenBLAS picks its kernel by shape: a
+    byte-identity check must fix it.
     """
     if batch_size < 1:
         raise ValueError(f"forecast batch_size must be >= 1, got {batch_size}")

@@ -77,11 +77,25 @@ from .metrics import evaluate_window  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-MODEL_KINDS = ("cv_cs", "lkf", "encdec")
+# The optional inputs each model kind reads, by parameter name; any other given with it is refused.
+MODEL_INPUTS = {"cv_cs": (), "lkf": ("lkf_grid", "params"), "encdec": ("checkpoint", "flow_features", "synthetic_flow")}
+MODEL_KINDS = tuple(MODEL_INPUTS)
+
+
+def _check_inputs(model: str, **inputs) -> None:
+    """Refuse with ``ValueError``, naming it, a given input that ``model`` does not read, or two flow sources."""
+    for name, value in inputs.items():
+        if value and name not in MODEL_INPUTS[model]:
+            raise ValueError(f"model {model!r} does not read {name}, got {value!r}")
+    if inputs.get("flow_features") and inputs.get("synthetic_flow"):
+        raise ValueError("give one flow source: flow_features or synthetic_flow, not both")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One fold's experiment; inputs ``model`` does not read (:data:`MODEL_INPUTS`) are refused here. ``train``
+    is accepted for every model kind: the benchmark's cv_cs and lkf folds pass a seeded one for the manifest."""
+
     tracks: str
     splits: str
     fold: int
@@ -100,6 +114,8 @@ class ExperimentSpec:
             raise ValueError(f"fold must be in 0..{N_FOLDS - 1}, got {self.fold}")
         if self.stride < 1:
             raise ValueError(f"ExperimentSpec.stride must be >= 1, got {self.stride}")
+        _check_inputs(self.model, flow_features=self.flow_features, synthetic_flow=self.synthetic_flow,
+                      lkf_grid=self.lkf_grid)
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
@@ -163,19 +179,19 @@ def attach_flow_features(
 ) -> WindowBatch:
     """``batch`` with the flow features ``config``'s variant reads.
 
-    They come from ``store`` when one is given, else from the windows
-    themselves when ``synthetic`` is set. A variant that reads no flow gets
-    the batch back unchanged; one that does, with neither source, is an error.
+    They come from ``store`` or, when ``synthetic`` is set, from the windows
+    themselves. A variant that reads no flow gets the batch back unchanged;
+    one that does is an error unless exactly one source is given.
     """
     if not config.uses_flow:
         return batch
-    if store is not None:
+    if store is not None and not synthetic:
         flow = np.stack([store.get(source) for source in batch.sources])
-    elif synthetic:
+    elif synthetic and store is None:
         flow = synthetic_flow_batch(batch.observed, config.flow_dim)
     else:
         raise FlowFeatureError(
-            f"variant {config.variant!r} reads flow features: provide --flow-features or "
+            f"variant {config.variant!r} reads flow features: provide one of --flow-features or "
             "--synthetic-flow, or use a bb_only model"
         )
     return dataclasses.replace(batch, flow=flow)
@@ -250,8 +266,16 @@ def _write_lkf_table(path: Path, table: Sequence[tuple[KalmanParams, float]]) ->
                              f"{ade:.6f}"])
 
 
-def _load_spec_tracks(spec: ExperimentSpec) -> list[Track]:
-    return filter_short_tracks(load_tracks(spec.tracks))
+def load_windows(tracks_path: str | Path, stride: int, splits: str | Path | None = None, fold: int = 0) -> WindowBatch:
+    """The windows of a track file's long-enough tracks, only those of the fold's test split when ``splits``
+    names a split config. No window left is a :class:`MofcastError` naming the file."""
+    tracks = filter_short_tracks(load_tracks(tracks_path))
+    if splits:
+        tracks = make_splits(tracks, SplitConfig.from_file(splits), fold).test
+    batch = cut_windows(tracks, stride=stride)
+    if not len(batch):
+        raise MofcastError(f"{tracks_path}: no windows after filtering")
+    return batch
 
 
 def run_fold(spec: ExperimentSpec) -> FoldResult:
@@ -272,7 +296,7 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
 
     try:
         if tracks is None:
-            tracks = _load_spec_tracks(spec)
+            tracks = filter_short_tracks(load_tracks(spec.tracks))
         split_config = SplitConfig.from_file(spec.splits)
         split = make_splits(tracks, split_config, spec.fold)
         _audit_cities(split, spec.fold)
@@ -356,7 +380,7 @@ def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
 def run_all_folds(spec: ExperimentSpec) -> AllFoldsResult:
     """Run folds 0..2 with the same spec on tracks loaded once; any fold
     failure aborts, keeping the completed folds' artifacts on disk."""
-    tracks = _load_spec_tracks(spec)
+    tracks = filter_short_tracks(load_tracks(spec.tracks))
     per_fold = [_run_fold(dataclasses.replace(spec, fold=fold), tracks) for fold in range(N_FOLDS)]
     mean = mean_report([r.report for r in per_fold])
     write_summary_csv(
@@ -380,12 +404,16 @@ def cross_eval(
 
     No parameter update can occur: :func:`load_checkpoint` makes every
     weight and both feature stats read-only, so a write into them raises.
+    A bad ``stride``, ``batch_size`` or pair of flow sources is refused before
+    any file is read. The forecasts' last bits depend on ``batch_size``, as
+    OpenBLAS picks its kernel by shape: a byte-identity check must fix it.
     """
+    for name, value in (("stride", stride), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"cross_eval {name} must be >= 1, got {value}")
+    _check_inputs("encdec", flow_features=flow_features, synthetic_flow=synthetic_flow)
     model = load_checkpoint(checkpoint)
-    tracks = filter_short_tracks(load_tracks(tracks_path))
-    batch = cut_windows(tracks, stride=stride)
-    if not len(batch):
-        raise MofcastError(f"{tracks_path}: no windows after filtering")
+    batch = load_windows(tracks_path, stride)
     pred = forecast_saved_model(model, batch, flow_features, synthetic_flow, batch_size)
     return score_forecasts(pred, batch, "encdec", out_dir)[0]
 

@@ -14,7 +14,8 @@ import pytest
 import mofcast
 from mofcast.cli import _spec_from_args, build_parser, main
 from mofcast.data import default_synth_split_config, load_tracks
-from mofcast.encdec import TrainConfig
+from mofcast.encdec import Model, ModelConfig, TrainConfig, init_params, save_checkpoint
+from mofcast.harness import MODEL_INPUTS, MODEL_KINDS
 
 
 @pytest.fixture
@@ -132,6 +133,72 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{config}: " in err
         assert re.search(problem, err), err
+
+
+# The optional flags of eval and forecast, and the --model that reads each.
+READER = {"--checkpoint": "encdec", "--params": "lkf", "--flow-features": "encdec", "--synthetic-flow": "encdec"}
+
+
+class TestNoFlagIsIgnored:
+    def test_the_reader_table_is_the_library_table(self):
+        for model in MODEL_KINDS:
+            read = {flag for flag, reader in READER.items() if reader == model}
+            assert read == {f"--{name.replace('_', '-')}" for name in MODEL_INPUTS[model]} - {"--lkf-grid"}
+
+    @pytest.mark.parametrize("flag", READER)
+    @pytest.mark.parametrize("model", MODEL_KINDS)
+    @pytest.mark.parametrize("command", ("eval", "forecast"))
+    def test_a_model_flag_is_read_or_refused(self, command, model, flag, synth_file, tmp_path, capsys):
+        nope, out = tmp_path / "nope", tmp_path / "out"
+        value = [] if flag == "--synthetic-flow" else [str(nope)]
+        if model != READER[flag]:
+            # refused before anything is read: not one of these paths exists
+            argv = [command, "--model", model, flag, *value, "--tracks", str(nope / "t.csv"), "--out", str(out)]
+            assert main(argv) == 1
+            assert f"argument {flag}: not read by --model {model}" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        # read: a missing path is reported, and --synthetic-flow feeds a flow-reading checkpoint
+        both = tmp_path / "both.mofc"
+        save_checkpoint(Model(params=init_params(ModelConfig(variant="both", hidden=4, flow_dim=8), 0)), both)
+        required = ["--checkpoint", str(both)] if flag in ("--flow-features", "--synthetic-flow") else []
+        argv = [command, "--model", model, *required, "--tracks", str(synth_file), "--out", str(out)]
+        if flag == "--synthetic-flow":
+            assert main(argv) == 2 and "bb_only" in capsys.readouterr().err
+            assert main([*argv, flag]) == 0
+        else:
+            assert main([*argv, flag, str(nope)]) == 2
+            assert str(nope) in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        (
+            (["prepare", "--fold", "2"], "argument --fold: not allowed without argument --splits"),
+            (["eval", "--model", "cv_cs", "--fold", "2"], "argument --fold: not allowed without argument --splits"),
+            *(([command, "--splits", "s.json", "--fold", "1", "--all-folds"],
+               "argument --all-folds: not allowed with argument --fold") for command in ("train", "tune-lkf")),
+            *(([*command, "--flow-features", "f.csv", "--synthetic-flow"],
+               "argument --synthetic-flow: not allowed with argument --flow-features")
+              for command in (["train", "--splits", "s.json"], ["eval", "--model", "encdec"],
+                              ["forecast", "--model", "encdec"], ["cross-eval", "--checkpoint", "c.mofc"])),
+        ),
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_a_flag_another_flag_cancels_is_a_usage_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--tracks", str(tmp_path / "nope.csv"), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", (["eval", "--model", "encdec"], ["cross-eval"]), ids=lambda c: c[0])
+    def test_a_saved_model_is_read_before_the_tracks(self, command, tmp_path, capsys):
+        tracks, checkpoint = tmp_path / "bad.csv", tmp_path / "missing.mofc"
+        tracks.write_text("not,a,track,header\n")
+        argv = [*command, "--checkpoint", str(checkpoint), "--tracks", str(tracks), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(checkpoint) in err and str(tracks) not in err
 
 
 class TestSpecFromArgs:

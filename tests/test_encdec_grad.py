@@ -5,14 +5,10 @@ never touches the package's backward pass, so a bug in backpropagation
 cannot hide in both places.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from mofcast.data import cut_windows, synth_generate_mixed
 from mofcast.encdec import (
-    FeatureStats,
     ModelConfig,
     assemble_arrays,
     compute_feature_stats,
@@ -20,8 +16,8 @@ from mofcast.encdec import (
     init_params,
     loss_and_gradients,
     smooth_l1,
-    synthetic_flow_batch,
 )
+from mofcast.encdec.gradcheck import grad_check_sample
 from mofcast.encdec.model import forward_batch
 from mofcast.errors import GradientError
 
@@ -30,16 +26,9 @@ from conftest import batch_of
 EPS = 1e-5
 
 
-def build_sample(variant: str, flow_dim: int, seed: int, n_tracks: int = 2):
+def build_sample(variant: str, flow_dim: int, seed: int):
     config = ModelConfig(variant=variant, hidden=12, flow_dim=flow_dim)
-    tracks = synth_generate_mixed(("turning", "accelerating"), n_tracks, 1.0, seed, n_frames=91)
-    batch = cut_windows(tracks)
-    if config.uses_flow:
-        batch = dataclasses.replace(batch, flow=synthetic_flow_batch(batch.observed, flow_dim))
-    arrays = assemble_arrays(batch, config)
-    stats = compute_feature_stats(arrays.features) if config.uses_boxes else FeatureStats.identity()
-    params = init_params(config, seed, zero_output=False)
-    return config, params, stats, arrays
+    return (config, *grad_check_sample(config, seed))
 
 
 def grad_check(params, stats, sample, **kwargs) -> float:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mofcast.baselines import cv_cs_batch, cv_cs_extrapolate
+from mofcast.baselines import cv_cs_batch, cv_cs_extrapolate, default_param_grid, lkf_batch, lkf_tune
 from mofcast.core import boxes_to_array
 from mofcast.data import (
     KINDS,
@@ -24,6 +24,7 @@ from mofcast.encdec import (
     TrainConfig,
     assemble_arrays,
     box_features,
+    forecast_array,
     forecast_windows,
     init_params,
     load_checkpoint,
@@ -34,7 +35,7 @@ from mofcast.encdec import (
     train,
 )
 from mofcast.errors import CheckpointError, FlowFeatureError
-from mofcast.metrics import aggregate, evaluate_batch
+from mofcast.metrics import aggregate, centroid_ade, evaluate_batch
 
 
 def cv_windows(n_tracks=6, noise=0.0, seed=21, stride=10):
@@ -111,6 +112,22 @@ class TestValidationScoresLikeTest:
         cv_cs = aggregate(evaluate_batch(cv_cs_batch(val_w.observed), val_w))
         assert cv_cs.ade > 1.0
         assert result.log.initial_val_ade == cv_cs.ade
+
+
+class TestLearning:
+    def test_a_trained_model_beats_cv_cs_and_the_tuned_lkf_on_turning_tracks(self):
+        """The paper's headline claim, at desk scale: on turning tracks, where both baselines are wrong,
+        training and forecasting through the library beat CV-CS by a wide margin and the LKF tuned on val.
+        Measured: 0.644 x CV-CS (28.7 px against 44.7), LKF 42.0, best epoch 10."""
+        train_batch, val, test = (cut_windows(synth_generate("turning", n, 0.0, seed, n_frames=150), stride=7)
+                                  for n, seed in ((96, 1), (8, 2), (8, 3)))
+        config = TrainConfig(variant="bb_only", hidden=32, batch_size=32, learning_rate=3e-3, epochs=10, seed=0)
+        result = train(train_batch, val, config)
+        trained = centroid_ade(forecast_array(result.model, test), test.future)
+        lkf = centroid_ade(lkf_batch(test.observed, lkf_tune(val, default_param_grid()).params), test.future)
+        assert trained <= 0.8 * centroid_ade(cv_cs_batch(test.observed), test.future)
+        assert trained < lkf
+        assert result.log.best_epoch >= 1
 
 
 class TestDeterminism:

@@ -247,6 +247,21 @@ class TestCrossEval:
         monkeypatch.setattr(harness, "weights_checksum", refuse)
         assert cross_eval(ckpt, synth_setup[0], stride=5).n_windows > 0
 
+    @pytest.mark.parametrize(
+        "kwargs,problem",
+        (
+            ({"stride": 0}, "cross_eval stride must be >= 1, got 0"),
+            ({"batch_size": -5}, "cross_eval batch_size must be >= 1, got -5"),
+            ({"flow_features": "f.csv", "synthetic_flow": True}, "give one flow source"),
+        ),
+        ids=("stride", "batch_size", "two-flow-sources"),
+    )
+    def test_a_bad_call_is_refused_before_any_file_is_read(self, tmp_path, kwargs, problem):
+        out = tmp_path / "xeval"
+        with pytest.raises(ValueError, match=problem):
+            cross_eval(tmp_path / "no.mofc", tmp_path / "no.csv", out_dir=out, **kwargs)
+        assert not out.exists()
+
     @pytest.mark.parametrize("batch_size", (0, -5))
     def test_batch_size_below_one_is_refused(self, synth_setup, batch_size):
         ckpt, _ = self.train_checkpoint(synth_setup)
@@ -388,12 +403,37 @@ class TestFlowSidecar:
         assert {"run/checkpoint.mofc", "run/summary.csv", "run/train_log.csv", "xeval/summary.csv"} <= set(as_stored)
         assert upcast_first == as_stored
 
+    def test_a_sidecar_and_synthetic_flow_together_are_refused(self, synth_setup, tmp_path):
+        index = tmp_path / "flow.csv"
+        write_sidecar(synth_setup[0], index)
+        batch = cut_windows(load_tracks(synth_setup[0]), stride=5)
+        config = BOTH.model_config()
+        store = harness.open_flow_store(index, config)
+        assert harness.attach_flow_features(batch, config, store, False).flow is not None
+        with pytest.raises(FlowFeatureError, match="provide one of --flow-features or --synthetic-flow"):
+            harness.attach_flow_features(batch, config, store, True)
+
     def test_bb_only_never_opens_it(self, synth_setup, tmp_path):
         absent = tmp_path / "no_such_sidecar.csv"
         result = run_fold(make_spec(synth_setup, model="encdec", flow_features=str(absent)))
         assert result.report.n_windows > 0
         report = cross_eval(result.checkpoint_path, synth_setup[0], stride=5, flow_features=absent)
         assert report.n_windows > 0
+
+
+class TestLoadWindows:
+    def test_keeps_the_fold_test_split_and_refuses_an_empty_batch(self, synth_setup, tmp_path):
+        tracks_path, splits_path, _ = synth_setup
+        tracks = load_tracks(tracks_path)
+        for fold in range(3):
+            test = make_splits(tracks, SplitConfig.from_file(splits_path), fold).test
+            batch = harness.load_windows(tracks_path, 5, splits_path, fold)
+            assert batch.sources == cut_windows(test, stride=5).sources
+        assert len(harness.load_windows(tracks_path, 5)) == len(cut_windows(tracks, stride=5))
+        short = tmp_path / "short.csv"
+        write_tracks([dataclasses.replace(t, boxes=t.boxes[:89]) for t in tracks], short)
+        with pytest.raises(MofcastError, match=f"{re.escape(str(short))}: no windows after filtering"):
+            harness.load_windows(short, 1)
 
 
 class TestForecastsToTracks:
@@ -435,8 +475,18 @@ def test_manifest_contents(synth_setup):
         (lambda setup: make_spec(setup, min_track_frames=0), TypeError, "unexpected keyword argument 'min_track_frames'"),
         (lambda setup: make_spec(setup, model="encdec", train=TrainConfig(variant="nope")), ValueError,
          "unknown variant 'nope'"),
+        (lambda setup: make_spec(setup, flow_features="f.csv"), ValueError,
+         "model 'cv_cs' does not read flow_features, got 'f.csv'"),
+        (lambda setup: make_spec(setup, model="lkf", synthetic_flow=True), ValueError,
+         "model 'lkf' does not read synthetic_flow, got True"),
+        (lambda setup: make_spec(setup, lkf_grid="g.json"), ValueError, "model 'cv_cs' does not read lkf_grid"),
+        (lambda setup: make_spec(setup, model="encdec", lkf_grid="g.json"), ValueError,
+         "model 'encdec' does not read lkf_grid"),
+        (lambda setup: make_spec(setup, model="encdec", flow_features="f.csv", synthetic_flow=True), ValueError,
+         "give one flow source: flow_features or synthetic_flow, not both"),
     ),
-    ids=("stride", "min_track_frames", "variant"),
+    ids=("stride", "min_track_frames", "variant", "cv_cs-flow", "lkf-synthetic-flow", "cv_cs-grid", "encdec-grid",
+         "two-flow-sources"),
 )
 def test_bad_spec_is_refused_before_a_run_directory_exists(synth_setup, build, error, problem):
     with pytest.raises(error, match=problem):
