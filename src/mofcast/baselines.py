@@ -66,14 +66,9 @@ def cv_cs_batch(observed: np.ndarray) -> np.ndarray:
     return out
 
 
-def cv_cs_extrapolate(window: ObservationWindow) -> np.ndarray:
-    """:func:`cv_cs_batch` of one window, as a (60, 4) array."""
-    return cv_cs_batch(window.observed_array()[None])[0]
-
-
 def cv_cs_forecast(window: ObservationWindow) -> Forecast:
-    """Constant-velocity, constant-scale forecast of one window."""
-    boxes = array_to_boxes(cv_cs_extrapolate(window))
+    """:func:`cv_cs_batch` of one window."""
+    boxes = array_to_boxes(cv_cs_batch(window.observed_array()[None])[0])
     return Forecast(source=window.source, boxes=boxes, model_id=CV_CS_MODEL_ID)
 
 

@@ -41,7 +41,7 @@ from .data import (
     synth_generate,
     write_tracks,
 )
-from .encdec import VARIANTS, TrainConfig, grad_check_detailed, load_checkpoint
+from .encdec import VARIANTS, ModelConfig, TrainConfig, grad_check_detailed, load_checkpoint
 from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON, grad_check_sample
 from .errors import MofcastError
 from .harness import (
@@ -227,8 +227,8 @@ def _print_report(report: MetricReport, label: str) -> None:
 
 
 def _check_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Refuse, as a usage error before any file is read, a flag that would be ignored: one --model does not
-    read (harness.MODEL_INPUTS), or --fold without --splits. An absent --fold (None) means fold 0."""
+    """Refuse, as a usage error before any file is read, a flag that would be ignored (one --model or train's
+    --variant does not read, --fold without --splits) or is missing. An absent --fold (None) means fold 0."""
     def refuse(problem: str):
         parser.exit(1, f"{parser.prog} {args.command}: error: {problem}\n")
 
@@ -238,6 +238,11 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
             refuse(f"argument --{name.replace('_', '-')}: not read by --model {model}")
     if getattr(args, "fold", None) is not None and not args.splits:
         refuse("argument --fold: not allowed without argument --splits")
+    if args.command == "train":
+        flow = "--flow-features" if args.flow_features else "--synthetic-flow" if args.synthetic_flow else None
+        if ModelConfig(variant=args.variant).uses_flow != bool(flow):
+            refuse(f"argument {flow}: not read by --variant {args.variant}" if flow else
+                   f"argument --variant: {args.variant} reads flow: give --flow-features or --synthetic-flow")
 
 
 def _model_predictions(args) -> tuple[WindowBatch, np.ndarray]:
@@ -379,7 +384,7 @@ def _cmd_forecast(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "forecasts.csv"
-    write_tracks(forecasts_to_tracks(batch.sources, pred), path)
+    write_tracks(forecasts_to_tracks(batch, pred), path)
     print(f"wrote {len(batch)} forecast tracks to {path}")
     return 0
 

@@ -112,7 +112,8 @@ class Track:
 
 @dataclass(frozen=True)
 class WindowSource:
-    """Identifies where a window was cut from: track identity + anchor frame."""
+    """Where a window was cut from: track identity + anchor frame. An edge type: a batch names its windows by
+    integer columns and builds one only for error messages, the per-window API and the sidecar writer."""
 
     video_id: str
     track_id: int
@@ -166,13 +167,7 @@ class Forecast:
 
 def boxes_to_array(boxes: Sequence[BBox]) -> np.ndarray:
     """Stack boxes into an (N, 4) float64 array of [cx, cy, w, h] rows."""
-    out = np.empty((len(boxes), 4), dtype=np.float64)
-    for i, b in enumerate(boxes):
-        out[i, 0] = b.cx
-        out[i, 1] = b.cy
-        out[i, 2] = b.w
-        out[i, 3] = b.h
-    return out
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(len(boxes), 4)
 
 
 def array_to_boxes(arr: np.ndarray) -> tuple[BBox, ...]:

@@ -317,8 +317,8 @@ class FlowFeatureStore:
     """Random access to precomputed per-window flow features.
 
     Backed by the sidecar format: the index CSV plus its ``.bin`` blob of raw
-    little-endian float32, read whole and kept read-only. A window's feature
-    is returned as stored: a read-only float32 view of its ``dim`` values.
+    little-endian float32, read whole and kept read-only. :meth:`rows`
+    gathers the features of many windows, as stored, into one float32 array.
     """
 
     def __init__(self, index: Mapping[tuple[str, int, int], int], blob: np.ndarray, dim: int):
@@ -329,15 +329,15 @@ class FlowFeatureStore:
     @classmethod
     def open(cls, index_path: str | Path) -> "FlowFeatureStore":
         index_path = Path(index_path)
+        rows, body = _read_table(index_path, FLOW_INDEX_HEADER, _FLOW_INDEX_DTYPE, FlowFeatureError)
+        if not rows.size:
+            raise FlowFeatureError(f"{index_path}: no entries")
         blob_path = index_path.with_suffix(".bin")
         size = blob_path.stat().st_size
         if size % 4:
             raise FlowFeatureError(f"{blob_path}: {size} bytes is not a whole number of float32 values")
         blob = np.fromfile(blob_path, dtype="<f4")
         blob.setflags(write=False)
-        rows, body = _read_table(index_path, FLOW_INDEX_HEADER, _FLOW_INDEX_DTYPE, FlowFeatureError)
-        if not rows.size:
-            raise FlowFeatureError(f"{index_path}: no entries")
         key_columns = (rows["video_id"], rows["track_id"], rows["anchor_frame"])
         keys = list(zip(*(c.tolist() for c in key_columns)))
         offset, length = rows["offset"], rows["length"]
@@ -356,13 +356,14 @@ class FlowFeatureStore:
             raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: {problem}")
         return cls(dict(zip(keys, offset.tolist())), blob, dim)  # every length is dim
 
-    def get(self, source: WindowSource) -> np.ndarray:
-        key = (source.video_id, source.track_id, source.anchor_frame)
+    def rows(self, keys: Iterable[tuple[str, int, int]]) -> np.ndarray:
+        """The (N, dim) float32 features of the windows ``keys`` names by (video_id, track_id, anchor_frame),
+        in order. The first window without one is a :class:`FlowFeatureError` naming it."""
         try:
-            offset = self._index[key]
-        except KeyError:
-            raise FlowFeatureError(f"no flow feature for window {key}") from None
-        return self._blob[offset : offset + self.dim]
+            offsets = np.array([self._index[key] for key in keys], dtype=np.int64)
+        except KeyError as exc:
+            raise FlowFeatureError(f"no flow feature for window {exc.args[0]}") from None
+        return np.lib.stride_tricks.sliding_window_view(self._blob, self.dim)[offsets]  # no (N, dim) index array
 
     def __len__(self) -> int:
         return len(self._index)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,13 +58,17 @@ def count_windows(length: int, stride: int = 1) -> int:
 
 @dataclass(frozen=True)
 class WindowBatch:
-    """Many windows as arrays: row i of ``observed``/``future`` is window i.
+    """Many windows as arrays: row i of every per-window array is window i.
 
     ``observed`` is exactly (N, 30, 4) and ``future`` exactly (N, 60, 4)
     (``OBSERVED_LEN`` and ``FUTURE_LEN``), both [cx, cy, w, h] float64;
-    any other shape is refused with a ValueError naming it. ``sources`` and
-    ``metadata`` carry each window's identity and track annotations, as
-    :class:`ObservationWindow` does for one window.
+    any other shape is refused with a ValueError naming it. A window is
+    named by two (N,) int64 columns: ``track_index``, its track's row in the
+    track table ``tracks``, and ``anchor_frame``, the frame of its last
+    observed box. Identity and metadata live once per track, and every track
+    of the table has a window. :meth:`keys` names every window, :meth:`groups`
+    groups them by a metadata field, and :meth:`source` builds one window's
+    :class:`WindowSource` for error messages and the per-window API.
     ``flow``, when present, is the (N, F) flow-feature matrix the
     flow-reading model variants consume: row i belongs to window i, every
     entry is finite, and the array is read-only. Its dtype is kept as given
@@ -73,8 +77,9 @@ class WindowBatch:
 
     observed: np.ndarray
     future: np.ndarray
-    sources: tuple[WindowSource, ...]
-    metadata: tuple[Mapping[str, str] | None, ...]
+    tracks: tuple[Track, ...]
+    track_index: np.ndarray
+    anchor_frame: np.ndarray
     flow: np.ndarray | None = None
 
     def __post_init__(self):
@@ -82,20 +87,45 @@ class WindowBatch:
         if self.observed.shape != (n, OBSERVED_LEN, 4) or self.future.shape != (n, FUTURE_LEN, 4):
             raise ValueError(f"expected observed (N, {OBSERVED_LEN}, 4) and future (N, {FUTURE_LEN}, 4), "
                              f"got {self.observed.shape} and {self.future.shape}")
-        if len(self.sources) != n or len(self.metadata) != n:
-            raise ValueError(f"{n} windows but {len(self.sources)} sources and {len(self.metadata)} metadata")
+        for name in ("track_index", "anchor_frame"):
+            column = np.asarray(getattr(self, name), dtype=np.int64)
+            if column.shape != (n,):
+                raise ValueError(f"{name} must be ({n},) for {n} windows, got shape {column.shape}")
+            object.__setattr__(self, name, column)
+        if not np.array_equal(np.unique(self.track_index), np.arange(len(self.tracks))):
+            raise ValueError(f"track_index must name each of the {len(self.tracks)} tracks and no other")
         if self.flow is not None:
             flow = np.asarray(self.flow)
             if flow.ndim != 2 or flow.shape[0] != n:
                 raise ValueError(f"flow must be ({n}, F) for {n} windows, got shape {flow.shape}")
             finite = np.isfinite(flow).all(axis=1)
             if not finite.all():
-                raise ValueError(f"flow feature for {self.sources[int(np.argmin(finite))]} has non-finite entries")
+                raise ValueError(f"flow feature for {self.source(int(np.argmin(finite)))} has non-finite entries")
             flow.setflags(write=False)
             object.__setattr__(self, "flow", flow)
 
     def __len__(self) -> int:
         return self.observed.shape[0]
+
+    def source(self, i: int) -> WindowSource:
+        """Window ``i``'s track identity and anchor frame as one object."""
+        track = self.tracks[self.track_index[i]]
+        return WindowSource(track.video_id, track.track_id, int(self.anchor_frame[i]))
+
+    def keys(self) -> Iterator[tuple[str, int, int]]:
+        """Each window's (video_id, track_id, anchor_frame), in row order: the key of its flow-feature row."""
+        keys = [t.key for t in self.tracks]
+        return ((*keys[k], anchor) for k, anchor in zip(self.track_index.tolist(), self.anchor_frame.tolist()))
+
+    def groups(self, field: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """Each window's group by metadata ``field``: (N,) codes into the sorted distinct values, and those
+        values. None when a track of the table lacks ``field``."""
+        if not all(t.metadata and field in t.metadata for t in self.tracks):
+            return None
+        # An object array keeps each value as given (a unicode array would drop trailing NULs).
+        values = np.array([t.metadata[field] for t in self.tracks], dtype=object)
+        labels, code_of_track = np.unique(values, return_inverse=True)
+        return code_of_track[self.track_index], labels
 
 
 def cut_windows(tracks: Sequence[Track], stride: int = 1) -> WindowBatch:
@@ -104,27 +134,21 @@ def cut_windows(tracks: Sequence[Track], stride: int = 1) -> WindowBatch:
     Each window observes p = 30 frames and forecasts the next q = 60. Tracks
     are taken in key order and anchors ascend within a track. A track's
     windows are strided views of its boxes array, copied into the batch.
+    The track table holds the tracks that yield a window.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     p, q = OBSERVED_LEN, FUTURE_LEN
-    observed, future, sources, metadata = [], [], [], []
-    for track in sorted(tracks, key=lambda t: t.key):
-        n = len(track)
-        if n < p + q:
-            continue
-        # (n-p-q+1, 4, p+q) -> every stride-th start, frames before channels
-        view = sliding_window_view(track.boxes, p + q, axis=0)[::stride].transpose(0, 2, 1)
-        observed.append(view[:, :p])
-        future.append(view[:, p:])
-        sources.extend(WindowSource(track.video_id, track.track_id, track.frame_of(t))
-                       for t in range(p - 1, n - q, stride))
-        metadata.extend([track.metadata] * view.shape[0])
+    kept = [t for t in sorted(tracks, key=lambda t: t.key) if len(t) >= p + q]
+    # (n-p-q+1, 4, p+q) -> every stride-th start, frames before channels
+    views = [sliding_window_view(t.boxes, p + q, axis=0)[::stride].transpose(0, 2, 1) for t in kept]
     return WindowBatch(
-        observed=np.concatenate(observed) if observed else np.empty((0, p, 4)),
-        future=np.concatenate(future) if future else np.empty((0, q, 4)),
-        sources=tuple(sources),
-        metadata=tuple(metadata),
+        observed=np.concatenate([np.empty((0, p, 4))] + [v[:, :p] for v in views]),
+        future=np.concatenate([np.empty((0, q, 4))] + [v[:, p:] for v in views]),
+        tracks=tuple(kept),
+        track_index=np.repeat(np.arange(len(kept)), [len(v) for v in views]),
+        anchor_frame=np.concatenate([np.empty(0, np.int64)]
+                                    + [t.frame_of(np.arange(p - 1, len(t) - q, stride)) for t in kept]),
     )
 
 

@@ -314,6 +314,6 @@ def forecast_windows(model: Model, batch: WindowBatch, batch_size: int = FORECAS
     """:func:`forecast_array` as one :class:`Forecast` per window of the batch."""
     pred = forecast_array(model, batch, batch_size)
     return [
-        Forecast(source=source, boxes=array_to_boxes(rows), model_id=ENCDEC_MODEL_ID)
-        for source, rows in zip(batch.sources, pred)
+        Forecast(source=batch.source(i), boxes=array_to_boxes(rows), model_id=ENCDEC_MODEL_ID)
+        for i, rows in enumerate(pred)
     ]

@@ -13,6 +13,7 @@ training can only be accepted if it beats that.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -81,13 +82,9 @@ class TrainLog:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0  # 0 means the untrained model was never beaten
 
-    def rows(self) -> list[dict]:
-        out = [{"epoch": 0, "learning_rate": 0.0, "train_loss": math.nan, "val_ade": self.initial_val_ade}]
-        out += [
-            {"epoch": r.epoch, "learning_rate": r.learning_rate, "train_loss": r.train_loss, "val_ade": r.val_ade}
-            for r in self.epochs
-        ]
-        return out
+    def rows(self) -> list[tuple]:
+        """(epoch, learning_rate, train_loss, val_ade) per epoch; epoch 0 is the untrained model."""
+        return [(0, 0.0, math.nan, self.initial_val_ade)] + [dataclasses.astuple(r) for r in self.epochs]
 
 
 @dataclass(frozen=True)

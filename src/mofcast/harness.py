@@ -34,7 +34,7 @@ from .baselines import (
     load_param_grid,
     save_param_grid,
 )
-from .core import METADATA_FIELDS, Track, WindowSource
+from .core import METADATA_FIELDS, Track
 from .data import (
     N_FOLDS,
     FlowFeatureStore,
@@ -93,8 +93,9 @@ def _check_inputs(model: str, **inputs) -> None:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One fold's experiment; inputs ``model`` does not read (:data:`MODEL_INPUTS`) are refused here. ``train``
-    is accepted for every model kind: the benchmark's cv_cs and lkf folds pass a seeded one for the manifest."""
+    """One fold's experiment; inputs ``model`` or its variant do not read (:data:`MODEL_INPUTS`) are refused
+    here, as is a flow variant with no flow source. ``train`` is accepted for every model kind: the
+    benchmark's cv_cs and lkf folds pass a seeded one for the manifest."""
 
     tracks: str
     splits: str
@@ -116,6 +117,10 @@ class ExperimentSpec:
             raise ValueError(f"ExperimentSpec.stride must be >= 1, got {self.stride}")
         _check_inputs(self.model, flow_features=self.flow_features, synthetic_flow=self.synthetic_flow,
                       lkf_grid=self.lkf_grid)
+        flow = "flow_features" if self.flow_features else "synthetic_flow" if self.synthetic_flow else None
+        if self.model == "encdec" and self.train.model_config().uses_flow != bool(flow):
+            raise ValueError(f"variant {self.train.variant!r} does not read {flow}" if flow else
+                             f"variant {self.train.variant!r} reads flow: give flow_features or synthetic_flow")
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
@@ -186,7 +191,7 @@ def attach_flow_features(
     if not config.uses_flow:
         return batch
     if store is not None and not synthetic:
-        flow = np.stack([store.get(source) for source in batch.sources])
+        flow = store.rows(batch.keys())
     elif synthetic and store is None:
         flow = synthetic_flow_batch(batch.observed, config.flow_dim)
     else:
@@ -220,7 +225,7 @@ def _audit_cities(split, fold: int) -> None:
 def score_forecasts(pred: np.ndarray, batch: WindowBatch, model_id: str,
                     out_dir: str | Path | None) -> tuple[MetricReport, WindowScores]:
     """Score ``pred``, the (N, q, 4) forecasts of ``batch``. Given an ``out_dir`` (made if missing), write
-    ``summary.csv``, ``curves.csv`` and a ``breakdown_<field>.csv`` per metadata field every window carries."""
+    ``summary.csv``, ``curves.csv`` and a ``breakdown_<field>.csv`` per metadata field every track carries."""
     scores = evaluate_batch(pred, batch)
     report = aggregate(scores)
     if out_dir is not None:
@@ -229,8 +234,8 @@ def score_forecasts(pred: np.ndarray, batch: WindowBatch, model_id: str,
         write_summary_csv([report], out / "summary.csv", model_id=model_id)
         write_curve_csv(report, out / "curves.csv")
         for fld in METADATA_FIELDS:
-            if all(meta and fld in meta for meta in scores.metadata):
-                write_summary_csv(breakdown(scores, fld), out / f"breakdown_{fld}.csv", model_id=model_id)
+            if (groups := batch.groups(fld)) is not None:
+                write_summary_csv(breakdown(scores, *groups), out / f"breakdown_{fld}.csv", model_id=model_id)
     return report, scores
 
 
@@ -238,8 +243,7 @@ def _write_train_log(log: TrainLog, path: Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "learning_rate", "train_loss", "val_ade"])
-        for row in log.rows():
-            writer.writerow([row["epoch"], row["learning_rate"], row["train_loss"], row["val_ade"]])
+        writer.writerows(log.rows())
         writer.writerow(["best_epoch", log.best_epoch, "", ""])
 
 
@@ -258,12 +262,8 @@ def weights_checksum(model: Model) -> str:
 def _write_lkf_table(path: Path, table: Sequence[tuple[KalmanParams, float]]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["process_noise_pos", "process_noise_vel", "observation_noise",
-                         "initial_velocity_variance", "val_ade"])
-        for params, ade in table:
-            writer.writerow([params.process_noise_pos, params.process_noise_vel,
-                             params.observation_noise, params.initial_velocity_variance,
-                             f"{ade:.6f}"])
+        writer.writerow([f.name for f in dataclasses.fields(KalmanParams)] + ["val_ade"])
+        writer.writerows([*dataclasses.astuple(params), f"{ade:.6f}"] for params, ade in table)
 
 
 def load_windows(tracks_path: str | Path, stride: int, splits: str | Path | None = None, fold: int = 0) -> WindowBatch:
@@ -418,21 +418,13 @@ def cross_eval(
     return score_forecasts(pred, batch, "encdec", out_dir)[0]
 
 
-def forecasts_to_tracks(sources: Sequence[WindowSource], pred: np.ndarray) -> list[Track]:
-    """Re-express (N, q, 4) forecasts of the windows ``sources`` in the track file format.
+def forecasts_to_tracks(batch: WindowBatch, pred: np.ndarray) -> list[Track]:
+    """Re-express (N, q, 4) forecasts of ``batch``'s windows in the track file format.
 
-    Row i of ``pred`` becomes one track starting at ``sources[i]``'s
-    anchor_frame + 1, for overlay plotting; track ids are renumbered
+    Row i of ``pred`` becomes one track of window i's video, starting at the
+    frame after its anchor, for overlay plotting; track ids are renumbered
     sequentially so (video_id, track_id) stays unique even when several
-    windows of one source track are forecast.
+    windows of one source track are forecast. ``pred`` must have one row per window.
     """
-    return [
-        Track(
-            video_id=source.video_id,
-            track_id=i,
-            start_frame=source.anchor_frame + 1,
-            boxes=rows,
-            metadata=None,
-        )
-        for i, (source, rows) in enumerate(zip(sources, pred, strict=True))
-    ]
+    return [Track(video_id=video, track_id=i, start_frame=anchor + 1, boxes=rows, metadata=None)
+            for i, ((video, _, anchor), rows) in enumerate(zip(batch.keys(), pred, strict=True))]

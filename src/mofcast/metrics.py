@@ -9,7 +9,10 @@ raw pixels at native resolution; nothing is normalized.
 Scoring works on arrays from end to end: :func:`box_errors` computes both
 per-step errors of a whole (N, q, 4) batch, :func:`evaluate_batch` keeps
 them as one :class:`WindowScores` of (N, q) arrays, and :func:`aggregate`
-and :func:`breakdown` reduce those arrays over their window axis.
+and :func:`breakdown` reduce those arrays over their window axis. Scores
+carry no window identity: row i is window i of the scored batch, and
+:func:`breakdown` groups rows by integer codes, which
+:meth:`~mofcast.data.WindowBatch.groups` derives from the batch's tracks.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import BBox, Forecast, WindowSource, boxes_to_array
+from .core import BBox, Forecast, boxes_to_array
 
 if TYPE_CHECKING:
     from .data.windows import WindowBatch
@@ -29,12 +32,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class WindowScores:
-    """(N, q) per-step errors of N forecasts: row i is window ``sources[i]``, column k frame anchor+k+1."""
+    """(N, q) per-step errors of N forecasts: row i is window i of the scored batch, column k frame anchor+k+1."""
 
     displacements: np.ndarray
     ious: np.ndarray
-    sources: tuple[WindowSource | None, ...]
-    metadata: tuple[Mapping[str, str] | None, ...]
 
     def __len__(self) -> int:
         return len(self.displacements)
@@ -87,19 +88,15 @@ def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def evaluate_batch(pred: np.ndarray, batch: "WindowBatch") -> WindowScores:
     """Score (N, q, 4) predictions against a batch's future boxes."""
     disp, ious = box_errors(np.asarray(pred, dtype=np.float64), batch.future)
-    return WindowScores(displacements=disp, ious=ious, sources=batch.sources, metadata=batch.metadata)
+    return WindowScores(displacements=disp, ious=ious)
 
 
-def evaluate_window(
-    pred: Forecast,
-    gt: Sequence[BBox],
-    metadata: Mapping[str, str] | None = None,
-) -> WindowScores:
+def evaluate_window(pred: Forecast, gt: Sequence[BBox]) -> WindowScores:
     """One forecast scored against its truth, as a one-row :class:`WindowScores`."""
     if len(pred.boxes) != len(gt):
         raise ValueError(f"length mismatch: {len(pred.boxes)} predicted vs {len(gt)} ground-truth boxes")
     disp, ious = box_errors(boxes_to_array(pred.boxes)[None], boxes_to_array(gt)[None])
-    return WindowScores(displacements=disp, ious=ious, sources=(pred.source,), metadata=(metadata,))
+    return WindowScores(displacements=disp, ious=ious)
 
 
 def _report(displacements: np.ndarray, ious: np.ndarray, group_key: str | None) -> MetricReport:
@@ -129,18 +126,12 @@ def aggregate(scores: WindowScores) -> MetricReport:
     return _report(scores.displacements, scores.ious, None)
 
 
-def breakdown(scores: WindowScores, field: str) -> list[MetricReport]:
-    """One report per distinct value of a metadata field, best AIOU first, ties by value."""
-    try:
-        values = [meta[field] for meta in scores.metadata]
-    except (KeyError, TypeError):
-        i = next(i for i, meta in enumerate(scores.metadata) if meta is None or field not in meta)
-        raise ValueError(f"window {scores.sources[i]} has no {field!r} metadata") from None
-    # An object array keeps each value as given (a unicode array would drop trailing NULs).
-    keys, group_of = np.unique(np.array(values, dtype=object), return_inverse=True)
-    masks = group_of == np.arange(len(keys))[:, None]
-    reports = (_report(scores.displacements[m], scores.ious[m], key) for m, key in zip(masks, keys))
-    return sorted(reports, key=lambda r: -r.aiou)  # stable: equal AIOUs keep the value order
+def breakdown(scores: WindowScores, codes: np.ndarray, labels: Sequence[str]) -> list[MetricReport]:
+    """One report per group, best AIOU first, ties in label order: row i is in group ``labels[codes[i]]``, and
+    every label needs a row. :meth:`~mofcast.data.WindowBatch.groups` gives a batch's codes and labels."""
+    masks = codes == np.arange(len(labels))[:, None]
+    reports = (_report(scores.displacements[m], scores.ious[m], key) for m, key in zip(masks, labels))
+    return sorted(reports, key=lambda r: -r.aiou)  # stable: equal AIOUs keep the label order
 
 
 def write_summary_csv(reports: Iterable[MetricReport], path: str | Path, model_id: str = "") -> None:

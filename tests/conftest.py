@@ -39,12 +39,23 @@ def window_of(track: Track, anchor_offset: int = 29, p: int = 30, q: int = 60) -
 
 
 def batch_of(windows) -> WindowBatch:
-    """Stack a non-empty window list into a batch, one window at a time, order preserved."""
+    """Stack a non-empty window list into a batch, one window at a time, order preserved.
+
+    The track table has one track per source track, in order of first
+    appearance, holding its first window's boxes and metadata.
+    """
+    tracks = {}
+    for w in windows:
+        key = (w.source.video_id, w.source.track_id)
+        boxes = np.concatenate([w.observed_array(), w.future_array()])
+        tracks.setdefault(key, Track(*key, w.source.anchor_frame - 29, boxes, w.metadata))
+    keys = list(tracks)
     return WindowBatch(
         observed=np.stack([w.observed_array() for w in windows]),
         future=np.stack([w.future_array() for w in windows]),
-        sources=tuple(w.source for w in windows),
-        metadata=tuple(w.metadata for w in windows),
+        tracks=tuple(tracks.values()),
+        track_index=[keys.index((w.source.video_id, w.source.track_id)) for w in windows],
+        anchor_frame=[w.source.anchor_frame for w in windows],
     )
 
 

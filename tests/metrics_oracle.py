@@ -1,7 +1,7 @@
 """Row-by-row scoring: the oracle ``WindowScores`` reports are checked against.
 
-A :class:`Row` is one window's per-step errors, as the metrics once kept
-them. :func:`aggregate` stacks rows and averages them; :func:`breakdown`
+A :class:`Row` is one window's per-step errors with its source and
+metadata, as the metrics once kept them. :func:`aggregate` stacks rows and averages them; :func:`breakdown`
 groups rows in a dict by one metadata value, aggregates each group in value
 order and then sorts the reports by AIOU, best first (a stable sort, so
 equal AIOUs keep the value order). ``mofcast.metrics`` must give the same
@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from mofcast.core import WindowSource
+from mofcast.core import Track, WindowSource
+from mofcast.data import WindowBatch
 from mofcast.metrics import MetricReport, WindowScores
 
 
@@ -29,23 +30,36 @@ class Row:
     metadata: Mapping[str, str] | None = None
 
 
-def rows_of(*scores: WindowScores) -> list[Row]:
-    """Every row of the given scores, in order."""
-    return [
-        Row(d, i, src, meta)
-        for s in scores
-        for d, i, src, meta in zip(s.displacements, s.ious, s.sources, s.metadata, strict=True)
-    ]
+def rows_of(*scores: WindowScores, batch: WindowBatch | None = None) -> list[Row]:
+    """Every row of the given scores, in order. Given the ``batch`` they score, row k carries the source of
+    window k and its track's metadata."""
+    errors = [(d, i) for s in scores for d, i in zip(s.displacements, s.ious, strict=True)]
+    if batch is None:
+        return [Row(d, i) for d, i in errors]
+    if len(errors) != len(batch):
+        raise ValueError(f"{len(errors)} rows of scores for {len(batch)} windows")
+    return [Row(d, i, batch.source(k), batch.tracks[batch.track_index[k]].metadata)
+            for k, (d, i) in enumerate(errors)]
 
 
-def scores_of(rows: Sequence[Row]) -> WindowScores:
-    """The rows stacked into one :class:`WindowScores`."""
-    return WindowScores(
-        displacements=np.stack([r.displacements for r in rows]),
-        ious=np.stack([r.ious for r in rows]),
-        sources=tuple(r.source for r in rows),
-        metadata=tuple(r.metadata for r in rows),
+def scores_of(rows: Sequence[Row]) -> tuple[WindowScores, WindowBatch]:
+    """The rows stacked into one :class:`WindowScores`, and a batch whose window k is row k.
+
+    The batch has one track per row, named by the row's source (a made-up
+    one when it has none) and carrying its metadata; its boxes are
+    placeholders, since scoring reads no boxes.
+    """
+    sources = [r.source or WindowSource("row", k, 0) for k, r in enumerate(rows)]
+    batch = WindowBatch(
+        observed=np.ones((len(rows), 30, 4)),
+        future=np.ones((len(rows), 60, 4)),
+        tracks=tuple(Track(s.video_id, s.track_id, 0, np.ones((1, 4)), r.metadata) for s, r in zip(sources, rows)),
+        track_index=np.arange(len(rows)),
+        anchor_frame=[s.anchor_frame for s in sources],
     )
+    scores = WindowScores(displacements=np.stack([r.displacements for r in rows]),
+                          ious=np.stack([r.ious for r in rows]))
+    return scores, batch
 
 
 def aggregate(rows: Sequence[Row], group_key: str | None = None) -> MetricReport:

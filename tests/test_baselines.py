@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mofcast.baselines import (
     KalmanParams,
     cv_cs_batch,
-    cv_cs_extrapolate,
     cv_cs_forecast,
     cv_velocity,
     default_param_grid,
@@ -240,7 +239,6 @@ class TestBatchedBaselines:
         windows = [w for t in tracks for w in extract_windows(t, stride=4)]
         pred = cv_cs_batch(batch_of(windows).observed)
         for row, w in zip(pred, windows):
-            assert np.array_equal(row, cv_cs_extrapolate(w))
             assert np.array_equal(row, boxes_to_array(cv_cs_forecast(w).boxes))
 
     @given(seed=st.integers(0, 2**32 - 1))

@@ -191,6 +191,25 @@ class TestNoFlagIsIgnored:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        (
+            (["--synthetic-flow"], "argument --synthetic-flow: not read by --variant bb_only"),
+            (["--variant", "bb_only", "--flow-features", "/nope.csv"],
+             "argument --flow-features: not read by --variant bb_only"),
+            (["--variant", "both"], "argument --variant: both reads flow: give --flow-features or --synthetic-flow"),
+            (["--variant", "of_only"], "argument --variant: of_only reads flow: give --flow-features or"),
+        ),
+        ids=("bb_only-synthetic", "bb_only-sidecar", "both-none", "of_only-none"),
+    )
+    def test_train_flow_flags_must_match_the_variant(self, flags, message, synth_file, splits_file, tmp_path,
+                                                     capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--tracks", str(synth_file), "--splits", str(splits_file), *flags,
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", (["eval", "--model", "encdec"], ["cross-eval"]), ids=lambda c: c[0])
     def test_a_saved_model_is_read_before_the_tracks(self, command, tmp_path, capsys):
         tracks, checkpoint = tmp_path / "bad.csv", tmp_path / "missing.mofc"
@@ -210,7 +229,7 @@ class TestSpecFromArgs:
         args = build_parser().parse_args(
             ["train", "--tracks", "t.csv", "--splits", "s.json", "--variant", "both", "--hidden", "8",
              "--epochs", "3", "--batch", "16", "--lr", "0.01", "--beta", "2.5", "--flow-dim", "32",
-             "--seed", "9"]
+             "--seed", "9", "--synthetic-flow"]
         )
         assert _spec_from_args(args, "encdec").train == TrainConfig(
             variant="both", hidden=8, epochs=3, batch_size=16, learning_rate=0.01, beta=2.5, flow_dim=32, seed=9,

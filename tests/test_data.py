@@ -139,8 +139,8 @@ class TestCutWindows:
         assert len(batch) == len(windows)
         assert batch.observed.shape == (len(windows), 30, 4)
         assert batch.future.shape == (len(windows), 60, 4)
-        assert batch.sources == tuple(w.source for w in windows)
-        assert batch.metadata == tuple(w.metadata for w in windows)
+        assert [batch.source(i) for i in range(len(batch))] == [w.source for w in windows]
+        assert [batch.tracks[k].metadata for k in batch.track_index] == [w.metadata for w in windows]
         if windows:
             expected = batch_of(windows)
             assert batch.observed.tobytes() == expected.observed.tobytes()
@@ -166,8 +166,35 @@ class TestCutWindows:
             cut_windows([linear_track()], stride=0)
 
     def test_mismatched_fields_rejected(self):
-        with pytest.raises(ValueError, match="sources"):
-            WindowBatch(observed=np.zeros((2, 30, 4)), future=np.zeros((2, 60, 4)), sources=(), metadata=())
+        track = linear_track()
+        for column in ("track_index", "anchor_frame"):
+            fields = {"track_index": [0, 0], "anchor_frame": [29, 30], column: [0]}
+            with pytest.raises(ValueError, match=re.escape(f"{column} must be (2,) for 2 windows, got shape (1,)")):
+                WindowBatch(observed=np.zeros((2, 30, 4)), future=np.zeros((2, 60, 4)), tracks=(track,), **fields)
+
+    @pytest.mark.parametrize("track_index", ([0, 2], [0, 0], [-1, 0]), ids=("past-the-table", "unused", "negative"))
+    def test_the_track_index_names_each_track_and_no_other(self, track_index):
+        tracks = (linear_track(track_id=0), linear_track(track_id=1))
+        with pytest.raises(ValueError, match="track_index must name each of the 2 tracks and no other"):
+            WindowBatch(observed=np.zeros((2, 30, 4)), future=np.zeros((2, 60, 4)), tracks=tracks,
+                        track_index=track_index, anchor_frame=[29, 29])
+
+    def test_a_window_is_two_integers_and_a_track_row(self):
+        short, long_, other = linear_track(length=89), linear_track(length=92, track_id=1), linear_track(track_id=2)
+        batch = cut_windows([other, short, long_], stride=2)
+        assert batch.tracks == (long_, other)  # key order; the short track yields no window and is left out
+        assert batch.track_index.dtype == batch.anchor_frame.dtype == np.int64
+        assert batch.track_index.tolist() == [0, 0, 1] and batch.anchor_frame.tolist() == [29, 31, 29]
+        assert batch.source(1) == WindowSource("vid-0", 1, 31)
+
+    def test_groups_come_from_the_tracks(self):
+        tracks = [linear_track(track_id=k, city=city) for k, city in enumerate(("bexley", "arden", "bexley"))]
+        batch = cut_windows(tracks + [linear_track(length=89, track_id=3, city="cardiff")], stride=30)
+        codes, labels = batch.groups("city")
+        assert labels.tolist() == ["arden", "bexley"]  # sorted; cardiff's track yields no window
+        assert codes.tolist() == [1, 0, 1]
+        bare = dataclasses.replace(tracks[0], track_id=9, metadata={"city": "arden"})
+        assert cut_windows(tracks + [bare]).groups("weather") is None
 
 
 class TestWindowBatch:
@@ -180,7 +207,7 @@ class TestWindowBatch:
         flow[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite") as excinfo:
             dataclasses.replace(batch, flow=flow)
-        assert str(batch.sources[1]) in str(excinfo.value)
+        assert str(batch.source(1)) in str(excinfo.value)
 
     @pytest.mark.parametrize("shape", ((2,), (3, 4), (2, 1, 4)))
     def test_flow_needs_one_row_per_window(self, shape):
@@ -195,7 +222,8 @@ class TestWindowBatch:
     )
     def test_window_batch_rejects_off_protocol_shapes(self, observed, future):
         with pytest.raises(ValueError, match=re.escape(f"got {observed} and {future}")):
-            WindowBatch(observed=np.zeros(observed), future=np.zeros(future), sources=(None,) * 2, metadata=(None,) * 2)
+            WindowBatch(observed=np.zeros(observed), future=np.zeros(future), tracks=(), track_index=[0, 0],
+                        anchor_frame=[0, 0])
 
     def test_flow_is_read_only_and_keeps_its_dtype(self):
         assert self.batch().flow is None
@@ -354,12 +382,10 @@ class TestFlowFiles:
         write_flow_features(entries, index)
         store = FlowFeatureStore.open(index)
         assert store.dim == 16 and len(store) == 2
-        for source, vec in entries:
-            got = store.get(source)
-            assert got.dtype == np.float32  # as stored: the model upcasts per forward pass
-            assert np.array_equal(got, vec)
-            with pytest.raises(ValueError, match="read-only"):
-                got[0] = 1.0
+        got = store.rows([("v0", 1, 30), ("v0", 1, 29), ("v0", 1, 30)])
+        assert got.dtype == np.float32  # as stored: the model upcasts per forward pass
+        assert got.tobytes() == np.stack([entries[1][1], entries[0][1], entries[1][1]]).tobytes()
+        assert store.rows([]).shape == (0, 16)
 
     @pytest.mark.parametrize(
         "second, problem",
@@ -391,8 +417,34 @@ class TestFlowFiles:
         index = tmp_path / "flow_features.csv"
         write_flow_features([(WindowSource("v0", 1, 29), rng.normal(size=8).astype(np.float32))], index)
         store = FlowFeatureStore.open(index)
-        with pytest.raises(FlowFeatureError, match="no flow feature"):
-            store.get(WindowSource("v0", 1, 99))
+        with pytest.raises(FlowFeatureError, match=re.escape("no flow feature for window ('v0', 1, 99)")):
+            store.rows([("v0", 1, 29), ("v0", 1, 99)])
+
+    def test_rows_gather_a_batch_by_its_keys(self, tmp_path, rng):
+        tracks = [linear_track(length=95, track_id=k) for k in (2, 1)]
+        batch = cut_windows(tracks, stride=2)
+        vectors = rng.normal(size=(len(batch), 4)).astype(np.float32)
+        order = rng.permutation(len(batch))  # the index need not be in window order
+        index = tmp_path / "flow_features.csv"
+        write_flow_features([(batch.source(int(i)), vectors[i]) for i in order], index)
+        store = FlowFeatureStore.open(index)
+        assert list(batch.keys()) == [(s.video_id, s.track_id, s.anchor_frame) for s in map(batch.source, range(len(batch)))]
+        rows = store.rows(batch.keys())
+        assert rows.dtype == np.float32 and rows.tobytes() == vectors.tobytes()
+        write_flow_features([(batch.source(int(i)), vectors[i]) for i in order if i not in (1, 4)], index)
+        with pytest.raises(FlowFeatureError, match=re.escape("no flow feature for window ('vid-0', 1, 31)")):  # window 1
+            FlowFeatureStore.open(index).rows(batch.keys())
+
+    @pytest.mark.parametrize("missing,named", ((("csv", "bin"), "csv"), (("bin",), "bin")), ids=("index", "blob"))
+    def test_a_missing_file_is_named_by_its_own_path(self, tmp_path, rng, missing, named):
+        # the index is read first: a missing index is named even when its blob is missing too
+        index = tmp_path / "flow_features.csv"
+        write_flow_features([(WindowSource("v0", 1, 29), rng.normal(size=4))], index)
+        for suffix in missing:
+            index.with_suffix(f".{suffix}").unlink()
+        with pytest.raises(FileNotFoundError) as excinfo:
+            FlowFeatureStore.open(index)
+        assert excinfo.value.filename == str(index.with_suffix(f".{named}"))
 
     def test_duplicate_window_rejected_with_line(self, tmp_path):
         index = tmp_path / "flow_features.csv"

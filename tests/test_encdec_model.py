@@ -406,10 +406,10 @@ class TestResidualsToBoxes:
         assert np.max(np.abs(diff)) <= 1e-9
 
     def test_exact_inverse_construction(self, cv_window):
-        from mofcast.baselines import cv_cs_extrapolate
+        from mofcast.baselines import cv_cs_batch
 
         gt = cv_window.future_array()
-        residuals = gt - cv_cs_extrapolate(cv_window)
+        residuals = gt - cv_cs_batch(cv_window.observed_array()[None])[0]
         forecast = residuals_to_boxes(cv_window, residuals)
         assert np.allclose(boxes_to_array(forecast.boxes), gt, atol=1e-12)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mofcast.baselines import cv_cs_batch, cv_cs_extrapolate, default_param_grid, lkf_batch, lkf_tune
+from mofcast.baselines import cv_cs_batch, cv_cs_forecast, default_param_grid, lkf_batch, lkf_tune
 from mofcast.core import boxes_to_array
 from mofcast.data import (
     KINDS,
@@ -57,7 +57,7 @@ class TestAssembleArrays:
         arrays = assemble_arrays(dataclasses.replace(batch, flow=flow), ModelConfig(variant="both", flow_dim=64))
         assert len(arrays) == len(windows)
         assert arrays.features.tobytes() == np.stack([box_features(w) for w in windows]).tobytes()
-        assert arrays.base.tobytes() == np.stack([cv_cs_extrapolate(w) for w in windows]).tobytes()
+        assert arrays.base.tobytes() == np.stack([boxes_to_array(cv_cs_forecast(w).boxes) for w in windows]).tobytes()
         assert arrays.gt.tobytes() == np.stack([w.future_array() for w in windows]).tobytes()
         assert arrays.flow.tobytes() == flow.tobytes()
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -10,10 +11,11 @@ import pytest
 from mofcast import cli, harness
 from mofcast.baselines import cv_cs_batch
 from mofcast.cli import build_parser
-from mofcast.core import FUTURE_LEN, OBSERVED_LEN, BBox
+from mofcast.core import FUTURE_LEN, OBSERVED_LEN, BBox, WindowSource
 from mofcast.data import (
     CLIP_FRAMES,
     FLOW_MAGNITUDE_THRESHOLD,
+    KINDS,
     MIN_TRACK_FRAMES,
     cut_windows,
     default_synth_split_config,
@@ -49,7 +51,7 @@ from mofcast.harness import (
     run_fold,
     weights_checksum,
 )
-from mofcast.metrics import MetricReport, aggregate, write_summary_csv
+from mofcast.metrics import MetricReport, aggregate, breakdown, evaluate_batch, write_summary_csv
 
 
 @pytest.fixture
@@ -125,14 +127,17 @@ class TestRunFold:
             run_fold(spec)
 
     @pytest.mark.parametrize("model", ("cv_cs", "lkf", "encdec"))
-    def test_evaluations_keep_window_source_and_metadata(self, synth_setup, model):
+    def test_evaluations_are_the_test_windows_in_order(self, synth_setup, model):
         tracks_path, splits_path, _ = synth_setup
         result = run_fold(make_spec(synth_setup, model=model))
         split = make_splits(load_tracks(tracks_path), SplitConfig.from_file(splits_path), fold=0)
         windows = [w for t in sorted(split.test, key=lambda t: t.key) for w in extract_windows(t, stride=5)]
-        assert result.evaluations.sources == tuple(w.source for w in windows)
-        assert result.evaluations.metadata == tuple(w.metadata for w in windows)
         assert result.evaluations.displacements.shape == result.evaluations.ious.shape == (len(windows), 60)
+        if model == "cv_cs":
+            test = cut_windows(split.test, stride=5)
+            expected = evaluate_batch(cv_cs_batch(test.observed), test)
+            assert result.evaluations.displacements.tobytes() == expected.displacements.tobytes()
+            assert result.evaluations.ious.tobytes() == expected.ious.tobytes()
 
     @pytest.mark.parametrize("model", ("cv_cs", "lkf", "encdec"))
     def test_evaluations_aggregate_exactly_to_the_report(self, synth_setup, model):
@@ -311,13 +316,11 @@ BOTH = TrainConfig(hidden=8, variant="both", flow_dim=FLOW_DIM, epochs=1, batch_
 
 
 def write_sidecar(tracks_path, index_path, skip: int | None = None, dim: int = FLOW_DIM):
-    """A ``dim``-d sidecar for every stride-5 window of the track file, but window ``skip``; returns its sources."""
+    """A ``dim``-d sidecar for every stride-5 window of the track file, but window ``skip``; returns their batch."""
     batch = cut_windows(load_tracks(tracks_path), stride=5)
     flow = synthetic_flow_batch(batch.observed, dim) + 0.25  # not what --synthetic-flow derives
-    write_flow_features(
-        ((source, row) for i, (source, row) in enumerate(zip(batch.sources, flow)) if i != skip), index_path
-    )
-    return batch.sources
+    write_flow_features(((batch.source(i), row) for i, row in enumerate(flow) if i != skip), index_path)
+    return batch
 
 
 class TestFlowSidecar:
@@ -349,8 +352,8 @@ class TestFlowSidecar:
     def test_a_missing_window_is_named(self, synth_setup, tmp_path):
         tracks_path = synth_setup[0]
         index = tmp_path / "flow.csv"
-        sources = write_sidecar(tracks_path, index, skip=3)
-        missing = re.escape(str((sources[3].video_id, sources[3].track_id, sources[3].anchor_frame)))
+        source = write_sidecar(tracks_path, index, skip=3).source(3)
+        missing = re.escape(f"no flow feature for window {(source.video_id, source.track_id, source.anchor_frame)}")
         spec = make_spec(synth_setup, model="encdec", flow_features=str(index), train=BOTH)
         with pytest.raises(FlowFeatureError, match=missing):
             run_fold(spec)
@@ -414,11 +417,59 @@ class TestFlowSidecar:
             harness.attach_flow_features(batch, config, store, True)
 
     def test_bb_only_never_opens_it(self, synth_setup, tmp_path):
+        # a fold knows its variant up front and refuses the sidecar; a loaded checkpoint's variant is known
+        # only after loading, so cross_eval takes the sidecar and leaves it unopened
         absent = tmp_path / "no_such_sidecar.csv"
-        result = run_fold(make_spec(synth_setup, model="encdec", flow_features=str(absent)))
-        assert result.report.n_windows > 0
+        with pytest.raises(ValueError, match="variant 'bb_only' does not read flow_features"):
+            make_spec(synth_setup, model="encdec", flow_features=str(absent))
+        result = run_fold(make_spec(synth_setup, model="encdec"))
         report = cross_eval(result.checkpoint_path, synth_setup[0], stride=5, flow_features=absent)
         assert report.n_windows > 0
+
+
+class TestWindowIdentity:
+    def test_no_batch_path_builds_a_window_source(self, synth_setup, tmp_path, monkeypatch):
+        """Windows are named by integer columns; a WindowSource is built only at the edges."""
+        tracks_path = synth_setup[0]
+        index = tmp_path / "flow.csv"
+        write_sidecar(tracks_path, index)
+        ckpt = tmp_path / "both.mofc"
+        save_checkpoint(Model(params=init_params(BOTH.model_config(), 7, zero_output=False)), ckpt)
+
+        def refuse(self, *args):
+            raise AssertionError("a WindowSource was built")
+
+        monkeypatch.setattr(WindowSource, "__init__", refuse)
+        batch = cut_windows(load_tracks(tracks_path), stride=5)
+        scores = evaluate_batch(cv_cs_batch(batch.observed), batch)
+        assert len(breakdown(scores, *batch.groups("city"))) > 0
+        harness.score_forecasts(cv_cs_batch(batch.observed), batch, "cv_cs", tmp_path / "scored")
+        store = harness.open_flow_store(index, BOTH.model_config())
+        assert harness.attach_flow_features(batch, BOTH.model_config(), store, False).flow.shape == (len(batch), 16)
+        for model in ("cv_cs", "lkf"):
+            assert run_fold(make_spec(synth_setup, model=model)).report.n_windows > 0
+        assert cross_eval(ckpt, tracks_path, stride=5, flow_features=index).n_windows == len(batch)
+
+    def test_a_track_without_weather_writes_no_weather_breakdown(self, tmp_path):
+        tracks = synth_generate_mixed(("turning", "accelerating"), 3, 1.0, seed=4, n_frames=95)
+        tracks[2] = dataclasses.replace(tracks[2], metadata={"city": "arden", "time_of_day": "day"})
+        batch = cut_windows(tracks, stride=5)
+        harness.score_forecasts(cv_cs_batch(batch.observed), batch, "cv_cs", tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "breakdown_city.csv", "breakdown_time_of_day.csv", "curves.csv", "summary.csv"]
+
+    def test_a_track_too_short_for_a_window_adds_no_group(self, tmp_path):
+        tracks = synth_generate_mixed(("turning", "accelerating"), 3, 1.0, seed=4, n_frames=95)
+        short = dataclasses.replace(tracks[0], track_id=99, boxes=tracks[0].boxes[:MIN_TRACK_FRAMES - 1],
+                                    metadata={"city": "nowhere"})  # no weather either
+        batch = cut_windows(tracks + [short], stride=5)
+        report, _ = harness.score_forecasts(cv_cs_batch(batch.observed), batch, "cv_cs", tmp_path)
+        with (tmp_path / "breakdown_city.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        cities = {t.metadata["city"] for t in tracks}
+        assert sorted(r["group"] for r in rows) == sorted(cities) and "nowhere" not in cities
+        assert sum(int(r["n_windows"]) for r in rows) == report.n_windows
+        assert (tmp_path / "breakdown_weather.csv").exists()
 
 
 class TestLoadWindows:
@@ -428,7 +479,10 @@ class TestLoadWindows:
         for fold in range(3):
             test = make_splits(tracks, SplitConfig.from_file(splits_path), fold).test
             batch = harness.load_windows(tracks_path, 5, splits_path, fold)
-            assert batch.sources == cut_windows(test, stride=5).sources
+            expected = cut_windows(test, stride=5)
+            assert batch.tracks == expected.tracks
+            assert batch.track_index.tolist() == expected.track_index.tolist()
+            assert batch.anchor_frame.tolist() == expected.anchor_frame.tolist()
         assert len(harness.load_windows(tracks_path, 5)) == len(cut_windows(tracks, stride=5))
         short = tmp_path / "short.csv"
         write_tracks([dataclasses.replace(t, boxes=t.boxes[:89]) for t in tracks], short)
@@ -443,13 +497,14 @@ class TestForecastsToTracks:
         tracks = synth_generate("turning", 2, 0.0, seed=5, n_frames=95)
         batch = cut_windows(tracks, stride=3)
         pred = cv_cs_batch(batch.observed)
-        out_tracks = forecasts_to_tracks(batch.sources, pred)
+        out_tracks = forecasts_to_tracks(batch, pred)
         path = tmp_path / "forecasts.csv"
         write_tracks(out_tracks, path)
         parsed = load_tracks(path)
         assert len(parsed) == len(batch)
         by_key = {t.key: t for t in parsed}
-        for i, (source, rows) in enumerate(zip(batch.sources, pred)):
+        for i, rows in enumerate(pred):
+            source = batch.source(i)
             t = by_key[(source.video_id, i)]
             assert t.start_frame == source.anchor_frame + 1
             assert t.boxes.tobytes() == rows.tobytes()
@@ -458,7 +513,7 @@ class TestForecastsToTracks:
         batch = cut_windows(synth_generate("turning", 1, 0.0, seed=5, n_frames=95), stride=3)
         pred = cv_cs_batch(batch.observed)
         with pytest.raises(ValueError, match="shorter"):
-            forecasts_to_tracks(batch.sources, pred[1:])
+            forecasts_to_tracks(batch, pred[1:])
 
 
 def test_manifest_contents(synth_setup):
@@ -484,9 +539,15 @@ def test_manifest_contents(synth_setup):
          "model 'encdec' does not read lkf_grid"),
         (lambda setup: make_spec(setup, model="encdec", flow_features="f.csv", synthetic_flow=True), ValueError,
          "give one flow source: flow_features or synthetic_flow, not both"),
+        (lambda setup: make_spec(setup, model="encdec", synthetic_flow=True), ValueError,
+         "variant 'bb_only' does not read synthetic_flow"),
+        (lambda setup: make_spec(setup, model="encdec", train=BOTH), ValueError,
+         "variant 'both' reads flow: give flow_features or synthetic_flow"),
+        (lambda setup: make_spec(setup, model="encdec", train=dataclasses.replace(BOTH, variant="of_only")),
+         ValueError, "variant 'of_only' reads flow"),
     ),
     ids=("stride", "min_track_frames", "variant", "cv_cs-flow", "lkf-synthetic-flow", "cv_cs-grid", "encdec-grid",
-         "two-flow-sources"),
+         "two-flow-sources", "bb_only-synthetic-flow", "both-no-flow", "of_only-no-flow"),
 )
 def test_bad_spec_is_refused_before_a_run_directory_exists(synth_setup, build, error, problem):
     with pytest.raises(error, match=problem):
@@ -540,3 +601,26 @@ def test_no_fold_cross_eval_or_cli_path_builds_a_bbox(synth_setup, tmp_path, mon
             argv = [command, "--model", model, *flags, "--tracks", str(tracks), "--stride", "5",
                     "--out", str(out / f"{command}_{model}")]
             assert cli.main(argv) == 0
+
+
+# sha256 of the CV-CS outputs on synth_generate_mixed(KINDS, 6, 1.0, seed=11) at stride 7, fold 0. CV-CS is
+# elementwise IEEE arithmetic with no BLAS call, so these bytes do not depend on the host.
+CV_CS_GOLDEN = {
+    "summary.csv": "3c885737fece62bc6dc6ca5542a5288c2757d4596c91bc9a3923fd6f490416f2",
+    "curves.csv": "eaecd1179942c712beffc7714adcaa55d5b48101719ddc0d87b9bd2ffac68052",
+    "breakdown_city.csv": "e73cc3f40a167b1cf274b16a5e4b6ac7fc04b1bced1b2920a7c44e1649ae2fd9",
+    "breakdown_weather.csv": "e995e7e67583b990986d2659b12681439e1c833bacaa4a4f32538bc0b869dce3",
+    "breakdown_time_of_day.csv": "2683f9708e6f07b23933e343f13f9968a0ffe2860e8818132e7e432624382977",
+    "forecasts.csv": "3e442b876d586326ae25971590b58a41419679085c646cc8507087698ba2e0ea",
+}
+
+
+def test_cv_cs_fold_and_forecast_write_their_pinned_bytes(tmp_path):
+    tracks_path, splits_path = tmp_path / "tracks.csv", tmp_path / "splits.json"
+    write_tracks(synth_generate_mixed(KINDS, 6, 1.0, seed=11), tracks_path)
+    default_synth_split_config().to_file(splits_path)
+    run_dir = run_fold(make_spec((tracks_path, splits_path, tmp_path / "runs"), stride=7)).run_dir
+    assert cli.main(["forecast", "--model", "cv_cs", "--tracks", str(tracks_path), "--stride", "7",
+                     "--out", str(tmp_path / "forecast")]) == 0
+    paths = {name: run_dir / name for name in CV_CS_GOLDEN} | {"forecasts.csv": tmp_path / "forecast" / "forecasts.csv"}
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()} == CV_CS_GOLDEN

@@ -1,4 +1,4 @@
-import re
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mofcast.core import BBox, Forecast, WindowSource, boxes_to_array
+from mofcast.core import BBox, Forecast, Track, WindowSource, boxes_to_array
 from mofcast.data import WindowBatch
 from mofcast.metrics import (
     MetricReport,
@@ -110,22 +110,21 @@ class TestBoxErrors:
 
 
 class TestEvaluateBatch:
-    def test_one_evaluation_per_window_with_source_and_metadata(self, rng):
+    def test_one_evaluation_per_window_and_no_window_identity(self, rng):
         gt = boxes_to_array(gt_boxes())
         future = np.stack([gt, gt + [1.0, 0.0, 0.0, 0.0]])
-        sources = (WindowSource("a", 0, 29), WindowSource("b", 3, 40))
-        metadata = ({"city": "arden"}, None)
-        batch = WindowBatch(observed=np.ones((2, 30, 4)), future=future, sources=sources, metadata=metadata)
+        tracks = (Track("a", 0, 0, np.ones((1, 4)), {"city": "arden"}), Track("b", 3, 0, np.ones((1, 4))))
+        batch = WindowBatch(observed=np.ones((2, 30, 4)), future=future, tracks=tracks, track_index=[0, 1],
+                            anchor_frame=[29, 40])
         pred = np.stack([gt, gt])
         scores = evaluate_batch(pred, batch)
         assert len(scores) == 2
         assert scores.displacements.shape == scores.ious.shape == (2, 60)
-        assert scores.sources == sources
-        assert scores.metadata == metadata
+        assert [f.name for f in dataclasses.fields(scores)] == ["displacements", "ious"]
         assert np.all(scores.displacements[0] == 0.0) and np.all(scores.ious[0] == 1.0)
         assert np.allclose(scores.displacements[1], 1.0)
         single = evaluate_window(forecast_of(gt_boxes()), [BBox(*r) for r in future[1]])
-        assert len(single) == 1 and single.sources == (SRC,) and single.metadata == (None,)
+        assert len(single) == 1
         assert np.array_equal(single.displacements, scores.displacements[1:])
         assert np.array_equal(single.ious, scores.ious[1:])
 
@@ -135,7 +134,12 @@ def eval_with(disps, ious, metadata=None) -> Row:
 
 
 def aggregate_rows(rows) -> MetricReport:
-    return aggregate(scores_of(rows))
+    return aggregate(scores_of(rows)[0])
+
+
+def breakdown_rows(rows, field: str) -> list[MetricReport]:
+    scores, batch = scores_of(rows)
+    return breakdown(scores, *batch.groups(field))
 
 
 class TestAggregate:
@@ -159,7 +163,7 @@ class TestAggregate:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            aggregate(WindowScores(np.empty((0, 60)), np.empty((0, 60)), (), ()))
+            aggregate(WindowScores(np.empty((0, 60)), np.empty((0, 60))))
 
     def test_scalars_match_curves_exactly(self, rng):
         evals = [
@@ -204,7 +208,7 @@ class TestAggregate:
 class TestBreakdown:
     def test_single_group_equals_global(self):
         evals = [eval_with([1.0] * 60, [0.5] * 60, {"city": "arden"}) for _ in range(4)]
-        (report,) = breakdown(scores_of(evals), "city")
+        (report,) = breakdown_rows(evals, "city")
         global_report = aggregate_rows(evals)
         assert report.group_key == "arden"
         assert report.ade == global_report.ade
@@ -213,22 +217,26 @@ class TestBreakdown:
     def test_identical_groups_give_identical_reports(self):
         a = eval_with([2.0] * 60, [0.25] * 60, {"city": "a"})
         b = eval_with([2.0] * 60, [0.25] * 60, {"city": "b"})
-        ra, rb = breakdown(scores_of([a, b]), "city")
+        ra, rb = breakdown_rows([a, b], "city")
         assert (ra.ade, ra.aiou) == (rb.ade, rb.aiou)
 
     def test_sorted_by_aiou_descending(self):
         worse = eval_with([9.0] * 60, [0.0] * 60, {"city": "bad"})
         better = eval_with([0.0] * 60, [1.0] * 60, {"city": "good"})
-        reports = breakdown(scores_of([worse, better]), "city")
+        reports = breakdown_rows([worse, better], "city")
         assert [r.group_key for r in reports] == ["good", "bad"]
 
-    def test_missing_metadata_names_window(self):
+    def test_a_field_one_track_lacks_has_no_groups(self):
         ev = eval_with([0.0] * 60, [1.0] * 60, {"city": "a"})
-        with pytest.raises(ValueError, match="weather"):
-            breakdown(scores_of([ev]), "weather")
+        assert scores_of([ev])[1].groups("weather") is None
         bare = Row(ev.displacements, ev.ious, WindowSource("bare", 4, 77), None)
-        with pytest.raises(ValueError, match=re.escape("window WindowSource(video_id='bare', track_id=4")):
-            breakdown(scores_of([ev, bare]), "city")
+        assert scores_of([ev, bare])[1].groups("city") is None
+
+    def test_codes_name_each_row_group(self):
+        scores = WindowScores(np.array([[1.0], [3.0], [5.0]]), np.array([[0.5], [0.5], [1.0]]))
+        best, rest = breakdown(scores, np.array([1, 1, 0]), ["zulu", "alpha"])
+        assert (best.group_key, best.n_windows, best.ade) == ("zulu", 1, 5.0)
+        assert (rest.group_key, rest.n_windows, rest.ade) == ("alpha", 2, 2.0)
 
 
 # First appearance in the order listed here differs from the sorted order.
@@ -264,9 +272,9 @@ class TestAgainstRowOracle:
     @given(rows=scored_windows())
     @settings(max_examples=200, deadline=None)
     def test_reports_equal_the_row_by_row_oracle_bit_for_bit(self, rows):
-        scores = scores_of(rows)
+        scores, batch = scores_of(rows)
         assert_same_report(aggregate(scores), oracle.aggregate(rows))
-        got, want = breakdown(scores, "city"), oracle.breakdown(rows, "city")
+        got, want = breakdown(scores, *batch.groups("city")), oracle.breakdown(rows, "city")
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_same_report(g, w)
@@ -280,7 +288,7 @@ class TestAgainstRowOracle:
             eval_with([7.0] * 4, tied, {"city": "charlie"}),
             eval_with([9.0] * 4, tied, {"city": "alpha"}),
         ]
-        got = breakdown(scores_of(rows), "city")
+        got = breakdown_rows(rows, "city")
         assert [r.group_key for r in got] == ["echo", "alpha", "charlie", "delta"]
         assert [r.n_windows for r in got] == [1, 2, 1, 1]
         for g, w in zip(got, oracle.breakdown(rows, "city"), strict=True):
@@ -289,18 +297,20 @@ class TestAgainstRowOracle:
     def test_evaluate_batch_rows_are_the_per_window_scores(self, rng):
         future = rng.uniform(5.0, 50.0, (5, 60, 4))
         pred = future + rng.normal(0.0, 3.0, future.shape)
-        sources = tuple(WindowSource("v", k, 29) for k in range(5))
-        metadata = tuple({"city": GROUP_VALUES[k % 3]} for k in range(5))
-        batch = WindowBatch(observed=np.ones((5, 30, 4)), future=future, sources=sources, metadata=metadata)
+        # three tracks, two of them with two windows each, not adjacent in the batch
+        tracks = tuple(Track("v", k, 0, np.ones((1, 4)), {"city": GROUP_VALUES[k]}) for k in range(3))
+        batch = WindowBatch(observed=np.ones((5, 30, 4)), future=future, tracks=tracks,
+                            track_index=[k % 3 for k in range(5)], anchor_frame=[29 + k for k in range(5)])
         scores = evaluate_batch(pred, batch)
         singles = [
-            evaluate_window(Forecast(src, tuple(BBox(*r) for r in p)), [BBox(*r) for r in f], meta)
-            for src, p, f, meta in zip(sources, pred, future, metadata)
+            evaluate_window(Forecast(batch.source(k), tuple(BBox(*r) for r in p)), [BBox(*r) for r in f])
+            for k, (p, f) in enumerate(zip(pred, future))
         ]
-        rows = oracle.rows_of(*singles)
-        assert [r.source for r in rows] == list(sources)
+        rows = oracle.rows_of(*singles, batch=batch)
+        assert [r.source for r in rows] == [WindowSource("v", k % 3, 29 + k) for k in range(5)]
+        assert [r.metadata["city"] for r in rows] == [GROUP_VALUES[k % 3] for k in range(5)]
         assert_same_report(aggregate(scores), oracle.aggregate(rows))
-        for g, w in zip(breakdown(scores, "city"), oracle.breakdown(rows, "city"), strict=True):
+        for g, w in zip(breakdown(scores, *batch.groups("city")), oracle.breakdown(rows, "city"), strict=True):
             assert_same_report(g, w)
 
 
