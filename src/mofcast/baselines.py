@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import FUTURE_LEN, MIN_BOX_SIZE, OBSERVED_LEN, VELOCITY_LAG, VELOCITY_SPAN
 from .core import Forecast, ObservationWindow, array_to_boxes
-from .data.io import read_json
+from .data.io import read_json, write_json
 from .data.windows import WindowBatch
 from .metrics import centroid_ade
 # aggregate and evaluate_window stay in this namespace: benchmarks/tracing.py wraps them here
@@ -87,7 +87,7 @@ class KalmanParams:
                 raise ValueError(f"KalmanParams.{name} must be finite and > 0, got {v!r}")
 
     def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "KalmanParams":
@@ -196,8 +196,7 @@ def default_param_grid() -> list[KalmanParams]:
 
 
 def save_param_grid(grid: Sequence[KalmanParams], path: str | Path) -> None:
-    payload = [asdict(p) for p in grid]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, [asdict(p) for p in grid])
 
 
 def load_param_grid(path: str | Path) -> list[KalmanParams]:

@@ -11,8 +11,6 @@ data/validation error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import math
 import sys
@@ -41,8 +39,9 @@ from .data import (
     synth_generate,
     write_tracks,
 )
+from .data.io import write_csv, write_json
 from .encdec import VARIANTS, ModelConfig, TrainConfig, grad_check_detailed, load_checkpoint
-from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON, grad_check_sample
+from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON, RESOLUTION, grad_check_sample
 from .errors import MofcastError
 from .harness import (
     MODEL_INPUTS,
@@ -59,9 +58,6 @@ from .harness import (
 from .metrics import MetricReport
 
 logger = logging.getLogger(__name__)
-
-GRADCHECK_TOLERANCE = 1e-4
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that exits 1 (not 2) on usage errors."""
@@ -188,7 +184,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate a model on a track file or fold test split",
                        description="Evaluate a model on a track file or fold test split. Writes summary.csv, "
-                       "curves.csv and one breakdown_<field>.csv per metadata field every window carries.")
+                       "curves.csv and one breakdown_<field>.csv per metadata field some track carries, in which a "
+                       "track without the field is the group \"\".")
     _add_io_flags(p)
     _add_model_flags(p)
     _add_split_flags(p, "optional: restrict to the fold's test split")
@@ -213,8 +210,8 @@ def build_parser() -> _Parser:
                    help=f"finite-difference step (default: {EPSILON:g})")
     p.add_argument("--coords", type=_positive_int, default=COORDS_PER_GROUP, help="sampled coordinates per group")
     p.add_argument("--samples", type=_positive_int, default=3, help="number of seeded samples")
-    p.add_argument("--tolerance", type=_positive_float, default=GRADCHECK_TOLERANCE,
-                   help=f"largest relative error that passes (default: {GRADCHECK_TOLERANCE:g})")
+    p.add_argument("--tolerance", type=_positive_float, default=RESOLUTION,
+                   help=f"largest relative error that passes (default: {RESOLUTION:g})")
 
     return parser
 
@@ -298,7 +295,7 @@ def _cmd_prepare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_tracks(kept, out / "filtered_tracks.csv")
-    (out / "prepare_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    write_json(out / "prepare_stats.json", stats)
     print(
         f"kept {stats['tracks_kept']}/{stats['tracks_in']} tracks, "
         f"{stats['windows']} windows (stride {args.stride}); stats in {out / 'prepare_stats.json'}"
@@ -310,15 +307,10 @@ def _cmd_clip_filter(args) -> int:
     per_video = load_flow_magnitudes(args.flow_magnitudes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    total = 0
-    with (out / "clips.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "start_frame", "end_frame"])
-        for video_id in sorted(per_video):
-            for clip in motion_filter_clips(per_video[video_id], args.threshold, args.clip_frames):
-                writer.writerow([video_id, clip.start_frame, clip.end_frame])
-                total += 1
-    print(f"selected {total} clips from {len(per_video)} videos -> {out / 'clips.csv'}")
+    rows = [[video_id, clip.start_frame, clip.end_frame] for video_id in sorted(per_video)
+            for clip in motion_filter_clips(per_video[video_id], args.threshold, args.clip_frames)]
+    write_csv(out / "clips.csv", ["video_id", "start_frame", "end_frame"], rows)
+    print(f"selected {len(rows)} clips from {len(per_video)} videos -> {out / 'clips.csv'}")
     return 0
 
 
@@ -361,7 +353,7 @@ def _run_spec(args, model: str) -> int:
 
 def _cmd_eval(args) -> int:
     batch, pred = _model_predictions(args)
-    report, _ = score_forecasts(pred, batch, args.model, args.out)
+    report = score_forecasts(pred, batch, args.model, args.out)
     _print_report(report, args.model)
     return 0
 

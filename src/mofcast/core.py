@@ -146,10 +146,6 @@ class ObservationWindow:
         """(p, 4) float64 array of observed boxes as [cx, cy, w, h] rows."""
         return boxes_to_array(self.observed)
 
-    def future_array(self) -> np.ndarray:
-        """(q, 4) float64 array of ground-truth future boxes."""
-        return boxes_to_array(self.future)
-
 
 @dataclass(frozen=True)
 class Forecast:

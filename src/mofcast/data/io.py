@@ -16,6 +16,16 @@ whole number of float32 values. ``offset`` counts float32 elements from the
 start of the blob; ``length`` is the feature dimension and must be the same
 for every entry.
 
+Written files. Every CSV and JSON file the program writes goes through
+:func:`write_csv` or :func:`write_json`, so all share one dialect: UTF-8; CSV
+in :mod:`csv`'s default dialect (minimal quoting, CRLF after every row);
+JSON indented by 2 spaces with a final newline. CSV: track files
+(``filtered_tracks.csv``, ``forecasts.csv``), the sidecar index,
+``summary.csv``, ``curves.csv``, ``breakdown_<field>.csv``,
+``folds_summary.csv``, ``train_log.csv``, ``lkf_grid_table.csv`` and
+``clips.csv``. JSON: ``spec.json``, ``manifest.json``, ``lkf_params.json``,
+``lkf_grid.json``, split configs and ``prepare_stats.json``.
+
 Reading. Each CSV file's header is read with :mod:`csv`; the rest is parsed
 by one :func:`numpy.loadtxt` call (``,`` between fields, ``"`` around a
 field, ``""`` for a quote inside one, no comment character) and every check
@@ -58,7 +68,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -102,6 +112,19 @@ def _read_table(path: Path, header: list[str], dtype: np.dtype, error: type[Exce
     except ValueError as exc:
         raise error(_malformed_row(path, body, header, dtype) or f"{path}: malformed file: {exc}") from None
     return rows, body
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then ``rows`` to the CSV file ``path`` in the one dialect of every written CSV."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """Write ``payload`` to ``path`` as UTF-8 JSON, indented by 2 spaces, with a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path, error: type[Exception]) -> object:
@@ -253,28 +276,12 @@ def load_tracks(path: str | Path) -> list[Track]:
 
 def write_tracks(tracks: Iterable[Track], path: str | Path) -> None:
     """Emit tracks in the track-file format (round-trips through load_tracks)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACK_HEADER)
-        for t in tracks:
-            md = t.metadata or {}
-            # Python floats: repr of a numpy scalar would read np.float64(...)
-            for offset, (cx, cy, w, h) in enumerate(t.boxes.tolist()):
-                writer.writerow(
-                    [
-                        t.video_id,
-                        md.get("city", ""),
-                        md.get("weather", ""),
-                        md.get("time_of_day", ""),
-                        t.start_frame + offset,
-                        t.track_id,
-                        repr(cx),
-                        repr(cy),
-                        repr(w),
-                        repr(h),
-                    ]
-                )
+    # Python floats: repr of a numpy scalar would read np.float64(...)
+    write_csv(path, TRACK_HEADER, (
+        [t.video_id, *((t.metadata or {}).get(name, "") for name in METADATA_FIELDS), t.start_frame + offset,
+         t.track_id, *map(repr, box)]
+        for t in tracks for offset, box in enumerate(t.boxes.tolist())
+    ))
 
 
 def load_flow_magnitudes(path: str | Path) -> dict[str, np.ndarray]:
@@ -403,10 +410,7 @@ def write_flow_features(entries: Iterable[tuple[WindowSource, np.ndarray]], inde
         raise FlowFeatureError(f"flow feature for {source} {problem}")
     if not rows:
         raise FlowFeatureError(f"{index_path}: no entries to write")
-    with index_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLOW_INDEX_HEADER)
-        writer.writerows(rows)
+    write_csv(index_path, FLOW_INDEX_HEADER, rows)
     with index_path.with_suffix(".bin").open("wb") as fh:
         for chunk in chunks:
             fh.write(chunk.tobytes())

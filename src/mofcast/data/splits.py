@@ -18,7 +18,7 @@ from typing import Sequence
 
 from ..core import Track
 from ..errors import SplitError
-from .io import read_json
+from .io import read_json, write_json
 
 N_FOLDS = 3
 
@@ -68,8 +68,7 @@ class SplitConfig:
         by_fold: dict[str, list[str]] = {str(i): [] for i in range(N_FOLDS)}
         for city in sorted(self.folds):
             by_fold[str(self.folds[city])].append(city)
-        payload = {"folds": by_fold, "val_fraction": self.val_fraction}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(path, {"folds": by_fold, "val_fraction": self.val_fraction})
 
 
 @dataclass(frozen=True)

@@ -119,11 +119,12 @@ class WindowBatch:
 
     def groups(self, field: str) -> tuple[np.ndarray, np.ndarray] | None:
         """Each window's group by metadata ``field``: (N,) codes into the sorted distinct values, and those
-        values. None when a track of the table lacks ``field``."""
-        if not all(t.metadata and field in t.metadata for t in self.tracks):
+        values, ``""`` (as the track file spells a missing value) for a track that lacks ``field``. None unless
+        some track of the table carries ``field``."""
+        if not any(t.metadata and field in t.metadata for t in self.tracks):
             return None
         # An object array keeps each value as given (a unicode array would drop trailing NULs).
-        values = np.array([t.metadata[field] for t in self.tracks], dtype=object)
+        values = np.array([(t.metadata or {}).get(field, "") for t in self.tracks], dtype=object)
         labels, code_of_track = np.unique(values, return_inverse=True)
         return code_of_track[self.track_index], labels
 

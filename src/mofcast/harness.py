@@ -11,7 +11,6 @@ checkpoint's weights are read-only, so a write into them raises.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -45,6 +44,7 @@ from .data import (
     load_tracks,
     make_splits,
 )
+from .data.io import write_csv, write_json
 from .encdec import (
     FORECAST_BATCH_SIZE,
     Model,
@@ -60,7 +60,6 @@ from .encdec import (
 from .errors import FlowFeatureError, MofcastError
 from .metrics import (
     MetricReport,
-    WindowScores,
     aggregate,
     breakdown,
     evaluate_batch,
@@ -123,7 +122,7 @@ class ExperimentSpec:
                              f"variant {self.train.variant!r} reads flow: give flow_features or synthetic_flow")
 
     def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n", encoding="utf-8")
+        write_json(path, dataclasses.asdict(self))
 
     def hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True).encode("utf-8")
@@ -135,7 +134,6 @@ class FoldResult:
     report: MetricReport
     run_dir: Path
     fold: int
-    evaluations: WindowScores  # the test windows' scores, which ``report`` aggregates
     checkpoint_path: Path | None = None
     train_log: TrainLog | None = None
     lkf_params: KalmanParams | None = None
@@ -154,15 +152,14 @@ def _make_run_dir(base: Path, spec_hash: str) -> Path:
 
 
 def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float) -> None:
-    manifest = {
+    write_json(run_dir / "manifest.json", {
         "spec_hash": spec.hash(),
         "seed": spec.train.seed,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "wall_clock_seconds": round(wall_clock, 3),
-    }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def open_flow_store(path: str | Path | None, config: ModelConfig) -> FlowFeatureStore | None:
@@ -222,10 +219,10 @@ def _audit_cities(split, fold: int) -> None:
     )
 
 
-def score_forecasts(pred: np.ndarray, batch: WindowBatch, model_id: str,
-                    out_dir: str | Path | None) -> tuple[MetricReport, WindowScores]:
+def score_forecasts(pred: np.ndarray, batch: WindowBatch, model_id: str, out_dir: str | Path | None) -> MetricReport:
     """Score ``pred``, the (N, q, 4) forecasts of ``batch``. Given an ``out_dir`` (made if missing), write
-    ``summary.csv``, ``curves.csv`` and a ``breakdown_<field>.csv`` per metadata field every track carries."""
+    ``summary.csv``, ``curves.csv`` and a ``breakdown_<field>.csv`` per metadata field some track carries;
+    the windows of a track that lacks the field form the group ``""``."""
     scores = evaluate_batch(pred, batch)
     report = aggregate(scores)
     if out_dir is not None:
@@ -236,15 +233,7 @@ def score_forecasts(pred: np.ndarray, batch: WindowBatch, model_id: str,
         for fld in METADATA_FIELDS:
             if (groups := batch.groups(fld)) is not None:
                 write_summary_csv(breakdown(scores, *groups), out / f"breakdown_{fld}.csv", model_id=model_id)
-    return report, scores
-
-
-def _write_train_log(log: TrainLog, path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "learning_rate", "train_loss", "val_ade"])
-        writer.writerows(log.rows())
-        writer.writerow(["best_epoch", log.best_epoch, "", ""])
+    return report
 
 
 # Not called here: the tests hash weights with it, and benchmarks/tracing.py wraps it by this name.
@@ -257,13 +246,6 @@ def weights_checksum(model: Model) -> str:
         digest.update(name.encode("utf-8"))
         digest.update(np.ascontiguousarray(tensor))
     return digest.hexdigest()
-
-
-def _write_lkf_table(path: Path, table: Sequence[tuple[KalmanParams, float]]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in dataclasses.fields(KalmanParams)] + ["val_ade"])
-        writer.writerows([*dataclasses.astuple(params), f"{ade:.6f}"] for params, ade in table)
 
 
 def load_windows(tracks_path: str | Path, stride: int, splits: str | Path | None = None, fold: int = 0) -> WindowBatch:
@@ -320,7 +302,8 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
                 raise MofcastError(f"fold {spec.fold}: no validation windows to tune the LKF on")
             tuned = lkf_tune(val, grid)
             tuned.params.to_file(run_dir / "lkf_params.json")
-            _write_lkf_table(run_dir / "lkf_grid_table.csv", tuned.table)
+            write_csv(run_dir / "lkf_grid_table.csv", [f.name for f in dataclasses.fields(KalmanParams)] + ["val_ade"],
+                      ([*dataclasses.astuple(params), f"{ade:.6f}"] for params, ade in tuned.table))
             lkf_params = tuned.params
             pred = lkf_batch(test.observed, lkf_params)
         else:  # encdec
@@ -334,17 +317,16 @@ def _run_fold(spec: ExperimentSpec, tracks: Sequence[Track] | None) -> FoldResul
             logger.info("fold %d windows: train=%d val=%d", spec.fold, len(train_batch), len(val_batch))
             trained = train(train_batch, val_batch, spec.train)
             train_log = trained.log
-            _write_train_log(trained.log, run_dir / "train_log.csv")
+            write_csv(run_dir / "train_log.csv", ["epoch", "learning_rate", "train_loss", "val_ade"],
+                      [*train_log.rows(), ["best_epoch", train_log.best_epoch, "", ""]])
             checkpoint_path = run_dir / "checkpoint.mofc"
             save_checkpoint(trained.model, checkpoint_path)
             pred = forecast_array(trained.model, test)
 
-        report, scores = score_forecasts(pred, test, spec.model, run_dir)
         return FoldResult(
-            report=report,
+            report=score_forecasts(pred, test, spec.model, run_dir),
             run_dir=run_dir,
             fold=spec.fold,
-            evaluations=scores,
             checkpoint_path=checkpoint_path,
             train_log=train_log,
             lkf_params=lkf_params,
@@ -415,7 +397,7 @@ def cross_eval(
     model = load_checkpoint(checkpoint)
     batch = load_windows(tracks_path, stride)
     pred = forecast_saved_model(model, batch, flow_features, synthetic_flow, batch_size)
-    return score_forecasts(pred, batch, "encdec", out_dir)[0]
+    return score_forecasts(pred, batch, "encdec", out_dir)
 
 
 def forecasts_to_tracks(batch: WindowBatch, pred: np.ndarray) -> list[Track]:

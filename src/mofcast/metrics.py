@@ -17,7 +17,6 @@ carry no window identity: row i is window i of the scored batch, and
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -25,6 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .core import BBox, Forecast, boxes_to_array
+from .data.io import write_csv
 
 if TYPE_CHECKING:
     from .data.windows import WindowBatch
@@ -136,20 +136,13 @@ def breakdown(scores: WindowScores, codes: np.ndarray, labels: Sequence[str]) ->
 
 def write_summary_csv(reports: Iterable[MetricReport], path: str | Path, model_id: str = "") -> None:
     """One row per report: model, group, window count, and the four metrics."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "group", "n_windows", "ade", "fde", "aiou", "fiou"])
-        for r in reports:
-            writer.writerow(
-                [model_id, r.group_key or "", r.n_windows]
-                + [f"{v:.6f}" for v in (r.ade, r.fde, r.aiou, r.fiou)]
-            )
+    write_csv(path, ["model", "group", "n_windows", "ade", "fde", "aiou", "fiou"],
+              ([model_id, r.group_key or "", r.n_windows] + [f"{v:.6f}" for v in (r.ade, r.fde, r.aiou, r.fiou)]
+               for r in reports))
 
 
 def write_curve_csv(report: MetricReport, path: str | Path) -> None:
     """Per-timestep curve file: (step, mean_displacement, mean_iou), step from 1."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_displacement", "mean_iou"])
-        for k, (d, i) in enumerate(zip(report.displacement_curve, report.iou_curve), start=1):
-            writer.writerow([k, f"{d:.6f}", f"{i:.6f}"])
+    write_csv(path, ["step", "mean_displacement", "mean_iou"],
+              ([k, f"{d:.6f}", f"{i:.6f}"] for k, (d, i) in
+               enumerate(zip(report.displacement_curve, report.iou_curve), start=1)))

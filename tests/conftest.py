@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mofcast.core import ObservationWindow, Track, WindowSource, array_to_boxes
+from mofcast.core import ObservationWindow, Track, WindowSource, array_to_boxes, boxes_to_array
 from mofcast.data import WindowBatch
 
 
@@ -47,12 +47,12 @@ def batch_of(windows) -> WindowBatch:
     tracks = {}
     for w in windows:
         key = (w.source.video_id, w.source.track_id)
-        boxes = np.concatenate([w.observed_array(), w.future_array()])
+        boxes = np.concatenate([w.observed_array(), boxes_to_array(w.future)])
         tracks.setdefault(key, Track(*key, w.source.anchor_frame - 29, boxes, w.metadata))
     keys = list(tracks)
     return WindowBatch(
         observed=np.stack([w.observed_array() for w in windows]),
-        future=np.stack([w.future_array() for w in windows]),
+        future=np.stack([boxes_to_array(w.future) for w in windows]),
         tracks=tuple(tracks.values()),
         track_index=[keys.index((w.source.video_id, w.source.track_id)) for w in windows],
         anchor_frame=[w.source.anchor_frame for w in windows],

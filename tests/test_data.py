@@ -194,7 +194,9 @@ class TestCutWindows:
         assert labels.tolist() == ["arden", "bexley"]  # sorted; cardiff's track yields no window
         assert codes.tolist() == [1, 0, 1]
         bare = dataclasses.replace(tracks[0], track_id=9, metadata={"city": "arden"})
-        assert cut_windows(tracks + [bare]).groups("weather") is None
+        codes, labels = cut_windows(tracks + [bare], stride=30).groups("weather")
+        assert labels.tolist() == ["", tracks[0].metadata["weather"]] and codes.tolist() == [1, 1, 1, 0]
+        assert cut_windows([bare]).groups("weather") is None
 
 
 class TestWindowBatch:

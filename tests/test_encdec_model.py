@@ -408,7 +408,7 @@ class TestResidualsToBoxes:
     def test_exact_inverse_construction(self, cv_window):
         from mofcast.baselines import cv_cs_batch
 
-        gt = cv_window.future_array()
+        gt = boxes_to_array(cv_window.future)
         residuals = gt - cv_cs_batch(cv_window.observed_array()[None])[0]
         forecast = residuals_to_boxes(cv_window, residuals)
         assert np.allclose(boxes_to_array(forecast.boxes), gt, atol=1e-12)

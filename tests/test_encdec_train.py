@@ -58,7 +58,7 @@ class TestAssembleArrays:
         assert len(arrays) == len(windows)
         assert arrays.features.tobytes() == np.stack([box_features(w) for w in windows]).tobytes()
         assert arrays.base.tobytes() == np.stack([boxes_to_array(cv_cs_forecast(w).boxes) for w in windows]).tobytes()
-        assert arrays.gt.tobytes() == np.stack([w.future_array() for w in windows]).tobytes()
+        assert arrays.gt.tobytes() == np.stack([boxes_to_array(w.future) for w in windows]).tobytes()
         assert arrays.flow.tobytes() == flow.tobytes()
 
     def test_flow_variant_needs_batch_flow(self):

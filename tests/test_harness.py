@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mofcast import cli, harness
-from mofcast.baselines import cv_cs_batch
+from mofcast.baselines import cv_cs_batch, lkf_batch
 from mofcast.cli import build_parser
 from mofcast.core import FUTURE_LEN, OBSERVED_LEN, BBox, WindowSource
 from mofcast.data import (
@@ -132,22 +132,33 @@ class TestRunFold:
         result = run_fold(make_spec(synth_setup, model=model))
         split = make_splits(load_tracks(tracks_path), SplitConfig.from_file(splits_path), fold=0)
         windows = [w for t in sorted(split.test, key=lambda t: t.key) for w in extract_windows(t, stride=5)]
-        assert result.evaluations.displacements.shape == result.evaluations.ious.shape == (len(windows), 60)
+        test = cut_windows(split.test, stride=5)
+        assert result.report.n_windows == len(test) == len(windows) > 0
+        assert list(test.keys()) == [(w.source.video_id, w.source.track_id, w.source.anchor_frame) for w in windows]
+        assert result.report.displacement_curve.shape == result.report.iou_curve.shape == (60,)
         if model == "cv_cs":
-            test = cut_windows(split.test, stride=5)
-            expected = evaluate_batch(cv_cs_batch(test.observed), test)
-            assert result.evaluations.displacements.tobytes() == expected.displacements.tobytes()
-            assert result.evaluations.ious.tobytes() == expected.ious.tobytes()
+            expected = aggregate(evaluate_batch(cv_cs_batch(test.observed), test))
+            assert result.report.displacement_curve.tobytes() == expected.displacement_curve.tobytes()
+            assert result.report.iou_curve.tobytes() == expected.iou_curve.tobytes()
 
     @pytest.mark.parametrize("model", ("cv_cs", "lkf", "encdec"))
     def test_evaluations_aggregate_exactly_to_the_report(self, synth_setup, model):
+        """The report is the aggregate of the test windows, in order, scored against the fold's own artifact."""
         spec = make_spec(synth_setup, model=model, train=TrainConfig(hidden=8, epochs=2, batch_size=32, seed=5))
-        tracks_path = synth_setup[0]
+        tracks_path, splits_path, _ = synth_setup
         write_tracks(synth_generate("turning", 12, 2.0, seed=4, n_frames=95), tracks_path)  # non-zero errors
         result = run_fold(spec)
-        again = aggregate(result.evaluations)
+        split = make_splits(load_tracks(tracks_path), SplitConfig.from_file(splits_path), fold=0)
+        test = cut_windows(split.test, stride=5)
+        if model == "cv_cs":
+            pred = cv_cs_batch(test.observed)
+        elif model == "lkf":
+            pred = lkf_batch(test.observed, result.lkf_params)
+        else:
+            pred = forecast_array(load_checkpoint(result.checkpoint_path), test)
+        again = aggregate(evaluate_batch(pred, test))
         assert again.ade > 0.0
-        for name in ("ade", "fde", "aiou", "fiou", "n_windows"):
+        for name in ("ade", "fde", "aiou", "fiou", "n_windows", "group_key"):
             assert getattr(again, name) == getattr(result.report, name), name
         assert again.displacement_curve.tobytes() == result.report.displacement_curve.tobytes()
         assert again.iou_curve.tobytes() == result.report.iou_curve.tobytes()
@@ -450,20 +461,24 @@ class TestWindowIdentity:
             assert run_fold(make_spec(synth_setup, model=model)).report.n_windows > 0
         assert cross_eval(ckpt, tracks_path, stride=5, flow_features=index).n_windows == len(batch)
 
-    def test_a_track_without_weather_writes_no_weather_breakdown(self, tmp_path):
+    def test_a_track_without_weather_is_the_empty_weather_group(self, tmp_path):
         tracks = synth_generate_mixed(("turning", "accelerating"), 3, 1.0, seed=4, n_frames=95)
         tracks[2] = dataclasses.replace(tracks[2], metadata={"city": "arden", "time_of_day": "day"})
         batch = cut_windows(tracks, stride=5)
         harness.score_forecasts(cv_cs_batch(batch.observed), batch, "cv_cs", tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "breakdown_city.csv", "breakdown_time_of_day.csv", "curves.csv", "summary.csv"]
+            "breakdown_city.csv", "breakdown_time_of_day.csv", "breakdown_weather.csv", "curves.csv", "summary.csv"]
+        with (tmp_path / "breakdown_weather.csv").open(newline="") as fh:
+            rows = {r["group"]: int(r["n_windows"]) for r in csv.DictReader(fh)}
+        assert rows[""] == len(extract_windows(tracks[2], stride=5)) > 0
+        assert sum(rows.values()) == len(batch) and len(rows) > 1
 
     def test_a_track_too_short_for_a_window_adds_no_group(self, tmp_path):
         tracks = synth_generate_mixed(("turning", "accelerating"), 3, 1.0, seed=4, n_frames=95)
         short = dataclasses.replace(tracks[0], track_id=99, boxes=tracks[0].boxes[:MIN_TRACK_FRAMES - 1],
                                     metadata={"city": "nowhere"})  # no weather either
         batch = cut_windows(tracks + [short], stride=5)
-        report, _ = harness.score_forecasts(cv_cs_batch(batch.observed), batch, "cv_cs", tmp_path)
+        report = harness.score_forecasts(cv_cs_batch(batch.observed), batch, "cv_cs", tmp_path)
         with (tmp_path / "breakdown_city.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         cities = {t.metadata["city"] for t in tracks}

@@ -226,11 +226,13 @@ class TestBreakdown:
         reports = breakdown_rows([worse, better], "city")
         assert [r.group_key for r in reports] == ["good", "bad"]
 
-    def test_a_field_one_track_lacks_has_no_groups(self):
+    def test_a_field_no_track_carries_has_no_groups(self):
         ev = eval_with([0.0] * 60, [1.0] * 60, {"city": "a"})
         assert scores_of([ev])[1].groups("weather") is None
         bare = Row(ev.displacements, ev.ious, WindowSource("bare", 4, 77), None)
-        assert scores_of([ev, bare])[1].groups("city") is None
+        assert scores_of([bare])[1].groups("city") is None
+        codes, labels = scores_of([ev, bare])[1].groups("city")  # a track that lacks it is the group ""
+        assert codes.tolist() == [1, 0] and labels.tolist() == ["", "a"]
 
     def test_codes_name_each_row_group(self):
         scores = WindowScores(np.array([[1.0], [3.0], [5.0]]), np.array([[0.5], [0.5], [1.0]]))
