@@ -165,13 +165,15 @@ class ForwardCache:
 
     From ``forward_batch(..., for_backward=False)`` the two GRU caches keep
     only their last step's gates: the residuals are the same bits, and
-    :func:`backward_batch` raises on such a cache.
+    :func:`backward_batch` raises on such a cache. A cache serves one
+    :func:`backward_batch`, which overwrites each GRU's gates with their
+    gradients (see :func:`gru_backward`).
     """
 
     enc_cache: GRUCache | None  # enc_cache.x: the standardized features; enc_cache.hs[-1]: the last state
     fc_pre: np.ndarray | None
     code: np.ndarray
-    dec_cache: GRUCache  # dec_cache.hs[1:] are the (60, B, H) decoder states
+    dec_cache: GRUCache  # dec_cache.hs[1:] are the (60, B, H) decoder states; backward_batch uses up its gates
     residuals: np.ndarray
 
 
@@ -217,7 +219,10 @@ def forward_batch(
 
 
 def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of a scalar loss w.r.t. every tensor, given d(loss)/d(residuals)."""
+    """Exact gradients of a scalar loss w.r.t. every tensor, given d(loss)/d(residuals).
+
+    The pass uses up ``cache``: a second call on the same cache raises ``ValueError``.
+    """
     cfg, t = params.config, params.tensors()
     b, horizon, _ = dresiduals.shape
     hd = cfg.hidden

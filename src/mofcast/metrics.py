@@ -7,11 +7,11 @@ the scalar metrics exactly the means of the per-step curves. All values are
 raw pixels at native resolution; nothing is normalized.
 
 Scoring works on arrays from end to end: :func:`box_errors` computes both
-per-step errors of a whole (N, q, 4) batch, :func:`evaluate_batch` keeps
-them as one :class:`WindowScores` of (N, q) arrays, and :func:`aggregate`
-and :func:`breakdown` reduce those arrays over their window axis. Scores
-carry no window identity: row i is window i of the scored batch, and
-:func:`breakdown` groups rows by integer codes, which
+per-step errors of an (N, q, 4) batch, :func:`evaluate_batch` fills one
+:class:`WindowScores` of (N, q) arrays with them a chunk of windows at a
+time, and :func:`aggregate` and :func:`breakdown` reduce those arrays over
+their window axis. Scores carry no window identity: row i is window i of
+the scored batch, and :func:`breakdown` groups rows by integer codes, which
 :meth:`~mofcast.data.WindowBatch.groups` derives from the batch's tracks.
 """
 
@@ -28,6 +28,8 @@ from .data.io import write_csv
 
 if TYPE_CHECKING:
     from .data.windows import WindowBatch
+
+SCORE_CHUNK = 2048  # windows per box_errors call in evaluate_batch
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,11 @@ def centroid_ade(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(centroid_displacements(pred, gt).mean(axis=0).mean())
 
 
+def _check_boxes(pred: np.ndarray, gt: np.ndarray) -> None:
+    if pred.shape != gt.shape or pred.shape[-1] != 4:
+        raise ValueError(f"box arrays disagree: {pred.shape} predicted vs {gt.shape} ground truth")
+
+
 def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centroid distances and IOUs of two equally shaped (..., 4) box arrays.
 
@@ -71,8 +78,7 @@ def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray
     intersection, so identical boxes score exactly 1.0 and no IOU exceeds 1
     under rounding.
     """
-    if pred.shape != gt.shape or pred.shape[-1] != 4:
-        raise ValueError(f"box arrays disagree: {pred.shape} predicted vs {gt.shape} ground truth")
+    _check_boxes(pred, gt)
     pcx, pcy, pw, ph = np.moveaxis(pred, -1, 0)
     gcx, gcy, gw, gh = np.moveaxis(gt, -1, 0)
     px0, px1, py0, py1 = pcx - pw / 2.0, pcx + pw / 2.0, pcy - ph / 2.0, pcy + ph / 2.0
@@ -86,8 +92,18 @@ def box_errors(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def evaluate_batch(pred: np.ndarray, batch: "WindowBatch") -> WindowScores:
-    """Score (N, q, 4) predictions against a batch's future boxes."""
-    disp, ious = box_errors(np.asarray(pred, dtype=np.float64), batch.future)
+    """Score (N, q, 4) predictions against a batch's future boxes.
+
+    :func:`box_errors` runs on ``SCORE_CHUNK`` windows at a time and writes
+    into the two preallocated (N, q) score arrays, so its temporaries stay
+    chunk-sized; it is elementwise, so the scores are the bits of one whole call.
+    """
+    pred, gt = np.asarray(pred, dtype=np.float64), batch.future
+    _check_boxes(pred, gt)
+    disp, ious = np.empty(pred.shape[:-1]), np.empty(pred.shape[:-1])
+    for lo in range(0, len(pred), SCORE_CHUNK):
+        sl = slice(lo, lo + SCORE_CHUNK)
+        disp[sl], ious[sl] = box_errors(pred[sl], gt[sl])
     return WindowScores(displacements=disp, ious=ious)
 
 

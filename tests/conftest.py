@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ def batch_of(windows) -> WindowBatch:
         track_index=[keys.index((w.source.video_id, w.source.track_id)) for w in windows],
         anchor_frame=[w.source.anchor_frame for w in windows],
     )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the call's result and the peak bytes Python allocated during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

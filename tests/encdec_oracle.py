@@ -9,10 +9,12 @@ overflows, independent of the library's ``tanh`` form. ``destandardize``
 inverts ``standardize``.
 
 ``gru_forward_batch_major`` and ``gru_backward_batch_major`` are the fused
-GRU as it ran before its state went time-major: (B, T+1, H) hidden states,
-(B, T, ·) gates, fresh temporaries at every step, and the same tanh-form
-sigmoid and elementwise operation order as the library. The library's
-forward pass must match them bit for bit, and its gradients to rounding.
+GRU as it ran before its state went time-major: (B, T+1, H) hidden states
+and (B, T, ·) gates in a :class:`BatchMajorCache` of its own, a fresh
+(B, T, 3H) gradient array, fresh temporaries at every step, and the same
+tanh-form sigmoid and elementwise operation order as the library. The
+library's forward pass must match them bit for bit, and its gradients to
+rounding.
 ``forward_residuals_batch_major`` is the model's forward pass over them.
 
 Every model tensor is read from ``params.tensors()`` by its checkpoint name
@@ -21,11 +23,12 @@ Every model tensor is read from ``params.tensors()`` by its checkpoint name
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from mofcast.core import FUTURE_LEN, ObservationWindow
 from mofcast.encdec import FeatureStats, GRUParams, Model, ModelParams, box_features, standardize
-from mofcast.encdec.gru import GRUCache
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -100,6 +103,15 @@ def _time_constant(x: np.ndarray) -> bool:
     return x.shape[1] > 1 and x.strides[1] == 0
 
 
+class BatchMajorCache(NamedTuple):
+    """What ``gru_backward_batch_major`` reads of ``gru_forward_batch_major``; it is never written to."""
+
+    x: np.ndarray     # (B, T, I)
+    hs: np.ndarray    # (B, T+1, H), hs[:, 0] the zero state
+    zr: np.ndarray    # (B, T, 2H), the update gate z then the reset gate r
+    htil: np.ndarray  # (B, T, H), the candidate state
+
+
 def gru_forward_batch_major(params: GRUParams, x: np.ndarray):
     """(B, T, H) hidden states from the zero state and a batch-major cache (``hs`` is (B, T+1, H))."""
     b, t, i = x.shape
@@ -121,10 +133,10 @@ def gru_forward_batch_major(params: GRUParams, x: np.ndarray):
         hs[:, k + 1] = (1.0 - z) * htil + z * h
         zr_all[:, k] = zr
         htil_all[:, k] = htil
-    return hs[:, 1:], GRUCache(x=x, hs=hs, zr=zr_all, htil=htil_all)
+    return hs[:, 1:], BatchMajorCache(x=x, hs=hs, zr=zr_all, htil=htil_all)
 
 
-def gru_backward_batch_major(params: GRUParams, cache: GRUCache, dh_out: np.ndarray):
+def gru_backward_batch_major(params: GRUParams, cache: BatchMajorCache, dh_out: np.ndarray):
     """(dx, grads) from a :func:`gru_forward_batch_major` cache."""
     x, hs, zr_all, htil_all = cache
     b, t, i = x.shape

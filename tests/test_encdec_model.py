@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,7 +36,7 @@ from mofcast.encdec.features import box_features_from_array
 from mofcast.encdec.gru import sigmoid
 from mofcast.errors import FlowFeatureError
 
-from conftest import batch_of, linear_track, window_of
+from conftest import batch_of, linear_track, traced_peak, window_of
 from encdec_oracle import (
     decode,
     destandardize,
@@ -239,15 +238,19 @@ class TestTimeMajorGru:
         assert hs.shape == (b, t, hd)
         assert cache.x is x
         assert _bits(hs) == _bits(hs_ref)
-        assert cache.hs.shape == (t + 1, b, hd)
-        for name in ("hs", "zr", "htil"):
-            assert _bits(getattr(cache, name).transpose(1, 0, 2)) == _bits(getattr(cache_ref, name)), name
+        assert cache.hs.shape == (t + 1, b, hd) and cache.gates.shape == (t, b, 3 * hd)
+        # compared before the backward, which overwrites the gates with their gradients; each step's
+        # B*3H values hold z | r as one (B, 2H) block, then h~ as one (B, H) block
+        steps = cache.gates.reshape(t, 3 * b * hd)
+        zr, htil = steps[:, : 2 * b * hd].reshape(t, b, 2 * hd), steps[:, 2 * b * hd :].reshape(t, b, hd)
+        for got, want in ((cache.hs, cache_ref.hs), (zr, cache_ref.zr), (htil, cache_ref.htil)):
+            assert _bits(got.transpose(1, 0, 2)) == _bits(want)
 
         # forward-only: the same states, and one step of gates, the last
         hs_fwd, cache_fwd = gru_forward(params, x, for_backward=False)
         assert _bits(hs_fwd) == _bits(hs) and _bits(cache_fwd.hs) == _bits(cache.hs)
-        assert cache_fwd.zr.shape == (1, b, 2 * hd) and cache_fwd.htil.shape == (1, b, hd)
-        assert _bits(cache_fwd.zr) == _bits(cache.zr[-1:]) and _bits(cache_fwd.htil) == _bits(cache.htil[-1:])
+        assert cache_fwd.gates.shape == (1, b, 3 * hd)
+        assert _bits(cache_fwd.gates) == _bits(cache.gates[-1:])
 
         dx, grads = gru_backward(params, cache, dh_out)
         dx_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
@@ -321,13 +324,46 @@ class TestForwardOnly:
         model = Model(params=init_params(ModelConfig(variant="both", hidden=hd, flow_dim=16), 0, zero_output=False))
         gate_cache = 60 * b * 3 * hd * 8
         forecast_array(model, batch)  # first call outside the trace: lazy imports and BLAS setup
-        tracemalloc.start()
-        try:
-            forecast_array(model, batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(forecast_array, model, batch)
         assert peak < gate_cache, (peak, gate_cache)
+
+
+class TestBackwardUsesUpTheCache:
+    """The backward writes its gate gradients over the forward's gates, so a cache serves one backward."""
+
+    @pytest.mark.parametrize("shared", (False, True), ids=("plain", "stride0"))
+    def test_gru_backward_refuses_a_used_cache(self, rng, shared):
+        params = random_gru(rng, 4, 5)
+        x = np.broadcast_to(rng.normal(size=(3, 1, 4)), (3, 7, 4)) if shared else rng.normal(size=(3, 7, 4))
+        _, cache = gru_forward(params, x)
+        dh_out = rng.normal(size=(3, 7, 5))
+        gru_backward(params, cache, dh_out)
+        assert not cache.gates.flags.writeable
+        with pytest.raises(ValueError, match="cache already holds the gradients of an earlier backward"):
+            gru_backward(params, cache, dh_out)
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_backward_batch_refuses_a_used_cache(self, rng, variant):
+        params = init_params(ModelConfig(variant=variant, hidden=6, flow_dim=5), 1, zero_output=False)
+        cache = forward_batch(params, FeatureStats.identity(), rng.normal(size=(4, 30, 8)), rng.normal(size=(4, 5)))
+        dres = rng.normal(size=(4, 60, 4))
+        backward_batch(params, cache, dres)
+        with pytest.raises(ValueError, match="cache already holds the gradients of an earlier backward"):
+            backward_batch(params, cache, dres)
+
+    def test_decoder_backward_peak_memory_stays_below_one_gate_array(self, rng):
+        # a decoder-like cache: stride-0 input, T=60, B=64, H=64; one (T, B, 3H) float64 array is 5.9 MB,
+        # and the backward holds the (T, B, H) r * h products and (B, ·) step buffers beside its results
+        b, t, i, hd = 64, 60, 256, 64
+        params = random_gru(rng, i, hd)
+        x = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i))
+        dh_out = rng.normal(size=(t, b, hd)).transpose(1, 0, 2)
+        gru_backward(params, gru_forward(params, x)[1], dh_out)  # first call outside the trace: BLAS setup
+        _, cache = gru_forward(params, x)
+        (dx, _), peak = traced_peak(gru_backward, params, cache, dh_out)
+        assert dx.shape == (b, 1, i)
+        gate_array = t * b * 3 * hd * 8
+        assert peak < gate_array, (peak, gate_array)
 
 
 class TestEncodeDecode:

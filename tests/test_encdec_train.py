@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,8 @@ from mofcast.encdec import (
 )
 from mofcast.errors import CheckpointError, FlowFeatureError
 from mofcast.metrics import aggregate, centroid_ade, evaluate_batch
+
+from conftest import traced_peak
 
 
 def cv_windows(n_tracks=6, noise=0.0, seed=21, stride=10):
@@ -322,13 +323,12 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[14:18] = struct.pack("<I", 2**20)  # the hidden dim, after magic, version, two flags and input dim
         path.write_bytes(bytes(data))
-        tracemalloc.start()
-        try:
+
+        def load_refused():
             with pytest.raises(CheckpointError, match="model\\.mofc: truncated file"):
                 load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(load_refused)
         assert peak < 1 << 20, peak
 
     def test_unsupported_version(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from mofcast.core import BBox, Forecast, Track, WindowSource, boxes_to_array
 from mofcast.data import WindowBatch
 from mofcast.metrics import (
+    SCORE_CHUNK,
     MetricReport,
     WindowScores,
     aggregate,
@@ -22,6 +23,7 @@ from mofcast.metrics import (
 
 import metrics_oracle as oracle
 from box_oracle import centroid_distance, iou
+from conftest import traced_peak
 from metrics_oracle import Row, scores_of
 
 SRC = WindowSource("v", 0, 29)
@@ -107,6 +109,11 @@ class TestBoxErrors:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="disagree"):
             box_errors(np.zeros((2, 60, 4)), np.zeros((2, 59, 4)))
+        # evaluate_batch checks the whole arrays, not chunk by chunk: an empty prediction is refused too
+        batch = WindowBatch(observed=np.ones((2, 30, 4)), future=np.ones((2, 60, 4)),
+                            tracks=(Track("a", 0, 0, np.ones((1, 4))),), track_index=[0, 0], anchor_frame=[29, 30])
+        with pytest.raises(ValueError, match="disagree: \\(0, 60, 4\\) predicted vs \\(2, 60, 4\\)"):
+            evaluate_batch(np.ones((0, 60, 4)), batch)
 
 
 class TestEvaluateBatch:
@@ -127,6 +134,18 @@ class TestEvaluateBatch:
         assert len(single) == 1
         assert np.array_equal(single.displacements, scores.displacements[1:])
         assert np.array_equal(single.ious, scores.ious[1:])
+
+    def test_chunked_scores_are_one_whole_call_in_less_memory(self, rng):
+        # two full chunks and a tail: the bytes of one whole box_errors call, without its full-size temporaries
+        n = 2 * SCORE_CHUNK + 7
+        future = np.abs(rng.normal(50.0, 20.0, size=(n, 60, 4))) + 1.0
+        pred = future + rng.normal(0.0, 5.0, size=future.shape)
+        batch = WindowBatch(observed=np.ones((n, 30, 4)), future=future, tracks=(Track("a", 0, 0, np.ones((1, 4))),),
+                            track_index=np.zeros(n, dtype=np.int64), anchor_frame=np.arange(n))
+        (disp, ious), whole_peak = traced_peak(box_errors, pred, future)
+        scores, peak = traced_peak(evaluate_batch, pred, batch)
+        assert scores.displacements.tobytes() == disp.tobytes() and scores.ious.tobytes() == ious.tobytes()
+        assert peak < 0.75 * whole_peak, (peak, whole_peak)
 
 
 def eval_with(disps, ious, metadata=None) -> Row:
