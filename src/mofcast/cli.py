@@ -14,7 +14,6 @@ import argparse
 import logging
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .data import (
     write_tracks,
 )
 from .data.io import write_csv, write_json
-from .encdec import VARIANTS, ModelConfig, TrainConfig, grad_check_detailed, load_checkpoint
+from .encdec import VARIANTS, ModelConfig, TrainConfig, grad_check_detailed
 from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON, RESOLUTION, grad_check_sample
 from .errors import MofcastError
 from .harness import (
@@ -48,7 +47,7 @@ from .harness import (
     MODEL_KINDS,
     ExperimentSpec,
     cross_eval,
-    forecast_saved_model,
+    forecast_checkpoint,
     forecasts_to_tracks,
     load_windows,
     run_all_folds,
@@ -244,23 +243,20 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
 
 def _model_predictions(args) -> tuple[WindowBatch, np.ndarray]:
     """The windows of --tracks (of the fold's test split, given --splits) and --model's (N, q, 4) forecasts of
-    them. A saved model is read before the tracks."""
-    windows = partial(load_windows, args.tracks, args.stride, getattr(args, "splits", None),
-                      getattr(args, "fold", None) or 0)
-    if args.model == "cv_cs":
-        batch = windows()
-        return batch, cv_cs_batch(batch.observed)
-    if args.model == "lkf":
-        if not args.params:
-            raise MofcastError("--model lkf needs --params (run tune-lkf first)")
-        params = KalmanParams.from_file(args.params)
-        batch = windows()
-        return batch, lkf_batch(batch.observed, params)
-    if not args.checkpoint:
-        raise MofcastError("--model encdec needs --checkpoint")
-    model = load_checkpoint(args.checkpoint)
-    batch = windows()
-    return batch, forecast_saved_model(model, batch, args.flow_features, args.synthetic_flow)
+    them. --params and --checkpoint are read before the tracks; a flow flag that the checkpoint's variant does
+    not read, or none when it reads flow, is refused after the checkpoint and before the tracks
+    (:func:`harness.forecast_checkpoint`)."""
+    splits, fold = getattr(args, "splits", None), getattr(args, "fold", None) or 0
+    if args.model == "encdec":
+        if not args.checkpoint:
+            raise MofcastError("--model encdec needs --checkpoint")
+        return forecast_checkpoint(args.checkpoint, args.tracks, args.stride, splits, fold, args.flow_features,
+                                   args.synthetic_flow)
+    if args.model == "lkf" and not args.params:
+        raise MofcastError("--model lkf needs --params (run tune-lkf first)")
+    params = KalmanParams.from_file(args.params) if args.model == "lkf" else None
+    batch = load_windows(args.tracks, args.stride, splits, fold)
+    return batch, cv_cs_batch(batch.observed) if params is None else lkf_batch(batch.observed, params)
 
 
 def _cmd_synth(args) -> int:

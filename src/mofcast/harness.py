@@ -81,20 +81,26 @@ MODEL_INPUTS = {"cv_cs": (), "lkf": ("lkf_grid", "params"), "encdec": ("checkpoi
 MODEL_KINDS = tuple(MODEL_INPUTS)
 
 
-def _check_inputs(model: str, **inputs) -> None:
-    """Refuse with ``ValueError``, naming it, a given input that ``model`` does not read, or two flow sources."""
+def _check_inputs(model: str, config: ModelConfig | None = None, **inputs) -> None:
+    """The one rule for which inputs a model reads. Refuse with ``ValueError``, naming it, a given input that
+    ``model`` does not read, or two flow sources; given the encdec ``config``, also a flow source its variant
+    does not read, or none when it reads flow."""
     for name, value in inputs.items():
         if value and name not in MODEL_INPUTS[model]:
             raise ValueError(f"model {model!r} does not read {name}, got {value!r}")
-    if inputs.get("flow_features") and inputs.get("synthetic_flow"):
+    flow = [name for name in ("flow_features", "synthetic_flow") if inputs.get(name)]
+    if len(flow) > 1:
         raise ValueError("give one flow source: flow_features or synthetic_flow, not both")
+    if config is not None and config.uses_flow != bool(flow):
+        raise ValueError(f"variant {config.variant!r} does not read {flow[0]}" if flow else
+                         f"variant {config.variant!r} reads flow: give flow_features or synthetic_flow")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One fold's experiment; inputs ``model`` or its variant do not read (:data:`MODEL_INPUTS`) are refused
-    here, as is a flow variant with no flow source. ``train`` is accepted for every model kind: the
-    benchmark's cv_cs and lkf folds pass a seeded one for the manifest."""
+    """One fold's experiment. :func:`_check_inputs` refuses here, before any file is read, an input ``model``
+    or its variant does not read and a flow variant with no flow source. ``train`` is accepted for every
+    model kind: the benchmark's cv_cs and lkf folds pass a seeded one for the manifest."""
 
     tracks: str
     splits: str
@@ -114,12 +120,8 @@ class ExperimentSpec:
             raise ValueError(f"fold must be in 0..{N_FOLDS - 1}, got {self.fold}")
         if self.stride < 1:
             raise ValueError(f"ExperimentSpec.stride must be >= 1, got {self.stride}")
-        _check_inputs(self.model, flow_features=self.flow_features, synthetic_flow=self.synthetic_flow,
-                      lkf_grid=self.lkf_grid)
-        flow = "flow_features" if self.flow_features else "synthetic_flow" if self.synthetic_flow else None
-        if self.model == "encdec" and self.train.model_config().uses_flow != bool(flow):
-            raise ValueError(f"variant {self.train.variant!r} does not read {flow}" if flow else
-                             f"variant {self.train.variant!r} reads flow: give flow_features or synthetic_flow")
+        _check_inputs(self.model, self.train.model_config() if self.model == "encdec" else None,
+                      flow_features=self.flow_features, synthetic_flow=self.synthetic_flow, lkf_grid=self.lkf_grid)
 
     def to_file(self, path: str | Path) -> None:
         write_json(path, dataclasses.asdict(self))
@@ -163,9 +165,9 @@ def _write_manifest(run_dir: Path, spec: ExperimentSpec, wall_clock: float) -> N
 
 
 def open_flow_store(path: str | Path | None, config: ModelConfig) -> FlowFeatureStore | None:
-    """The flow-feature sidecar at ``path``, opened only when ``config``'s variant reads flow and
-    refused, naming its index file, when its feature dimension is not ``config.flow_dim``."""
-    if not (path and config.uses_flow):
+    """The flow-feature sidecar at ``path``, None without one; refused, naming its index file, when its feature
+    dimension is not ``config.flow_dim``. :func:`_check_inputs` has refused a sidecar the variant does not read."""
+    if not path:
         return None
     store = FlowFeatureStore.open(path)
     if store.dim != config.flow_dim:
@@ -173,38 +175,15 @@ def open_flow_store(path: str | Path | None, config: ModelConfig) -> FlowFeature
     return store
 
 
-def attach_flow_features(
-    batch: WindowBatch,
-    config: ModelConfig,
-    store: FlowFeatureStore | None,
-    synthetic: bool,
-) -> WindowBatch:
-    """``batch`` with the flow features ``config``'s variant reads.
-
-    They come from ``store`` or, when ``synthetic`` is set, from the windows
-    themselves. A variant that reads no flow gets the batch back unchanged;
-    one that does is an error unless exactly one source is given.
-    """
+def attach_flow_features(batch: WindowBatch, config: ModelConfig, store: FlowFeatureStore | None,
+                         synthetic: bool) -> WindowBatch:
+    """``batch`` with the flow features ``config``'s variant reads: derived from the windows when ``synthetic``
+    is set, else read from ``store``; a variant that reads no flow gets it back unchanged. :func:`_check_inputs`
+    has refused, before the tracks were read, a flow variant given no source or two."""
     if not config.uses_flow:
         return batch
-    if store is not None and not synthetic:
-        flow = store.rows(batch.keys())
-    elif synthetic and store is None:
-        flow = synthetic_flow_batch(batch.observed, config.flow_dim)
-    else:
-        raise FlowFeatureError(
-            f"variant {config.variant!r} reads flow features: provide one of --flow-features or "
-            "--synthetic-flow, or use a bb_only model"
-        )
+    flow = synthetic_flow_batch(batch.observed, config.flow_dim) if synthetic else store.rows(batch.keys())
     return dataclasses.replace(batch, flow=flow)
-
-
-def forecast_saved_model(model: Model, batch: WindowBatch, flow_features: str | Path | None, synthetic_flow: bool,
-                         batch_size: int = FORECAST_BATCH_SIZE) -> np.ndarray:
-    """(N, q, 4) forecasts of ``batch`` by a loaded model, fed the flow its variant reads: from the
-    sidecar ``flow_features`` or, with ``synthetic_flow``, from the windows (:func:`attach_flow_features`)."""
-    store = open_flow_store(flow_features, model.config)
-    return forecast_array(model, attach_flow_features(batch, model.config, store, synthetic_flow), batch_size)
 
 
 def _audit_cities(split, fold: int) -> None:
@@ -258,6 +237,21 @@ def load_windows(tracks_path: str | Path, stride: int, splits: str | Path | None
     if not len(batch):
         raise MofcastError(f"{tracks_path}: no windows after filtering")
     return batch
+
+
+def forecast_checkpoint(checkpoint: str | Path, tracks_path: str | Path, stride: int, splits: str | Path | None = None,
+                        fold: int = 0, flow_features: str | Path | None = None, synthetic_flow: bool = False,
+                        batch_size: int = FORECAST_BATCH_SIZE) -> tuple[WindowBatch, np.ndarray]:
+    """The windows of a track file (:func:`load_windows`) and a saved model's (N, q, 4) forecasts of them.
+
+    The checkpoint is read first, and a flow source its variant does not read, or none when it reads flow,
+    is refused (:func:`_check_inputs`) before the tracks are read; the sidecar is opened last.
+    """
+    model = load_checkpoint(checkpoint)
+    _check_inputs("encdec", model.config, flow_features=flow_features, synthetic_flow=synthetic_flow)
+    batch = load_windows(tracks_path, stride, splits, fold)
+    store = open_flow_store(flow_features, model.config)
+    return batch, forecast_array(model, attach_flow_features(batch, model.config, store, synthetic_flow), batch_size)
 
 
 def run_fold(spec: ExperimentSpec) -> FoldResult:
@@ -382,21 +376,20 @@ def cross_eval(
     synthetic_flow: bool = False,
     batch_size: int = FORECAST_BATCH_SIZE,
 ) -> MetricReport:
-    """Evaluate a frozen checkpoint on an external track file.
+    """Evaluate a frozen checkpoint on an external track file (:func:`forecast_checkpoint`).
 
-    No parameter update can occur: :func:`load_checkpoint` makes every
-    weight and both feature stats read-only, so a write into them raises.
-    A bad ``stride``, ``batch_size`` or pair of flow sources is refused before
-    any file is read. The forecasts' last bits depend on ``batch_size``, as
-    OpenBLAS picks its kernel by shape: a byte-identity check must fix it.
+    No parameter update can occur: :func:`load_checkpoint` makes every weight and both feature stats
+    read-only, so a write into them raises. A bad ``stride``, ``batch_size`` or pair of flow sources is
+    refused before any file is read; a flow source the checkpoint's variant does not read, or none when it
+    reads flow, after the checkpoint and before the tracks. The forecasts' last bits depend on
+    ``batch_size``, as OpenBLAS picks its kernel by shape: a byte-identity check must fix it.
     """
     for name, value in (("stride", stride), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"cross_eval {name} must be >= 1, got {value}")
     _check_inputs("encdec", flow_features=flow_features, synthetic_flow=synthetic_flow)
-    model = load_checkpoint(checkpoint)
-    batch = load_windows(tracks_path, stride)
-    pred = forecast_saved_model(model, batch, flow_features, synthetic_flow, batch_size)
+    batch, pred = forecast_checkpoint(checkpoint, tracks_path, stride, flow_features=flow_features,
+                                      synthetic_flow=synthetic_flow, batch_size=batch_size)
     return score_forecasts(pred, batch, "encdec", out_dir)
 
 

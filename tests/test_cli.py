@@ -164,7 +164,7 @@ class TestNoFlagIsIgnored:
         required = ["--checkpoint", str(both)] if flag in ("--flow-features", "--synthetic-flow") else []
         argv = [command, "--model", model, *required, "--tracks", str(synth_file), "--out", str(out)]
         if flag == "--synthetic-flow":
-            assert main(argv) == 2 and "bb_only" in capsys.readouterr().err
+            assert main(argv) == 2 and "variant 'both' reads flow: give" in capsys.readouterr().err
             assert main([*argv, flag]) == 0
         else:
             assert main([*argv, flag, str(nope)]) == 2
@@ -209,6 +209,23 @@ class TestNoFlagIsIgnored:
                      "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flow", ("flow_features", "synthetic_flow", None))
+    @pytest.mark.parametrize("command", (["eval", "--model", "encdec"], ["forecast", "--model", "encdec"],
+                                         ["cross-eval"]), ids=lambda c: c[0])
+    def test_a_flow_flag_is_checked_against_the_checkpoint_before_the_tracks(self, command, flow, tmp_path, capsys):
+        variant = "both" if flow is None else "bb_only"
+        checkpoint, tracks, out = tmp_path / f"{variant}.mofc", tmp_path / "bad.csv", tmp_path / "out"
+        save_checkpoint(Model(params=init_params(ModelConfig(variant=variant, hidden=4, flow_dim=8), 0)), checkpoint)
+        tracks.write_text("not,a,track,header\n")
+        flags = {"flow_features": ["--flow-features", str(tmp_path / "absent.csv")],
+                 "synthetic_flow": ["--synthetic-flow"], None: []}[flow]
+        argv = [*command, "--checkpoint", str(checkpoint), "--tracks", str(tracks), *flags, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"variant 'bb_only' does not read {flow}" if flow else
+                "variant 'both' reads flow: give flow_features or synthetic_flow") in err
+        assert str(tracks) not in err and not out.exists()
 
     @pytest.mark.parametrize("command", (["eval", "--model", "encdec"], ["cross-eval"]), ids=lambda c: c[0])
     def test_a_saved_model_is_read_before_the_tracks(self, command, tmp_path, capsys):

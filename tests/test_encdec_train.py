@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from mofcast.data import (
     make_splits,
     synth_generate,
     synth_generate_mixed,
+    write_tracks,
 )
 from mofcast.encdec import (
     Adam,
@@ -34,6 +36,7 @@ from mofcast.encdec import (
     train,
 )
 from mofcast.errors import CheckpointError, FlowFeatureError
+from mofcast.harness import cross_eval
 from mofcast.metrics import aggregate, centroid_ade, evaluate_batch
 
 from conftest import traced_peak
@@ -87,6 +90,35 @@ class TestLrSchedule:
         assert rates == [1e-3] * 5 + [5e-4]
 
 
+class TestAdam:
+    def test_matches_algorithm_1_of_kingma_and_ba(self):
+        """Adam.step against Algorithm 1 of Kingma & Ba 2015 ("Adam: A Method for Stochastic Optimization",
+        arXiv:1412.6980), written out one scalar at a time with the paper's constants; each step has its own
+        gradient scale and learning rate, and the 1e-4 scale makes eps change the update's third digit."""
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(4)
+        tensors = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=5)}
+        steps = [({name: rng.normal(size=p.shape) * scale for name, p in tensors.items()}, lr)
+                 for scale, lr in ((1.0, 1e-3), (1e-4, 3e-2), (10.0, 5e-4), (1e-3, 1e-2))]
+        expected = {}
+        for name, p in tensors.items():
+            theta = p.ravel().tolist()
+            m, v = [0.0] * len(theta), [0.0] * len(theta)
+            for t, (grads, lr) in enumerate(steps, start=1):
+                for i, g in enumerate(grads[name].ravel().tolist()):
+                    m[i] = beta1 * m[i] + (1 - beta1) * g
+                    v[i] = beta2 * v[i] + (1 - beta2) * g * g
+                    m_hat = m[i] / (1 - beta1**t)
+                    v_hat = v[i] / (1 - beta2**t)
+                    theta[i] -= lr * m_hat / (math.sqrt(v_hat) + eps)
+            expected[name] = theta
+        optimizer = Adam()
+        for grads, lr in steps:
+            optimizer.step(tensors, grads, lr)
+        for name, p in tensors.items():
+            np.testing.assert_allclose(p.ravel(), expected[name], rtol=1e-15, atol=0)
+
+
 class TestNoiselessConstantVelocity:
     def test_validation_ade_never_degrades(self):
         # zero-residual targets put the zero-initialized model at the optimum:
@@ -129,6 +161,29 @@ class TestLearning:
         assert trained <= 0.8 * centroid_ade(cv_cs_batch(test.observed), test.future)
         assert trained < lkf
         assert result.log.best_epoch >= 1
+
+    def test_a_saved_model_trained_on_noisy_tracks_beats_both_baselines_on_unseen_tracks(self, tmp_path):
+        """The paper's cross-dataset claim at desk scale: a model trained on noisy turning tracks, saved and
+        scored by cross_eval on 64 unseen tracks, noiseless and noisy, beats CV-CS by a wide margin and the LKF
+        tuned on the training validation set. Measured: 0.594 and 0.569 x CV-CS, where the LKF reads 1.009 and
+        0.969 x; best epoch 9."""
+        def turning(n, noise, seed):
+            return synth_generate("turning", n, noise, seed, n_frames=150)
+
+        train_batch, val = (cut_windows(turning(n, 1.0, seed), stride=7) for n, seed in ((192, 1), (8, 2)))
+        config = TrainConfig(variant="bb_only", hidden=32, batch_size=32, learning_rate=3e-3, epochs=10, seed=0)
+        result = train(train_batch, val, config)
+        assert result.log.best_epoch >= 1
+        checkpoint = tmp_path / "model.mofc"
+        save_checkpoint(result.model, checkpoint)
+        lkf_params = lkf_tune(val, default_param_grid()).params
+        for noise, seed in ((0.0, 99), (1.0, 100)):
+            tracks, path = turning(64, noise, seed), tmp_path / f"unseen_{seed}.csv"
+            write_tracks(tracks, path)
+            test = cut_windows(tracks, stride=7)
+            ade = cross_eval(checkpoint, path, stride=7).ade
+            assert ade <= 0.8 * centroid_ade(cv_cs_batch(test.observed), test.future)
+            assert ade < centroid_ade(lkf_batch(test.observed, lkf_params), test.future)
 
 
 class TestDeterminism:

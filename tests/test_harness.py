@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mofcast import cli, harness
-from mofcast.baselines import cv_cs_batch, lkf_batch
+from mofcast.baselines import cv_cs_batch, default_param_grid, lkf_batch, lkf_tune
 from mofcast.cli import build_parser
 from mofcast.core import FUTURE_LEN, OBSERVED_LEN, BBox, WindowSource
 from mofcast.data import (
@@ -51,7 +51,7 @@ from mofcast.harness import (
     run_fold,
     weights_checksum,
 )
-from mofcast.metrics import MetricReport, aggregate, breakdown, evaluate_batch, write_summary_csv
+from mofcast.metrics import MetricReport, aggregate, breakdown, centroid_ade, evaluate_batch, write_summary_csv
 
 
 @pytest.fixture
@@ -306,20 +306,19 @@ class TestCrossEval:
         with pytest.raises(MofcastError, match="no windows after filtering"):
             cross_eval(ckpt, path)
 
-    def test_flow_variant_without_features_instructs_bb_only(self, synth_setup, tmp_path):
-        tracks_path, splits_path, out_dir = synth_setup
-        spec = make_spec(
-            synth_setup,
-            model="encdec",
-            synthetic_flow=True,
-            train=TrainConfig(hidden=8, variant="both", flow_dim=16, epochs=1, batch_size=32, seed=5),
-        )
-        result = run_fold(spec)
-        with pytest.raises(MofcastError, match="bb_only"):
-            cross_eval(result.checkpoint_path, tracks_path)
-        # synthetic flow makes it work
-        report = cross_eval(result.checkpoint_path, tracks_path, synthetic_flow=True, stride=5)
-        assert report.n_windows > 0
+    @pytest.mark.parametrize("flow", ("flow_features", "synthetic_flow", None))
+    def test_a_flow_source_is_checked_against_the_checkpoint_before_the_tracks(self, tmp_path, flow):
+        variant = "both" if flow is None else "bb_only"
+        ckpt, bad, out = tmp_path / f"{variant}.mofc", tmp_path / "bad.csv", tmp_path / "xeval"
+        save_checkpoint(Model(params=init_params(ModelConfig(variant=variant, hidden=4, flow_dim=8), 7)), ckpt)
+        bad.write_text("not,a,track,header\n")
+        source = {"flow_features": {"flow_features": tmp_path / "absent.csv"},
+                  "synthetic_flow": {"synthetic_flow": True}, None: {}}[flow]
+        message = (f"variant 'bb_only' does not read {flow}" if flow else
+                   "variant 'both' reads flow: give flow_features or synthetic_flow")
+        with pytest.raises(ValueError, match=message) as err:
+            cross_eval(ckpt, bad, out_dir=out, **source)
+        assert str(bad) not in str(err.value) and not out.exists()
 
 
 FLOW_DIM = 16
@@ -417,25 +416,55 @@ class TestFlowSidecar:
         assert {"run/checkpoint.mofc", "run/summary.csv", "run/train_log.csv", "xeval/summary.csv"} <= set(as_stored)
         assert upcast_first == as_stored
 
-    def test_a_sidecar_and_synthetic_flow_together_are_refused(self, synth_setup, tmp_path):
-        index = tmp_path / "flow.csv"
-        write_sidecar(synth_setup[0], index)
-        batch = cut_windows(load_tracks(synth_setup[0]), stride=5)
-        config = BOTH.model_config()
-        store = harness.open_flow_store(index, config)
-        assert harness.attach_flow_features(batch, config, store, False).flow is not None
-        with pytest.raises(FlowFeatureError, match="provide one of --flow-features or --synthetic-flow"):
-            harness.attach_flow_features(batch, config, store, True)
+    def test_a_sidecar_and_synthetic_flow_together_are_refused(self, tmp_path):
+        # attach_flow_features trusts its caller: harness._check_inputs refuses the pair, before any file is
+        # read in ExperimentSpec and cross_eval, and after the checkpoint in forecast_checkpoint
+        ckpt, bad = tmp_path / "both.mofc", tmp_path / "bad.csv"
+        save_checkpoint(Model(params=init_params(BOTH.model_config(), 7)), ckpt)
+        bad.write_text("not,a,track,header\n")
+        with pytest.raises(ValueError, match="give one flow source: flow_features or synthetic_flow, not both"):
+            harness.forecast_checkpoint(ckpt, bad, 5, flow_features=tmp_path / "absent.csv", synthetic_flow=True)
 
     def test_bb_only_never_opens_it(self, synth_setup, tmp_path):
-        # a fold knows its variant up front and refuses the sidecar; a loaded checkpoint's variant is known
-        # only after loading, so cross_eval takes the sidecar and leaves it unopened
+        # a fold knows its variant up front and refuses the sidecar; cross_eval refuses it once the checkpoint
+        # is loaded (TestCrossEval::test_a_flow_source_is_checked_against_the_checkpoint_before_the_tracks)
         absent = tmp_path / "no_such_sidecar.csv"
         with pytest.raises(ValueError, match="variant 'bb_only' does not read flow_features"):
             make_spec(synth_setup, model="encdec", flow_features=str(absent))
-        result = run_fold(make_spec(synth_setup, model="encdec"))
-        report = cross_eval(result.checkpoint_path, synth_setup[0], stride=5, flow_features=absent)
-        assert report.n_windows > 0
+
+
+class TestFitsSeeOnlyTheirSplit:
+    """A fold's fit reads only its validation windows, checked from the run directory alone: on noisy turning
+    tracks the fold's validation and test windows score apart, so a fit fed the test windows writes other values."""
+
+    @pytest.fixture
+    def turning_setup(self, tmp_path):
+        tracks_path = tmp_path / "tracks.csv"
+        write_tracks(synth_generate("turning", 12, 1.0, seed=3, n_frames=100), tracks_path)
+        splits_path = tmp_path / "splits.json"
+        default_synth_split_config().to_file(splits_path)
+        split = make_splits(load_tracks(tracks_path), SplitConfig.from_file(splits_path), fold=0)
+        val, test = (cut_windows(tracks, stride=5) for tracks in (split.val, split.test))
+        return (tracks_path, splits_path, tmp_path / "runs"), val, test
+
+    def test_the_encdec_epoch_0_val_ade_is_cv_cs_on_the_validation_windows(self, turning_setup):
+        setup, val, test = turning_setup
+        run_dir = run_fold(make_spec(setup, model="encdec")).run_dir
+        with open(run_dir / "train_log.csv", newline="") as fh:
+            epoch_0 = next(row for row in csv.DictReader(fh) if row["epoch"] == "0")
+        expected, on_test = (centroid_ade(cv_cs_batch(b.observed), b.future) for b in (val, test))
+        assert abs(expected - on_test) > 1.0
+        assert float(epoch_0["val_ade"]) == expected
+
+    def test_the_lkf_grid_table_is_the_tuning_table_of_the_validation_windows(self, turning_setup):
+        setup, val, test = turning_setup
+        run_dir = run_fold(make_spec(setup, model="lkf")).run_dir
+        with open(run_dir / "lkf_grid_table.csv", newline="") as fh:
+            written = [float(row["val_ade"]) for row in csv.DictReader(fh)]
+        expected, on_test = ([float(f"{ade:.6f}") for _, ade in lkf_tune(b, default_param_grid()).table]
+                             for b in (val, test))
+        assert len(written) == len(default_param_grid()) and written != on_test
+        assert written == expected
 
 
 class TestWindowIdentity:
