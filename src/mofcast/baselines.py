@@ -189,8 +189,7 @@ def lkf_tune(val: WindowBatch, grid: Sequence[KalmanParams]) -> TuneResult:
 def default_param_grid() -> list[KalmanParams]:
     """The stock tuning grid: 3 x 3 x 3 noise combinations, fixed initial velocity variance."""
     return [
-        KalmanParams(process_noise_pos=pos, process_noise_vel=vel, observation_noise=obs,
-                     initial_velocity_variance=100.0)
+        KalmanParams(process_noise_pos=pos, process_noise_vel=vel, observation_noise=obs)
         for pos, vel, obs in itertools.product((1e-4, 1e-2, 1.0), (1e-4, 1e-2, 1.0), (0.1, 1.0, 10.0))
     ]
 

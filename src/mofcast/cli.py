@@ -311,10 +311,9 @@ def _cmd_clip_filter(args) -> int:
 
 
 def _spec_from_args(args, model: str) -> ExperimentSpec:
-    if args.command == "train":
-        train_config = TrainConfig(**{name: getattr(args, name) for _, name, _, _ in _TRAIN_FLAGS})
-    else:
-        train_config = TrainConfig()
+    train = {}
+    if args.command == "train":  # tune-lkf takes ExperimentSpec's default TrainConfig
+        train["train"] = TrainConfig(**{name: getattr(args, name) for _, name, _, _ in _TRAIN_FLAGS})
     return ExperimentSpec(
         tracks=args.tracks,
         splits=args.splits,
@@ -325,7 +324,7 @@ def _spec_from_args(args, model: str) -> ExperimentSpec:
         synthetic_flow=getattr(args, "synthetic_flow", False),
         lkf_grid=getattr(args, "lkf_grid", None),
         stride=args.stride,
-        train=train_config,
+        **train,
     )
 
 
@@ -378,7 +377,7 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = TrainConfig(hidden=args.hidden, variant=args.variant, seed=args.seed).model_config()
+    config = ModelConfig(args.variant, args.hidden)
     worst = 0.0
     for i in range(args.samples):
         params, stats, arrays = grad_check_sample(config, args.seed + i)

@@ -9,12 +9,13 @@ rows' ``cx,cy,w,h`` as one (n, 4) float64 array in frame order.
 Flow-magnitude file: UTF-8 CSV with header ``video_id,frame,mean_flow_magnitude``.
 
 Flow-feature sidecar: an index CSV with header
-``video_id,track_id,anchor_frame,offset,length`` next to a flat binary blob
-of little-endian 32-bit floats. The blob's path is the index path with its
-suffix replaced by ``.bin`` (``flow.csv`` -> ``flow.bin``), and its size is a
-whole number of float32 values. ``offset`` counts float32 elements from the
-start of the blob; ``length`` is the feature dimension and must be the same
-for every entry.
+``video_id,track_id,anchor_frame`` next to a flat binary blob of
+little-endian 32-bit floats. The blob's path is the index path with its
+suffix replaced by ``.bin`` (``flow.csv`` -> ``flow.bin``). Index row i owns
+blob floats ``[i*dim, (i+1)*dim)``: the feature dimension ``dim`` is the
+blob's float32 count divided by the number of index rows, so the blob must be
+a non-empty whole number of rows. The blob's size is checked once the index
+parses, before the index's values.
 
 Written files. Every CSV and JSON file the program writes goes through
 :func:`write_csv` or :func:`write_json`, so all share one dialect: UTF-8; CSV
@@ -53,8 +54,7 @@ file has several faults, the first of these is reported:
    run in this order. Track file: a non-finite coordinate, a degenerate box
    (w or h <= 0), metadata that differs from its track's first row.
    Flow-magnitude file: a negative or non-finite magnitude. Sidecar index: a
-   length that differs from the first row's, a blob range out of bounds
-   (a negative length counts as one), a window seen on an earlier row;
+   window seen on an earlier row;
 4. the first track (flow-magnitude file: video), in order of first
    appearance, whose sorted frames have a gap or a duplicate.
 """
@@ -77,7 +77,7 @@ from ..errors import FlowFeatureError, TrackFormatError
 
 TRACK_HEADER = ["video_id", "city", "weather", "time_of_day", "frame", "track_id", "cx", "cy", "w", "h"]
 FLOW_MAGNITUDE_HEADER = ["video_id", "frame", "mean_flow_magnitude"]
-FLOW_INDEX_HEADER = ["video_id", "track_id", "anchor_frame", "offset", "length"]
+FLOW_INDEX_HEADER = ["video_id", "track_id", "anchor_frame"]
 
 # One field per header column, except the track file's cx,cy,w,h: one (4,) field.
 _TRACK_DTYPE = np.dtype(
@@ -276,10 +276,9 @@ def load_tracks(path: str | Path) -> list[Track]:
 
 def write_tracks(tracks: Iterable[Track], path: str | Path) -> None:
     """Emit tracks in the track-file format (round-trips through load_tracks)."""
-    # Python floats: repr of a numpy scalar would read np.float64(...)
     write_csv(path, TRACK_HEADER, (
         [t.video_id, *((t.metadata or {}).get(name, "") for name in METADATA_FIELDS), t.start_frame + offset,
-         t.track_id, *map(repr, box)]
+         t.track_id, *box]
         for t in tracks for offset, box in enumerate(t.boxes.tolist())
     ))
 
@@ -323,15 +322,16 @@ def _repeats(*columns: np.ndarray) -> np.ndarray:
 class FlowFeatureStore:
     """Random access to precomputed per-window flow features.
 
-    Backed by the sidecar format: the index CSV plus its ``.bin`` blob of raw
-    little-endian float32, read whole and kept read-only. :meth:`rows`
-    gathers the features of many windows, as stored, into one float32 array.
+    Backed by the sidecar format: the index CSV names each window's row of
+    its ``.bin`` blob, read whole into one read-only (rows, dim) float32
+    array. :meth:`rows` gathers the features of many windows, as stored,
+    into one float32 array.
     """
 
-    def __init__(self, index: Mapping[tuple[str, int, int], int], blob: np.ndarray, dim: int):
-        self._index = dict(index)
-        self._blob = blob
-        self.dim = dim
+    def __init__(self, index: Mapping[tuple[str, int, int], int], features: np.ndarray):
+        self._row = dict(index)
+        self._features = features
+        self.dim = features.shape[1]
 
     @classmethod
     def open(cls, index_path: str | Path) -> "FlowFeatureStore":
@@ -341,45 +341,36 @@ class FlowFeatureStore:
             raise FlowFeatureError(f"{index_path}: no entries")
         blob_path = index_path.with_suffix(".bin")
         size = blob_path.stat().st_size
-        if size % 4:
-            raise FlowFeatureError(f"{blob_path}: {size} bytes is not a whole number of float32 values")
-        blob = np.fromfile(blob_path, dtype="<f4")
-        blob.setflags(write=False)
+        if not size or size % (4 * rows.size):
+            raise FlowFeatureError(f"{blob_path}: {size} bytes is not a non-zero whole number of float32 values "
+                                   f"per index row ({rows.size} rows)")
+        features = np.fromfile(blob_path, dtype="<f4").reshape(rows.size, -1)
+        features.setflags(write=False)
         key_columns = (rows["video_id"], rows["track_id"], rows["anchor_frame"])
         keys = list(zip(*(c.tolist() for c in key_columns)))
-        offset, length = rows["offset"], rows["length"]
-        dim = int(length[0])
-        # offset + length > blob.size, written so that no int64 sum can wrap
-        out_of_bounds = (offset < 0) | (length < 0) | (offset > blob.size - np.maximum(length, 0))
-        fault = _first_fault(length != dim, out_of_bounds, _repeats(*key_columns))
+        fault = _first_fault(_repeats(*key_columns))
         if fault is not None:
-            i, check = fault
-            start, size = int(offset[i]), int(length[i])
-            problem = (
-                f"length {size} != feature dim {dim}",
-                f"blob range [{start}, {start + size}) out of bounds",
-                f"duplicate entry for window {keys[i]}",
-            )[check]
-            raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: {problem}")
-        return cls(dict(zip(keys, offset.tolist())), blob, dim)  # every length is dim
+            i = fault[0]
+            raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: duplicate entry for window {keys[i]}")
+        return cls({key: i for i, key in enumerate(keys)}, features)
 
     def rows(self, keys: Iterable[tuple[str, int, int]]) -> np.ndarray:
         """The (N, dim) float32 features of the windows ``keys`` names by (video_id, track_id, anchor_frame),
         in order. The first window without one is a :class:`FlowFeatureError` naming it."""
         try:
-            offsets = np.array([self._index[key] for key in keys], dtype=np.int64)
+            return self._features[np.array([self._row[key] for key in keys], dtype=np.intp)]
         except KeyError as exc:
             raise FlowFeatureError(f"no flow feature for window {exc.args[0]}") from None
-        return np.lib.stride_tricks.sliding_window_view(self._blob, self.dim)[offsets]  # no (N, dim) index array
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._row)
 
 
 def write_flow_features(entries: Iterable[tuple[WindowSource, np.ndarray]], index_path: str | Path) -> None:
     """Write the flow-feature sidecar: the index CSV at ``index_path``, the float32 blob next to it as ``.bin``.
 
-    Every entry is checked before either file is written, so a sidecar that
+    Entry i's window is index row i and its vector is blob row i. Every entry
+    is checked before either file is written, so a sidecar that
     :meth:`FlowFeatureStore.open` would reject is never written, nor one that
     holds a value float32 cannot. There must be at least one entry. Each
     entry's vector must be 1-D, as long as the first entry's, finite and
@@ -388,29 +379,28 @@ def write_flow_features(entries: Iterable[tuple[WindowSource, np.ndarray]], inde
     """
     index_path = Path(index_path)
     f32_max = float(np.finfo(np.float32).max)
-    rows, chunks, seen = [], [], set()
+    chunks: dict[tuple[str, int, int], np.ndarray] = {}  # window -> its blob row, in entry order
     for source, vec in entries:
         vec = np.asarray(vec)
         key = (source.video_id, source.track_id, source.anchor_frame)
+        first = next(iter(chunks.values()), vec)
         if vec.ndim != 1:
             problem = "must be 1-D"
-        elif chunks and vec.size != chunks[0].size:
-            problem = f"has length {vec.size}, the first entry {chunks[0].size}"
-        elif key in seen:
+        elif vec.size != first.size:
+            problem = f"has length {vec.size}, the first entry {first.size}"
+        elif key in chunks:
             problem = "repeats an earlier entry's window"
         elif not np.all(np.isfinite(vec)):
             problem = "is not finite"
         elif np.any(np.abs(vec) > f32_max):
             problem = "is outside the float32 range"
         else:
-            rows.append([*key, len(rows) * vec.size, vec.size])  # offset: every entry is as long
-            chunks.append(np.ascontiguousarray(vec, dtype="<f4"))
-            seen.add(key)
+            chunks[key] = np.ascontiguousarray(vec, dtype="<f4")
             continue
         raise FlowFeatureError(f"flow feature for {source} {problem}")
-    if not rows:
+    if not chunks:
         raise FlowFeatureError(f"{index_path}: no entries to write")
-    write_csv(index_path, FLOW_INDEX_HEADER, rows)
+    write_csv(index_path, FLOW_INDEX_HEADER, chunks.keys())
     with index_path.with_suffix(".bin").open("wb") as fh:
-        for chunk in chunks:
+        for chunk in chunks.values():
             fh.write(chunk.tobytes())

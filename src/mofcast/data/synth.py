@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core import MIN_BOX_SIZE, Track
-from .splits import SplitConfig
+from .splits import N_FOLDS, SplitConfig
 from .windows import MIN_TRACK_FRAMES
 
 KINDS = ("constant_velocity", "accelerating", "turning", "stop_and_go")
@@ -26,8 +26,8 @@ SYNTH_TIME_OF_DAY = ("day", "night")
 
 
 def default_synth_split_config() -> SplitConfig:
-    """Three-fold config over the synthetic cities, two cities per fold."""
-    return SplitConfig(folds={city: i % 3 for i, city in enumerate(SYNTH_CITIES)})
+    """:data:`N_FOLDS` folds over the synthetic cities, dealt round-robin (two cities per fold)."""
+    return SplitConfig(folds={city: i % N_FOLDS for i, city in enumerate(SYNTH_CITIES)})
 
 
 def _centroids(kind: str, rng: np.random.Generator, n_frames: int) -> np.ndarray:

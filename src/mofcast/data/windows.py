@@ -53,7 +53,7 @@ def count_windows(length: int, stride: int = 1) -> int:
     """Number of p = 30 / q = 60 windows :func:`cut_windows` takes from a ``length``-frame track, uncut."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    return max(0, (length - OBSERVED_LEN - FUTURE_LEN) // stride + 1)
+    return max(0, (length - MIN_TRACK_FRAMES) // stride + 1)
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,9 @@ def cut_windows(tracks: Sequence[Track], stride: int = 1) -> WindowBatch:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     p, q = OBSERVED_LEN, FUTURE_LEN
-    kept = [t for t in sorted(tracks, key=lambda t: t.key) if len(t) >= p + q]
+    kept = [t for t in sorted(tracks, key=lambda t: t.key) if len(t) >= MIN_TRACK_FRAMES]
     # (n-p-q+1, 4, p+q) -> every stride-th start, frames before channels
-    views = [sliding_window_view(t.boxes, p + q, axis=0)[::stride].transpose(0, 2, 1) for t in kept]
+    views = [sliding_window_view(t.boxes, MIN_TRACK_FRAMES, axis=0)[::stride].transpose(0, 2, 1) for t in kept]
     return WindowBatch(
         observed=np.concatenate([np.empty((0, p, 4))] + [v[:, :p] for v in views]),
         future=np.concatenate([np.empty((0, q, 4))] + [v[:, p:] for v in views]),
@@ -183,17 +183,7 @@ def motion_filter_clips(
     if not np.isfinite(threshold):  # every comparison with nan is False: nan would pass every frame
         raise ValueError(f"threshold must be finite, got {threshold!r}")
 
-    bad = np.flatnonzero(mags > threshold)
-    intervals = []
-    i = 0
-    n = mags.size
-    j = 0  # index into bad of the first bad frame >= i
-    while i + clip_frames <= n:
-        while j < bad.size and bad[j] < i:
-            j += 1
-        if j < bad.size and bad[j] < i + clip_frames:
-            i = int(bad[j]) + 1  # skip past the spike; no clip can cover it
-        else:
-            intervals.append(ClipInterval(i, i + clip_frames - 1))
-            i += clip_frames
-    return intervals
+    edges = [-1, *np.flatnonzero(mags > threshold).tolist(), mags.size]
+    # each run of frames between spikes holds back-to-back clips from its first frame
+    return [ClipInterval(start, start + clip_frames - 1) for lo, hi in zip(edges[:-1], edges[1:])
+            for start in range(lo + 1, hi - clip_frames + 1, clip_frames)]

@@ -37,7 +37,7 @@ LR_HALVING_EPOCHS = 5
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    batch_size: int = 1024
+    batch_size: int = 1024  # training mini-batch; forecasts run FORECAST_BATCH_SIZE windows at a time
     epochs: int = 20
     beta: float = 1.0  # smooth-L1 seam, in pixels
     seed: int = 0
@@ -177,7 +177,7 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     optimizer = Adam()
 
     def validation_ade() -> float:
-        pred = forecast_array(Model(params=params, stats=stats), val_batch, config.batch_size)
+        pred = forecast_array(Model(params=params, stats=stats), val_batch)
         return centroid_ade(pred, val_batch.future)
 
     best_ade = validation_ade()

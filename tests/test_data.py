@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mofcast.core import boxes_to_array
 from mofcast.data import (
@@ -28,6 +30,7 @@ from mofcast.data import (
 from mofcast.core import WindowSource
 from mofcast.errors import FlowFeatureError, SplitError, TrackFormatError
 
+from clip_oracle import motion_filter_clips_oracle
 from conftest import batch_of, linear_track
 
 HEADER = "video_id,city,weather,time_of_day,frame,track_id,cx,cy,w,h\n"
@@ -267,6 +270,12 @@ class TestMotionFilterClips:
             assert np.all(mags[clip.start_frame : clip.end_frame + 1] <= 1.5)
             prev_end = clip.end_frame
 
+    @settings(max_examples=300, deadline=None)
+    @given(mags=st.lists(st.sampled_from((0.0, 1.0, 1.5, 2.0, 9.0)), max_size=60), clip_frames=st.integers(1, 12))
+    def test_matches_the_greedy_scan(self, mags, clip_frames):
+        expected = motion_filter_clips_oracle(np.array(mags), 1.5, clip_frames)
+        assert motion_filter_clips(mags, 1.5, clip_frames) == expected
+
     def test_rejects_negative_magnitudes(self):
         with pytest.raises(ValueError):
             motion_filter_clips([-1.0, 0.5])
@@ -382,6 +391,8 @@ class TestFlowFiles:
         ]
         index = tmp_path / "flow_features.csv"
         write_flow_features(entries, index)
+        assert index.read_bytes() == b"video_id,track_id,anchor_frame\r\nv0,1,29\r\nv0,1,30\r\n"
+        assert index.with_suffix(".bin").read_bytes() == entries[0][1].tobytes() + entries[1][1].tobytes()
         store = FlowFeatureStore.open(index)
         assert store.dim == 16 and len(store) == 2
         got = store.rows([("v0", 1, 30), ("v0", 1, 29), ("v0", 1, 30)])
@@ -451,32 +462,29 @@ class TestFlowFiles:
     def test_duplicate_window_rejected_with_line(self, tmp_path):
         index = tmp_path / "flow_features.csv"
         blob = tmp_path / "flow_features.bin"
-        index.write_text(
-            "video_id,track_id,anchor_frame,offset,length\nv0,1,29,0,4\nv0,1,30,4,4\nv0,1,29,8,4\n",
-            encoding="utf-8",
-        )
+        index.write_text("video_id,track_id,anchor_frame\nv0,1,29\nv0,1,30\nv0,1,29\n", encoding="utf-8")
         blob.write_bytes(np.zeros(12, dtype="<f4").tobytes())
         duplicate = r"flow_features\.csv:4: duplicate entry for window \('v0', 1, 29\)"
         with pytest.raises(FlowFeatureError, match=duplicate):
             FlowFeatureStore.open(index)
 
-    def test_inconsistent_length_rejected(self, tmp_path):
+    def test_a_three_column_index_is_read_in_row_order(self, tmp_path):
+        # index row i owns blob row i; dim is the blob's float count over the row count
         index = tmp_path / "flow_features.csv"
-        blob = tmp_path / "flow_features.bin"
-        index.write_text(
-            "video_id,track_id,anchor_frame,offset,length\nv0,1,29,0,4\nv0,1,30,4,5\n", encoding="utf-8"
-        )
-        blob.write_bytes(np.zeros(9, dtype="<f4").tobytes())
-        with pytest.raises(FlowFeatureError, match="feature dim"):
-            FlowFeatureStore.open(index)
+        index.write_text("video_id,track_id,anchor_frame\nv1,2,40\n\nv0,1,29\nv0,1,30\n", encoding="utf-8")
+        (tmp_path / "flow_features.bin").write_bytes(np.arange(6, dtype="<f4").tobytes())
+        store = FlowFeatureStore.open(index)
+        assert store.dim == 2 and len(store) == 3
+        got = store.rows([("v0", 1, 30), ("v1", 2, 40), ("v0", 1, 29)])
+        assert got.dtype == np.float32 and got.tolist() == [[4.0, 5.0], [0.0, 1.0], [2.0, 3.0]]
 
-    def test_out_of_bounds_range_rejected_with_line(self, tmp_path):
+    @pytest.mark.parametrize("floats", (10, 0), ids=("partial-row", "empty"))
+    def test_blob_not_a_whole_number_of_rows_rejected(self, tmp_path, floats):
         index = tmp_path / "flow_features.csv"
-        (tmp_path / "flow_features.bin").write_bytes(np.zeros(6, dtype="<f4").tobytes())
-        index.write_text(
-            "video_id,track_id,anchor_frame,offset,length\nv0,1,29,0,4\n\nv0,1,30,4,4\n", encoding="utf-8"
-        )
-        with pytest.raises(FlowFeatureError, match=r"flow_features\.csv:4: blob range \[4, 8\) out of bounds"):
+        index.write_text("video_id,track_id,anchor_frame\nv0,1,29\nv0,1,30\nv0,1,31\n", encoding="utf-8")
+        (tmp_path / "flow_features.bin").write_bytes(np.zeros(floats, dtype="<f4").tobytes())
+        with pytest.raises(FlowFeatureError, match=rf"flow_features\.bin: {4 * floats} bytes is not a non-zero whole "
+                                                   r"number of float32 values per index row \(3 rows\)"):
             FlowFeatureStore.open(index)
 
     def test_blob_of_partial_float32_rejected(self, tmp_path, rng):
@@ -484,13 +492,21 @@ class TestFlowFiles:
         write_flow_features([(WindowSource("v0", 1, 29), rng.normal(size=4))], index)
         blob = index.with_suffix(".bin")
         blob.write_bytes(blob.read_bytes() + b"\x00\x00\x00")
-        with pytest.raises(FlowFeatureError, match=r"flow_features\.bin: 19 bytes is not a whole number of float32"):
+        with pytest.raises(FlowFeatureError, match=r"flow_features\.bin: 19 bytes is not a non-zero whole number"):
+            FlowFeatureStore.open(index)
+
+    def test_a_five_column_index_is_refused_by_its_header(self, tmp_path):
+        index = tmp_path / "flow_features.csv"
+        index.write_text("video_id,track_id,anchor_frame,offset,length\nv0,1,29,0,4\n", encoding="utf-8")
+        (tmp_path / "flow_features.bin").write_bytes(np.zeros(4, dtype="<f4").tobytes())
+        with pytest.raises(FlowFeatureError, match=r"flow_features\.csv: bad header \[.*'offset', 'length'\], "
+                                                   r"expected \['video_id', 'track_id', 'anchor_frame'\]"):
             FlowFeatureStore.open(index)
 
     def test_index_without_entries_rejected(self, tmp_path):
         index = tmp_path / "flow_features.csv"
         (tmp_path / "flow_features.bin").write_bytes(b"")
-        index.write_text("video_id,track_id,anchor_frame,offset,length\n\n", encoding="utf-8")
+        index.write_text("video_id,track_id,anchor_frame\n\n", encoding="utf-8")
         with pytest.raises(FlowFeatureError, match="no entries"):
             FlowFeatureStore.open(index)
 

@@ -146,6 +146,17 @@ class TestValidationScoresLikeTest:
         assert cv_cs.ade > 1.0
         assert result.log.initial_val_ade == cv_cs.ade
 
+    def test_the_returned_model_is_the_best_epochs(self):
+        # a set-up whose best epoch is not the last, so returning the last epoch's weights shows
+        train_w = cut_windows(synth_generate("turning", 24, 1.0, seed=1), stride=7)
+        val_w = cut_windows(synth_generate("turning", 6, 1.0, seed=2), stride=7)
+        config = TrainConfig(hidden=8, variant="bb_only", epochs=5, batch_size=32, learning_rate=0.1, seed=1)
+        result = train(train_w, val_w, config)
+        log = {epoch: val_ade for epoch, _, _, val_ade in result.log.rows()}
+        assert 0 < result.log.best_epoch < config.epochs
+        returned = centroid_ade(forecast_array(result.model, val_w), val_w.future)
+        assert returned == log[result.log.best_epoch] != log[config.epochs]
+
 
 class TestLearning:
     def test_a_trained_model_beats_cv_cs_and_the_tuned_lkf_on_turning_tracks(self):
