@@ -46,7 +46,6 @@ from .harness import (
     MODEL_INPUTS,
     MODEL_KINDS,
     ExperimentSpec,
-    cross_eval,
     forecast_checkpoint,
     forecasts_to_tracks,
     load_windows,
@@ -190,7 +189,9 @@ def build_parser() -> _Parser:
     _add_split_flags(p, "optional: restrict to the fold's test split")
     _add_window_flags(p)
 
-    p = sub.add_parser("cross-eval", help="evaluate a frozen checkpoint on an external track file")
+    p = sub.add_parser("cross-eval", help="evaluate a frozen checkpoint on an external track file: "
+                       "eval --model encdec without --splits")
+    p.set_defaults(model="encdec")
     _add_io_flags(p)
     p.add_argument("--checkpoint", required=True)
     _add_window_flags(p)
@@ -353,19 +354,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_cross_eval(args) -> int:
-    report = cross_eval(
-        args.checkpoint,
-        args.tracks,
-        out_dir=args.out,
-        stride=args.stride,
-        flow_features=args.flow_features,
-        synthetic_flow=args.synthetic_flow,
-    )
-    _print_report(report, "cross-eval")
-    return 0
-
-
 def _cmd_forecast(args) -> int:
     batch, pred = _model_predictions(args)
     out = Path(args.out)
@@ -416,7 +404,7 @@ def main(argv=None) -> int:
         "train": lambda a: _run_spec(a, "encdec"),
         "tune-lkf": lambda a: _run_spec(a, "lkf"),
         "eval": _cmd_eval,
-        "cross-eval": _cmd_cross_eval,
+        "cross-eval": _cmd_eval,
         "forecast": _cmd_forecast,
         "gradcheck": _cmd_gradcheck,
     }

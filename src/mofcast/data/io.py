@@ -310,15 +310,6 @@ def load_flow_magnitudes(path: str | Path) -> dict[str, np.ndarray]:
     return {video_id: magnitude[lo:hi] for (video_id,), lo, hi in zip(keys, bounds[:-1], bounds[1:])}
 
 
-def _repeats(*columns: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose key (one value per column) appeared on an earlier row."""
-    order = np.lexsort(columns[::-1])
-    same = np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in columns])
-    repeat = np.zeros(len(order), dtype=bool)
-    repeat[order[1:][same]] = True  # the stable sort keeps equal keys in file order
-    return repeat
-
-
 class FlowFeatureStore:
     """Random access to precomputed per-window flow features.
 
@@ -346,13 +337,11 @@ class FlowFeatureStore:
                                    f"per index row ({rows.size} rows)")
         features = np.fromfile(blob_path, dtype="<f4").reshape(rows.size, -1)
         features.setflags(write=False)
-        key_columns = (rows["video_id"], rows["track_id"], rows["anchor_frame"])
-        keys = list(zip(*(c.tolist() for c in key_columns)))
-        fault = _first_fault(_repeats(*key_columns))
-        if fault is not None:
-            i = fault[0]
-            raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: duplicate entry for window {keys[i]}")
-        return cls({key: i for i, key in enumerate(keys)}, features)
+        index: dict[tuple[str, int, int], int] = {}
+        for i, key in enumerate(zip(*(rows[name].tolist() for name in FLOW_INDEX_HEADER))):
+            if index.setdefault(key, i) != i:
+                raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: duplicate entry for window {key}")
+        return cls(index, features)
 
     def rows(self, keys: Iterable[tuple[str, int, int]]) -> np.ndarray:
         """The (N, dim) float32 features of the windows ``keys`` names by (video_id, track_id, anchor_frame),

@@ -244,9 +244,14 @@ def forecast_checkpoint(checkpoint: str | Path, tracks_path: str | Path, stride:
                         batch_size: int = FORECAST_BATCH_SIZE) -> tuple[WindowBatch, np.ndarray]:
     """The windows of a track file (:func:`load_windows`) and a saved model's (N, q, 4) forecasts of them.
 
-    The checkpoint is read first, and a flow source its variant does not read, or none when it reads flow,
-    is refused (:func:`_check_inputs`) before the tracks are read; the sidecar is opened last.
+    A ``stride`` or ``batch_size`` below 1 and two flow sources are refused with ``ValueError`` before any
+    file is read. The checkpoint is read next, and a flow source its variant does not read, or none when it
+    reads flow, is refused (:func:`_check_inputs`) before the tracks are read; the sidecar is opened last.
     """
+    for name, value in (("stride", stride), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_inputs("encdec", flow_features=flow_features, synthetic_flow=synthetic_flow)
     model = load_checkpoint(checkpoint)
     _check_inputs("encdec", model.config, flow_features=flow_features, synthetic_flow=synthetic_flow)
     batch = load_windows(tracks_path, stride, splits, fold)
@@ -376,18 +381,14 @@ def cross_eval(
     synthetic_flow: bool = False,
     batch_size: int = FORECAST_BATCH_SIZE,
 ) -> MetricReport:
-    """Evaluate a frozen checkpoint on an external track file (:func:`forecast_checkpoint`).
+    """Evaluate a frozen checkpoint on an external track file: :func:`forecast_checkpoint`, which makes
+    every refusal, then :func:`score_forecasts`. CLI ``eval --model encdec`` without ``--splits`` makes
+    the same two calls.
 
     No parameter update can occur: :func:`load_checkpoint` makes every weight and both feature stats
-    read-only, so a write into them raises. A bad ``stride``, ``batch_size`` or pair of flow sources is
-    refused before any file is read; a flow source the checkpoint's variant does not read, or none when it
-    reads flow, after the checkpoint and before the tracks. The forecasts' last bits depend on
-    ``batch_size``, as OpenBLAS picks its kernel by shape: a byte-identity check must fix it.
+    read-only, so a write into them raises. The forecasts' last bits depend on ``batch_size``, as OpenBLAS
+    picks its kernel by shape: a byte-identity check must fix it.
     """
-    for name, value in (("stride", stride), ("batch_size", batch_size)):
-        if value < 1:
-            raise ValueError(f"cross_eval {name} must be >= 1, got {value}")
-    _check_inputs("encdec", flow_features=flow_features, synthetic_flow=synthetic_flow)
     batch, pred = forecast_checkpoint(checkpoint, tracks_path, stride, flow_features=flow_features,
                                       synthetic_flow=synthetic_flow, batch_size=batch_size)
     return score_forecasts(pred, batch, "encdec", out_dir)

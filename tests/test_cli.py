@@ -397,13 +397,20 @@ class TestTrainAndCrossEval:
              str(synth_file), "--stride", "10", "--out", str(tmp_path / "eval2")]
         )
         assert code == 0
+        eval_stdout = capsys.readouterr().out
 
         code = main(
             ["cross-eval", "--checkpoint", str(ckpts[0]), "--tracks", str(synth_file),
              "--stride", "10", "--out", str(tmp_path / "xe")]
         )
         assert code == 0
-        assert "cross-eval" in capsys.readouterr().out
+        # cross-eval is eval --model encdec without --splits: the same stdout line and the same files
+        assert capsys.readouterr().out == eval_stdout
+        written = sorted(path.name for path in (tmp_path / "eval2").iterdir())
+        assert {"summary.csv", "curves.csv", "breakdown_city.csv"} <= set(written)
+        assert sorted(path.name for path in (tmp_path / "xe").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "xe" / name).read_bytes() == (tmp_path / "eval2" / name).read_bytes(), name
 
     def test_tune_lkf(self, synth_file, splits_file, tmp_path, capsys):
         out = tmp_path / "runs"

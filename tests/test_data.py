@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mofcast.core import boxes_to_array
+from mofcast.core import FUTURE_LEN, OBSERVED_LEN, Track, boxes_to_array
 from mofcast.data import (
     ClipInterval,
     FlowFeatureStore,
@@ -131,7 +131,48 @@ class TestExtractWindows:
             assert w.metadata == track.metadata
 
 
+def cut_by_index(tracks, stride):
+    """Windows by plain index arithmetic, independent of cut_windows and extract_windows: tracks in key order,
+    anchor rows p-1, p-1+stride, ... while anchor + q < len, each frame offset by its track's start_frame.
+    Returns observed, future, anchor_frame and track_index (an index into the tracks that yield a window)."""
+    p, q = OBSERVED_LEN, FUTURE_LEN
+    observed, future, anchor_frame, track_index = [], [], [], []
+    kept = [t for t in sorted(tracks, key=lambda t: t.key) if (p - 1) + q < len(t)]  # those with a first window
+    for k, track in enumerate(kept):
+        anchor = p - 1
+        while anchor + q < len(track):
+            observed.append(track.boxes[anchor - p + 1 : anchor + 1])
+            future.append(track.boxes[anchor + 1 : anchor + q + 1])
+            anchor_frame.append(track.start_frame + anchor)
+            track_index.append(k)
+            anchor += stride
+    return (np.reshape(observed, (-1, p, 4)), np.reshape(future, (-1, q, 4)),
+            np.array(anchor_frame, dtype=np.int64), np.array(track_index, dtype=np.int64))
+
+
 class TestCutWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.one_of(st.sampled_from((89, 90, 91)), st.integers(1, 250)),
+                                  st.integers(0, 10**6)), max_size=5),  # (length, start_frame)
+        stride=st.one_of(st.sampled_from((1, 7, 60)), st.integers(1, 200)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shapes=[(89, 0), (90, 5), (91, 17)], stride=1, seed=0)
+    @example(shapes=[(91, 3), (90, 0), (150, 40)], stride=60, seed=1)
+    def test_equals_plain_index_arithmetic(self, shapes, stride, seed):
+        rng = np.random.default_rng(seed)
+        # listed out of key order (two videos, track ids descending), so key order is cut_windows' job
+        tracks = [Track(video_id=f"v{k % 2}", track_id=len(shapes) - k, start_frame=start,
+                        boxes=rng.uniform(1.0, 100.0, size=(length, 4)))
+                  for k, (length, start) in enumerate(shapes)]
+        batch = cut_windows(tracks, stride=stride)
+        observed, future, anchor_frame, track_index = cut_by_index(tracks, stride)
+        assert batch.observed.shape == observed.shape and batch.observed.tobytes() == observed.tobytes()
+        assert batch.future.shape == future.shape and batch.future.tobytes() == future.tobytes()
+        assert batch.anchor_frame.dtype == np.int64 and batch.anchor_frame.tolist() == anchor_frame.tolist()
+        assert batch.track_index.dtype == np.int64 and batch.track_index.tolist() == track_index.tolist()
+
     @pytest.mark.parametrize("stride", (1, 7, 60))
     @pytest.mark.parametrize("length", (89, 90, 150))
     def test_equals_extract_windows(self, stride, length):
@@ -462,11 +503,17 @@ class TestFlowFiles:
     def test_duplicate_window_rejected_with_line(self, tmp_path):
         index = tmp_path / "flow_features.csv"
         blob = tmp_path / "flow_features.bin"
-        index.write_text("video_id,track_id,anchor_frame\nv0,1,29\nv0,1,30\nv0,1,29\n", encoding="utf-8")
-        blob.write_bytes(np.zeros(12, dtype="<f4").tobytes())
-        duplicate = r"flow_features\.csv:4: duplicate entry for window \('v0', 1, 29\)"
-        with pytest.raises(FlowFeatureError, match=duplicate):
-            FlowFeatureStore.open(index)
+        cases = (
+            ("v0,1,29\nv0,1,30\nv0,1,29\n", r"flow_features\.csv:4: duplicate entry for window \('v0', 1, 29\)"),
+            # rows A, B, C, B, A: A and B differ only in track_id; the blank line counts, so the second B is line 6
+            ("v0,1,29\nv0,2,29\nv1,1,30\n\nv0,2,29\nv0,1,29\n",
+             r"flow_features\.csv:6: duplicate entry for window \('v0', 2, 29\)"),
+        )
+        for rows, duplicate in cases:
+            index.write_text("video_id,track_id,anchor_frame\n" + rows, encoding="utf-8")
+            blob.write_bytes(np.zeros(4 * len(rows.split()), dtype="<f4").tobytes())  # 4 floats per row
+            with pytest.raises(FlowFeatureError, match=duplicate):
+                FlowFeatureStore.open(index)
 
     def test_a_three_column_index_is_read_in_row_order(self, tmp_path):
         # index row i owns blob row i; dim is the blob's float count over the row count

@@ -263,19 +263,24 @@ class TestCrossEval:
         monkeypatch.setattr(harness, "weights_checksum", refuse)
         assert cross_eval(ckpt, synth_setup[0], stride=5).n_windows > 0
 
+    @pytest.mark.parametrize("entry", ("cross_eval", "forecast_checkpoint"))
     @pytest.mark.parametrize(
         "kwargs,problem",
         (
-            ({"stride": 0}, "cross_eval stride must be >= 1, got 0"),
-            ({"batch_size": -5}, "cross_eval batch_size must be >= 1, got -5"),
+            ({"stride": 0}, "^stride must be >= 1, got 0$"),
+            ({"batch_size": -5}, "^batch_size must be >= 1, got -5$"),
             ({"flow_features": "f.csv", "synthetic_flow": True}, "give one flow source"),
         ),
         ids=("stride", "batch_size", "two-flow-sources"),
     )
-    def test_a_bad_call_is_refused_before_any_file_is_read(self, tmp_path, kwargs, problem):
+    def test_a_bad_call_is_refused_before_any_file_is_read(self, tmp_path, entry, kwargs, problem):
+        # the checkpoint path does not exist: reading it first would raise FileNotFoundError instead
         out = tmp_path / "xeval"
         with pytest.raises(ValueError, match=problem):
-            cross_eval(tmp_path / "no.mofc", tmp_path / "no.csv", out_dir=out, **kwargs)
+            if entry == "cross_eval":
+                cross_eval(tmp_path / "no.mofc", tmp_path / "no.csv", out_dir=out, **kwargs)
+            else:
+                harness.forecast_checkpoint(tmp_path / "no.mofc", tmp_path / "no.csv", **{"stride": 1, **kwargs})
         assert not out.exists()
 
     @pytest.mark.parametrize("batch_size", (0, -5))
