@@ -225,7 +225,8 @@ def _print_report(report: MetricReport, label: str) -> None:
 
 def _check_flags(parser: argparse.ArgumentParser, args) -> None:
     """Refuse, as a usage error before any file is read, a flag that would be ignored (one --model or train's
-    --variant does not read, --fold without --splits) or is missing. An absent --fold (None) means fold 0."""
+    --variant does not read, --fold without --splits) or is missing (--model encdec's --checkpoint, --model lkf's
+    --params). An absent --fold (None) means fold 0."""
     def refuse(problem: str):
         parser.exit(1, f"{parser.prog} {args.command}: error: {problem}\n")
 
@@ -233,6 +234,10 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
     for name in (n for names in MODEL_INPUTS.values() for n in names):
         if model and getattr(args, name, None) and name not in MODEL_INPUTS[model]:
             refuse(f"argument --{name.replace('_', '-')}: not read by --model {model}")
+    if model == "encdec" and not args.checkpoint:
+        refuse("argument --checkpoint: required by --model encdec")
+    if model == "lkf" and not args.params:
+        refuse("argument --params: required by --model lkf (run tune-lkf first)")
     if getattr(args, "fold", None) is not None and not args.splits:
         refuse("argument --fold: not allowed without argument --splits")
     if args.command == "train":
@@ -249,12 +254,8 @@ def _model_predictions(args) -> tuple[WindowBatch, np.ndarray]:
     (:func:`harness.forecast_checkpoint`)."""
     splits, fold = getattr(args, "splits", None), getattr(args, "fold", None) or 0
     if args.model == "encdec":
-        if not args.checkpoint:
-            raise MofcastError("--model encdec needs --checkpoint")
         return forecast_checkpoint(args.checkpoint, args.tracks, args.stride, splits, fold, args.flow_features,
                                    args.synthetic_flow)
-    if args.model == "lkf" and not args.params:
-        raise MofcastError("--model lkf needs --params (run tune-lkf first)")
     params = KalmanParams.from_file(args.params) if args.model == "lkf" else None
     batch = load_windows(args.tracks, args.stride, splits, fold)
     return batch, cv_cs_batch(batch.observed) if params is None else lkf_batch(batch.observed, params)

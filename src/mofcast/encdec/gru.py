@@ -34,7 +34,8 @@ How the work is laid out:
   one (T, B, 3H) gate array, so every step reads and writes contiguous
   blocks. The callers' (B, T, ·) contract is kept by transposed views: the
   returned hidden states are ``hs[1:]`` seen as (B, T, H), ``dh_out`` is
-  read one (B, H) step at a time, and ``dx`` is a (B, T, I) view.
+  the (B, T, H) view of a time-major array, read one (B, H) step at a
+  time, and ``dx`` is a (B, T, I) view.
 - One gate array serves both passes. Each step owns one contiguous block
   of B*3H values, ``gates[k]``. The forward fills it with ``z | r`` as one
   C-contiguous (B, 2H) block followed by ``h~`` as a (B, H) block
@@ -50,11 +51,13 @@ How the work is laid out:
 - In-place steps: both forward GEMMs write into their block of the step's
   gates (``np.matmul(..., out=)``), the sigmoid and tanh run in place, and
   ``h'`` is built in ``hs[k+1]`` with one reused (B, H) buffer. The
-  backward step writes ``a_z``, ``a_r`` and ``a_h`` into one reused
-  (B, 3H) buffer, copied over the step's gates at its end, and updates
-  ``dh`` in place, with three reused (B, H) buffers. Each step keeps the
-  elementwise operation order of the cell above, so the forward pass is
-  bit-identical to a batch-major one with temporaries.
+  backward step copies ``z`` and ``r`` out of the gate block into two
+  contiguous (B, H) buffers, computes ``a_z``, ``a_r`` and ``a_h`` in three
+  more, copies those over the step's gate row, and updates ``dh`` in place
+  with three reused (B, H) buffers; so no elementwise operation runs on a
+  column block. Each step keeps the elementwise operation order of the
+  cell above, so the forward pass is bit-identical to a batch-major one
+  with temporaries.
 - Forward-only: ``gru_forward(..., for_backward=False)`` is for a pass no
   backward follows (forecasting). Its gate array is one (1, B, 3H) block
   that every step reuses, so a forecast holds no (T, B, ·) gate cache; ``hs``
@@ -65,8 +68,13 @@ How the work is laid out:
   weight gradients are not accumulated per step: after the loop, one GEMM
   over the hidden states of all steps, ``hs[:-1]`` read as (T*B, H) without
   a copy, gives ``[dU_z; dU_r]``, and one more gives ``dU_h`` over the
-  ``r * h`` of every step, which the backward loop stores in one (T, B, H)
-  array before it overwrites ``r``.
+  ``r * h`` of every step. The backward uses up ``dh_out`` to hold them:
+  once step k has added ``dh_out[:, k]`` into ``dh``, it writes
+  ``r * h_prev`` over that time-major slot, so no (T, B, H) array of its
+  own is allocated. ``dh_out`` must therefore be the (B, T, H) view of a
+  writable, C-contiguous (T, B, H) array; anything else raises. The step
+  loop runs in its own function, so its (B, H) buffers and the stacked
+  ``U_zr`` are freed before these GEMMs.
 - Time-constant inputs: a (B, T, I) input whose time axis has stride 0 (a
   ``np.broadcast_to`` of one (B, I) row per sequence, as the decoder is fed
   its code) is projected once, as (B, 3H). Its input-weight gradient is
@@ -182,38 +190,26 @@ def gru_forward(params: GRUParams, x: np.ndarray, *, for_backward: bool = True) 
     return hs[1:].transpose(1, 0, 2), GRUCache(x=x, hs=hs, gates=gates)
 
 
-def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tuple[np.ndarray, GRUParams]:
-    """Backpropagate through time.
+def _backward_steps(params: GRUParams, hs: np.ndarray, gates: np.ndarray, rh: np.ndarray) -> None:
+    """The step-by-step half of :func:`gru_backward`, from the last step to the first.
 
-    ``dh_out[:, k]`` is the loss gradient injected directly at hidden state
-    h_{k+1} by its downstream consumers (every step for a decoder, only the
-    last step for a sequence encoder); a (B, T, H) view of a time-major
-    (T, B, H) array reads each step contiguously. Returns (dx, parameter
-    grads); ``dx`` is a (B, T, I) view of a time-major array, or (B, 1, I)
-    for a time-constant input. The initial state is the constant zero, so it
-    has no gradient. The pass uses up the cache: its gate array ends holding
-    the gradients, read-only, and a second backward on it raises.
+    Step k adds ``rh[k]`` (its ``dh_out`` slot) into the running ``dh``,
+    writes ``r * h_prev`` over that slot, and writes ``a_z | a_r | a_h`` over
+    its gate row once the row is read. Its step buffers and the stacked
+    ``U_zr`` die on return, before the weight GEMMs run.
     """
-    x, hs, gates = cache
-    b, t, i = x.shape
-    if gates.shape[0] != t:
-        raise ValueError(f"cache holds the gates of {gates.shape[0]} step(s) for a {t}-step sequence: "
-                         "it comes from a forward-only gru_forward(..., for_backward=False)")
-    if not gates.flags.writeable:
-        raise ValueError("cache already holds the gradients of an earlier backward: "
-                         "run gru_forward again for another backward")
-    hd = params.hidden_dim
+    t, b, hd = rh.shape
     u_zr = np.concatenate([params.u_z, params.u_r])
 
-    rh = np.empty((t, b, hd))       # r * h_prev of every step, read by the dU_h GEMM
-    da = np.empty((b, 3 * hd))      # one step's pre-activation gradients a_z, a_r, a_h
-    a_z, a_r, a_h = da[:, :hd], da[:, hd : 2 * hd], da[:, 2 * hd :]
+    z, r = np.empty((b, hd)), np.empty((b, hd))  # the step's gates, copied out of its gate row
+    a_z, a_r, a_h = np.empty((b, hd)), np.empty((b, hd)), np.empty((b, hd))  # its pre-activation gradients
     dh = np.zeros((b, hd))
     one_minus_z, drh, buf = np.empty((b, hd)), np.empty((b, hd)), np.empty((b, hd))
     for k in range(t - 1, -1, -1):
-        dh += dh_out[:, k]
+        dh += rh[k]
         (zr, htil), h_prev = _forward_blocks(gates[k], hd), hs[k]
-        z, r = zr[:, :hd], zr[:, hd:]
+        np.copyto(z, zr[:, :hd])
+        np.copyto(r, zr[:, hd:])
         np.multiply(r, h_prev, out=rh[k])
 
         np.subtract(1.0, z, out=one_minus_z)
@@ -230,13 +226,46 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
         a_r *= r
         np.subtract(1.0, r, out=buf)
         a_r *= buf                                  # a_r = dr * r * (1 - r)
+        da = gates[k]                               # this step's gates are read: its gradients take their place
+        da[:, :hd], da[:, hd : 2 * hd], da[:, 2 * hd :] = a_z, a_r, a_h
         if k > 0:                                   # h_0 is the constant zero: no dh to carry
             dh *= z                                 # dh = dh * z + a_zr @ U_zr + drh * r
             np.matmul(da[:, : 2 * hd], u_zr, out=buf)
             dh += buf
             drh *= r
             dh += drh
-        gates[k] = da                               # this step's gates are read: its gradients take their place
+
+
+def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tuple[np.ndarray, GRUParams]:
+    """Backpropagate through time.
+
+    ``dh_out[:, k]`` is the loss gradient injected directly at hidden state
+    h_{k+1} by its downstream consumers (every step for a decoder, only the
+    last step for a sequence encoder). It must be the (B, T, H) view of a
+    writable, C-contiguous, time-major (T, B, H) array, which the pass uses
+    up: once step k has added ``dh_out[:, k]`` into its running gradient, it
+    writes ``r * h_k`` over that slot, so after the pass ``dh_out[:, k]``
+    holds step k's ``r * h_k``. Returns (dx, parameter grads); ``dx`` is a
+    (B, T, I) view of a time-major array, or (B, 1, I) for a time-constant
+    input. The initial state is the constant zero, so it has no gradient.
+    The pass also uses up the cache: its gate array ends holding the
+    gradients, read-only, and a second backward on it raises.
+    """
+    x, hs, gates = cache
+    b, t, i = x.shape
+    if gates.shape[0] != t:
+        raise ValueError(f"cache holds the gates of {gates.shape[0]} step(s) for a {t}-step sequence: "
+                         "it comes from a forward-only gru_forward(..., for_backward=False)")
+    if not gates.flags.writeable:
+        raise ValueError("cache already holds the gradients of an earlier backward: "
+                         "run gru_forward again for another backward")
+    hd = params.hidden_dim
+    rh = dh_out.transpose(1, 0, 2)  # time-major; step k's slot takes r * h_k once its gradient is read
+    if rh.shape != (t, b, hd) or not rh.flags.c_contiguous or not rh.flags.writeable:
+        raise ValueError(f"dh_out must be the (B, T, H) = {(b, t, hd)} view of a writable, C-contiguous, "
+                         f"time-major (T, B, H) array, which the backward overwrites; got shape {dh_out.shape}, "
+                         f"strides {dh_out.strides}, writeable={dh_out.flags.writeable}")
+    _backward_steps(params, hs, gates, rh)
     gates.flags.writeable = False
 
     flat_da = gates.reshape(t * b, 3 * hd)

@@ -167,13 +167,15 @@ class ForwardCache:
     only their last step's gates: the residuals are the same bits, and
     :func:`backward_batch` raises on such a cache. A cache serves one
     :func:`backward_batch`, which overwrites each GRU's gates with their
-    gradients (see :func:`gru_backward`).
+    gradients (see :func:`gru_backward`) and sets ``dec_cache`` to ``None``
+    once the decoder backward returns, so the encoder backward runs without
+    the decoder's states and gates.
     """
 
     enc_cache: GRUCache | None  # enc_cache.x: the standardized features; enc_cache.hs[-1]: the last state
     fc_pre: np.ndarray | None
     code: np.ndarray
-    dec_cache: GRUCache  # dec_cache.hs[1:] are the (60, B, H) decoder states; backward_batch uses up its gates
+    dec_cache: GRUCache | None  # hs[1:]: the (60, B, H) decoder states; None once backward_batch has used it up
     residuals: np.ndarray
 
 
@@ -221,8 +223,16 @@ def forward_batch(
 def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every tensor, given d(loss)/d(residuals).
 
-    The pass uses up ``cache``: a second call on the same cache raises ``ValueError``.
+    The pass uses up ``cache``: a second call on the same cache raises
+    ``ValueError``. The decoder's output gradient is a time-major
+    (horizon, B, H) array that :func:`gru_backward` uses up, leaving the
+    decoder's ``r * h`` products in it. Once the decoder backward returns,
+    that array and the decoder's cache are dropped (``cache.dec_cache``
+    becomes ``None``), so the encoder backward holds only the encoder's cache.
     """
+    if cache.dec_cache is None:
+        raise ValueError("cache already holds the gradients of an earlier backward: "
+                         "run forward_batch again for another backward")
     cfg, t = params.config, params.tensors()
     b, horizon, _ = dresiduals.shape
     hd = cfg.hidden
@@ -238,6 +248,9 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
 
     ddec_h = (flat_d @ t["out.w"]).reshape(horizon, b, hd)
     dx_dec, dec_grads = gru_backward(params.gru("decoder"), cache.dec_cache, ddec_h.transpose(1, 0, 2))
+    # The decoder's cache and ddec_h (now its r * h products) are dead: the encoder backward runs without them.
+    cache.dec_cache = None
+    del flat_h, ddec_h
     for k, v in dec_grads.tensors().items():
         grads[f"decoder.{k}"] = v
 

@@ -367,15 +367,17 @@ class TestEvalAndForecast:
         tracks = load_tracks(out / "forecasts.csv")
         assert tracks and all(len(t) == 60 for t in tracks)
 
-    def test_eval_lkf_requires_params(self, synth_file, tmp_path):
+    def test_eval_lkf_requires_params(self, synth_file, tmp_path, capsys):
         assert main(
             ["eval", "--model", "lkf", "--tracks", str(synth_file), "--out", str(tmp_path / "o")]
-        ) == 2
+        ) == 1
+        assert "argument --params: required by --model lkf" in capsys.readouterr().err
 
-    def test_eval_encdec_requires_checkpoint(self, synth_file, tmp_path):
+    def test_eval_encdec_requires_checkpoint(self, synth_file, tmp_path, capsys):
         assert main(
             ["eval", "--model", "encdec", "--tracks", str(synth_file), "--out", str(tmp_path / "o")]
-        ) == 2
+        ) == 1
+        assert "argument --checkpoint: required by --model encdec" in capsys.readouterr().err
 
 
 class TestTrainAndCrossEval:

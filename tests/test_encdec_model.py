@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from mofcast.encdec import (
     gru_forward,
     init_params,
     load_checkpoint,
+    loss_and_gradients,
     residuals_to_boxes,
     save_checkpoint,
     smooth_l1,
@@ -32,6 +34,7 @@ from mofcast.encdec import (
     synthetic_flow_batch,
     synthetic_flow_feature,
 )
+from mofcast.encdec import model as model_module
 from mofcast.encdec.features import box_features_from_array
 from mofcast.encdec.gru import sigmoid
 from mofcast.errors import FlowFeatureError
@@ -133,6 +136,11 @@ def random_gru(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> GRU
     return GRUParams(**draws, **{f"b_{g}": np.zeros(hidden_dim) for g in "zrh"})
 
 
+def time_major(dh_out: np.ndarray) -> np.ndarray:
+    """The (B, T, H) view of a fresh time-major copy of ``dh_out``: the layout gru_backward takes, and uses up."""
+    return dh_out.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+
+
 class TestGruCell:
     def test_zero_weights_zero_state(self):
         params = zero_gru(4, 6)
@@ -187,8 +195,8 @@ class TestGruHotPath:
         hs_shared, cache_shared = gru_forward(params, shared)
         hs_copied, cache_copied = gru_forward(params, copied)
         np.testing.assert_allclose(hs_shared, hs_copied, rtol=1e-12, atol=0.0)
-        dx_shared, g_shared = gru_backward(params, cache_shared, dh_out)
-        dx_copied, g_copied = gru_backward(params, cache_copied, dh_out)
+        dx_shared, g_shared = gru_backward(params, cache_shared, time_major(dh_out))
+        dx_copied, g_copied = gru_backward(params, cache_copied, time_major(dh_out))
         for name, g in g_shared.tensors().items():
             np.testing.assert_allclose(g, getattr(g_copied, name), rtol=1e-12, atol=0.0, err_msg=name)
         assert dx_shared.shape == (b, 1, i)
@@ -252,7 +260,7 @@ class TestTimeMajorGru:
         assert cache_fwd.gates.shape == (1, b, 3 * hd)
         assert _bits(cache_fwd.gates) == _bits(cache.gates[-1:])
 
-        dx, grads = gru_backward(params, cache, dh_out)
+        dx, grads = gru_backward(params, cache, time_major(dh_out))
         dx_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
         assert dx.shape == ((b, 1, i) if shared and t > 1 else (b, t, i))
         pairs = {"dx": (dx, dx_ref)}
@@ -337,10 +345,22 @@ class TestBackwardUsesUpTheCache:
         x = np.broadcast_to(rng.normal(size=(3, 1, 4)), (3, 7, 4)) if shared else rng.normal(size=(3, 7, 4))
         _, cache = gru_forward(params, x)
         dh_out = rng.normal(size=(3, 7, 5))
-        gru_backward(params, cache, dh_out)
+        gru_backward(params, cache, time_major(dh_out))
         assert not cache.gates.flags.writeable
         with pytest.raises(ValueError, match="cache already holds the gradients of an earlier backward"):
+            gru_backward(params, cache, time_major(dh_out))
+
+    @pytest.mark.parametrize("layout", ("batch-major", "read-only"))
+    def test_gru_backward_refuses_a_dh_out_it_cannot_use_up(self, rng, layout):
+        # the backward writes r * h over dh_out's time-major steps; it makes no copy of another layout
+        params = random_gru(rng, 4, 5)
+        _, cache = gru_forward(params, rng.normal(size=(3, 7, 4)))
+        dh_out = rng.normal(size=(3, 7, 5)) if layout == "batch-major" else time_major(rng.normal(size=(3, 7, 5)))
+        dh_out.flags.writeable = layout == "batch-major"
+        with pytest.raises(ValueError, match="dh_out must be the \\(B, T, H\\) = \\(3, 7, 5\\) view of a writable"):
             gru_backward(params, cache, dh_out)
+        assert cache.gates.flags.writeable  # refused before any step is read: the cache still serves a backward
+        gru_backward(params, cache, time_major(dh_out))
 
     @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
     def test_backward_batch_refuses_a_used_cache(self, rng, variant):
@@ -353,17 +373,57 @@ class TestBackwardUsesUpTheCache:
 
     def test_decoder_backward_peak_memory_stays_below_one_gate_array(self, rng):
         # a decoder-like cache: stride-0 input, T=60, B=64, H=64; one (T, B, 3H) float64 array is 5.9 MB,
-        # and the backward holds the (T, B, H) r * h products and (B, ·) step buffers beside its results
+        # and the backward holds (B, ·) step buffers beside its results (the r * h products go into dh_out)
         b, t, i, hd = 64, 60, 256, 64
         params = random_gru(rng, i, hd)
         x = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i))
         dh_out = rng.normal(size=(t, b, hd)).transpose(1, 0, 2)
-        gru_backward(params, gru_forward(params, x)[1], dh_out)  # first call outside the trace: BLAS setup
+        gru_backward(params, gru_forward(params, x)[1], time_major(dh_out))  # untraced first call: BLAS setup
         _, cache = gru_forward(params, x)
         (dx, _), peak = traced_peak(gru_backward, params, cache, dh_out)
         assert dx.shape == (b, 1, i)
         gate_array = t * b * 3 * hd * 8
         assert peak < gate_array, (peak, gate_array)
+
+
+class TestTrainingStepMemory:
+    """One bb_only training step at B=128, H=128, where each (60, B, H) float64 array is 7.5 MiB."""
+
+    B, H = 128, 128
+
+    def _step(self):
+        rng = np.random.default_rng(5)
+        params = init_params(ModelConfig(variant="bb_only", hidden=self.H), 0, zero_output=False)
+        features, targets = rng.normal(size=(self.B, 30, 8)), rng.normal(size=(self.B, 60, 4))
+        loss_and_gradients(params, FeatureStats.identity(), features[:2], None, targets[:2])  # untraced: BLAS setup
+        return params, FeatureStats.identity(), features, None, targets
+
+    def test_peak_holds_both_caches_and_one_output_gradient(self):
+        # the decoder backward holds both GRU caches and the decoder's (60, B, H) output gradient, which it
+        # reuses for its r * h products; the room left for step buffers and weight-sized temporaries is 3/4
+        # of one more (60, B, H) array, so a separate (60, B, H) r * h array breaks the bound
+        b, hd = self.B, self.H
+        caches = 8 * b * hd * ((31 + 3 * 30) + (61 + 3 * 60))  # encoder and decoder (T+1, B, H) hs and gates
+        output_gradient = 8 * 60 * b * hd
+        _, peak = traced_peak(loss_and_gradients, *self._step())
+        bound = caches + output_gradient + 0.75 * output_gradient
+        assert peak < bound, (peak, bound)
+
+    def test_encoder_backward_runs_below_the_decoder_backward(self, monkeypatch):
+        # backward_batch drops the decoder's cache and output gradient before the encoder backward
+        peaks = []
+
+        def traced_gru_backward(*args):
+            tracemalloc.reset_peak()
+            result = gru_backward(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return result
+
+        step = self._step()
+        monkeypatch.setattr(model_module, "gru_backward", traced_gru_backward)
+        traced_peak(loss_and_gradients, *step)
+        decoder, encoder = peaks
+        assert encoder < decoder, (encoder, decoder)
 
 
 class TestEncodeDecode:

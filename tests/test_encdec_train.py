@@ -177,7 +177,7 @@ class TestLearning:
         """The paper's cross-dataset claim at desk scale: a model trained on noisy turning tracks, saved and
         scored by cross_eval on 64 unseen tracks, noiseless and noisy, beats CV-CS by a wide margin and the LKF
         tuned on the training validation set. Measured: 0.594 and 0.569 x CV-CS, where the LKF reads 1.009 and
-        0.969 x; best epoch 9."""
+        0.969 x; best epoch 9. On the noisy set the bound is 0.7: a trainer that never shuffles reads 0.728."""
         def turning(n, noise, seed):
             return synth_generate("turning", n, noise, seed, n_frames=150)
 
@@ -188,12 +188,12 @@ class TestLearning:
         checkpoint = tmp_path / "model.mofc"
         save_checkpoint(result.model, checkpoint)
         lkf_params = lkf_tune(val, default_param_grid()).params
-        for noise, seed in ((0.0, 99), (1.0, 100)):
+        for noise, seed, bound in ((0.0, 99, 0.8), (1.0, 100, 0.7)):
             tracks, path = turning(64, noise, seed), tmp_path / f"unseen_{seed}.csv"
             write_tracks(tracks, path)
             test = cut_windows(tracks, stride=7)
             ade = cross_eval(checkpoint, path, stride=7).ade
-            assert ade <= 0.8 * centroid_ade(cv_cs_batch(test.observed), test.future)
+            assert ade <= bound * centroid_ade(cv_cs_batch(test.observed), test.future)
             assert ade < centroid_ade(lkf_batch(test.observed, lkf_params), test.future)
 
 
