@@ -104,6 +104,11 @@ class Adam:
         self.t = 0
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
+        """Apply one update to ``tensors`` in place.
+
+        Only m and v persist across calls; no reference to ``grads`` is
+        kept, so a caller that drops its table frees it.
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -155,6 +160,11 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     Nothing pins BLAS's thread count, so repeatability also rests on the BLAS
     build; a paper-size (H=512) test checks that two runs write byte-identical
     checkpoints.
+
+    What lives across a step: the params, the best-epoch copy and Adam's m
+    and v, each the size of the params. A step adds its own forward caches
+    and gradients, and its gradients are dropped once Adam has applied them,
+    so no step's passes run beside the previous step's.
     """
     if not len(train_batch):
         raise ValueError("training set is empty")
@@ -201,6 +211,7 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
                     f"non-finite loss at epoch {epoch}", log=log
                 )
             optimizer.step(params.tensors(), grads, lr)
+            del grads  # applied: the next step's passes run without this copy of the parameters
             loss_sum += loss * idx.size
         val_ade = validation_ade()
         log.epochs.append(
