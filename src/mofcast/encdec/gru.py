@@ -58,6 +58,12 @@ How the work is laid out:
   column block. Each step keeps the elementwise operation order of the
   cell above, so the forward pass is bit-identical to a batch-major one
   with temporaries.
+- Step 0 makes no recurrent GEMM: ``h_0 = 0``, so its ``h @ U_zr`` and
+  ``(r * h) @ U_h`` are zero, and the step copies its row of the input
+  projection into its gate blocks instead. Adding a zero product changes
+  at most the sign of a zero gate input, which ``sigmoid`` and
+  ``h' = (1 - z) * tanh(·) + z * 0`` both map to the same bits, so the
+  states and gradients are bit-identical to the full step's.
 - Forward-only: ``gru_forward(..., for_backward=False)`` is for a pass no
   backward follows (forecasting). Its gate array is one (1, B, 3H) block
   that every step reuses, so a forecast holds no (T, B, ·) gate cache; ``hs``
@@ -175,13 +181,19 @@ def gru_forward(params: GRUParams, x: np.ndarray, *, for_backward: bool = True) 
     for k in range(t):
         h, h_next = hs[k], hs[k + 1]
         zr, htil = _forward_blocks(gates[k if for_backward else 0], hd)
-        np.matmul(h, u_zr_t, out=zr)
-        zr += xp[k, :, : 2 * hd]
+        if k:
+            np.matmul(h, u_zr_t, out=zr)
+            zr += xp[k, :, : 2 * hd]
+        else:                               # h_0 = 0: no recurrent term
+            np.copyto(zr, xp[0, :, : 2 * hd])
         sigmoid(zr, out=zr)
         z, r = zr[:, :hd], zr[:, hd:]
-        np.multiply(r, h, out=buf)
-        np.matmul(buf, u_h_t, out=htil)
-        htil += xp[k, :, 2 * hd :]
+        if k:
+            np.multiply(r, h, out=buf)
+            np.matmul(buf, u_h_t, out=htil)
+            htil += xp[k, :, 2 * hd :]
+        else:
+            np.copyto(htil, xp[0, :, 2 * hd :])
         np.tanh(htil, out=htil)
         np.subtract(1.0, z, out=h_next)     # h' = (1 - z) * htil + z * h
         h_next *= htil

@@ -8,7 +8,9 @@ boxes relative to the CV-CS extrapolation, in raw pixels; encoder inputs are
 standardized with stats computed on the training windows only. Because the
 output layer starts at zero, epoch 0 (the untrained model) scores exactly
 like the CV-CS baseline, and it participates in best-epoch selection:
-training can only be accepted if it beats that.
+training can only be accepted if it beats that. So epoch 0 is scored as
+CV-CS's centroid ADE on the validation windows, without a forward pass; see
+:func:`train` for why that is exact.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .features import box_features  # noqa: F401
 from .model import forward_batch  # noqa: F401
 
 LR_HALVING_EPOCHS = 5
+ADAM_BLOCK = 8192  # elements per Adam block: a block of p, g, m, v and the two scratch rows is 384 KiB
 
 
 @dataclass(frozen=True)
@@ -102,25 +105,52 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self._scratch = np.empty((2, ADAM_BLOCK))
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
         """Apply one update to ``tensors`` in place.
 
+        Each tensor's flat view is updated ``ADAM_BLOCK`` elements at a
+        time, and every intermediate lands in one of two scratch blocks that
+        live as long as the optimizer, so a step allocates nothing after the
+        first and its working set stays in cache. Each block keeps the
+        elementwise order of the whole-array update ``m = β1·m + (1-β1)·g``,
+        ``v = β2·v + ((1-β2)·g)·g``, ``p -= lr·(m/bc1) / (sqrt(v/bc2) + eps)``,
+        so the bits are the same. A tensor must be C-contiguous: its flat
+        view is then the tensor itself, where a strided one's would be a copy
+        that the update would silently miss; anything else is a ``ValueError``
+        naming it, raised before any tensor moves.
+
         Only m and v persist across calls; no reference to ``grads`` is
         kept, so a caller that drops its table frees it.
         """
-        self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
         for name, p in tensors.items():
-            g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if not p.flags.c_contiguous:
+                raise ValueError(f"Adam updates tensors in place through their flat view: {name!r} is not C-contiguous")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1, bc2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for name, p in tensors.items():
+            flat = [a.reshape(-1) for a in (
+                p, grads[name], self.m.setdefault(name, np.zeros_like(p)), self.v.setdefault(name, np.zeros_like(p))
+            )]
+            for lo in range(0, p.size, ADAM_BLOCK):
+                p_, g, m, v = (a[lo : lo + ADAM_BLOCK] for a in flat)
+                s, u = self._scratch[:, : g.size]
+                m *= b1
+                np.multiply(g, 1.0 - b1, out=s)
+                m += s
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=s)
+                s *= g
+                v += s
+                np.divide(m, bc1, out=s)
+                s *= lr
+                np.divide(v, bc2, out=u)
+                np.sqrt(u, out=u)
+                u += self.eps
+                s /= u
+                p_ -= s
 
 
 @dataclass
@@ -140,11 +170,20 @@ class WindowArrays:
         return self.base.shape[0]
 
 
+def _require_flow(batch: WindowBatch, config: ModelConfig) -> None:
+    """Refuse a batch without the flow features of ``config``'s width when its variant reads flow."""
+    if not config.uses_flow:
+        return
+    if batch.flow is None:
+        raise FlowFeatureError(f"{len(batch)} windows lack flow features (variant {config.variant!r})")
+    if batch.flow.shape[-1] != config.flow_dim:
+        raise FlowFeatureError(f"flow feature dim {batch.flow.shape[-1]} != configured {config.flow_dim}")
+
+
 def assemble_arrays(batch: WindowBatch, config: ModelConfig) -> WindowArrays:
     if not len(batch):
         raise ValueError("window batch is empty")
-    if config.uses_flow and batch.flow is None:
-        raise FlowFeatureError(f"{len(batch)} windows lack flow features (variant {config.variant!r})")
+    _require_flow(batch, config)
     return WindowArrays(
         features=box_features_from_array(batch.observed) if config.uses_boxes else None,
         flow=batch.flow if config.uses_flow else None,
@@ -165,13 +204,23 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     and v, each the size of the params. A step adds its own forward caches
     and gradients, and its gradients are dropped once Adam has applied them,
     so no step's passes run beside the previous step's.
+
+    Epoch 0 is scored without a forward pass, as CV-CS's centroid ADE on the
+    validation windows, and that is the untrained model's score bit for bit:
+    :func:`init_params` zeroes the output layer, so while the hidden states
+    are finite every residual is exactly ±0 and adding it leaves the CV-CS
+    boxes as they are; the 1-px size clamp touches only w and h, and the
+    centroid ADE reads only cx and cy. Each later epoch runs one
+    :func:`forecast_array` over the validation windows. A validation batch
+    that lacks the flow a variant reads is refused before any step.
     """
     if not len(train_batch):
         raise ValueError("training set is empty")
     if not len(val_batch):
         raise ValueError("validation set is empty")
-
     model_config = config.model_config()
+    _require_flow(val_batch, model_config)
+
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
@@ -186,11 +235,7 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     params = init_params(model_config, init_rng)
     optimizer = Adam()
 
-    def validation_ade() -> float:
-        pred = forecast_array(Model(params=params, stats=stats), val_batch)
-        return centroid_ade(pred, val_batch.future)
-
-    best_ade = validation_ade()
+    best_ade = centroid_ade(cv_cs_batch(val_batch.observed), val_batch.future)  # the untrained model's, exactly
     log = TrainLog(initial_val_ade=best_ade)
     best_params = params.copy()
 
@@ -213,7 +258,7 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
             optimizer.step(params.tensors(), grads, lr)
             del grads  # applied: the next step's passes run without this copy of the parameters
             loss_sum += loss * idx.size
-        val_ade = validation_ade()
+        val_ade = centroid_ade(forecast_array(Model(params=params, stats=stats), val_batch), val_batch.future)
         log.epochs.append(
             EpochRecord(epoch=epoch, learning_rate=lr, train_loss=loss_sum / n, val_ade=val_ade)
         )

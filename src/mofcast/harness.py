@@ -201,7 +201,12 @@ def _audit_cities(split, fold: int) -> None:
 def score_forecasts(pred: np.ndarray, batch: WindowBatch, model_id: str, out_dir: str | Path | None) -> MetricReport:
     """Score ``pred``, the (N, q, 4) forecasts of ``batch``. Given an ``out_dir`` (made if missing), write
     ``summary.csv``, ``curves.csv`` and a ``breakdown_<field>.csv`` per metadata field some track carries;
-    the windows of a track that lacks the field form the group ``""``."""
+    the windows of a track that lacks the field form the group ``""``. A non-finite forecast is refused with
+    :class:`MofcastError` naming its window, before anything is scored or written: IOU would read it as a miss."""
+    finite = np.isfinite(pred).reshape(len(pred), -1).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise MofcastError(f"{bad.size} non-finite forecast(s), the first for window {batch.source(int(bad[0]))}")
     scores = evaluate_batch(pred, batch)
     report = aggregate(scores)
     if out_dir is not None:

@@ -37,6 +37,9 @@ from mofcast.encdec import (
     tensor_shapes,
     train,
 )
+from mofcast.encdec import training
+from mofcast.encdec.features import FeatureStats, box_features_from_array
+from mofcast.encdec.training import ADAM_BLOCK
 from mofcast.errors import CheckpointError, FlowFeatureError, TrainingDivergedError
 from mofcast.harness import cross_eval
 from mofcast.metrics import aggregate, centroid_ade, evaluate_batch
@@ -120,6 +123,42 @@ class TestAdam:
         for name, p in tensors.items():
             np.testing.assert_allclose(p.ravel(), expected[name], rtol=1e-15, atol=0)
 
+    def test_blocked_step_equals_the_whole_array_expression_bit_for_bit(self):
+        """The oracle is the same update as whole-array expressions. Both tensors hold 2 * ADAM_BLOCK + 5
+        elements, so the last block is ragged; the gradient scales span 1e-4..10, so eps matters."""
+        beta1, beta2, eps = Adam.beta1, Adam.beta2, Adam.eps
+        n = 2 * ADAM_BLOCK + 5
+        rng = np.random.default_rng(8)
+        tensors = {"flat": rng.normal(size=n), "matrix": rng.normal(size=(9, n // 9))}
+        expected = {name: p.copy() for name, p in tensors.items()}
+        m = {name: np.zeros_like(p) for name, p in tensors.items()}
+        v = {name: np.zeros_like(p) for name, p in tensors.items()}
+        optimizer = Adam()
+        for t, lr in enumerate((1e-3, 3e-2, 5e-4, 1e-2), start=1):
+            grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.uniform(-4, 1, size=p.shape)
+                     for name, p in tensors.items()}
+            bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+            for name, p in expected.items():
+                g = grads[name]
+                m[name] *= beta1
+                m[name] += (1.0 - beta1) * g
+                v[name] *= beta2
+                v[name] += (1.0 - beta2) * g * g
+                p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+            optimizer.step(tensors, grads, lr)
+            for name, p in tensors.items():
+                assert p.tobytes() == expected[name].tobytes(), (name, t)
+                assert optimizer.m[name].tobytes() == m[name].tobytes(), (name, t)
+                assert optimizer.v[name].tobytes() == v[name].tobytes(), (name, t)
+
+    def test_a_strided_tensor_is_refused_by_name_before_any_tensor_moves(self):
+        tensors = {"first": np.ones(3), "strided": np.ones((4, 6))[:, ::2]}
+        grads = {name: np.ones(p.shape) for name, p in tensors.items()}
+        optimizer = Adam()
+        with pytest.raises(ValueError, match="'strided' is not C-contiguous"):
+            optimizer.step(tensors, grads, 1e-3)
+        assert (tensors["first"] == 1.0).all() and optimizer.t == 0
+
 
 class TestNoiselessConstantVelocity:
     def test_validation_ade_never_degrades(self):
@@ -147,6 +186,44 @@ class TestValidationScoresLikeTest:
         cv_cs = aggregate(evaluate_batch(cv_cs_batch(val_w.observed), val_w))
         assert cv_cs.ade > 1.0
         assert result.log.initial_val_ade == cv_cs.ade
+
+    @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
+    def test_an_untrained_model_forecasts_the_cv_cs_centroids_bit_for_bit(self, variant):
+        """The premise of scoring epoch 0 as CV-CS without a forward pass: the zero output layer adds ±0."""
+        _, val_w = cv_windows(n_tracks=12, noise=2.0, stride=3)
+        val_w = dataclasses.replace(val_w, flow=synthetic_flow_batch(val_w.observed, 16))
+        config = ModelConfig(variant=variant, hidden=16, flow_dim=16)
+        stats = (compute_feature_stats(box_features_from_array(val_w.observed)) if config.uses_boxes
+                 else FeatureStats.identity())
+        pred = forecast_array(Model(params=init_params(config, 3), stats=stats), val_w)
+        assert pred[..., :2].tobytes() == cv_cs_batch(val_w.observed)[..., :2].tobytes()
+
+    def test_train_forecasts_the_validation_windows_once_per_epoch(self, monkeypatch):
+        train_w, val_w = cv_windows(noise=2.0)
+        seen = []
+
+        def counting(model, batch, *args, **kwargs):
+            seen.append(batch)
+            return forecast_array(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(training, "forecast_array", counting)
+        result = train(train_w, val_w, TrainConfig(**SMALL))
+        assert len(seen) == SMALL["epochs"] == len(result.log.epochs)
+        assert all(batch is val_w for batch in seen)
+
+    def test_a_validation_batch_without_the_flow_its_variant_reads_is_refused_before_any_step(self, monkeypatch):
+        train_w, val_w = cv_windows()
+        train_w = dataclasses.replace(train_w, flow=synthetic_flow_batch(train_w.observed, 16))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "loss_and_gradients", no_step)
+        config = TrainConfig(**{**SMALL, "variant": "both", "flow_dim": 16})
+        with pytest.raises(FlowFeatureError, match="lack flow features"):
+            train(train_w, val_w, config)
+        with pytest.raises(FlowFeatureError, match="flow feature dim 8 != configured 16"):
+            train(train_w, dataclasses.replace(val_w, flow=synthetic_flow_batch(val_w.observed, 8)), config)
 
     def test_the_returned_model_is_the_best_epochs(self):
         # a set-up whose best epoch is not the last, so returning the last epoch's weights shows
