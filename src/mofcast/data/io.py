@@ -47,7 +47,9 @@ video. Lines count CSV records, blank ones included: the header is line 1,
 and a line break inside a quoted field does not start a new line. When a
 file has several faults, the first of these is reported:
 
-1. an empty file or a bad header;
+1. an empty file, a bad header, or a byte that is not UTF-8, whichever
+   the reader meets first: it decodes the file in blocks, so a bad byte
+   in the first block is reported before a bad header;
 2. the first row that does not parse (wrong field count, or a number outside
    the grammar), even when a row before it has a value fault;
 3. the first row, in file order, with a value fault. Within a row the checks
@@ -88,6 +90,7 @@ _FLOW_MAGNITUDE_DTYPE = np.dtype([("video_id", object), ("frame", np.int64), ("m
 _FLOW_INDEX_DTYPE = np.dtype([("video_id", object)] + [(name, np.int64) for name in FLOW_INDEX_HEADER[1:]])
 
 _NOT_LINE_END = re.compile(r"[^\r\n]")
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as errors="surrogateescape" keeps it
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _GRAMMAR = {"i": "an int64 integer", "f": "a decimal float"}
@@ -96,13 +99,16 @@ _GRAMMAR = {"i": "an int64 integer", "f": "a decimal float"}
 def _read_table(path: Path, header: list[str], dtype: np.dtype, error: type[Exception]) -> tuple[np.ndarray, str]:
     """The rows of the CSV file ``path`` under ``header``, parsed into ``dtype``, and
     the text after the header, which the error paths find lines in."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        found = next(csv.reader(fh), None)
-        if found is None:
-            raise error(f"{path}: empty file")
-        if found != header:
-            raise error(f"{path}: bad header {found!r}, expected {header!r}")
-        body = fh.read()
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            found = next(csv.reader(fh), None)
+            if found is None:
+                raise error(f"{path}: empty file")
+            if found != header:
+                raise error(f"{path}: bad header {found!r}, expected {header!r}")
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{_undecodable_record(path)}: not UTF-8: {exc.reason} 0x{exc.object[exc.start]:02x}") from None
     if not _NOT_LINE_END.search(body):  # loadtxt warns on input with no rows
         return np.empty(0, dtype), body
     try:
@@ -133,6 +139,22 @@ def read_json(path: str | Path, error: type[Exception]) -> object:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from None
+
+
+def _undecodable_record(path: Path) -> str:
+    """``path:line`` of the first CSV record of the file ``path`` that holds a byte that is not UTF-8.
+
+    The bytes are decoded with each bad byte kept as a lone surrogate,
+    which no UTF-8 text holds, and the records are counted as on the other
+    error paths, the header being line 1. ``path`` alone if the records
+    cannot be split.
+    """
+    text = path.read_bytes().decode("utf-8", errors="surrogateescape")
+    records = enumerate(csv.reader(io.StringIO(text, newline="")), start=1)
+    try:
+        return next(f"{path}:{line}" for line, fields in records if _UNDECODED.search(",".join(fields)))
+    except (StopIteration, csv.Error):
+        return str(path)
 
 
 def _records(body: str) -> Iterable[tuple[int, list[str]]]:

@@ -96,9 +96,12 @@ def load_checkpoint(path: str | Path) -> Model:
     at the write. ``model.params.copy()`` gives writable tensors to train.
 
     The file size is checked against the size the header's dims imply
-    before any tensor is read or allocated. Each tensor gets its own array
-    rather than a view into one buffer: the data starts at byte 158, which
-    is not 8-aligned, and BLAS wants aligned float64 operands.
+    before any tensor is read or allocated. Every stat and tensor must be
+    finite: the first that is not is refused by name (``stats.std``,
+    ``decoder.u_h``), so a damaged model is never scored. Each tensor gets
+    its own array rather than a view into one buffer: the data starts at
+    byte 158, which is not 8-aligned, and BLAS wants aligned float64
+    operands.
     """
     with Path(path).open("rb") as fh:
         config = _header_config(path, fh.read(_HEADER.size))
@@ -110,15 +113,17 @@ def load_checkpoint(path: str | Path) -> Model:
         if size > expected:
             raise CheckpointError(f"{path}: {size - expected} unexpected trailing bytes")
 
-        def take(shape: tuple[int, ...]) -> np.ndarray:
+        def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
             count = math.prod(shape)
             arr = np.fromfile(fh, dtype="<f8", count=count)
             if arr.size != count:  # the file shrank after the size check
                 raise CheckpointError(f"{path}: truncated file")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: {name} holds a non-finite value")
             arr.setflags(write=False)  # before the reshape, so no writable alias exists
             return arr.reshape(shape)
 
-        mean = take((FEATURE_DIM,))
-        std = take((FEATURE_DIM,))
-        tensors = {name: take(shape) for name, shape in table.items()}
+        mean = take("stats.mean", (FEATURE_DIM,))
+        std = take("stats.std", (FEATURE_DIM,))
+        tensors = {name: take(name, shape) for name, shape in table.items()}
     return Model(params=ModelParams(config, tensors), stats=FeatureStats(mean=mean, std=std))

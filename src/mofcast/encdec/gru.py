@@ -17,13 +17,17 @@ How the work is laid out:
 
 - ``sigmoid(x) = (1 + tanh(x / 2)) / 2``: one transcendental call, no
   overflow for any finite ``x``, and the output stays in [0, 1].
-- Fused gates: the input projection of the whole sequence is one GEMM
-  per gate, ``x @ W_g^T`` written into the gate's column block of one
-  (·, 3H) array and ``b_g`` added in place, so the input weights are never
-  copied into a stacked (3H, I) matrix. The bits equal a stacked GEMM's
-  wherever BLAS runs both shapes with the same kernel; OpenBLAS's
-  small-matrix kernel (AVX-512) can take the narrower per-gate GEMM alone
-  when H times the row count is small, which moves the last bits.
+- Fused gates: a step's input projection is one GEMM per gate,
+  ``x_k @ W_g^T`` written into the gate's column block of one reused
+  (B, 3H) row and ``b_g`` added in place, so the input weights are never
+  copied into a stacked (3H, I) matrix and no (T*B, 3H) projection of the
+  whole sequence is held: at I = 8 that array is 3H/I = 192x the input,
+  and projecting it at once saves no time. At B = 1 the T rows are still
+  projected at once, because numpy runs a one-row GEMM as a GEMV, whose
+  bits differ. The bits equal a stacked GEMM's wherever BLAS runs both
+  shapes with the same kernel; OpenBLAS's small-matrix kernel (AVX-512)
+  can take the narrower per-gate GEMM alone when H times the row count is
+  small, which moves the last bits.
   ``[U_z; U_r]`` is stacked into one (2H, H) recurrent matrix, so each step
   makes one ``h @ U_zr`` GEMM for both gates (backward: one
   ``a_zr @ U_zr``). The backward pass still stacks ``[W_z; W_r; W_h]`` for
@@ -64,12 +68,16 @@ How the work is laid out:
   at most the sign of a zero gate input, which ``sigmoid`` and
   ``h' = (1 - z) * tanh(·) + z * 0`` both map to the same bits, so the
   states and gradients are bit-identical to the full step's.
-- Forward-only: ``gru_forward(..., for_backward=False)`` is for a pass no
-  backward follows (forecasting). Its gate array is one (1, B, 3H) block
-  that every step reuses, so a forecast holds no (T, B, ·) gate cache; ``hs``
-  stays whole, for the caller reads every state. The step is the same
-  code, so the states are bit-identical, and ``gru_backward`` refuses such
-  a cache (for T > 1) instead of reading stale gates.
+- Forward-only: ``gru_forward(..., keep="states")`` and ``keep="last"``
+  are for a pass no backward follows (forecasting). Their gate array is one
+  (1, B, 3H) block that every step reuses, so a forecast holds no
+  (T, B, ·) gate cache. ``"states"`` keeps ``hs`` whole, for a caller that
+  reads every state (the decoder's output layer); ``"last"`` keeps two
+  (B, H) states that the steps take in turn, placed so that ``h_T`` ends
+  in ``hs[-1]``, for a caller that reads only the last (the encoder). The
+  step is the same code, so the states are bit-identical, and
+  ``gru_backward`` refuses such a cache (for T > 1) instead of reading
+  stale gates.
 - Only the hidden-to-hidden recurrences run step by step. The recurrent
   weight gradients are not accumulated per step: after the loop, one GEMM
   over the hidden states of all steps, ``hs[:-1]`` read as (T*B, H) without
@@ -92,7 +100,7 @@ How the work is laid out:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -132,9 +140,19 @@ class GRUParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+Keep = Literal["backward", "states", "last"]
+#: What a :func:`gru_forward` cache keeps. ``"backward"``: every state and
+#: every step's gates, which :func:`gru_backward` reads. ``"states"``: every
+#: state and one reused gate step, for a forward-only pass whose caller reads
+#: every state. ``"last"``: two states and one gate step, for a forward-only
+#: pass whose caller reads only the last state.
+KEEP: tuple[Keep, ...] = ("backward", "states", "last")
+
+
 class GRUCache(NamedTuple):
     x: np.ndarray       # (B, T, I), as passed in (stride 0 over T for a time-constant input)
-    hs: np.ndarray      # (T+1, B, H) time-major; hs[0] is the zero state, hs[k+1] the state after step k
+    hs: np.ndarray      # (T+1, B, H) time-major; hs[0] is the zero state, hs[k+1] the state after step k.
+                        # keep="last": (2, B, H), h_{T-1} then h_T
     gates: np.ndarray   # (T, B, 3H); (1, B, 3H) forward-only. Step k holds z | r, then h~ (see _forward_blocks);
                         # gru_backward overwrites it with rows a_z | a_r | a_h and leaves it read-only
 
@@ -151,49 +169,62 @@ def _time_constant(x: np.ndarray) -> bool:
     return x.shape[1] > 1 and x.strides[1] == 0
 
 
-def gru_forward(params: GRUParams, x: np.ndarray, *, for_backward: bool = True) -> tuple[np.ndarray, GRUCache]:
+def _project(params: GRUParams, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``rows @ W_g^T + b_g`` of each gate g into its column block of ``out`` (rows, 3H); returns ``out``."""
+    hd = params.hidden_dim
+    for g, (w_g, b_g) in enumerate(((params.w_z, params.b_z), (params.w_r, params.b_r), (params.w_h, params.b_h))):
+        block = out[:, g * hd : (g + 1) * hd]
+        np.matmul(rows, w_g.T, out=block)
+        block += b_g
+    return out
+
+
+def gru_forward(params: GRUParams, x: np.ndarray, *, keep: Keep = "backward") -> tuple[np.ndarray, GRUCache]:
     """Run the cell over a (B, T, I) sequence from the zero state; returns hidden states (B, T, H).
 
     The states are a (B, T, H) view of the time-major ``cache.hs[1:]``.
-    ``for_backward=False`` keeps only the last step's gates in the cache,
-    which :func:`gru_backward` then refuses.
+    ``keep`` says what the cache holds (see :data:`KEEP`); in ``"last"``
+    mode the returned states are the (B, 1, H) view of the last one.
     """
+    if keep not in KEEP:
+        raise ValueError(f"unknown keep mode {keep!r}, expected one of {KEEP}")
     b, t, i = x.shape
     hd = params.hidden_dim
     u_zr_t = np.concatenate([params.u_z, params.u_r]).T
     u_h_t = params.u_h.T
-    # One GEMM per gate over all timesteps, time-major (T*B, 3H), each into
-    # its column block with the bias added in place; a time-constant input
-    # is projected once, (B, 3H), and read at every step.
-    shared = _time_constant(x)
-    rows = x[:, 0] if shared else x.transpose(1, 0, 2).reshape(t * b, i)
-    xp = np.empty((rows.shape[0], 3 * hd))
-    for g, (w_g, b_g) in enumerate(((params.w_z, params.b_z), (params.w_r, params.b_r), (params.w_h, params.b_h))):
-        block = xp[:, g * hd : (g + 1) * hd]
-        np.matmul(rows, w_g.T, out=block)
-        block += b_g
-    xp = np.broadcast_to(xp, (t, b, 3 * hd)) if shared else xp.reshape(t, b, 3 * hd)
+    # A time-constant input is projected once, (B, 3H), and read at every
+    # step. A time-varying one is projected step by step into one reused
+    # (B, 3H) row, except at B = 1: a one-row GEMM runs as a GEMV, whose
+    # bits differ, so its T rows are projected at once.
+    if _time_constant(x):
+        xp = np.broadcast_to(_project(params, x[:, 0], np.empty((b, 3 * hd))), (t, b, 3 * hd))
+    elif b == 1:
+        xp = _project(params, x[0], np.empty((t, 3 * hd))).reshape(t, 1, 3 * hd)
+    else:
+        xp, row = None, np.empty((b, 3 * hd))
 
-    hs = np.empty((t + 1, b, hd))
-    hs[0] = 0.0
-    gates = np.empty((t if for_backward else 1, b, 3 * hd))
+    hs = np.empty((2 if keep == "last" else t + 1, b, hd))
+    gates = np.empty((t if keep == "backward" else 1, b, 3 * hd))
+    slot = t + 1 - len(hs)  # state k lives in hs[(k + slot) % len(hs)], so h_T is hs[-1]
+    hs[slot % len(hs)] = 0.0
     buf = np.empty((b, hd))
     for k in range(t):
-        h, h_next = hs[k], hs[k + 1]
-        zr, htil = _forward_blocks(gates[k if for_backward else 0], hd)
+        h, h_next = hs[(k + slot) % len(hs)], hs[(k + 1 + slot) % len(hs)]
+        zr, htil = _forward_blocks(gates[k % len(gates)], hd)
+        xp_k = _project(params, x[:, k], row) if xp is None else xp[k]
         if k:
             np.matmul(h, u_zr_t, out=zr)
-            zr += xp[k, :, : 2 * hd]
+            zr += xp_k[:, : 2 * hd]
         else:                               # h_0 = 0: no recurrent term
-            np.copyto(zr, xp[0, :, : 2 * hd])
+            np.copyto(zr, xp_k[:, : 2 * hd])
         sigmoid(zr, out=zr)
         z, r = zr[:, :hd], zr[:, hd:]
         if k:
             np.multiply(r, h, out=buf)
             np.matmul(buf, u_h_t, out=htil)
-            htil += xp[k, :, 2 * hd :]
+            htil += xp_k[:, 2 * hd :]
         else:
-            np.copyto(htil, xp[0, :, 2 * hd :])
+            np.copyto(htil, xp_k[:, 2 * hd :])
         np.tanh(htil, out=htil)
         np.subtract(1.0, z, out=h_next)     # h' = (1 - z) * htil + z * h
         h_next *= htil
@@ -267,7 +298,7 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
     b, t, i = x.shape
     if gates.shape[0] != t:
         raise ValueError(f"cache holds the gates of {gates.shape[0]} step(s) for a {t}-step sequence: "
-                         "it comes from a forward-only gru_forward(..., for_backward=False)")
+                         "it comes from a forward-only gru_forward(..., keep=\"states\" or \"last\")")
     if not gates.flags.writeable:
         raise ValueError("cache already holds the gradients of an earlier backward: "
                          "run gru_forward again for another backward")

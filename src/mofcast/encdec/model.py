@@ -164,12 +164,13 @@ class ForwardCache:
     """What :func:`backward_batch` reads of a forward pass, and the residuals.
 
     From ``forward_batch(..., for_backward=False)`` the two GRU caches keep
-    only their last step's gates: the residuals are the same bits, and
-    :func:`backward_batch` raises on such a cache. A cache serves one
-    :func:`backward_batch`, which overwrites each GRU's gates with their
-    gradients (see :func:`gru_backward`) and sets ``dec_cache`` to ``None``
-    once the decoder backward returns, so the encoder backward runs without
-    the decoder's states and gates.
+    only their last step's gates, and the encoder's only its last two
+    states: the residuals are the same bits, and :func:`backward_batch`
+    raises on such a cache. A cache serves one :func:`backward_batch`,
+    which overwrites each GRU's gates with their gradients (see
+    :func:`gru_backward`) and sets ``dec_cache`` to ``None`` once the
+    decoder backward returns, so the encoder backward runs without the
+    decoder's states and gates.
     """
 
     enc_cache: GRUCache | None  # enc_cache.x: the standardized features; enc_cache.hs[-1]: the last state
@@ -190,7 +191,10 @@ def forward_batch(
     """Batched forward pass from raw (B, 30, 8) features / (B, F) flow, upcast here, to (B, 60, 4) residuals.
 
     ``for_backward`` says whether :func:`backward_batch` will read the
-    cache; without it both GRUs run forward-only (see :func:`gru_forward`).
+    cache. Without it both GRUs run forward-only (see :func:`gru_forward`):
+    the encoder keeps its last state alone, which is all the box code
+    reads, and the decoder keeps every state for the output layer, whose
+    one GEMM over all of them sets the residuals' bits.
     """
     cfg, t = params.config, params.tensors()
     parts = []
@@ -198,7 +202,8 @@ def forward_batch(
     if cfg.uses_boxes:
         if features is None:
             raise ValueError(f"variant {cfg.variant!r} needs box features")
-        _, enc_cache = gru_forward(params.gru("encoder"), standardize(features, stats), for_backward=for_backward)
+        _, enc_cache = gru_forward(params.gru("encoder"), standardize(features, stats),
+                                   keep="backward" if for_backward else "last")
         fc_pre = enc_cache.hs[-1] @ t["fc1.w"].T + t["fc1.b"]
         box_code = np.maximum(fc_pre, 0.0) if cfg.fc_activation else fc_pre
         parts.append(box_code)
@@ -213,7 +218,7 @@ def forward_batch(
     b = code.shape[0]
     # A stride-0 view, not a copy: gru_forward projects the code once per window.
     dec_in = np.broadcast_to(code[:, None, :], (b, FUTURE_LEN, code.shape[1]))
-    _, dec_cache = gru_forward(params.gru("decoder"), dec_in, for_backward=for_backward)
+    _, dec_cache = gru_forward(params.gru("decoder"), dec_in, keep="backward" if for_backward else "states")
     flat = dec_cache.hs[1:].reshape(FUTURE_LEN * b, -1)
     deltas = (flat @ t["out.w"].T + t["out.b"]).reshape(FUTURE_LEN, b, OUTPUT_DIM)
     residuals = np.ascontiguousarray(np.cumsum(deltas, axis=0).transpose(1, 0, 2))
@@ -308,8 +313,9 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
     """(N, q, 4) forecasts of a batch: the CV-CS extrapolation plus the model's residuals, sizes at least 1 px.
 
     Forward passes run ``batch_size`` windows at a time and forward-only:
-    no backward follows, so no per-step gate cache is kept. Flow-reading
-    variants take their flow from ``batch.flow``, upcast one chunk at a time.
+    no backward follows, so no per-step gate cache is kept, and the
+    encoder keeps only its last state. Flow-reading variants take their
+    flow from ``batch.flow``, upcast one chunk at a time.
     A ``batch_size`` below 1 is a ``ValueError``. The forecasts' last bits
     depend on ``batch_size``, because OpenBLAS picks its kernel by shape: a
     byte-identity check must fix it.

@@ -574,6 +574,19 @@ class TestFlowFiles:
         with pytest.raises(TrackFormatError, match=error):
             load_flow_magnitudes(path)
 
+    def test_a_flow_magnitude_byte_that_is_not_utf8_is_refused_naming_its_line(self, tmp_path):
+        path = tmp_path / "flow.csv"
+        path.write_bytes(b"video_id,frame,mean_flow_magnitude\nv0,0,1.0\n\nv0,1,2\xff5\n")
+        with pytest.raises(TrackFormatError, match=r"flow\.csv:4: not UTF-8: invalid start byte 0xff$"):
+            load_flow_magnitudes(path)
+
+    def test_a_sidecar_index_byte_that_is_not_utf8_is_refused_naming_its_line(self, tmp_path):
+        index = tmp_path / "flow_features.csv"
+        index.write_bytes(b'video_id,track_id,anchor_frame\r\nv0,1,29\r\n"v\r\n\xfe",1,30\r\n')
+        (tmp_path / "flow_features.bin").write_bytes(np.zeros(8, dtype="<f4").tobytes())
+        with pytest.raises(FlowFeatureError, match=r"flow_features\.csv:3: not UTF-8: invalid start byte 0xfe$"):
+            FlowFeatureStore.open(index)
+
     def test_flow_magnitudes_sorted_by_frame(self, tmp_path):
         path = tmp_path / "flow.csv"
         path.write_text("video_id,frame,mean_flow_magnitude\nv1,1,0.5\nv0,0,3.0\nv1,0,0.25\n", encoding="utf-8")

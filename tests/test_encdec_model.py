@@ -254,11 +254,18 @@ class TestTimeMajorGru:
         for got, want in ((cache.hs, cache_ref.hs), (zr, cache_ref.zr), (htil, cache_ref.htil)):
             assert _bits(got.transpose(1, 0, 2)) == _bits(want)
 
-        # forward-only: the same states, and one step of gates, the last
-        hs_fwd, cache_fwd = gru_forward(params, x, for_backward=False)
+        # forward-only, every state: the same states, and one step of gates, the last
+        hs_fwd, cache_fwd = gru_forward(params, x, keep="states")
         assert _bits(hs_fwd) == _bits(hs) and _bits(cache_fwd.hs) == _bits(cache.hs)
         assert cache_fwd.gates.shape == (1, b, 3 * hd)
         assert _bits(cache_fwd.gates) == _bits(cache.gates[-1:])
+
+        # forward-only, last state: two states, h_{T-1} then h_T, and the same last step of gates
+        hs_last, cache_last = gru_forward(params, x, keep="last")
+        assert cache_last.hs.shape == (2, b, hd) and hs_last.shape == (b, 1, hd)
+        assert _bits(cache_last.hs) == _bits(cache.hs[-2:])
+        assert _bits(hs_last) == _bits(hs[:, -1:])
+        assert _bits(cache_last.gates) == _bits(cache.gates[-1:])
 
         dx, grads = gru_backward(params, cache, time_major(dh_out))
         dx_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
@@ -282,11 +289,12 @@ class TestTimeMajorGru:
 class TestForwardOnly:
     """Forecasting keeps no per-step gate cache, and a backward refuses the cache it leaves."""
 
+    @pytest.mark.parametrize("keep", ("states", "last"))
     @pytest.mark.parametrize("shared", (False, True), ids=("plain", "stride0"))
-    def test_backward_refuses_a_forward_only_cache(self, rng, shared):
+    def test_backward_refuses_a_forward_only_cache(self, rng, shared, keep):
         params = random_gru(rng, 4, 5)
         x = np.broadcast_to(rng.normal(size=(3, 1, 4)), (3, 7, 4)) if shared else rng.normal(size=(3, 7, 4))
-        _, cache = gru_forward(params, x, for_backward=False)
+        _, cache = gru_forward(params, x, keep=keep)
         with pytest.raises(ValueError, match="gates of 1 step\\(s\\) for a 7-step sequence"):
             gru_backward(params, cache, rng.normal(size=(3, 7, 5)))
 
@@ -322,9 +330,33 @@ class TestForwardOnly:
         expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
         assert _bits(forecast_array(model, batch)) == _bits(expected)
 
+    def test_forecast_encoder_holds_no_input_projection_and_only_its_last_two_states(self, rng, monkeypatch):
+        # bb_only at H=64, B=96: the encoder's (T+1, B, H) float64 states are 1.5 MB and a (T*B, 3H)
+        # projection of its whole input 4.4 MB; its two states and step buffers peak at 0.66 MB (6.5 MB
+        # when it held both)
+        b, hd, p = 96, 64, 30
+        params = init_params(ModelConfig(variant="bb_only", hidden=hd), 0, zero_output=False)
+        features = rng.normal(size=(b, p, 8))
+        forward_batch(params, FeatureStats.identity(), features[:2], None, for_backward=False)  # BLAS setup
+        peaks = {}
+
+        def traced_gru_forward(gru, x, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = gru_forward(gru, x, **kwargs)
+            peaks[x.shape[1]] = tracemalloc.get_traced_memory()[1] - start
+            return result
+
+        monkeypatch.setattr(model_module, "gru_forward", traced_gru_forward)
+        cache, _ = traced_peak(forward_batch, params, FeatureStats.identity(), features, None, for_backward=False)
+        assert cache.enc_cache.hs.shape == (2, b, hd)
+        assert cache.enc_cache.gates.shape == (1, b, 3 * hd)
+        states = (p + 1) * b * hd * 8
+        assert peaks[p] < states, (peaks[p], states)
+
     def test_forecast_peak_memory_stays_below_one_gate_cache(self):
         # both at H=64, B=64: one full decoder gate cache, (60, B, 3H) float64, is 5.9 MB; the
-        # forward-only pass holds the (T+1, B, H) states and the encoder's input projection
+        # forward-only pass holds the decoder's (T+1, B, H) states
         b, hd = 64, 64
         batch = cut_windows(synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 3, n_frames=120), stride=2)
         assert len(batch) == b  # 4 tracks of 16 windows

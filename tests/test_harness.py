@@ -40,7 +40,7 @@ from mofcast.encdec import (
     save_checkpoint,
     synthetic_flow_batch,
 )
-from mofcast.errors import FlowFeatureError, MofcastError, SplitError
+from mofcast.errors import CheckpointError, FlowFeatureError, MofcastError, SplitError
 from mofcast.harness import (
     MODEL_KINDS,
     ExperimentSpec,
@@ -311,6 +311,22 @@ class TestCrossEval:
         write_tracks(short, path)
         with pytest.raises(MofcastError, match="no windows after filtering"):
             cross_eval(ckpt, path)
+
+    @pytest.mark.parametrize("name", ("stats.std", "encoder.w_z", "out.b"))
+    def test_a_non_finite_checkpoint_is_refused_by_name_before_anything_is_written(self, synth_setup, tmp_path,
+                                                                                   name):
+        # a stat, the first tensor and the last: a NaN in out.b scored a finite ADE with AIOU 0 before
+        params = init_params(ModelConfig(variant="bb_only", hidden=4), 7, zero_output=False)
+        stats = {"mean": np.zeros(8), "std": np.ones(8)}
+        if name.startswith("stats."):
+            stats[name.split(".")[1]][3] = np.nan
+        else:
+            params.tensors()[name].flat[-1] = np.nan
+        ckpt, out = tmp_path / "nan.mofc", tmp_path / "xeval"
+        save_checkpoint(Model(params=params, stats=FeatureStats(**stats)), ckpt)
+        with pytest.raises(CheckpointError, match=rf"nan\.mofc: {re.escape(name)} holds a non-finite value$"):
+            cross_eval(ckpt, synth_setup[0], stride=5, out_dir=out)
+        assert not out.exists()
 
     @pytest.mark.parametrize("flow", ("flow_features", "synthetic_flow", None))
     def test_a_flow_source_is_checked_against_the_checkpoint_before_the_tracks(self, tmp_path, flow):

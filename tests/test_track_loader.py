@@ -154,6 +154,20 @@ class TestNumberGrammar:
             load_tracks(path)
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    ((b"\xff", "invalid start byte 0xff"), (b"\xc3(", "invalid continuation byte 0xc3")),
+    ids=("start-byte", "continuation"),
+)
+def test_a_byte_that_is_not_utf8_is_refused_naming_its_line(tmp_path, bad, reason):
+    # records 2 and 3 each hold a quoted line break, which starts no line, so the fourth row is line 5
+    data = text(rows('"v\n0"', n=2) + rows("v1", n=2)).encode("utf-8")
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(data.replace(b"v1,arden,sun,day,1", b"v1,ard" + bad + b"en,sun,day,1"))
+    with pytest.raises(TrackFormatError, match=rf"tracks\.csv:5: not UTF-8: {reason}$"):
+        load_tracks(path)
+
+
 @pytest.mark.parametrize("body", ("", "\n", "\r\n\r\n\n"))
 def test_header_only_file_is_empty_without_warnings(tmp_path, body):
     path = write(tmp_path, HEADER + "\n" + body)
