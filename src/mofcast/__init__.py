@@ -9,17 +9,7 @@ through time.
 """
 
 from ._version import __version__
-from .core import (
-    BBox,
-    FUTURE_LEN,
-    Forecast,
-    OBSERVED_LEN,
-    ObservationWindow,
-    Track,
-    WindowSource,
-    boxes_to_array,
-    array_to_boxes,
-)
+from .core import FUTURE_LEN, OBSERVED_LEN, Track, WindowSource
 from .errors import (
     CheckpointError,
     FlowFeatureError,
@@ -29,19 +19,16 @@ from .errors import (
     TrackFormatError,
     TrainingDivergedError,
 )
-from .metrics import MetricReport, WindowScores, aggregate, breakdown, evaluate_window
+from .metrics import MetricReport, WindowScores, aggregate, breakdown
 
 __all__ = [
-    "BBox",
     "CheckpointError",
     "FUTURE_LEN",
     "FlowFeatureError",
-    "Forecast",
     "GradientError",
     "MetricReport",
     "MofcastError",
     "OBSERVED_LEN",
-    "ObservationWindow",
     "SplitError",
     "Track",
     "TrackFormatError",
@@ -50,8 +37,5 @@ __all__ = [
     "WindowSource",
     "__version__",
     "aggregate",
-    "array_to_boxes",
-    "boxes_to_array",
     "breakdown",
-    "evaluate_window",
 ]

@@ -336,15 +336,17 @@ class FlowFeatureStore:
     """Random access to precomputed per-window flow features.
 
     Backed by the sidecar format: the index CSV names each window's row of
-    its ``.bin`` blob, read whole into one read-only (rows, dim) float32
-    array. :meth:`rows` gathers the features of many windows, as stored,
-    into one float32 array.
+    its ``.bin`` blob (``blob``), read whole into one read-only (rows, dim)
+    float32 array. :meth:`rows` gathers the features of many windows, as
+    stored, into one float32 array; their values are checked where they are
+    used, not here.
     """
 
-    def __init__(self, index: Mapping[tuple[str, int, int], int], features: np.ndarray):
+    def __init__(self, index: Mapping[tuple[str, int, int], int], features: np.ndarray, blob: Path):
         self._row = dict(index)
         self._features = features
         self.dim = features.shape[1]
+        self.blob = blob
 
     @classmethod
     def open(cls, index_path: str | Path) -> "FlowFeatureStore":
@@ -363,7 +365,7 @@ class FlowFeatureStore:
         for i, key in enumerate(zip(*(rows[name].tolist() for name in FLOW_INDEX_HEADER))):
             if index.setdefault(key, i) != i:
                 raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: duplicate entry for window {key}")
-        return cls(index, features)
+        return cls(index, features, blob_path)
 
     def rows(self, keys: Iterable[tuple[str, int, int]]) -> np.ndarray:
         """The (N, dim) float32 features of the windows ``keys`` names by (video_id, track_id, anchor_frame),

@@ -23,11 +23,9 @@ from .model import (
     VARIANTS,
     backward_batch,
     forecast_array,
-    forecast_windows,
     forward_batch,
     init_params,
     loss_and_gradients,
-    residuals_to_boxes,
     tensor_shapes,
 )
 from .training import Adam, EpochRecord, TrainConfig, TrainLog, TrainResult, assemble_arrays, train
@@ -53,7 +51,6 @@ __all__ = [
     "box_features",
     "compute_feature_stats",
     "forecast_array",
-    "forecast_windows",
     "forward_batch",
     "grad_check_detailed",
     "gru_backward",
@@ -61,7 +58,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "loss_and_gradients",
-    "residuals_to_boxes",
     "save_checkpoint",
     "smooth_l1",
     "smooth_l1_grad",

@@ -36,10 +36,8 @@ How the work is laid out:
   table (``ModelParams.gru``), which checkpoints name.
 - Time-major state: the cache holds the hidden states as (T+1, B, H) and
   one (T, B, 3H) gate array, so every step reads and writes contiguous
-  blocks. The callers' (B, T, ·) contract is kept by transposed views: the
-  returned hidden states are ``hs[1:]`` seen as (B, T, H), ``dh_out`` is
-  the (B, T, H) view of a time-major array, read one (B, H) step at a
-  time, and ``dx`` is a (B, T, I) view.
+  blocks. The states, the output gradient and ``dx`` cross the boundary in
+  that layout; only the input ``x`` stays (B, T, I).
 - One gate array serves both passes. Each step owns one contiguous block
   of B*3H values, ``gates[k]``. The forward fills it with ``z | r`` as one
   C-contiguous (B, 2H) block followed by ``h~`` as a (B, H) block
@@ -82,19 +80,19 @@ How the work is laid out:
   weight gradients are not accumulated per step: after the loop, one GEMM
   over the hidden states of all steps, ``hs[:-1]`` read as (T*B, H) without
   a copy, gives ``[dU_z; dU_r]``, and one more gives ``dU_h`` over the
-  ``r * h`` of every step. The backward uses up ``dh_out`` to hold them:
-  once step k has added ``dh_out[:, k]`` into ``dh``, it writes
-  ``r * h_prev`` over that time-major slot, so no (T, B, H) array of its
-  own is allocated. ``dh_out`` must therefore be the (B, T, H) view of a
-  writable, C-contiguous (T, B, H) array; anything else raises. The step
-  loop runs in its own function, so its (B, H) buffers and the stacked
-  ``U_zr`` are freed before these GEMMs.
+  ``r * h`` of every step. The backward uses up the output gradient
+  ``dh`` to hold them: once step k has added ``dh[k]`` into its running
+  gradient, it writes ``r * h_prev`` over that slot, so no (T, B, H) array
+  of its own is allocated. ``dh`` must therefore be a writable,
+  C-contiguous (T, B, H) array; anything else raises. The step loop runs
+  in its own function, so its (B, H) buffers and the stacked ``U_zr`` are
+  freed before these GEMMs.
 - Time-constant inputs: a (B, T, I) input whose time axis has stride 0 (a
   ``np.broadcast_to`` of one (B, I) row per sequence, as the decoder is fed
   its code) is projected once, as (B, 3H). Its input-weight gradient is
   ``(sum_t da_t)^T x[:, 0]``, and ``gru_backward`` returns its ``dx`` as
-  (B, 1, I): the gradient w.r.t. the one shared row, which is the full
-  (B, T, I) ``dx`` summed over time.
+  (1, B, I): the gradient w.r.t. the one shared row, which is the full
+  (T, B, I) ``dx`` summed over time.
 """
 
 from __future__ import annotations
@@ -180,11 +178,11 @@ def _project(params: GRUParams, rows: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def gru_forward(params: GRUParams, x: np.ndarray, *, keep: Keep = "backward") -> tuple[np.ndarray, GRUCache]:
-    """Run the cell over a (B, T, I) sequence from the zero state; returns hidden states (B, T, H).
+    """Run the cell over a (B, T, I) sequence from the zero state; returns hidden states (T, B, H).
 
-    The states are a (B, T, H) view of the time-major ``cache.hs[1:]``.
-    ``keep`` says what the cache holds (see :data:`KEEP`); in ``"last"``
-    mode the returned states are the (B, 1, H) view of the last one.
+    The states are ``cache.hs[1:]``. ``keep`` says what the cache holds
+    (see :data:`KEEP`); in ``"last"`` mode the returned states are the
+    (1, B, H) last one.
     """
     if keep not in KEEP:
         raise ValueError(f"unknown keep mode {keep!r}, expected one of {KEEP}")
@@ -230,13 +228,13 @@ def gru_forward(params: GRUParams, x: np.ndarray, *, keep: Keep = "backward") ->
         h_next *= htil
         np.multiply(z, h, out=buf)
         h_next += buf
-    return hs[1:].transpose(1, 0, 2), GRUCache(x=x, hs=hs, gates=gates)
+    return hs[1:], GRUCache(x=x, hs=hs, gates=gates)
 
 
 def _backward_steps(params: GRUParams, hs: np.ndarray, gates: np.ndarray, rh: np.ndarray) -> None:
     """The step-by-step half of :func:`gru_backward`, from the last step to the first.
 
-    Step k adds ``rh[k]`` (its ``dh_out`` slot) into the running ``dh``,
+    Step k adds ``rh[k]`` (its output-gradient slot) into the running ``dh``,
     writes ``r * h_prev`` over that slot, and writes ``a_z | a_r | a_h`` over
     its gate row once the row is read. Its step buffers and the stacked
     ``U_zr`` die on return, before the weight GEMMs run.
@@ -279,17 +277,16 @@ def _backward_steps(params: GRUParams, hs: np.ndarray, gates: np.ndarray, rh: np
             dh += drh
 
 
-def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tuple[np.ndarray, GRUParams]:
+def gru_backward(params: GRUParams, cache: GRUCache, dh: np.ndarray) -> tuple[np.ndarray, GRUParams]:
     """Backpropagate through time.
 
-    ``dh_out[:, k]`` is the loss gradient injected directly at hidden state
-    h_{k+1} by its downstream consumers (every step for a decoder, only the
-    last step for a sequence encoder). It must be the (B, T, H) view of a
-    writable, C-contiguous, time-major (T, B, H) array, which the pass uses
-    up: once step k has added ``dh_out[:, k]`` into its running gradient, it
-    writes ``r * h_k`` over that slot, so after the pass ``dh_out[:, k]``
-    holds step k's ``r * h_k``. Returns (dx, parameter grads); ``dx`` is a
-    (B, T, I) view of a time-major array, or (B, 1, I) for a time-constant
+    ``dh[k]`` is the loss gradient injected directly at hidden state h_{k+1}
+    by its downstream consumers (every step for a decoder, only the last
+    step for a sequence encoder). It must be a writable, C-contiguous
+    (T, B, H) array, which the pass uses up: once step k has added ``dh[k]``
+    into its running gradient, it writes ``r * h_k`` over that slot, so
+    after the pass ``dh[k]`` holds step k's ``r * h_k``. Returns (dx,
+    parameter grads); ``dx`` is (T, B, I), or (1, B, I) for a time-constant
     input. The initial state is the constant zero, so it has no gradient.
     The pass also uses up the cache: its gate array ends holding the
     gradients, read-only, and a second backward on it raises.
@@ -303,17 +300,15 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
         raise ValueError("cache already holds the gradients of an earlier backward: "
                          "run gru_forward again for another backward")
     hd = params.hidden_dim
-    rh = dh_out.transpose(1, 0, 2)  # time-major; step k's slot takes r * h_k once its gradient is read
-    if rh.shape != (t, b, hd) or not rh.flags.c_contiguous or not rh.flags.writeable:
-        raise ValueError(f"dh_out must be the (B, T, H) = {(b, t, hd)} view of a writable, C-contiguous, "
-                         f"time-major (T, B, H) array, which the backward overwrites; got shape {dh_out.shape}, "
-                         f"strides {dh_out.strides}, writeable={dh_out.flags.writeable}")
-    _backward_steps(params, hs, gates, rh)
+    if dh.shape != (t, b, hd) or not dh.flags.c_contiguous or not dh.flags.writeable:
+        raise ValueError(f"dh must be a writable, C-contiguous (T, B, H) = {(t, b, hd)} array, which the backward "
+                         f"overwrites; got shape {dh.shape}, strides {dh.strides}, writeable={dh.flags.writeable}")
+    _backward_steps(params, hs, gates, dh)
     gates.flags.writeable = False
 
     flat_da = gates.reshape(t * b, 3 * hd)
     du_zr = flat_da[:, : 2 * hd].T @ hs[:-1].reshape(t * b, hd)
-    du_h = flat_da[:, 2 * hd :].T @ rh.reshape(t * b, hd)
+    du_h = flat_da[:, 2 * hd :].T @ dh.reshape(t * b, hd)  # dh[k] now holds r * h_k
 
     w = np.concatenate([params.w_z, params.w_r, params.w_h])  # (3H, I), gate order z, r, h
     if _time_constant(x):
@@ -323,5 +318,5 @@ def gru_backward(params: GRUParams, cache: GRUCache, dh_out: np.ndarray) -> tupl
     dw = rows_da.T @ rows_x
     db = rows_da.sum(axis=0)
     grads = GRUParams(*np.split(dw, 3), *np.split(du_zr, 2), du_h, *np.split(db, 3))
-    dx = (rows_da @ w).reshape(-1, b, i).transpose(1, 0, 2)
+    dx = (rows_da @ w).reshape(-1, b, i)
     return dx, grads

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+SMOOTH_L1_BETA = 1.0  # the seam, in pixels: the default of every loss call and of TrainConfig.beta
 
-def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> float:
+
+def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = SMOOTH_L1_BETA) -> float:
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     d = np.abs(np.asarray(pred) - np.asarray(target))
@@ -18,7 +20,7 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> float:
     return float(vals.mean())
 
 
-def smooth_l1_grad(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> np.ndarray:
+def smooth_l1_grad(pred: np.ndarray, target: np.ndarray, beta: float = SMOOTH_L1_BETA) -> np.ndarray:
     """d(loss)/d(pred), including the 1/N of the elementwise mean."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")

@@ -31,7 +31,7 @@ from ..data.windows import WindowBatch
 from ..errors import FlowFeatureError, GradientError
 from .features import FEATURE_DIM, FeatureStats, box_features_from_array, standardize
 from .gru import GRUCache, GRUParams, gru_backward, gru_forward
-from .loss import smooth_l1, smooth_l1_grad
+from .loss import SMOOTH_L1_BETA, smooth_l1, smooth_l1_grad
 
 # Not called here: the one-window form of the features this module builds in
 # batches, kept in its namespace because benchmarks/tracing.py wraps it by this name.
@@ -175,9 +175,19 @@ class ForwardCache:
 
     enc_cache: GRUCache | None  # enc_cache.x: the standardized features; enc_cache.hs[-1]: the last state
     fc_pre: np.ndarray | None
-    code: np.ndarray
-    dec_cache: GRUCache | None  # hs[1:]: the (60, B, H) decoder states; None once backward_batch has used it up
+    dec_cache: GRUCache | None  # x[:, 0]: the (B, C) code; hs[1:]: the (60, B, H) states; None once used up
     residuals: np.ndarray
+
+
+def require_inputs(config: ModelConfig, boxes: np.ndarray | None, flow: np.ndarray | None) -> None:
+    """Refuse inputs that lack what ``config``'s variant reads: boxes, or (N, flow_dim) flow features."""
+    if config.uses_boxes and boxes is None:
+        raise ValueError(f"variant {config.variant!r} needs box features")
+    if config.uses_flow:
+        if flow is None:
+            raise FlowFeatureError(f"variant {config.variant!r} needs flow features")
+        if np.shape(flow)[-1] != config.flow_dim:
+            raise FlowFeatureError(f"flow feature dim {np.shape(flow)[-1]} != configured {config.flow_dim}")
 
 
 def forward_batch(
@@ -197,23 +207,17 @@ def forward_batch(
     one GEMM over all of them sets the residuals' bits.
     """
     cfg, t = params.config, params.tensors()
+    require_inputs(cfg, features, flow)
     parts = []
     enc_cache = fc_pre = None
     if cfg.uses_boxes:
-        if features is None:
-            raise ValueError(f"variant {cfg.variant!r} needs box features")
         _, enc_cache = gru_forward(params.gru("encoder"), standardize(features, stats),
                                    keep="backward" if for_backward else "last")
         fc_pre = enc_cache.hs[-1] @ t["fc1.w"].T + t["fc1.b"]
         box_code = np.maximum(fc_pre, 0.0) if cfg.fc_activation else fc_pre
         parts.append(box_code)
     if cfg.uses_flow:
-        if flow is None:
-            raise FlowFeatureError(f"variant {cfg.variant!r} needs flow features")
-        flow = np.asarray(flow, dtype=np.float64)
-        if flow.shape[-1] != cfg.flow_dim:
-            raise FlowFeatureError(f"flow feature dim {flow.shape[-1]} != configured {cfg.flow_dim}")
-        parts.append(flow)
+        parts.append(np.asarray(flow, dtype=np.float64))
     code = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     b = code.shape[0]
     # A stride-0 view, not a copy: gru_forward projects the code once per window.
@@ -222,7 +226,7 @@ def forward_batch(
     flat = dec_cache.hs[1:].reshape(FUTURE_LEN * b, -1)
     deltas = (flat @ t["out.w"].T + t["out.b"]).reshape(FUTURE_LEN, b, OUTPUT_DIM)
     residuals = np.ascontiguousarray(np.cumsum(deltas, axis=0).transpose(1, 0, 2))
-    return ForwardCache(enc_cache=enc_cache, fc_pre=fc_pre, code=code, dec_cache=dec_cache, residuals=residuals)
+    return ForwardCache(enc_cache=enc_cache, fc_pre=fc_pre, dec_cache=dec_cache, residuals=residuals)
 
 
 def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndarray) -> dict[str, np.ndarray]:
@@ -252,14 +256,14 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
     grads["out.b"] = flat_d.sum(axis=0)
 
     ddec_h = (flat_d @ t["out.w"]).reshape(horizon, b, hd)
-    dx_dec, dec_grads = gru_backward(params.gru("decoder"), cache.dec_cache, ddec_h.transpose(1, 0, 2))
+    dx_dec, dec_grads = gru_backward(params.gru("decoder"), cache.dec_cache, ddec_h)
     # The decoder's cache and ddec_h (now its r * h products) are dead: the encoder backward runs without them.
     cache.dec_cache = None
     del flat_h, ddec_h
     for k, v in dec_grads.tensors().items():
         grads[f"decoder.{k}"] = v
 
-    dcode = dx_dec.sum(axis=1)  # dx_dec is (B, 1, C): the code is one row shared by all steps
+    dcode = dx_dec[0]  # dx_dec is (1, B, C): the code is one row shared by all steps
     if cfg.uses_boxes:
         dbox_code = dcode[:, :BOX_CODE_DIM]
         if cfg.fc_activation:
@@ -270,7 +274,7 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
         p = cache.enc_cache.x.shape[1]
         denc_out = np.zeros((p, b, hd))
         denc_out[-1] = dbox_code @ t["fc1.w"]
-        _, enc_grads = gru_backward(params.gru("encoder"), cache.enc_cache, denc_out.transpose(1, 0, 2))
+        _, enc_grads = gru_backward(params.gru("encoder"), cache.enc_cache, denc_out)
         for k, v in enc_grads.tensors().items():
             grads[f"encoder.{k}"] = v
 
@@ -286,7 +290,7 @@ def loss_and_gradients(
     features: np.ndarray | None,
     flow: np.ndarray | None,
     targets: np.ndarray,
-    beta: float = 1.0,
+    beta: float = SMOOTH_L1_BETA,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward + backward for one batch of residual targets (B, 60, 4)."""
     cache = forward_batch(params, stats, features, flow, for_backward=True)
@@ -323,8 +327,7 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
     if batch_size < 1:
         raise ValueError(f"forecast batch_size must be >= 1, got {batch_size}")
     cfg = model.config
-    if cfg.uses_flow and batch.flow is None:
-        raise FlowFeatureError(f"variant {cfg.variant!r} needs flow features, and the batch has none")
+    require_inputs(cfg, batch.observed, batch.flow)
     residuals = [np.empty((0, FUTURE_LEN, OUTPUT_DIM))]
     for lo in range(0, len(batch), batch_size):
         sl = slice(lo, lo + batch_size)

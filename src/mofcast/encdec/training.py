@@ -23,10 +23,11 @@ import numpy as np
 
 from ..baselines import cv_cs_batch
 from ..data.windows import WindowBatch
-from ..errors import FlowFeatureError, TrainingDivergedError
+from ..errors import TrainingDivergedError
 from ..metrics import centroid_ade
 from .features import FeatureStats, box_features_from_array, compute_feature_stats
-from .model import Model, ModelConfig, forecast_array, init_params, loss_and_gradients
+from .loss import SMOOTH_L1_BETA
+from .model import Model, ModelConfig, forecast_array, init_params, loss_and_gradients, require_inputs
 
 # Not called here (validation reaches forward_batch through forecast_array): kept in
 # this namespace because benchmarks/tracing.py wraps them by these names.
@@ -42,7 +43,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 1024  # training mini-batch; forecasts run FORECAST_BATCH_SIZE windows at a time
     epochs: int = 20
-    beta: float = 1.0  # smooth-L1 seam, in pixels
+    beta: float = SMOOTH_L1_BETA
     seed: int = 0
     hidden: int = ModelConfig.hidden
     variant: str = ModelConfig.variant
@@ -170,20 +171,10 @@ class WindowArrays:
         return self.base.shape[0]
 
 
-def _require_flow(batch: WindowBatch, config: ModelConfig) -> None:
-    """Refuse a batch without the flow features of ``config``'s width when its variant reads flow."""
-    if not config.uses_flow:
-        return
-    if batch.flow is None:
-        raise FlowFeatureError(f"{len(batch)} windows lack flow features (variant {config.variant!r})")
-    if batch.flow.shape[-1] != config.flow_dim:
-        raise FlowFeatureError(f"flow feature dim {batch.flow.shape[-1]} != configured {config.flow_dim}")
-
-
 def assemble_arrays(batch: WindowBatch, config: ModelConfig) -> WindowArrays:
     if not len(batch):
         raise ValueError("window batch is empty")
-    _require_flow(batch, config)
+    require_inputs(config, batch.observed, batch.flow)
     return WindowArrays(
         features=box_features_from_array(batch.observed) if config.uses_boxes else None,
         flow=batch.flow if config.uses_flow else None,
@@ -219,7 +210,7 @@ def train(train_batch: WindowBatch, val_batch: WindowBatch, config: TrainConfig)
     if not len(val_batch):
         raise ValueError("validation set is empty")
     model_config = config.model_config()
-    _require_flow(val_batch, model_config)
+    require_inputs(model_config, val_batch.observed, val_batch.flow)
 
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in ss.spawn(2))

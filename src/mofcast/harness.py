@@ -71,7 +71,7 @@ from .metrics import (
 # kept in its namespace because benchmarks/tracing.py wraps them by this name.
 from .baselines import cv_cs_forecast, lkf_forecast_window  # noqa: F401
 from .data import extract_windows  # noqa: F401
-from .encdec import forecast_windows  # noqa: F401
+from .encdec.model import forecast_windows  # noqa: F401
 from .metrics import evaluate_window  # noqa: F401
 
 logger = logging.getLogger(__name__)
@@ -179,11 +179,17 @@ def attach_flow_features(batch: WindowBatch, config: ModelConfig, store: FlowFea
                          synthetic: bool) -> WindowBatch:
     """``batch`` with the flow features ``config``'s variant reads: derived from the windows when ``synthetic``
     is set, else read from ``store``; a variant that reads no flow gets it back unchanged. :func:`_check_inputs`
-    has refused, before the tracks were read, a flow variant given no source or two."""
+    has refused, before the tracks were read, a flow variant given no source or two. A non-finite stored row,
+    which :class:`WindowBatch` refuses naming its window, is a :class:`FlowFeatureError` naming the blob too."""
     if not config.uses_flow:
         return batch
-    flow = synthetic_flow_batch(batch.observed, config.flow_dim) if synthetic else store.rows(batch.keys())
-    return dataclasses.replace(batch, flow=flow)
+    if synthetic:
+        return dataclasses.replace(batch, flow=synthetic_flow_batch(batch.observed, config.flow_dim))
+    flow = store.rows(batch.keys())
+    try:
+        return dataclasses.replace(batch, flow=flow)
+    except ValueError as exc:
+        raise FlowFeatureError(f"{store.blob}: {exc}") from None
 
 
 def _audit_cities(split, fold: int) -> None:

@@ -18,7 +18,6 @@ from mofcast.encdec import (
     box_features,
     compute_feature_stats,
     forecast_array,
-    forecast_windows,
     forward_batch,
     grad_check_detailed,
     gru_backward,
@@ -26,7 +25,6 @@ from mofcast.encdec import (
     init_params,
     load_checkpoint,
     loss_and_gradients,
-    residuals_to_boxes,
     save_checkpoint,
     smooth_l1,
     smooth_l1_grad,
@@ -36,6 +34,7 @@ from mofcast.encdec import (
 )
 from mofcast.encdec import model as model_module
 from mofcast.encdec.features import box_features_from_array
+from mofcast.encdec.model import forecast_windows, residuals_to_boxes
 from mofcast.encdec.gru import sigmoid
 from mofcast.errors import FlowFeatureError
 
@@ -137,8 +136,8 @@ def random_gru(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> GRU
 
 
 def time_major(dh_out: np.ndarray) -> np.ndarray:
-    """The (B, T, H) view of a fresh time-major copy of ``dh_out``: the layout gru_backward takes, and uses up."""
-    return dh_out.transpose(1, 0, 2).copy().transpose(1, 0, 2)
+    """A fresh (T, B, H) copy of a (B, T, H) ``dh_out``: the layout gru_backward takes, and uses up."""
+    return dh_out.transpose(1, 0, 2).copy()
 
 
 class TestGruCell:
@@ -167,7 +166,7 @@ class TestGruCell:
         h = np.zeros((3, 6))
         for k in range(7):
             h = gru_cell(x[:, k], h, params)
-            assert np.allclose(hs[:, k], h, atol=1e-14)
+            assert np.allclose(hs[k], h, atol=1e-14)
 
 
 class TestGruHotPath:
@@ -199,8 +198,8 @@ class TestGruHotPath:
         dx_copied, g_copied = gru_backward(params, cache_copied, time_major(dh_out))
         for name, g in g_shared.tensors().items():
             np.testing.assert_allclose(g, getattr(g_copied, name), rtol=1e-12, atol=0.0, err_msg=name)
-        assert dx_shared.shape == (b, 1, i)
-        np.testing.assert_allclose(dx_shared, dx_copied.sum(axis=1, keepdims=True), rtol=1e-12, atol=1e-15)
+        assert dx_shared.shape == (1, b, i)
+        np.testing.assert_allclose(dx_shared, dx_copied.sum(axis=0, keepdims=True), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
     def test_decoder_input_is_a_view_of_the_code(self, rng, cv_window, variant):
@@ -209,7 +208,7 @@ class TestGruHotPath:
                               rng.normal(size=(1, 12)))
         assert cache.dec_cache.x.shape == (1, 60, config.code_dim)
         assert cache.dec_cache.x.strides[1] == 0
-        assert np.shares_memory(cache.dec_cache.x, cache.code)
+        assert np.shares_memory(cache.dec_cache.x[:, -1], cache.dec_cache.x[:, 0])
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -243,9 +242,9 @@ class TestTimeMajorGru:
 
         hs, cache = gru_forward(params, x)
         hs_ref, cache_ref = gru_forward_batch_major(params, x)
-        assert hs.shape == (b, t, hd)
+        assert hs.shape == (t, b, hd)
         assert cache.x is x
-        assert _bits(hs) == _bits(hs_ref)
+        assert _bits(hs.transpose(1, 0, 2)) == _bits(hs_ref)
         assert cache.hs.shape == (t + 1, b, hd) and cache.gates.shape == (t, b, 3 * hd)
         # compared before the backward, which overwrites the gates with their gradients; each step's
         # B*3H values hold z | r as one (B, 2H) block, then h~ as one (B, H) block
@@ -262,15 +261,15 @@ class TestTimeMajorGru:
 
         # forward-only, last state: two states, h_{T-1} then h_T, and the same last step of gates
         hs_last, cache_last = gru_forward(params, x, keep="last")
-        assert cache_last.hs.shape == (2, b, hd) and hs_last.shape == (b, 1, hd)
+        assert cache_last.hs.shape == (2, b, hd) and hs_last.shape == (1, b, hd)
         assert _bits(cache_last.hs) == _bits(cache.hs[-2:])
-        assert _bits(hs_last) == _bits(hs[:, -1:])
+        assert _bits(hs_last) == _bits(hs[-1:])
         assert _bits(cache_last.gates) == _bits(cache.gates[-1:])
 
         dx, grads = gru_backward(params, cache, time_major(dh_out))
         dx_ref, grads_ref = gru_backward_batch_major(params, cache_ref, dh_out)
-        assert dx.shape == ((b, 1, i) if shared and t > 1 else (b, t, i))
-        pairs = {"dx": (dx, dx_ref)}
+        assert dx.shape == ((1, b, i) if shared and t > 1 else (t, b, i))
+        pairs = {"dx": (dx.transpose(1, 0, 2), dx_ref)}
         pairs.update({name: (g, getattr(grads_ref, name)) for name, g in grads.tensors().items()})
         for name, (got, want) in pairs.items():
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(), err_msg=name)
@@ -382,17 +381,18 @@ class TestBackwardUsesUpTheCache:
         with pytest.raises(ValueError, match="cache already holds the gradients of an earlier backward"):
             gru_backward(params, cache, time_major(dh_out))
 
-    @pytest.mark.parametrize("layout", ("batch-major", "read-only"))
+    @pytest.mark.parametrize("layout", ("batch-major", "read-only", "non-contiguous"))
     def test_gru_backward_refuses_a_dh_out_it_cannot_use_up(self, rng, layout):
-        # the backward writes r * h over dh_out's time-major steps; it makes no copy of another layout
+        # the backward writes r * h over dh's time-major steps; it makes no copy of another layout
         params = random_gru(rng, 4, 5)
         _, cache = gru_forward(params, rng.normal(size=(3, 7, 4)))
-        dh_out = rng.normal(size=(3, 7, 5)) if layout == "batch-major" else time_major(rng.normal(size=(3, 7, 5)))
-        dh_out.flags.writeable = layout == "batch-major"
-        with pytest.raises(ValueError, match="dh_out must be the \\(B, T, H\\) = \\(3, 7, 5\\) view of a writable"):
+        dh = rng.normal(size=(3, 7, 5))
+        dh_out = {"batch-major": dh, "read-only": time_major(dh), "non-contiguous": dh.transpose(1, 0, 2)}[layout]
+        dh_out.flags.writeable = layout != "read-only"
+        with pytest.raises(ValueError, match="dh must be a writable, C-contiguous \\(T, B, H\\) = \\(7, 3, 5\\) array"):
             gru_backward(params, cache, dh_out)
         assert cache.gates.flags.writeable  # refused before any step is read: the cache still serves a backward
-        gru_backward(params, cache, time_major(dh_out))
+        gru_backward(params, cache, time_major(dh))
 
     @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
     def test_backward_batch_refuses_a_used_cache(self, rng, variant):
@@ -409,11 +409,11 @@ class TestBackwardUsesUpTheCache:
         b, t, i, hd = 64, 60, 256, 64
         params = random_gru(rng, i, hd)
         x = np.broadcast_to(rng.normal(size=(b, 1, i)), (b, t, i))
-        dh_out = rng.normal(size=(t, b, hd)).transpose(1, 0, 2)
-        gru_backward(params, gru_forward(params, x)[1], time_major(dh_out))  # untraced first call: BLAS setup
+        dh_out = rng.normal(size=(t, b, hd))
+        gru_backward(params, gru_forward(params, x)[1], dh_out.copy())  # untraced first call: BLAS setup
         _, cache = gru_forward(params, x)
         (dx, _), peak = traced_peak(gru_backward, params, cache, dh_out)
-        assert dx.shape == (b, 1, i)
+        assert dx.shape == (1, b, i)
         gate_array = t * b * 3 * hd * 8
         assert peak < gate_array, (peak, gate_array)
 
@@ -466,7 +466,7 @@ class TestEncodeDecode:
         model = Model(params=init_params(config, 0), stats=FeatureStats.identity())
         code = encode(cv_window, model)
         assert code.shape == (256,)
-        batched = forward_batch(model.params, model.stats, box_features(cv_window)[None], None).code[0]
+        batched = forward_batch(model.params, model.stats, box_features(cv_window)[None], None).dec_cache.x[0, 0]
         assert np.allclose(batched, code, atol=1e-12)
 
     def test_both_code_dim_is_sum(self, cv_window):
@@ -475,7 +475,7 @@ class TestEncodeDecode:
         model = Model(params=init_params(config, 0), stats=FeatureStats.identity())
         code = encode(cv_window, model, flow)
         assert code.shape == (256 + 2048,)
-        batched = forward_batch(model.params, model.stats, box_features(cv_window)[None], flow[None]).code[0]
+        batched = forward_batch(model.params, model.stats, box_features(cv_window)[None], flow[None]).dec_cache.x[0, 0]
         assert np.allclose(batched, code, atol=1e-12)
 
     def test_missing_flow_feature_raises(self, cv_window):
@@ -522,7 +522,7 @@ class TestEncodeDecode:
         cache = forward_batch(model.params, model.stats, features, flow)
         for i, window in enumerate(windows):
             code = encode(window, model, flow[i])
-            assert np.allclose(cache.code[i], code, atol=1e-12)
+            assert np.allclose(cache.dec_cache.x[i, 0], code, atol=1e-12)
             assert np.allclose(cache.residuals[i], decode(code, model.params), atol=1e-12)
 
 

@@ -27,7 +27,7 @@ from mofcast.encdec import (
     box_features,
     compute_feature_stats,
     forecast_array,
-    forecast_windows,
+    forward_batch,
     init_params,
     load_checkpoint,
     loss_and_gradients,
@@ -39,6 +39,7 @@ from mofcast.encdec import (
 )
 from mofcast.encdec import training
 from mofcast.encdec.features import FeatureStats, box_features_from_array
+from mofcast.encdec.model import forecast_windows
 from mofcast.encdec.training import ADAM_BLOCK
 from mofcast.errors import CheckpointError, FlowFeatureError, TrainingDivergedError
 from mofcast.harness import cross_eval
@@ -211,6 +212,28 @@ class TestValidationScoresLikeTest:
         assert len(seen) == SMALL["epochs"] == len(result.log.epochs)
         assert all(batch is val_w for batch in seen)
 
+    @pytest.mark.parametrize("entry", ("forward_batch", "forecast_array", "assemble_arrays", "train"))
+    @pytest.mark.parametrize("variant", ("of_only", "both"))
+    def test_every_entry_refuses_a_flow_variant_without_flow_with_one_message(self, monkeypatch, variant, entry):
+        train_w, val_w = cv_windows()
+        config = TrainConfig(**{**SMALL, "variant": variant, "flow_dim": 16})
+        model = Model(params=init_params(config.model_config(), 0))
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "loss_and_gradients", no_step)
+        calls = {
+            "forward_batch": lambda: forward_batch(model.params, model.stats,
+                                                   box_features_from_array(val_w.observed), None),
+            "forecast_array": lambda: forecast_array(model, val_w),
+            "assemble_arrays": lambda: assemble_arrays(val_w, config.model_config()),
+            "train": lambda: train(dataclasses.replace(train_w, flow=synthetic_flow_batch(train_w.observed, 16)),
+                                   val_w, config),
+        }
+        with pytest.raises(FlowFeatureError, match=f"^variant '{variant}' needs flow features$"):
+            calls[entry]()
+
     def test_a_validation_batch_without_the_flow_its_variant_reads_is_refused_before_any_step(self, monkeypatch):
         train_w, val_w = cv_windows()
         train_w = dataclasses.replace(train_w, flow=synthetic_flow_batch(train_w.observed, 16))
@@ -220,7 +243,7 @@ class TestValidationScoresLikeTest:
 
         monkeypatch.setattr(training, "loss_and_gradients", no_step)
         config = TrainConfig(**{**SMALL, "variant": "both", "flow_dim": 16})
-        with pytest.raises(FlowFeatureError, match="lack flow features"):
+        with pytest.raises(FlowFeatureError, match="needs flow features"):
             train(train_w, val_w, config)
         with pytest.raises(FlowFeatureError, match="flow feature dim 8 != configured 16"):
             train(train_w, dataclasses.replace(val_w, flow=synthetic_flow_batch(val_w.observed, 8)), config)

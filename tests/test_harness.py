@@ -17,6 +17,7 @@ from mofcast.data import (
     FLOW_MAGNITUDE_THRESHOLD,
     KINDS,
     MIN_TRACK_FRAMES,
+    FlowFeatureStore,
     cut_windows,
     default_synth_split_config,
     extract_windows,
@@ -392,6 +393,25 @@ class TestFlowSidecar:
         ckpt = run_fold(dataclasses.replace(spec, flow_features=None, synthetic_flow=True)).checkpoint_path
         with pytest.raises(FlowFeatureError, match=missing):
             cross_eval(ckpt, tracks_path, stride=5, flow_features=index)
+
+    def test_a_non_finite_row_is_refused_where_it_is_read_naming_the_blob_and_its_window(self, synth_setup, tmp_path,
+                                                                                          capsys):
+        tracks_path = synth_setup[0]
+        index, blob = tmp_path / "flow.csv", tmp_path / "flow.bin"
+        source = write_sidecar(tracks_path, index).source(3)
+        values = np.fromfile(blob, dtype="<f4")
+        values[3 * FLOW_DIM + 5] = np.nan  # window 3's row
+        values.tofile(blob)
+        FlowFeatureStore.open(index)  # opening reads no value of the blob
+        ckpt = tmp_path / "both.mofc"
+        save_checkpoint(Model(params=init_params(BOTH.model_config(), 7)), ckpt)
+        named = re.escape(f"{blob}: flow feature for {source} has non-finite entries")
+        with pytest.raises(FlowFeatureError, match=named):
+            cross_eval(ckpt, tracks_path, stride=5, flow_features=index)
+        assert cli.main(["cross-eval", "--checkpoint", str(ckpt), "--tracks", str(tracks_path), "--stride", "5",
+                         "--flow-features", str(index), "--out", str(tmp_path / "xeval")]) == 2
+        assert re.search(named, capsys.readouterr().err)
+        assert not (tmp_path / "xeval").exists()
 
     def test_a_sidecar_of_another_dim_is_refused_where_it_is_opened(self, synth_setup, tmp_path, capsys):
         tracks_path = synth_setup[0]
