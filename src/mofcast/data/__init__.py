@@ -7,7 +7,7 @@ from .io import (
     write_flow_features,
     write_tracks,
 )
-from .splits import N_FOLDS, SplitConfig, SplitResult, make_splits
+from .splits import N_FOLDS, SplitConfig, make_splits
 from .synth import KINDS, default_synth_split_config, synth_generate, synth_generate_mixed
 from .windows import (
     CLIP_FRAMES,
@@ -31,7 +31,6 @@ __all__ = [
     "MIN_TRACK_FRAMES",
     "N_FOLDS",
     "SplitConfig",
-    "SplitResult",
     "WindowBatch",
     "count_windows",
     "cut_windows",

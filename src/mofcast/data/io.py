@@ -335,18 +335,19 @@ def load_flow_magnitudes(path: str | Path) -> dict[str, np.ndarray]:
 class FlowFeatureStore:
     """Random access to precomputed per-window flow features.
 
-    Backed by the sidecar format: the index CSV names each window's row of
-    its ``.bin`` blob (``blob``), read whole into one read-only (rows, dim)
-    float32 array. :meth:`rows` gathers the features of many windows, as
-    stored, into one float32 array; their values are checked where they are
-    used, not here.
+    Backed by the sidecar format: the index CSV (``path``) names each
+    window's row of its ``.bin`` blob (``blob``), read whole into one
+    read-only (rows, dim) float32 array. :meth:`rows` gathers the features
+    of many windows, as stored, into one float32 array; their values are
+    checked where they are used, not here.
     """
 
-    def __init__(self, index: Mapping[tuple[str, int, int], int], features: np.ndarray, blob: Path):
+    def __init__(self, index: Mapping[tuple[str, int, int], int], features: np.ndarray, path: Path):
         self._row = dict(index)
         self._features = features
         self.dim = features.shape[1]
-        self.blob = blob
+        self.path = path
+        self.blob = path.with_suffix(".bin")
 
     @classmethod
     def open(cls, index_path: str | Path) -> "FlowFeatureStore":
@@ -365,15 +366,15 @@ class FlowFeatureStore:
         for i, key in enumerate(zip(*(rows[name].tolist() for name in FLOW_INDEX_HEADER))):
             if index.setdefault(key, i) != i:
                 raise FlowFeatureError(f"{index_path}:{_line_of(body, i)}: duplicate entry for window {key}")
-        return cls(index, features, blob_path)
+        return cls(index, features, index_path)
 
     def rows(self, keys: Iterable[tuple[str, int, int]]) -> np.ndarray:
         """The (N, dim) float32 features of the windows ``keys`` names by (video_id, track_id, anchor_frame),
-        in order. The first window without one is a :class:`FlowFeatureError` naming it."""
+        in order. The first window without one is a :class:`FlowFeatureError` naming it and the index."""
         try:
             return self._features[np.array([self._row[key] for key in keys], dtype=np.intp)]
         except KeyError as exc:
-            raise FlowFeatureError(f"no flow feature for window {exc.args[0]}") from None
+            raise FlowFeatureError(f"{self.path}: no flow feature for window {exc.args[0]}") from None
 
     def __len__(self) -> int:
         return len(self._row)

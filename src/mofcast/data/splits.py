@@ -111,7 +111,7 @@ def make_splits(tracks: Sequence[Track], config: SplitConfig, fold: int) -> Spli
     for track in tracks:
         city = _city_of(track)
         if city not in config.folds:
-            raise SplitError(f"city {city!r} not present in split config")
+            raise SplitError(f"track {track.key}: city {city!r} not present in split config")
         if config.folds[city] != fold:
             train.append(track)
         elif _hash_fraction(track.video_id) < config.val_fraction:

@@ -54,12 +54,7 @@ def _centroids(kind: str, rng: np.random.Generator, n_frames: int) -> np.ndarray
         omega = rng.uniform(0.01, 0.04) * rng.choice([-1.0, 1.0])
         angles = heading + omega * t
         steps = speed * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        pos = np.empty((n_frames, 2))
-        pos[0] = c0
-        pos[1:] = c0 + np.cumsum(steps[:-1], axis=0)
-        return pos
-
-    if kind == "stop_and_go":
+    else:  # stop_and_go, the last of KINDS; synth_generate refuses any other kind
         t1 = int(rng.integers(30, 61))
         t2 = int(rng.integers(20, 41))
         heading2 = rng.uniform(0.0, 2.0 * math.pi)
@@ -67,12 +62,11 @@ def _centroids(kind: str, rng: np.random.Generator, n_frames: int) -> np.ndarray
         steps = np.zeros((n_frames, 2))
         steps[:t1] = v
         steps[t1 + t2 :] = v2
-        pos = np.empty((n_frames, 2))
-        pos[0] = c0
-        pos[1:] = c0 + np.cumsum(steps[:-1], axis=0)
-        return pos
-
-    raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    # Frame k sits at c0 plus the steps of the frames before it.
+    pos = np.empty((n_frames, 2))
+    pos[0] = c0
+    pos[1:] = c0 + np.cumsum(steps[:-1], axis=0)
+    return pos
 
 
 def synth_generate(

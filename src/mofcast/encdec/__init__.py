@@ -14,8 +14,6 @@ from .gradcheck import grad_check_detailed
 from .gru import GRUParams, gru_backward, gru_forward
 from .loss import smooth_l1, smooth_l1_grad
 from .model import (
-    BOX_CODE_DIM,
-    ENCDEC_MODEL_ID,
     FORECAST_BATCH_SIZE,
     Model,
     ModelConfig,
@@ -28,13 +26,10 @@ from .model import (
     loss_and_gradients,
     tensor_shapes,
 )
-from .training import Adam, EpochRecord, TrainConfig, TrainLog, TrainResult, assemble_arrays, train
+from .training import Adam, TrainConfig, TrainLog, assemble_arrays, train
 
 __all__ = [
     "Adam",
-    "BOX_CODE_DIM",
-    "ENCDEC_MODEL_ID",
-    "EpochRecord",
     "FEATURE_DIM",
     "FORECAST_BATCH_SIZE",
     "FeatureStats",
@@ -44,7 +39,6 @@ __all__ = [
     "ModelParams",
     "TrainConfig",
     "TrainLog",
-    "TrainResult",
     "VARIANTS",
     "assemble_arrays",
     "backward_batch",

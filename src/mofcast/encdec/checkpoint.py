@@ -5,7 +5,8 @@ Layout, all little-endian:
     bytes 0-3    magic "MOFC"
     uint32       format version (1)
     uint8        variant: 0 = bb_only, 1 = of_only, 2 = both
-    uint8        box-code rectifier flag: 0 = off, 1 = on
+    uint8        box-code rectifier flag: always 1 (the box code is always
+                 rectified); any other value, 0 too, is refused
     uint32 x 5   dims: input (8), hidden, box code (256), flow, output (4)
     float64 x 8  standardization means
     float64 x 8  standardization stds
@@ -40,17 +41,8 @@ _HEADER = struct.Struct("<4sIBB5I")
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     config = model.config
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        _VARIANT_TAGS[config.variant],
-        1 if config.fc_activation else 0,
-        FEATURE_DIM,
-        config.hidden,
-        BOX_CODE_DIM,
-        config.flow_dim,
-        OUTPUT_DIM,
-    )
+    header = _HEADER.pack(MAGIC, VERSION, _VARIANT_TAGS[config.variant], 1,  # 1: the rectifier flag
+                          FEATURE_DIM, config.hidden, BOX_CODE_DIM, config.flow_dim, OUTPUT_DIM)
     tensors = model.params.tensors()
     with Path(path).open("wb") as fh:
         fh.write(header)
@@ -72,20 +64,15 @@ def _header_config(path: str | Path, header: bytes) -> ModelConfig:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     if variant_tag not in _TAG_VARIANTS:
         raise CheckpointError(f"{path}: unknown variant tag {variant_tag}")
-    if fc_flag not in (0, 1):
-        raise CheckpointError(f"{path}: rectifier flag {fc_flag}, expected 0 or 1")
+    if fc_flag != 1:
+        raise CheckpointError(f"{path}: rectifier flag {fc_flag}, expected 1")
     if (input_dim, box_code_size, output_dim) != (FEATURE_DIM, BOX_CODE_DIM, OUTPUT_DIM):
         raise CheckpointError(
             f"{path}: dimension inconsistency (input {input_dim}, box code {box_code_size}, output {output_dim})"
         )
     if hidden < 1 or flow_dim < 1:
         raise CheckpointError(f"{path}: dimension inconsistency (non-positive dim)")
-    return ModelConfig(
-        variant=_TAG_VARIANTS[variant_tag],  # type: ignore[arg-type]
-        hidden=hidden,
-        flow_dim=flow_dim,
-        fc_activation=bool(fc_flag),
-    )
+    return ModelConfig(variant=_TAG_VARIANTS[variant_tag], hidden=hidden, flow_dim=flow_dim)  # type: ignore[arg-type]
 
 
 def load_checkpoint(path: str | Path) -> Model:

@@ -1,8 +1,8 @@
 """The recurrent encoder-decoder forecaster.
 
 A GRU encoder summarizes the 30 standardized box-feature rows into a hidden
-state; an affine layer (plus optional rectifier) compresses that into a
-256-dim box code. Depending on the variant, the decoder input code is the
+state; an affine layer and a rectifier compress that into a 256-dim box
+code. Depending on the variant, the decoder input code is the
 box code, the (externally produced) flow feature, or their concatenation.
 The decoder GRU receives the same code at every one of the 60 future steps,
 passed as a stride-0 broadcast that the GRU projects once per window rather
@@ -21,7 +21,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Literal
+from typing import ClassVar, Literal
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class ModelConfig:
     variant: Variant = "bb_only"
     hidden: int = 512
     flow_dim: int = 2048
-    fc_activation: bool = True  # rectifier after the box-code layer
+    # Not a field: the box code is always rectified. benchmarks/gate.py reads it.
+    fc_activation: ClassVar[bool] = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -202,8 +203,8 @@ def forward_batch(
 
     ``for_backward`` says whether :func:`backward_batch` will read the
     cache. Without it both GRUs run forward-only (see :func:`gru_forward`):
-    the encoder keeps its last state alone, which is all the box code
-    reads, and the decoder keeps every state for the output layer, whose
+    the encoder keeps two states, of which the box code reads the last,
+    and the decoder keeps every state for the output layer, whose
     one GEMM over all of them sets the residuals' bits.
     """
     cfg, t = params.config, params.tensors()
@@ -214,8 +215,7 @@ def forward_batch(
         _, enc_cache = gru_forward(params.gru("encoder"), standardize(features, stats),
                                    keep="backward" if for_backward else "last")
         fc_pre = enc_cache.hs[-1] @ t["fc1.w"].T + t["fc1.b"]
-        box_code = np.maximum(fc_pre, 0.0) if cfg.fc_activation else fc_pre
-        parts.append(box_code)
+        parts.append(np.maximum(fc_pre, 0.0))
     if cfg.uses_flow:
         parts.append(np.asarray(flow, dtype=np.float64))
     code = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -265,9 +265,7 @@ def backward_batch(params: ModelParams, cache: ForwardCache, dresiduals: np.ndar
 
     dcode = dx_dec[0]  # dx_dec is (1, B, C): the code is one row shared by all steps
     if cfg.uses_boxes:
-        dbox_code = dcode[:, :BOX_CODE_DIM]
-        if cfg.fc_activation:
-            dbox_code = dbox_code * (cache.fc_pre > 0.0)
+        dbox_code = dcode[:, :BOX_CODE_DIM] * (cache.fc_pre > 0.0)
         grads["fc1.w"] = dbox_code.T @ cache.enc_cache.hs[-1]
         grads["fc1.b"] = dbox_code.sum(axis=0)
 
@@ -318,8 +316,9 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
 
     Forward passes run ``batch_size`` windows at a time and forward-only:
     no backward follows, so no per-step gate cache is kept, and the
-    encoder keeps only its last state. Flow-reading variants take their
-    flow from ``batch.flow``, upcast one chunk at a time.
+    encoder keeps two states, of which the box code reads the last.
+    Flow-reading variants take their flow from ``batch.flow``, upcast one
+    chunk at a time.
     A ``batch_size`` below 1 is a ``ValueError``. The forecasts' last bits
     depend on ``batch_size``, because OpenBLAS picks its kernel by shape: a
     byte-identity check must fix it.

@@ -69,7 +69,7 @@ def encode(window: ObservationWindow, model: Model, flow: np.ndarray | None = No
         for row in standardize(box_features(window), model.stats):
             h = gru_cell(row, h, encoder)
         pre = t["fc1.w"] @ h + t["fc1.b"]
-        parts.append(np.maximum(pre, 0.0) if cfg.fc_activation else pre)
+        parts.append(np.maximum(pre, 0.0))
     if cfg.uses_flow:
         parts.append(np.asarray(flow, dtype=np.float64))
     return np.concatenate(parts)
@@ -185,7 +185,7 @@ def forward_residuals_batch_major(params: ModelParams, stats: FeatureStats, feat
     if cfg.uses_boxes:
         enc_hs, _ = gru_forward_batch_major(gru_layer(params, "encoder"), standardize(features, stats))
         pre = enc_hs[:, -1] @ t["fc1.w"].T + t["fc1.b"]
-        parts.append(np.maximum(pre, 0.0) if cfg.fc_activation else pre)
+        parts.append(np.maximum(pre, 0.0))
     if cfg.uses_flow:
         parts.append(np.asarray(flow, dtype=np.float64))
     code = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)

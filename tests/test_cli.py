@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -13,7 +14,8 @@ import pytest
 
 import mofcast
 from mofcast.cli import _spec_from_args, build_parser, main
-from mofcast.data import default_synth_split_config, load_tracks
+from mofcast.core import WindowSource
+from mofcast.data import default_synth_split_config, load_tracks, write_flow_features
 from mofcast.encdec import Model, ModelConfig, TrainConfig, init_params, save_checkpoint
 from mofcast.harness import MODEL_INPUTS, MODEL_KINDS
 
@@ -414,6 +416,15 @@ class TestTrainAndCrossEval:
         for name in written:
             assert (tmp_path / "xe" / name).read_bytes() == (tmp_path / "eval2" / name).read_bytes(), name
 
+    def test_a_window_the_sidecar_lacks_is_refused_naming_the_sidecar(self, synth_file, tmp_path, capsys):
+        checkpoint, index = tmp_path / "both.mofc", tmp_path / "flow.csv"
+        save_checkpoint(Model(params=init_params(ModelConfig(variant="both", hidden=4, flow_dim=8), 0)), checkpoint)
+        write_flow_features([(WindowSource("elsewhere", 1, 29), np.ones(8))], index)
+        argv = ["cross-eval", "--checkpoint", str(checkpoint), "--tracks", str(synth_file), "--flow-features",
+                str(index), "--out", str(tmp_path / "xe")]
+        assert main(argv) == 2
+        assert f"{index}: no flow feature for window " in capsys.readouterr().err
+
     def test_tune_lkf(self, synth_file, splits_file, tmp_path, capsys):
         out = tmp_path / "runs"
         code = main(
@@ -431,3 +442,19 @@ class TestGradcheck:
         stdout = capsys.readouterr().out
         assert "max relative error" in stdout
         assert "passed" in stdout
+
+
+def test_the_byte_identity_set_runs_every_subcommand(tmp_path, monkeypatch):
+    # Build the set's inputs, recording each command instead of running it.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on it
+    spec = importlib.util.spec_from_file_location(
+        "byte_identity", Path(__file__).resolve().parents[1] / "scripts" / "byte_identity.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ran = set()
+    monkeypatch.setattr(script, "run", lambda name, *argv: ran.add(argv[0]))
+    monkeypatch.setattr(script, "only", lambda pattern: pattern)
+    monkeypatch.chdir(tmp_path)
+    script.build()
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(set(subcommands.choices) - ran) == []

@@ -361,6 +361,11 @@ class TestMakeSplits:
         with pytest.raises(SplitError, match="nowhere"):
             make_splits(tracks, self.config(), fold=0)
 
+    def test_an_unknown_city_is_refused_naming_its_track(self):
+        tracks = self.make_tracks() + [linear_track(video_id="v", track_id=1, city="bexley")]
+        with pytest.raises(SplitError, match=re.escape("track ('v', 1): city 'bexley' not present in split config")):
+            make_splits(tracks, self.config(), fold=0)
+
     def test_single_city_dataset_warns_on_empty_train(self):
         tracks = [linear_track(video_id=f"v{i}", track_id=i, city="solo") for i in range(4)]
         config = SplitConfig(folds={"solo": 0})

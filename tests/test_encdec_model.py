@@ -13,19 +13,15 @@ from mofcast.encdec import (
     GRUParams,
     Model,
     ModelConfig,
-    assemble_arrays,
     backward_batch,
     box_features,
     compute_feature_stats,
     forecast_array,
     forward_batch,
-    grad_check_detailed,
     gru_backward,
     gru_forward,
     init_params,
-    load_checkpoint,
     loss_and_gradients,
-    save_checkpoint,
     smooth_l1,
     smooth_l1_grad,
     standardize,
@@ -478,6 +474,11 @@ class TestEncodeDecode:
         batched = forward_batch(model.params, model.stats, box_features(cv_window)[None], flow[None]).dec_cache.x[0, 0]
         assert np.allclose(batched, code, atol=1e-12)
 
+    def test_the_box_code_rectifier_is_not_an_option(self):
+        assert ModelConfig.fc_activation is True and ModelConfig(variant="both").fc_activation is True
+        with pytest.raises(TypeError, match="fc_activation"):
+            ModelConfig(fc_activation=False)
+
     def test_missing_flow_feature_raises(self, cv_window):
         config = ModelConfig(variant="of_only", hidden=16, flow_dim=32)
         model = Model(params=init_params(config, 0), stats=FeatureStats.identity())
@@ -606,49 +607,6 @@ class TestForecastArray:
         empty = cut_windows([linear_track(length=89)])
         assert forecast_array(model, empty).shape == (0, 60, 4)
         assert forecast_windows(model, empty) == []
-
-
-class TestRectifierOff:
-    """A model without the box-code rectifier, which only a checkpoint can now carry."""
-
-    def model_and_batch(self, variant):
-        batch = cut_windows(synth_generate_mixed(("turning", "stop_and_go"), 2, 1.0, 3, n_frames=95), stride=9)
-        batch = dataclasses.replace(batch, flow=synthetic_flow_batch(batch.observed, 12))
-        config = ModelConfig(variant=variant, hidden=8, flow_dim=12, fc_activation=False)
-        stats = compute_feature_stats(box_features_from_array(batch.observed))
-        return Model(params=init_params(config, 6, zero_output=False), stats=stats), batch
-
-    @pytest.mark.parametrize("variant", ("bb_only", "both"))
-    def test_forecast_array_matches_the_oracle(self, variant):
-        model, batch = self.model_and_batch(variant)
-        pred = forecast_array(model, batch, batch_size=5)
-        features = box_features_from_array(batch.observed)
-        expected = cv_cs_batch(batch.observed) + forward_residuals_batch_major(
-            model.params, model.stats, features, batch.flow
-        )
-        expected[..., 2:] = np.maximum(expected[..., 2:], 1.0)
-        assert np.allclose(pred, expected, atol=1e-9)
-        rectified = Model(
-            params=dataclasses.replace(model.params, config=ModelConfig(variant=variant, hidden=8, flow_dim=12)),
-            stats=model.stats,
-        )
-        assert not np.allclose(pred, forecast_array(rectified, batch), atol=1e-6)  # the flag is read
-
-    def test_checkpoint_keeps_flag_zero(self, tmp_path):
-        model, batch = self.model_and_batch("both")
-        path = tmp_path / "model.mofc"
-        save_checkpoint(model, path)
-        assert path.read_bytes()[9] == 0  # the rectifier flag byte
-        loaded = load_checkpoint(path)
-        assert loaded.config.fc_activation is False
-        assert np.array_equal(forecast_array(loaded, batch), forecast_array(model, batch))
-
-    @pytest.mark.parametrize("variant", ("bb_only", "both"))
-    def test_gradients_match_finite_differences(self, variant):
-        model, batch = self.model_and_batch(variant)
-        arrays = assemble_arrays(batch, model.config)
-        detailed = grad_check_detailed(model.params, model.stats, arrays, coords_per_group=8, seed=2)
-        assert max(detailed.values()) < 1e-4
 
 
 class TestSmoothL1:

@@ -425,6 +425,7 @@ class TestCheckpoint:
         model, _ = self.make_model(variant)
         path = tmp_path / "model.mofc"
         save_checkpoint(model, path)
+        assert path.read_bytes()[9] == 1  # the rectifier flag byte
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
         assert np.array_equal(loaded.stats.mean, model.stats.mean)
@@ -548,17 +549,19 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "offset,value,problem",
-        ((9, b"\x07", "rectifier flag 7, expected 0 or 1"),
+        ((9, b"\x07", "rectifier flag 7, expected 1"),
+         (9, b"\x00", "rectifier flag 0, expected 1"),
          (18, struct.pack("<I", 128), r"dimension inconsistency \(input 8, box code 128, output 4\)")),
-        ids=("rectifier-flag", "box-code-dim"),
+        ids=("rectifier-flag", "rectifier-off", "box-code-dim"),
     )
-    def test_malformed_header_field_rejected(self, tmp_path, offset, value, problem):
+    def test_malformed_header_field_rejected(self, tmp_path, monkeypatch, offset, value, problem):
         model, _ = self.make_model()
         path = tmp_path / "model.mofc"
         save_checkpoint(model, path)
         data = bytearray(path.read_bytes())
         data[offset : offset + len(value)] = value
         path.write_bytes(bytes(data))
+        monkeypatch.setattr(np, "fromfile", None)  # refused from the header: no tensor is read
         with pytest.raises(CheckpointError, match=rf"model\.mofc: {problem}"):
             load_checkpoint(path)
 
