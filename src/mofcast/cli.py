@@ -210,8 +210,6 @@ def build_parser() -> _Parser:
                    help=f"finite-difference step (default: {EPSILON:g})")
     p.add_argument("--coords", type=_positive_int, default=COORDS_PER_GROUP, help="sampled coordinates per group")
     p.add_argument("--samples", type=_positive_int, default=3, help="number of seeded samples")
-    p.add_argument("--tolerance", type=_positive_float, default=RESOLUTION,
-                   help=f"largest relative error that passes (default: {RESOLUTION:g})")
 
     return parser
 
@@ -378,8 +376,8 @@ def _cmd_gradcheck(args) -> int:
         print(f"sample {i}: max relative error {sample_worst:.3e}")
         for name in sorted(detailed):
             logger.info("  %-14s %.3e", name, detailed[name])
-    print(f"max relative error over {args.samples} samples: {worst:.3e} (tolerance {args.tolerance:g})")
-    if worst >= args.tolerance:
+    print(f"max relative error over {args.samples} samples: {worst:.3e} (tolerance {RESOLUTION:g})")
+    if worst >= RESOLUTION:
         print("gradient check FAILED", file=sys.stderr)
         return 2
     print("gradient check passed")

@@ -80,7 +80,7 @@ class TestExitCodes:
             ["gradcheck", "--coords", "0"],
             ["clip-filter", "--flow-magnitudes", "f.csv", "--clip-frames", "0"],
             ["synth", "--kind", "turning", "--n", "0", "--seed", "1", "--out", "t.csv"],
-            *(["gradcheck", flag, value] for flag in ("--epsilon", "--tolerance") for value in ("0", "-1e-5", "nan")),
+            *(["gradcheck", "--epsilon", value] for value in ("0", "-1e-5", "nan")),
             *(["train", "--tracks", "t.csv", "--splits", "s.json", flag, value]
               for flag in ("--lr", "--beta") for value in ("nan", "inf", "0", "-1")),
             *(["clip-filter", "--flow-magnitudes", "f.csv", "--threshold", value] for value in ("nan", "inf", "-inf")),
@@ -443,6 +443,11 @@ class TestGradcheck:
         assert "max relative error" in stdout
         assert "passed" in stdout
 
+    def test_has_no_tolerance_flag(self, capsys):
+        # grad_check_detailed cannot resolve a relative error below RESOLUTION, so no other tolerance is offered.
+        assert main(["gradcheck", "--tolerance", "1e-3"]) == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
 
 def test_the_byte_identity_set_runs_every_subcommand(tmp_path, monkeypatch):
     # Build the set's inputs, recording each command instead of running it.
@@ -458,3 +463,30 @@ def test_the_byte_identity_set_runs_every_subcommand(tmp_path, monkeypatch):
     script.build()
     subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(set(subcommands.choices) - ran) == []
+
+
+def _byte_identity_script(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on it
+    spec = importlib.util.spec_from_file_location(
+        "byte_identity", Path(__file__).resolve().parents[1] / "scripts" / "byte_identity.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_the_byte_identity_set_refuses_a_non_empty_out(tmp_path, monkeypatch):
+    script = _byte_identity_script(monkeypatch)
+    (tmp_path / "stale").write_text("", encoding="utf-8")
+    with pytest.raises(SystemExit, match="not empty"):
+        script.main(str(tmp_path))
+
+
+def test_the_byte_identity_digests_repeat_and_name_their_forward_passes(monkeypatch):
+    # Small sizes of the script's digests; B=513 runs a full forecast chunk and a one-window tail.
+    script = _byte_identity_script(monkeypatch)
+    grads = script.grads_digest("both", 8, 3)
+    assert grads == script.grads_digest("both", 8, 3)
+    assert re.fullmatch(r"[0-9a-f]{64}  grads both H=8 B=3", grads)
+    forecast = script.forecast_digest("bb_only", 8, 513)
+    assert forecast == script.forecast_digest("bb_only", 8, 513)
+    assert re.fullmatch(r"[0-9a-f]{64}  forecast bb_only H=8 B=513: 2 forward pass\(es\)", forecast)
