@@ -31,16 +31,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FUTURE_LEN, MIN_BOX_SIZE, OBSERVED_LEN, VELOCITY_LAG, VELOCITY_SPAN
-from .core import Forecast, ObservationWindow, array_to_boxes
+from .core import FUTURE_LEN, MIN_BOX_SIZE, OBSERVED_LEN, VELOCITY_LAG, VELOCITY_SPAN, ObservationWindow
 from .data.io import read_json, write_json
 from .data.windows import WindowBatch
 from .metrics import centroid_ade
 # aggregate and evaluate_window stay in this namespace: benchmarks/tracing.py wraps them here
 from .metrics import aggregate, evaluate_window  # noqa: F401
-
-CV_CS_MODEL_ID = "cv_cs"
-LKF_MODEL_ID = "lkf"
 
 
 def cv_velocity(observed: np.ndarray) -> np.ndarray:
@@ -55,21 +51,21 @@ def cv_cs_batch(observed: np.ndarray) -> np.ndarray:
     """Constant-velocity, constant-scale roll-out of (N, p, 4) windows as (N, 60, 4).
 
     Row k holds the box at step k+1: centroid(anchor) + (k+1) * velocity,
-    size frozen at the anchor frame. This is both the CV-CS forecast and the
+    size frozen at the anchor frame and raised to at least ``MIN_BOX_SIZE``,
+    as every forecast's is. This is both the CV-CS forecast and the
     reference the learned model's residuals are added to.
     """
     vel = cv_velocity(observed)
     steps = np.arange(1, FUTURE_LEN + 1, dtype=np.float64)
     out = np.empty((observed.shape[0], FUTURE_LEN, 4), dtype=np.float64)
     out[:, :, :2] = observed[:, -1, None, :2] + steps[None, :, None] * vel[:, None, :]
-    out[:, :, 2:] = observed[:, -1, None, 2:]
+    out[:, :, 2:] = np.maximum(observed[:, -1, None, 2:], MIN_BOX_SIZE)
     return out
 
 
-def cv_cs_forecast(window: ObservationWindow) -> Forecast:
-    """:func:`cv_cs_batch` of one window."""
-    boxes = array_to_boxes(cv_cs_batch(window.observed_array()[None])[0])
-    return Forecast(source=window.source, boxes=boxes, model_id=CV_CS_MODEL_ID)
+def cv_cs_forecast(window: ObservationWindow) -> np.ndarray:
+    """:func:`cv_cs_batch` of one window, as its (60, 4) forecast."""
+    return cv_cs_batch(window.observed_array()[None])[0]
 
 
 @dataclass(frozen=True)
@@ -151,10 +147,9 @@ def lkf_batch(observed: np.ndarray, params: KalmanParams) -> np.ndarray:
     return pred
 
 
-def lkf_forecast_window(window: ObservationWindow, params: KalmanParams) -> Forecast:
-    """:func:`lkf_batch` of one window."""
-    rows = lkf_batch(window.observed_array()[None], params)[0]
-    return Forecast(source=window.source, boxes=array_to_boxes(rows), model_id=LKF_MODEL_ID)
+def lkf_forecast_window(window: ObservationWindow, params: KalmanParams) -> np.ndarray:
+    """:func:`lkf_batch` of one window, as its (60, 4) forecast."""
+    return lkf_batch(window.observed_array()[None], params)[0]
 
 
 class TuneResult(NamedTuple):

@@ -40,7 +40,7 @@ from .data import (
 )
 from .data.io import write_csv, write_json
 from .encdec import VARIANTS, ModelConfig, TrainConfig, grad_check_detailed
-from .encdec.gradcheck import COORDS_PER_GROUP, EPSILON, RESOLUTION, grad_check_sample
+from .encdec.gradcheck import COORDS_PER_GROUP, RESOLUTION, grad_check_sample
 from .errors import MofcastError
 from .harness import (
     MODEL_INPUTS,
@@ -119,7 +119,8 @@ def _add_model_flags(p: argparse.ArgumentParser):
 
 
 # The train subcommand's flags: (flag, the TrainConfig field it sets, its
-# argument type, help). Defaults come from TrainConfig itself; the types
+# argument type, help). A flag left out is absent from the parsed args, which
+# shows _check_flags what was given, and keeps TrainConfig's default; the types
 # refuse out-of-range values as usage errors, before any file is read.
 _TRAIN_FLAGS = (
     ("--variant", "variant", str, "model variant"),
@@ -138,7 +139,12 @@ def _add_train_flags(p: argparse.ArgumentParser):
     for flag, name, kind, help_text in _TRAIN_FLAGS:
         default = getattr(defaults, name)
         p.add_argument(flag, dest=name, type=kind, choices=VARIANTS if name == "variant" else None,
-                       default=default, help=f"{help_text} (default: {default})")
+                       default=argparse.SUPPRESS, help=f"{help_text} (default: {default})")
+
+
+def _train_config(args) -> TrainConfig:
+    """The TrainConfig of train's flags: each flag given sets its field, the others keep their defaults."""
+    return TrainConfig(**{name: getattr(args, name) for _, name, _, _ in _TRAIN_FLAGS if hasattr(args, name)})
 
 
 def build_parser() -> _Parser:
@@ -206,8 +212,6 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=_positive_int, default=64)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--variant", default="bb_only", choices=VARIANTS)
-    p.add_argument("--epsilon", type=_positive_float, default=EPSILON,
-                   help=f"finite-difference step (default: {EPSILON:g})")
     p.add_argument("--coords", type=_positive_int, default=COORDS_PER_GROUP, help="sampled coordinates per group")
     p.add_argument("--samples", type=_positive_int, default=3, help="number of seeded samples")
 
@@ -239,10 +243,13 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
     if getattr(args, "fold", None) is not None and not args.splits:
         refuse("argument --fold: not allowed without argument --splits")
     if args.command == "train":
+        config = _train_config(args).model_config()
+        if hasattr(args, "flow_dim") and not config.uses_flow:
+            refuse(f"argument --flow-dim: not read by --variant {config.variant}")
         flow = "--flow-features" if args.flow_features else "--synthetic-flow" if args.synthetic_flow else None
-        if ModelConfig(variant=args.variant).uses_flow != bool(flow):
-            refuse(f"argument {flow}: not read by --variant {args.variant}" if flow else
-                   f"argument --variant: {args.variant} reads flow: give --flow-features or --synthetic-flow")
+        if config.uses_flow != bool(flow):
+            refuse(f"argument {flow}: not read by --variant {config.variant}" if flow else
+                   f"argument --variant: {config.variant} reads flow: give --flow-features or --synthetic-flow")
 
 
 def _model_predictions(args) -> tuple[WindowBatch, np.ndarray]:
@@ -313,7 +320,7 @@ def _cmd_clip_filter(args) -> int:
 def _spec_from_args(args, model: str) -> ExperimentSpec:
     train = {}
     if args.command == "train":  # tune-lkf takes ExperimentSpec's default TrainConfig
-        train["train"] = TrainConfig(**{name: getattr(args, name) for _, name, _, _ in _TRAIN_FLAGS})
+        train["train"] = _train_config(args)
     return ExperimentSpec(
         tracks=args.tracks,
         splits=args.splits,
@@ -368,9 +375,7 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     for i in range(args.samples):
         params, stats, arrays = grad_check_sample(config, args.seed + i)
-        detailed = grad_check_detailed(
-            params, stats, arrays, epsilon=args.epsilon, coords_per_group=args.coords, seed=args.seed + i
-        )
+        detailed = grad_check_detailed(params, stats, arrays, coords_per_group=args.coords, seed=args.seed + i)
         sample_worst = max(detailed.values())
         worst = max(worst, sample_worst)
         print(f"sample {i}: max relative error {sample_worst:.3e}")

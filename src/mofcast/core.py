@@ -3,16 +3,17 @@
 Boxes are stored as centroid + size (cx, cy, w, h) in pixels, the
 parameterization every downstream quantity (velocity, size deltas, decoder
 residuals) is defined on. A :class:`Track` holds its boxes as one (n, 4)
-array of such rows, and :mod:`mofcast.metrics` scores such arrays.
-:class:`BBox` survives only for :func:`mofcast.data.extract_windows` and the
-per-window wrappers it feeds. All geometry is double precision; coordinates
-are never quantized to integer pixels.
+array of such rows, a forecast is an (N, q, 4) array, and :mod:`mofcast.metrics`
+scores such arrays. The per-window API keeps only its input side:
+:func:`mofcast.data.extract_windows` builds :class:`ObservationWindow` objects
+of :class:`BBox` tuples, and each one-window wrapper returns a (q, 4) array.
+All geometry is double precision; coordinates are never quantized to integer pixels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -145,20 +146,6 @@ class ObservationWindow:
     def observed_array(self) -> np.ndarray:
         """(p, 4) float64 array of observed boxes as [cx, cy, w, h] rows."""
         return boxes_to_array(self.observed)
-
-
-@dataclass(frozen=True)
-class Forecast:
-    """Predicted future boxes for one window, tagged with the producing model."""
-
-    source: WindowSource
-    boxes: tuple[BBox, ...]
-    model_id: str = field(default="")
-
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        if not self.boxes:
-            raise ValueError("forecast has no boxes")
 
 
 def boxes_to_array(boxes: Sequence[BBox]) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import ClassVar, Literal
 import numpy as np
 
 from ..baselines import cv_cs_batch
-from ..core import FUTURE_LEN, MIN_BOX_SIZE, Forecast, ObservationWindow, array_to_boxes
+from ..core import FUTURE_LEN, MIN_BOX_SIZE, ObservationWindow
 from ..data.windows import WindowBatch
 from ..errors import FlowFeatureError, GradientError
 from .features import FEATURE_DIM, FeatureStats, box_features_from_array, standardize
@@ -36,8 +36,6 @@ from .loss import SMOOTH_L1_BETA, smooth_l1, smooth_l1_grad
 # Not called here: the one-window form of the features this module builds in
 # batches, kept in its namespace because benchmarks/tracing.py wraps it by this name.
 from .features import box_features  # noqa: F401
-
-ENCDEC_MODEL_ID = "encdec"
 
 Variant = Literal["bb_only", "of_only", "both"]
 VARIANTS: tuple[Variant, ...] = ("bb_only", "of_only", "both")
@@ -304,11 +302,9 @@ def _add_to_cv_cs(observed: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     return pred
 
 
-def residuals_to_boxes(window: ObservationWindow, residuals: np.ndarray) -> Forecast:
-    """Add residuals to the CV-CS extrapolation; sizes clamped to 1 px."""
-    residuals = np.asarray(residuals, dtype=np.float64)
-    pred = _add_to_cv_cs(window.observed_array()[None], residuals[None])[0]
-    return Forecast(source=window.source, boxes=array_to_boxes(pred), model_id=ENCDEC_MODEL_ID)
+def residuals_to_boxes(window: ObservationWindow, residuals: np.ndarray) -> np.ndarray:
+    """One window's (60, 4) residuals added to its CV-CS extrapolation; sizes clamped to 1 px."""
+    return _add_to_cv_cs(window.observed_array()[None], np.asarray(residuals, dtype=np.float64)[None])[0]
 
 
 def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_BATCH_SIZE) -> np.ndarray:
@@ -336,10 +332,6 @@ def forecast_array(model: Model, batch: WindowBatch, batch_size: int = FORECAST_
     return _add_to_cv_cs(batch.observed, np.concatenate(residuals))
 
 
-def forecast_windows(model: Model, batch: WindowBatch, batch_size: int = FORECAST_BATCH_SIZE) -> list[Forecast]:
-    """:func:`forecast_array` as one :class:`Forecast` per window of the batch."""
-    pred = forecast_array(model, batch, batch_size)
-    return [
-        Forecast(source=batch.source(i), boxes=array_to_boxes(rows), model_id=ENCDEC_MODEL_ID)
-        for i, rows in enumerate(pred)
-    ]
+def forecast_windows(model: Model, batch: WindowBatch, batch_size: int = FORECAST_BATCH_SIZE) -> list[np.ndarray]:
+    """:func:`forecast_array`'s (q, 4) rows, one per window of the batch."""
+    return list(forecast_array(model, batch, batch_size))

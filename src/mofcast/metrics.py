@@ -9,7 +9,8 @@ raw pixels at native resolution; nothing is normalized.
 Scoring works on arrays from end to end: :func:`box_errors` computes both
 per-step errors of an (N, q, 4) batch, :func:`evaluate_batch` fills one
 :class:`WindowScores` of (N, q) arrays with them a chunk of windows at a
-time, and :func:`aggregate` and :func:`breakdown` reduce those arrays over
+time, :func:`evaluate_window` is its one-window form over two (q, 4)
+arrays, and :func:`aggregate` and :func:`breakdown` reduce those arrays over
 their window axis. Scores carry no window identity: row i is window i of
 the scored batch, and :func:`breakdown` groups rows by integer codes, which
 :meth:`~mofcast.data.WindowBatch.groups` derives from the batch's tracks.
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import BBox, Forecast, boxes_to_array
 from .data.io import write_csv
 
 if TYPE_CHECKING:
@@ -107,11 +107,9 @@ def evaluate_batch(pred: np.ndarray, batch: "WindowBatch") -> WindowScores:
     return WindowScores(displacements=disp, ious=ious)
 
 
-def evaluate_window(pred: Forecast, gt: Sequence[BBox]) -> WindowScores:
-    """One forecast scored against its truth, as a one-row :class:`WindowScores`."""
-    if len(pred.boxes) != len(gt):
-        raise ValueError(f"length mismatch: {len(pred.boxes)} predicted vs {len(gt)} ground-truth boxes")
-    disp, ious = box_errors(boxes_to_array(pred.boxes)[None], boxes_to_array(gt)[None])
+def evaluate_window(pred: np.ndarray, gt: np.ndarray) -> WindowScores:
+    """One (q, 4) forecast scored against its (q, 4) truth, as a one-row :class:`WindowScores`."""
+    disp, ious = box_errors(np.asarray(pred, dtype=np.float64)[None], np.asarray(gt, dtype=np.float64)[None])
     return WindowScores(displacements=disp, ious=ious)
 
 

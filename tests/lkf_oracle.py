@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mofcast.baselines import LKF_MODEL_ID, KalmanParams
-from mofcast.core import FUTURE_LEN, Forecast, ObservationWindow, WindowSource, array_to_boxes
+from mofcast.baselines import KalmanParams
+from mofcast.core import FUTURE_LEN, ObservationWindow
 
 _STATE_DIM = 8
 _OBS_DIM = 4
@@ -25,7 +25,6 @@ class KalmanState:
 
     mean: np.ndarray
     covariance: np.ndarray
-    source: WindowSource
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
@@ -70,16 +69,11 @@ def lkf_filter(window: ObservationWindow, params: KalmanParams) -> KalmanState:
         ikh = identity - gain @ h
         p = ikh @ p @ ikh.T + gain @ r @ gain.T
         p = (p + p.T) / 2.0
-    return KalmanState(mean=x, covariance=p, source=window.source)
+    return KalmanState(mean=x, covariance=p)
 
 
-def lkf_forecast(state: KalmanState, horizon: int = FUTURE_LEN) -> Forecast:
-    """Roll the posterior mean forward with no updates; sizes clamped to 1 px."""
-    return Forecast(source=state.source, boxes=array_to_boxes(lkf_roll_out(state, horizon)), model_id=LKF_MODEL_ID)
-
-
-def lkf_roll_out(state: KalmanState, horizon: int = FUTURE_LEN) -> np.ndarray:
-    """(horizon, 4) forecast rows of :func:`lkf_forecast`, before any BBox is built."""
+def lkf_forecast(state: KalmanState, horizon: int = FUTURE_LEN) -> np.ndarray:
+    """Roll the posterior mean forward with no updates, as (horizon, 4) rows; sizes clamped to 1 px."""
     f = _transition_matrix()
     x = state.mean.copy()
     rows = np.empty((horizon, 4), dtype=np.float64)

@@ -23,7 +23,7 @@ from mofcast.metrics import aggregate, evaluate_batch, evaluate_window
 
 import metrics_oracle
 from conftest import batch_of, linear_track, window_of
-from lkf_oracle import KalmanState, lkf_filter, lkf_forecast, lkf_roll_out
+from lkf_oracle import KalmanState, lkf_filter, lkf_forecast
 
 
 def make_window(observed_boxes, future_boxes):
@@ -43,34 +43,31 @@ class TestCvCs:
         observed = [BBox(b.cx - 25.0, b.cy, b.w, b.h) for b in observed]
         window = make_window(observed, future)
         forecast = cv_cs_forecast(window)
-        for k, box in enumerate(forecast.boxes, start=1):
-            assert box.cx == pytest.approx(14.0 + k, abs=1e-12)
-            assert box.cy == 5.0
-            assert (box.w, box.h) == (4.0, 8.0)
-        assert forecast.boxes[-1].cx == pytest.approx(74.0, abs=1e-12)
+        np.testing.assert_allclose(forecast[:, 0], 14.0 + np.arange(1, 61), rtol=0, atol=1e-12)
+        assert np.all(forecast[:, 1:] == [5.0, 4.0, 8.0])
+        assert forecast[-1, 0] == pytest.approx(74.0, abs=1e-12)
 
     def test_stationary_object(self):
         observed = [BBox(7.0, 9.0, 3.0, 5.0)] * 30
         window = make_window(observed, [BBox(7.0, 9.0, 3.0, 5.0)] * 60)
         forecast = cv_cs_forecast(window)
-        assert all(b == BBox(7.0, 9.0, 3.0, 5.0) for b in forecast.boxes)
+        assert np.all(forecast == [7.0, 9.0, 3.0, 5.0])
 
     def test_underestimates_accelerating_motion(self):
         # cx(t) = 0.05 * t^2: strictly accelerating; the 5-frame velocity lags
         observed = [BBox(0.05 * t * t + 1.0, 5.0, 4.0, 8.0) for t in range(30)]
         future = [BBox(0.05 * t * t + 1.0, 5.0, 4.0, 8.0) for t in range(30, 90)]
         forecast = cv_cs_forecast(make_window(observed, future))
-        for pred, gt in zip(forecast.boxes, future):
-            assert pred.cx < gt.cx
+        assert np.all(forecast[:, 0] < boxes_to_array(future)[:, 0])
 
     def test_translation_equivariance(self, cv_window):
-        base = boxes_to_array(cv_cs_forecast(cv_window).boxes)
+        base = cv_cs_forecast(cv_window)
         dx, dy = 37.5, -12.25
         shifted = make_window(
             [BBox(b.cx + dx, b.cy + dy, b.w, b.h) for b in cv_window.observed],
             [BBox(b.cx + dx, b.cy + dy, b.w, b.h) for b in cv_window.future],
         )
-        moved = boxes_to_array(cv_cs_forecast(shifted).boxes)
+        moved = cv_cs_forecast(shifted)
         assert np.allclose(moved[:, 0], base[:, 0] + dx, atol=1e-9)
         assert np.allclose(moved[:, 1], base[:, 1] + dy, atol=1e-9)
         assert np.array_equal(moved[:, 2:], base[:, 2:])
@@ -78,7 +75,7 @@ class TestCvCs:
     def test_zero_ade_on_noiseless_constant_velocity(self):
         tracks = synth_generate("constant_velocity", 5, 0.0, seed=11)
         scores = [
-            evaluate_window(cv_cs_forecast(window), window.future)
+            evaluate_window(cv_cs_forecast(window), boxes_to_array(window.future))
             for track in tracks
             for window in extract_windows(track)
         ]
@@ -149,23 +146,19 @@ class TestLkfFilter:
 class TestLkfForecast:
     def test_linear_roll_out(self):
         mean = np.array([10.0, 20.0, 5.0, 9.0, 1.0, 0.0, 0.0, 0.0])
-        state = KalmanState(mean=mean, covariance=np.eye(8), source=WindowSource("v", 0, 29))
-        forecast = lkf_forecast(state)
-        assert forecast.boxes[-1].cx == pytest.approx(10.0 + 60.0)
-        assert forecast.boxes[0].cx == pytest.approx(11.0)
+        forecast = lkf_forecast(KalmanState(mean=mean, covariance=np.eye(8)))
+        assert forecast[-1, 0] == pytest.approx(10.0 + 60.0)
+        assert forecast[0, 0] == pytest.approx(11.0)
 
     def test_zero_velocity_posterior(self):
         mean = np.array([10.0, 20.0, 5.0, 9.0, 0.0, 0.0, 0.0, 0.0])
-        state = KalmanState(mean=mean, covariance=np.eye(8), source=WindowSource("v", 0, 29))
-        forecast = lkf_forecast(state)
-        assert len(set(forecast.boxes)) == 1
+        forecast = lkf_forecast(KalmanState(mean=mean, covariance=np.eye(8)))
+        assert np.all(forecast == forecast[0])
 
     def test_negative_size_velocity_clamped(self):
         mean = np.array([10.0, 20.0, 5.0, 9.0, 0.0, 0.0, -1.0, -2.0])
-        state = KalmanState(mean=mean, covariance=np.eye(8), source=WindowSource("v", 0, 29))
-        forecast = lkf_forecast(state)
-        assert forecast.boxes[-1].w == 1.0
-        assert forecast.boxes[-1].h == 1.0
+        forecast = lkf_forecast(KalmanState(mean=mean, covariance=np.eye(8)))
+        assert np.all(forecast[-1, 2:] == 1.0)
 
 
 class TestLkfTune:
@@ -239,7 +232,7 @@ class TestBatchedBaselines:
         windows = [w for t in tracks for w in extract_windows(t, stride=4)]
         pred = cv_cs_batch(batch_of(windows).observed)
         for row, w in zip(pred, windows):
-            assert np.array_equal(row, boxes_to_array(cv_cs_forecast(w).boxes))
+            assert np.array_equal(row, cv_cs_forecast(w))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
@@ -247,15 +240,14 @@ class TestBatchedBaselines:
         windows = _random_windows(seed)
         observed = batch_of(windows).observed
         for params in default_param_grid():
-            want = np.stack([lkf_roll_out(lkf_filter(w, params)) for w in windows])
+            want = np.stack([lkf_forecast(lkf_filter(w, params)) for w in windows])
             assert np.any(want[0, :, 2:] == 1.0)  # the size clamp is exercised
             np.testing.assert_allclose(lkf_batch(observed, params), want, rtol=1e-9, atol=0.0)
 
     def test_single_window_forecast_matches_the_loop(self, cv_window):
         params = KalmanParams(1e-2, 1e-4, 1.0)
-        got = boxes_to_array(lkf_forecast_window(cv_window, params).boxes)
-        want = boxes_to_array(lkf_forecast(lkf_filter(cv_window, params)).boxes)
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        got = lkf_forecast_window(cv_window, params)
+        np.testing.assert_allclose(got, lkf_forecast(lkf_filter(cv_window, params)), rtol=1e-12)
 
     def test_operator_is_cached_and_read_only(self):
         params = KalmanParams(1e-2, 1e-2, 1.0)
@@ -272,7 +264,8 @@ class TestBatchedBaselines:
         result = lkf_tune(val, default_param_grid())
         want = [
             metrics_oracle.aggregate(
-                metrics_oracle.rows_of(*(evaluate_window(lkf_forecast(lkf_filter(w, p)), w.future) for w in windows))
+                metrics_oracle.rows_of(*(evaluate_window(lkf_forecast(lkf_filter(w, p)), boxes_to_array(w.future))
+                                         for w in windows))
             ).ade
             for p in default_param_grid()
         ]

@@ -80,7 +80,6 @@ class TestExitCodes:
             ["gradcheck", "--coords", "0"],
             ["clip-filter", "--flow-magnitudes", "f.csv", "--clip-frames", "0"],
             ["synth", "--kind", "turning", "--n", "0", "--seed", "1", "--out", "t.csv"],
-            *(["gradcheck", "--epsilon", value] for value in ("0", "-1e-5", "nan")),
             *(["train", "--tracks", "t.csv", "--splits", "s.json", flag, value]
               for flag in ("--lr", "--beta") for value in ("nan", "inf", "0", "-1")),
             *(["clip-filter", "--flow-magnitudes", "f.csv", "--threshold", value] for value in ("nan", "inf", "-inf")),
@@ -201,8 +200,11 @@ class TestNoFlagIsIgnored:
              "argument --flow-features: not read by --variant bb_only"),
             (["--variant", "both"], "argument --variant: both reads flow: give --flow-features or --synthetic-flow"),
             (["--variant", "of_only"], "argument --variant: of_only reads flow: give --flow-features or"),
+            (["--variant", "bb_only", "--flow-dim", "16"], "argument --flow-dim: not read by --variant bb_only"),
+            (["--flow-dim", "4096"], "argument --flow-dim: not read by --variant bb_only"),
         ),
-        ids=("bb_only-synthetic", "bb_only-sidecar", "both-none", "of_only-none"),
+        ids=("bb_only-synthetic", "bb_only-sidecar", "both-none", "of_only-none", "bb_only-flow-dim",
+             "default-flow-dim"),
     )
     def test_train_flow_flags_must_match_the_variant(self, flags, message, synth_file, splits_file, tmp_path,
                                                      capsys):
@@ -447,6 +449,11 @@ class TestGradcheck:
         # grad_check_detailed cannot resolve a relative error below RESOLUTION, so no other tolerance is offered.
         assert main(["gradcheck", "--tolerance", "1e-3"]) == 1
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+    def test_has_no_epsilon_flag(self, capsys):
+        # A step of 1e-3 or more fails correct gradients, and smaller ones pass alike: the check runs at EPSILON.
+        assert main(["gradcheck", "--epsilon", "1e-3"]) == 1
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def test_the_byte_identity_set_runs_every_subcommand(tmp_path, monkeypatch):

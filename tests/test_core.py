@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import mofcast
 from mofcast.core import (
     BBox,
-    Forecast,
     ObservationWindow,
     Track,
     WindowSource,
@@ -191,7 +190,7 @@ class TestTrack:
         assert track != Track("v", 1, 0, boxes=np.nextafter(np.ones((3, 4)), 2), metadata={"city": "arden"})
 
 
-class TestWindowAndForecast:
+class TestObservationWindow:
     def test_window_length_validation(self):
         # exactly 30 observed and 60 future boxes, as WindowBatch takes them
         boxes = tuple(BBox(i, 0, 1, 1) for i in range(100))
@@ -199,10 +198,6 @@ class TestWindowAndForecast:
         for n_obs, n_fut in ((4, 6), (20, 10), (30, 0), (30, 59), (30, 61), (29, 60), (31, 60)):
             with pytest.raises(ValueError, match=f"30 observed and 60 future boxes, got {n_obs} and {n_fut}$"):
                 ObservationWindow(WindowSource("v", 1, n_obs - 1), boxes[:n_obs], boxes[n_obs : n_obs + n_fut])
-
-    def test_forecast_non_empty(self):
-        with pytest.raises(ValueError):
-            Forecast(WindowSource("v", 1, 29), boxes=())
 
 
 def test_boxes_array_round_trip(rng):

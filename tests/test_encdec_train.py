@@ -67,7 +67,7 @@ class TestAssembleArrays:
         arrays = assemble_arrays(dataclasses.replace(batch, flow=flow), ModelConfig(variant="both", flow_dim=64))
         assert len(arrays) == len(windows)
         assert arrays.features.tobytes() == np.stack([box_features(w) for w in windows]).tobytes()
-        assert arrays.base.tobytes() == np.stack([boxes_to_array(cv_cs_forecast(w).boxes) for w in windows]).tobytes()
+        assert arrays.base.tobytes() == np.stack([cv_cs_forecast(w) for w in windows]).tobytes()
         assert arrays.gt.tobytes() == np.stack([boxes_to_array(w.future) for w in windows]).tobytes()
         assert arrays.flow.tobytes() == flow.tobytes()
 
@@ -461,7 +461,7 @@ class TestCheckpoint:
         before = forecast_windows(model, train_w)
         after = forecast_windows(loaded, train_w)
         for f0, f1 in zip(before, after):
-            assert np.array_equal(boxes_to_array(f0.boxes), boxes_to_array(f1.boxes))
+            assert np.array_equal(f0, f1)
 
     @pytest.mark.parametrize("variant", ("bb_only", "of_only", "both"))
     def test_one_table_names_every_tensor(self, tmp_path, variant):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mofcast.core import BBox, Forecast, Track, WindowSource, boxes_to_array
+from mofcast.core import BBox, Track, WindowSource, boxes_to_array
 from mofcast.data import WindowBatch
 from mofcast.metrics import (
     SCORE_CHUNK,
@@ -29,10 +29,6 @@ from metrics_oracle import Row, scores_of
 SRC = WindowSource("v", 0, 29)
 
 
-def forecast_of(boxes):
-    return Forecast(source=SRC, boxes=tuple(boxes), model_id="test")
-
-
 def gt_boxes(n=60):
     return tuple(BBox(10.0 + k, 20.0, 5.0, 9.0) for k in range(n))
 
@@ -40,25 +36,25 @@ def gt_boxes(n=60):
 class TestEvaluateWindow:
     def test_perfect_forecast(self):
         gt = gt_boxes()
-        ev = evaluate_window(forecast_of(gt), gt)
+        ev = evaluate_window(boxes_to_array(gt), boxes_to_array(gt))
         assert np.all(ev.displacements == 0.0)
         assert np.all(ev.ious == 1.0)
 
     def test_constant_offset_three_four_five(self):
         gt = gt_boxes()
         pred = [BBox(b.cx + 3, b.cy + 4, b.w, b.h) for b in gt]
-        ev = evaluate_window(forecast_of(pred), gt)
+        ev = evaluate_window(boxes_to_array(pred), boxes_to_array(gt))
         assert np.allclose(ev.displacements, 5.0)
 
     def test_disjoint_boxes_have_zero_iou(self):
         gt = gt_boxes()
         pred = [BBox(b.cx + 1000, b.cy, b.w, b.h) for b in gt]
-        ev = evaluate_window(forecast_of(pred), gt)
+        ev = evaluate_window(boxes_to_array(pred), boxes_to_array(gt))
         assert np.all(ev.ious == 0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            evaluate_window(forecast_of(gt_boxes(59)), gt_boxes(60))
+        with pytest.raises(ValueError, match=r"box arrays disagree: \(1, 59, 4\) predicted vs \(1, 60, 4\)"):
+            evaluate_window(boxes_to_array(gt_boxes(59)), boxes_to_array(gt_boxes(60)))
 
 
 def assert_within_one_ulp(got, want):
@@ -130,7 +126,7 @@ class TestEvaluateBatch:
         assert [f.name for f in dataclasses.fields(scores)] == ["displacements", "ious"]
         assert np.all(scores.displacements[0] == 0.0) and np.all(scores.ious[0] == 1.0)
         assert np.allclose(scores.displacements[1], 1.0)
-        single = evaluate_window(forecast_of(gt_boxes()), [BBox(*r) for r in future[1]])
+        single = evaluate_window(gt, future[1])
         assert len(single) == 1
         assert np.array_equal(single.displacements, scores.displacements[1:])
         assert np.array_equal(single.ious, scores.ious[1:])
@@ -208,10 +204,10 @@ class TestAggregate:
     def test_translation_invariance_of_all_metrics(self, offset):
         gt = gt_boxes()
         pred = [BBox(b.cx + 2, b.cy - 1, b.w + 1, b.h) for b in gt]
-        base = aggregate(evaluate_window(forecast_of(pred), gt))
+        base = aggregate(evaluate_window(boxes_to_array(pred), boxes_to_array(gt)))
         gt2 = [BBox(b.cx + offset, b.cy + offset, b.w, b.h) for b in gt]
         pred2 = [BBox(b.cx + offset, b.cy + offset, b.w, b.h) for b in pred]
-        moved = aggregate(evaluate_window(forecast_of(pred2), gt2))
+        moved = aggregate(evaluate_window(boxes_to_array(pred2), boxes_to_array(gt2)))
         assert moved.ade == pytest.approx(base.ade, abs=1e-9)
         assert moved.fde == pytest.approx(base.fde, abs=1e-9)
         assert moved.aiou == pytest.approx(base.aiou, abs=1e-9)
@@ -220,7 +216,7 @@ class TestAggregate:
     def test_iou_one_implies_zero_displacement(self):
         gt = gt_boxes()
         pred = [BBox(b.cx + (0 if k % 2 else 4), b.cy, b.w, b.h) for k, b in enumerate(gt)]
-        scores = evaluate_window(forecast_of(pred), gt)
+        scores = evaluate_window(boxes_to_array(pred), boxes_to_array(gt))
         assert np.all(scores.displacements[scores.ious == 1.0] == 0.0)
 
 
@@ -323,10 +319,7 @@ class TestAgainstRowOracle:
         batch = WindowBatch(observed=np.ones((5, 30, 4)), future=future, tracks=tracks,
                             track_index=[k % 3 for k in range(5)], anchor_frame=[29 + k for k in range(5)])
         scores = evaluate_batch(pred, batch)
-        singles = [
-            evaluate_window(Forecast(batch.source(k), tuple(BBox(*r) for r in p)), [BBox(*r) for r in f])
-            for k, (p, f) in enumerate(zip(pred, future))
-        ]
+        singles = [evaluate_window(p, f) for p, f in zip(pred, future)]
         rows = oracle.rows_of(*singles, batch=batch)
         assert [r.source for r in rows] == [WindowSource("v", k % 3, 29 + k) for k in range(5)]
         assert [r.metadata["city"] for r in rows] == [GROUP_VALUES[k % 3] for k in range(5)]
